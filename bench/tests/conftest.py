@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH.parent / "src", BENCH):
+    sys.path.insert(0, str(path))
