@@ -59,6 +59,7 @@ from .scattering import (
     SpectrumRecord,
     fabry_perot_model,
     plane_wave_amplitudes,
+    scan,
     scatter,
     single_grating_reflectance,
     solve_coefficients,
@@ -129,6 +130,7 @@ __all__ = [
     "propagating_orders",
     "q_factor",
     "resonance_beta",
+    "scan",
     "scan_even_family",
     "scatter",
     "single_grating_reflectance",

@@ -45,7 +45,7 @@ from .modes import (
     eigensystem,
     locate_crossing,
 )
-from .scattering import PinStack, spectrum_scan
+from .scattering import PinStack, _alpha0_rule, spectrum_scan
 from .steering import feature_scan, q_factor, steer
 
 TABLE1_ANGLES_DEG = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
@@ -60,10 +60,8 @@ def _policy(args: argparse.Namespace) -> TruncationPolicy:
     return TruncationPolicy(n_self=args.n_self, n_far=args.n_far)
 
 
-def _alpha0_of(args: argparse.Namespace, beta: float) -> float:
-    if args.alpha0 is not None:
-        return args.alpha0
-    return beta * math.sin(math.radians(args.theta))
+def _theta_i(args: argparse.Namespace) -> float | None:
+    return math.radians(args.theta) if args.theta is not None else None
 
 
 def _timestamp() -> str:
@@ -166,7 +164,7 @@ def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
 
 def cmd_greens(args: argparse.Namespace) -> int:
     policy = _policy(args)
-    alpha0 = _alpha0_of(args, args.beta)
+    alpha0 = _alpha0_rule(_theta_i(args), args.alpha0)(args.beta)
     point = SpectralPoint(alpha0, args.beta)
     n_terms = args.n
     if n_terms is None:
@@ -187,7 +185,7 @@ def cmd_greens(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     policy = _policy(args)
-    alpha0 = _alpha0_of(args, args.beta)
+    alpha0 = _alpha0_rule(_theta_i(args), args.alpha0)(args.beta)
     geometry = StackGeometry(eta=args.eta, xi=args.xi)
     m = assemble(SpectralPoint(alpha0, args.beta), geometry, policy)
     es = eigensystem(m)
@@ -250,10 +248,9 @@ def _build_stack(args: argparse.Namespace) -> PinStack:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     policy = _policy(args)
     stack = _build_stack(args)
-    theta = math.radians(args.theta) if args.theta is not None else None
     records = spectrum_scan(
         stack, (args.beta_min, args.beta_max),
-        theta_i=theta, alpha0=args.alpha0,
+        theta_i=_theta_i(args), alpha0=args.alpha0,
         resolution=args.resolution, policy=policy,
         refine=args.refine, refine_jump=args.refine_jump,
     )

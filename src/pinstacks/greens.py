@@ -94,20 +94,9 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def _order_arrays(point: SpectralPoint, n_max: int):
-    """alpha_n, chi_n, tau_n for n = -n_max .. n_max as arrays."""
-    n = np.arange(-n_max, n_max + 1)
-    alpha = point.alpha0 + (TWO_PI / point.d) * n
-    b2 = point.beta * point.beta
-    # principal branch: sqrt of a negative real gives +i sqrt|.|
-    chi = np.sqrt(b2 - alpha * alpha + 0j)
-    tau = np.sqrt(b2 + alpha * alpha)
-    return alpha, chi, tau
-
-
 def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
-                 n_terms: int) -> complex:
-    """The spectral sum for possibly complex (alpha0, beta); no guards.
+                 n_terms: int, lightline_tol: float | None = None) -> complex:
+    """The spectral sum for possibly complex (alpha0, beta).
 
     Each order keeps the analytic continuation of its real-axis branch:
     chi_n = sqrt(beta^2 - alpha_n^2) for orders propagating on the real axis
@@ -116,6 +105,9 @@ def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
     lines), which lets resonance searches follow a dispersion factor onto
     the leaky-mode sheet at Im(beta) < 0.  On real input this reproduces the
     physical branch exactly.
+
+    With lightline_tol (real input only) the sum raises LightLineProximity
+    when a retained order has |chi_n| <= lightline_tol * beta.
     """
     n = np.arange(-n_terms, n_terms + 1)
     alpha = alpha0 + (TWO_PI / d) * n
@@ -123,6 +115,11 @@ def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
     w = b2 - alpha * alpha
     propagating = np.abs(np.real(alpha)) < np.real(beta)
     chi = np.where(propagating, np.sqrt(w + 0j), 1j * np.sqrt(-w + 0j))
+    if lightline_tol is not None and np.min(np.abs(chi)) <= lightline_tol * beta:
+        raise LightLineProximity(
+            f"order within {lightline_tol:g}*beta of a light line at "
+            f"(alpha0={alpha0:.9g}, beta={beta:.9g})"
+        )
     tau = np.sqrt(b2 + alpha * alpha + 0j)
     ay = abs(y)
     phase = np.exp(1j * alpha * x)
@@ -175,13 +172,8 @@ def greens(
     """
     if n_terms is None:
         n_terms = policy.n_self if y == 0.0 else policy.n_far
-    _, chi, _ = _order_arrays(point, n_terms)
-    if np.min(np.abs(chi)) <= policy.lightline_tol * point.beta:
-        raise LightLineProximity(
-            f"order within {policy.lightline_tol:g}*beta of a light line at "
-            f"(alpha0={point.alpha0:.9g}, beta={point.beta:.9g})"
-        )
-    value = _lattice_sum(point.alpha0, point.beta, point.d, x, y, n_terms)
+    value = _lattice_sum(point.alpha0, point.beta, point.d, x, y, n_terms,
+                         policy.lightline_tol)
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise NonFiniteValue(
             f"Green's function accumulation not finite at (x={x}, y={y})"

@@ -44,22 +44,19 @@ class StackGeometry:
     """Triplet geometry in units of the period d.
 
     eta is the grating separation (outer lines at y = +/- eta d), xi the
-    lateral shift of the central grating's pins.  n_mirror counts gratings per
-    outer mirror; only the single-grating mirror (triplet) case is analyzed.
+    lateral shift of the central grating's pins; each outer mirror is a
+    single grating.
     """
 
     eta: float
     xi: float = 0.0
     d: float = 1.0
-    n_mirror: int = 1
 
     def __post_init__(self) -> None:
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not self.d > 0.0:
             raise ValueError(f"period d must be positive, got {self.d}")
-        if self.n_mirror != 1:
-            raise ValueError("mode analysis supports n_mirror=1 only")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,15 @@ amplitudes of propagating order n are
 Energies are flux-normalized per order by chi_n / chi_0, so that the balance
 sum_n (R_n + T_n) = 1 holds for the lossless pins; its residual is carried on
 every spectrum record as a built-in accuracy check.
+
+scan sweeps beta at a fixed angle or Bloch parameter; spectrum_scan and the
+steering stages build on it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,13 +237,27 @@ def scatter(
     )
 
 
-def _incident(beta: float, theta_i: float | None, alpha0: float | None,
-              direction: str = "down") -> IncidentWave:
+def _alpha0_rule(theta_i: float | None,
+                 alpha0: float | None) -> Callable[[complex], complex]:
+    """alpha0 as a function of beta for an incidence fixed along a scan.
+
+    Exactly one of theta_i (fixed angle, alpha0 = beta sin theta_i) or alpha0
+    (fixed Bloch parameter) selects the incidence; beta may be complex.
+    """
     if (theta_i is None) == (alpha0 is None):
         raise ValueError("specify exactly one of theta_i, alpha0")
+    if theta_i is None:
+        return lambda beta: alpha0
+    sin_theta = math.sin(theta_i)
+    return lambda beta: beta * sin_theta
+
+
+def _incident(beta: float, theta_i: float | None,
+              alpha0: float | None) -> IncidentWave:
+    """The incident wave at beta of an incidence checked by _alpha0_rule."""
     if theta_i is not None:
-        return IncidentWave.from_angle(theta_i, beta, direction=direction)
-    return IncidentWave.from_alpha0(alpha0, beta, direction=direction)
+        return IncidentWave.from_angle(theta_i, beta)
+    return IncidentWave.from_alpha0(alpha0, beta)
 
 
 def transmittance(
@@ -251,7 +269,33 @@ def transmittance(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Total flux-normalized transmittance at one spectral point."""
+    _alpha0_rule(theta_i, alpha0)  # exactly one incidence
     return scatter(stack, _incident(beta, theta_i, alpha0), policy).T
+
+
+def scan(
+    stack: PinStack,
+    betas: Iterable[float],
+    *,
+    theta_i: float | None = None,
+    alpha0: float | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> list[SpectrumRecord]:
+    """scatter at each beta of betas, in order, for one incidence.
+
+    Exactly one of theta_i (fixed angle, alpha0 = beta sin theta_i) or alpha0
+    (fixed Bloch parameter), checked before any point is evaluated.  Per-point
+    failures are recorded on the record, never raised.
+    """
+    alpha0_at = _alpha0_rule(theta_i, alpha0)
+    records = []
+    for beta in map(float, betas):
+        try:
+            records.append(scatter(stack, _incident(beta, theta_i, alpha0), policy))
+        except Exception as exc:  # noqa: BLE001 - recorded per point
+            records.append(SpectrumRecord(alpha0=alpha0_at(beta), beta=beta,
+                                          error=type(exc).__name__))
+    return records
 
 
 def spectrum_scan(
@@ -269,27 +313,17 @@ def spectrum_scan(
 ) -> list[SpectrumRecord]:
     """Scan transmittance over beta, optionally refining sharp features.
 
-    Exactly one of theta_i (fixed incidence angle, alpha0 = beta sin theta_i)
-    or alpha0 (fixed Bloch parameter) selects the incidence.  With
-    refine=True, intervals where |Delta T| > refine_jump are bisected until
-    the jump falls below the threshold or the beta step reaches min_step.
-    Per-point failures are recorded on the record, never raised.
+    A uniform grid of resolution points over beta_range goes through scan,
+    with the incidence as there.  With refine=True, intervals where
+    |Delta T| > refine_jump are bisected until the jump falls below the
+    threshold or the beta step reaches min_step.
     """
-
-    def eval_point(beta: float) -> SpectrumRecord:
-        a0 = beta * math.sin(theta_i) if theta_i is not None else alpha0
-        try:
-            return scatter(stack, _incident(beta, theta_i, alpha0), policy)
-        except Exception as exc:  # noqa: BLE001 - recorded per point
-            return SpectrumRecord(alpha0=a0, beta=beta, error=type(exc).__name__)
-
-    if (theta_i is None) == (alpha0 is None):
-        raise ValueError("specify exactly one of theta_i, alpha0")
+    opts = {"theta_i": theta_i, "alpha0": alpha0, "policy": policy}
     lo, hi = beta_range
     if not (hi > lo):
         raise ValueError("beta_range must satisfy hi > lo")
     betas = np.linspace(lo, hi, resolution)
-    records = {float(b): eval_point(float(b)) for b in betas}
+    records = {r.beta: r for r in scan(stack, betas, **opts)}
     if refine:
         work = [(float(betas[i]), float(betas[i + 1]))
                 for i in range(len(betas) - 1)]
@@ -304,7 +338,7 @@ def spectrum_scan(
                 continue
             mid = 0.5 * (b_lo + b_hi)
             if mid not in records:
-                records[mid] = eval_point(mid)
+                records[mid], = scan(stack, [mid], **opts)
             work.append((b_lo, mid))
             work.append((mid, b_hi))
     return [records[b] for b in sorted(records)]

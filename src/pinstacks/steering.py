@@ -14,12 +14,14 @@ peak (Elasto-Dynamically Inhibited Transmission).
 
 Resonance positions are tracked through the moduli of the two dispersion
 factors of the mode matrix (the factors of det M), and quality factors are
-measured on transmission spectra by FWHM.
+measured on transmission spectra by FWHM, swept with scattering.scan
+(feature_scan zooms with it; steer's envelope is a spectrum_scan).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +43,8 @@ from .greens import (
     greens,
 )
 from .modes import StackGeometry, assemble, dispersion_residual
-from .scattering import PinStack, SpectrumRecord, single_grating_reflectance, transmittance
+from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, scan,
+                         single_grating_reflectance, spectrum_scan, transmittance)
 
 _R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
 _T_TOL = 1e-8    # 1 - T_pair at eta*
@@ -82,12 +85,6 @@ class ResonancePeak:
     is_notch: bool = False
 
 
-def _alpha0_at(beta: float, theta_i: float | None, alpha0: float | None) -> float:
-    if (theta_i is None) == (alpha0 is None):
-        raise ValueError("specify exactly one of theta_i, alpha0")
-    return beta * math.sin(theta_i) if theta_i is not None else alpha0
-
-
 def default_bracket(theta_i: float | None = None,
                     alpha0: float | None = None) -> tuple[float, float]:
     """A beta bracket below the first light line for the given incidence.
@@ -125,10 +122,11 @@ def find_beta_g(
     if beta_bracket is None:
         beta_bracket = default_bracket(theta_i, alpha0)
     lo, hi = beta_bracket
+    alpha0_at = _alpha0_rule(theta_i, alpha0)
 
     def one_minus_r(beta: float) -> float:
-        a0 = _alpha0_at(beta, theta_i, alpha0)
-        return 1.0 - single_grating_reflectance(SpectralPoint(a0, beta), policy)
+        point = SpectralPoint(alpha0_at(beta), beta)
+        return 1.0 - single_grating_reflectance(point, policy)
 
     grid = np.linspace(lo, hi, coarse)
     values = np.array([one_minus_r(float(b)) for b in grid])
@@ -179,7 +177,7 @@ def find_eta_star(
     the transmittance maximum is then polished inside a window a few spike
     widths wide.
     """
-    a0 = _alpha0_at(beta_g, theta_i, alpha0)
+    a0 = _alpha0_rule(theta_i, alpha0)(beta_g)
     point = SpectralPoint(a0, beta_g)
     m11 = greens(point, 0.0, 0.0, policy)
 
@@ -247,10 +245,11 @@ def resonance_beta(
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
     geometry = StackGeometry(eta=eta, xi=xi, d=d)
+    alpha0_at = _alpha0_rule(theta_i, alpha0)
 
     def modulus(beta: float) -> float:
-        a0 = _alpha0_at(beta, theta_i, alpha0)
-        r = dispersion_residual(assemble(SpectralPoint(a0, beta, d), geometry, policy))
+        point = SpectralPoint(alpha0_at(beta), beta, d)
+        r = dispersion_residual(assemble(point, geometry, policy))
         return r.odd if kind == "odd" else r.even
 
     lo, hi = beta_window
@@ -266,16 +265,14 @@ def resonance_beta(
     i = int(minima[np.argmin(values[minima])])
     res = minimize_scalar(modulus, bounds=(grid[i - 1], grid[i + 1]),
                           method="bounded", options={"xatol": 1e-14})
-    polished = _polish_resonance(kind, float(res.x), eta, xi, d, policy,
-                                 theta_i, alpha0, max_shift=0.1 * (hi - lo))
-    return float(res.x) if polished is None else polished
+    pole = _factor_pole(kind, float(res.x), alpha0_at, eta, xi, d, policy,
+                        max_shift=0.1 * (hi - lo))
+    return float(res.x) if pole is None else float(pole.real)
 
 
-def _factor_complex(kind: str, beta: complex, eta: float, xi: float, d: float,
-                    policy: TruncationPolicy, theta_i: float | None,
-                    alpha0: float | None) -> complex:
+def _factor_complex(kind: str, a0: complex, beta: complex, eta: float,
+                    xi: float, d: float, policy: TruncationPolicy) -> complex:
     """One dispersion factor continued to complex beta (no light-line guard)."""
-    a0 = beta * math.sin(theta_i) if theta_i is not None else complex(alpha0)
     m11 = _lattice_sum(a0, beta, d, 0.0, 0.0, policy.n_self)
     m13 = _lattice_sum(a0, beta, d, 0.0, 2.0 * eta * d, policy.n_far)
     if kind == "odd":
@@ -285,9 +282,9 @@ def _factor_complex(kind: str, beta: complex, eta: float, xi: float, d: float,
     return 2.0 * m12 * m21 - m11 * (m11 + m13)
 
 
-def _factor_pole(kind: str, beta0: float, eta: float, xi: float, d: float,
-                 policy: TruncationPolicy, theta_i: float | None,
-                 alpha0: float | None, max_shift: float) -> complex | None:
+def _factor_pole(kind: str, beta0: float, alpha0_at: Callable[[complex], complex],
+                 eta: float, xi: float, d: float, policy: TruncationPolicy,
+                 max_shift: float) -> complex | None:
     """Complex zero of a dispersion factor near real beta0.
 
     On the real axis a leaky resonance leaves only a rounded minimum whose
@@ -297,11 +294,11 @@ def _factor_pole(kind: str, beta0: float, eta: float, xi: float, d: float,
     derivative bookkeeping is needed) recovers it from the real-axis
     minimum.  Returns None when the iteration fails to converge, degrades
     the residual, or leaves the neighbourhood, so the caller can keep the
-    real-axis result.
+    real-axis result.  alpha0_at is the incidence's _alpha0_rule.
     """
 
     def f(beta: complex) -> complex:
-        return _factor_complex(kind, beta, eta, xi, d, policy, theta_i, alpha0)
+        return _factor_complex(kind, alpha0_at(beta), beta, eta, xi, d, policy)
 
     z0 = complex(beta0)
     z1 = complex(beta0 + 1e-7)
@@ -323,14 +320,6 @@ def _factor_pole(kind: str, beta0: float, eta: float, xi: float, d: float,
             and abs(z1.imag) <= max_shift and z1.real > 0):
         return None
     return complex(z1)
-
-
-def _polish_resonance(kind: str, beta0: float, eta: float, xi: float, d: float,
-                      policy: TruncationPolicy, theta_i: float | None,
-                      alpha0: float | None, max_shift: float) -> float | None:
-    pole = _factor_pole(kind, beta0, eta, xi, d, policy, theta_i, alpha0,
-                        max_shift)
-    return None if pole is None else float(pole.real)
 
 
 def find_xi_edit(
@@ -464,16 +453,9 @@ def feature_scan(
     and shrinks (or grows) the window toward ~12 half-widths until at least
     40 points fall inside the half-width interval.  Used for Q measurement
     of features narrower than any practical uniform scan (EDIT notches reach
-    Q ~ 1e9..1e10).
+    Q ~ 1e9..1e10).  Returns the last window's scan records; a point of a
+    window that fails to evaluate raises Unresolved.
     """
-    def scan(c: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-        betas = np.linspace(c - h, c + h, points)
-        ts = np.empty_like(betas)
-        for i, b in enumerate(betas):
-            a0 = _alpha0_at(float(b), theta_i, alpha0)
-            ts[i] = transmittance(stack, float(b), alpha0=a0, policy=policy)
-        return betas, ts
-
     center0 = center
     for _ in range(max_zoom):
         # anchor the give-up test to the starting point so neither a boundary
@@ -484,7 +466,14 @@ def feature_scan(
                 f"no {feature} found near beta = {center0:.9g}; window grew "
                 f"to +-{halfwidth:.3g} without bracketing an extremum"
             )
-        betas, ts = scan(center, halfwidth)
+        window = np.linspace(center - halfwidth, center + halfwidth, points)
+        records = scan(stack, window, theta_i=theta_i, alpha0=alpha0,
+                       policy=policy)
+        bad = next((r for r in records if r.error is not None), None)
+        if bad is not None:
+            raise Unresolved(f"{feature} scan failed at beta = "
+                             f"{bad.beta:.9g}: {bad.error}")
+        ts = np.array([r.T for r in records])
         i0 = int(np.argmin(ts)) if feature == "notch" else int(np.argmax(ts))
         if feature == "notch":
             level = 0.5 * (np.max(ts) + ts[i0])
@@ -493,7 +482,7 @@ def feature_scan(
             level = 0.5 * (np.min(ts) + ts[i0])
             inside = ts > level
         across = int(np.sum(inside))
-        center = float(betas[i0])
+        center = records[i0].beta
         if i0 in (0, len(ts) - 1):
             halfwidth *= 3.0          # feature fell off the edge; widen
             continue
@@ -502,35 +491,12 @@ def feature_scan(
             continue
         frac = across / len(ts)
         if across >= 40 and 0.05 <= frac <= 0.5:
-            a0s = [_alpha0_at(float(b), theta_i, alpha0) for b in betas]
-            return [SpectrumRecord(alpha0=a, beta=float(b), T=float(t), R=1.0 - float(t),
-                                   energy_residual=0.0)
-                    for a, b, t in zip(a0s, betas, ts)]
+            return records
         # aim for the half-width spanning ~1/8 of the window
         est_width = max(frac, 2.0 / len(ts)) * 2.0 * halfwidth
         halfwidth = min(max(4.0 * est_width, 20.0 * 2.0 * halfwidth / points),
                         halfwidth * 3.0)
     raise Unresolved(f"feature near beta = {center:.9g} not resolved after zooming")
-
-
-def _fixed_scan(
-    stack: PinStack,
-    center: float,
-    halfwidth: float,
-    points: int,
-    policy: TruncationPolicy,
-    *,
-    theta_i: float | None = None,
-    alpha0: float | None = None,
-) -> list[SpectrumRecord]:
-    """Uniform transmittance scan over center +- halfwidth, no zooming."""
-    records = []
-    for b in np.linspace(center - halfwidth, center + halfwidth, points):
-        a0 = _alpha0_at(float(b), theta_i, alpha0)
-        t = transmittance(stack, float(b), alpha0=a0, policy=policy)
-        records.append(SpectrumRecord(alpha0=a0, beta=float(b), T=float(t),
-                                      R=1.0 - float(t), energy_residual=0.0))
-    return records
 
 
 def steer(
@@ -557,7 +523,8 @@ def steer(
         results.append(res)
         try:
             res.beta_g = find_beta_g(theta, policy=policy)
-            res.alpha0_g = res.beta_g * math.sin(theta)
+            alpha0_at = _alpha0_rule(theta, None)
+            res.alpha0_g = alpha0_at(res.beta_g)
             chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
             guess = slab_guess(res.beta_g, res.alpha0_g, m)
             res.eta_star = find_eta_star(res.beta_g, guess, policy, theta_i=theta)
@@ -578,9 +545,8 @@ def steer(
                     # the merged resonance is the notch centre; label it by
                     # the parity whose pole is darker (smaller |Im|)
                     poles = {
-                        k: _factor_pole(k, res.beta_edit, res.eta_star,
-                                        res.xi_edit, 1.0, policy, theta, None,
-                                        max_shift=1e-3)
+                        k: _factor_pole(k, res.beta_edit, alpha0_at, res.eta_star,
+                                        res.xi_edit, 1.0, policy, max_shift=1e-3)
                         for k in ("odd", "even")
                     }
                     live = {k: z for k, z in poles.items() if z is not None}
@@ -598,8 +564,8 @@ def steer(
                                    if live else "even")
                     bright = live.get(bright_kind)
                     hw = 12.0 * abs(bright.imag) if bright is not None else 1e-4
-                    env = _fixed_scan(triplet, res.beta_edit, hw, 2000,
-                                      policy, theta_i=theta)
+                    env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
+                                        theta_i=theta, resolution=2000, policy=policy)
                     res.q_pair = q_factor(env, "peak", kind=bright_kind).q
         except Exception as exc:  # noqa: BLE001 - per-angle failures recorded
             res.error = f"{type(exc).__name__}: {exc}"

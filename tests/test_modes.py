@@ -56,8 +56,6 @@ def _random_assembled(rng: np.random.Generator) -> ModeMatrix:
 def test_stack_geometry_validation():
     with pytest.raises(ValueError):
         StackGeometry(eta=0.0)
-    with pytest.raises(ValueError):
-        StackGeometry(eta=1.0, n_mirror=2)
 
 
 def test_matrix_structure():

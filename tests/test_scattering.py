@@ -15,6 +15,7 @@ from pinstacks.scattering import (
     PinStack,
     fabry_perot_model,
     plane_wave_amplitudes,
+    scan,
     scatter,
     single_grating_reflectance,
     solve_coefficients,
@@ -181,6 +182,19 @@ class TestSingleGratingReflectance:
                   for b in (0.1, 0.05, 0.01)]
         assert values[0] > values[1] > values[2]
         assert values[2] == pytest.approx(0.5, abs=1e-4)
+
+
+def test_scan_records_scatter_at_each_beta_in_order():
+    # beta = 2.0 < |alpha0| makes the incident wave evanescent: recorded
+    stack = PinStack.triplet(1.0, 0.252)
+    betas = [3.62, 2.0, 3.55]
+    records = scan(stack, np.array(betas), alpha0=2.1)
+    assert [r.beta for r in records] == betas
+    failed = records.pop(1)
+    assert failed.error == "DomainError" and failed.alpha0 == 2.1
+    assert math.isnan(failed.T)
+    for rec in records:
+        assert rec == scatter(stack, IncidentWave.from_alpha0(2.1, rec.beta))
 
 
 class TestSpectrumScan:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from pinstacks import scattering
 from pinstacks.errors import (
     DomainError,
     ModesDidNotMerge,
@@ -15,9 +16,13 @@ from pinstacks.errors import (
 )
 from pinstacks.greens import SpectralPoint
 from pinstacks.scattering import (
+    IncidentWave,
     PinStack,
     SpectrumRecord,
+    scan,
+    scatter,
     single_grating_reflectance,
+    spectrum_scan,
     transmittance,
 )
 from pinstacks.steering import (
@@ -180,15 +185,66 @@ class TestQFactor:
             q_factor(_lorentzian_records(3.6, 1e-3, 5e-2, 4, "peak"), "peak")
 
 
-def test_feature_scan_resolves_transmission_peak():
-    # the unshifted stack's odd resonance is broad (Q ~ 160); the scan must
-    # still center on it and resolve its width
-    records = feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak",
-                           alpha0=2.1, points=301)
-    peak = q_factor(records, "peak", kind="odd")
+@pytest.fixture(scope="module")
+def peak_records():
+    # the unshifted stack's odd resonance is broad (Q ~ 160)
+    return feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak",
+                        alpha0=2.1, points=301)
+
+
+def test_feature_scan_resolves_transmission_peak(peak_records):
+    # the scan must still center on the broad peak and resolve its width
+    peak = q_factor(peak_records, "peak", kind="odd")
     assert peak.beta_center == pytest.approx(3.6458116, abs=1e-3)
     assert peak.q > 50.0
     assert peak.fwhm < 0.05
+
+
+def test_feature_scan_records_are_computed_not_made_up(peak_records):
+    # every field of a returned record comes from scatter at its beta
+    stack = PinStack.triplet(1.0, 0.0)
+    for rec in peak_records[::30]:
+        direct = scatter(stack, IncidentWave.from_alpha0(2.1, rec.beta))
+        assert rec.error is None
+        assert rec.T == direct.T and rec.R == direct.R
+        assert rec.energy_residual == direct.energy_residual
+        assert rec.R_orders == direct.R_orders
+
+
+def test_feature_scan_reports_a_failed_point():
+    # the window reaches below beta = alpha0, where no incident wave propagates
+    with pytest.raises(Unresolved, match="failed at beta = 2.09.*DomainError"):
+        feature_scan(PinStack.single(), 2.1, 0.01, "peak", alpha0=2.1, points=11)
+
+
+_NO_INCIDENCE_CALLS = {
+    "scan": lambda **inc: scan(PinStack.single(), [3.0, 3.1], **inc),
+    "spectrum_scan": lambda **inc: spectrum_scan(PinStack.single(), (3.0, 3.1),
+                                                 resolution=3, **inc),
+    "transmittance": lambda **inc: transmittance(PinStack.single(), 3.0, **inc),
+    "feature_scan": lambda **inc: feature_scan(PinStack.triplet(1.0, 0.0), 3.646,
+                                               0.01, "peak", points=301, **inc),
+    "resonance_beta": lambda **inc: resonance_beta("odd", 1.0, 0.0, (3.5, 3.7),
+                                                   **inc),
+    "find_eta_star": lambda **inc: find_eta_star(3.599363, 0.98624, **inc),
+}
+
+
+@pytest.mark.parametrize("incidence", [{}, {"theta_i": THETA_30, "alpha0": 1.8}],
+                         ids=["neither", "both"])
+@pytest.mark.parametrize("name", sorted(_NO_INCIDENCE_CALLS))
+def test_exactly_one_incidence_is_required(name, incidence, monkeypatch):
+    # refused up front: no point is evaluated, so no failure is recorded on one
+    evaluated = []
+
+    def counting_scatter(*args, **kwargs):
+        evaluated.append(args)
+        return scatter(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "scatter", counting_scatter)
+    with pytest.raises(ValueError, match="exactly one of theta_i, alpha0"):
+        _NO_INCIDENCE_CALLS[name](**incidence)
+    assert evaluated == []
 
 
 class TestSteer:
