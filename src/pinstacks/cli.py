@@ -148,10 +148,11 @@ def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
                        help="incidence angle in degrees (alpha0 = beta sin "
                             "theta re-derived per beta along scans)")
     p.add_argument("--n-self", type=int, default=DEFAULT_POLICY.n_self,
-                   help="truncation window on the source line "
-                        "(default %(default)s)")
+                   help="on-line window where no closed-form tail applies "
+                        "(y = 0, x != 0; default %(default)s)")
     p.add_argument("--n-far", type=int, default=DEFAULT_POLICY.n_far,
-                   help="truncation window off the source line "
+                   help="window everywhere else: off the source line, and "
+                        "at x = 0 plus the closed-form tail "
                         "(default %(default)s)")
     p.add_argument("--out", help="write output to this file (and echo the "
                                  "config to <out>.config.json)")
@@ -166,9 +167,7 @@ def cmd_greens(args: argparse.Namespace) -> int:
     policy = _policy(args)
     alpha0 = _alpha0_rule(_theta_i(args), args.alpha0)(args.beta)
     point = SpectralPoint(alpha0, args.beta)
-    n_terms = args.n
-    if n_terms is None:
-        n_terms = policy.n_self if args.y == 0.0 else policy.n_far
+    n_terms = policy.window(alpha0, args.beta, point.d, args.x, args.y, args.n)
     value = greens(point, args.x, args.y, policy, n_terms=n_terms)
     half = greens(point, args.x, args.y, policy, n_terms=max(n_terms // 2, 1))
     _emit_json({

@@ -138,8 +138,9 @@ def assemble(
 ) -> ModeMatrix:
     """Assemble the triplet mode matrix at a spectral point.
 
-    The diagonal entry is an on-line evaluation (n_self window); the
-    off-diagonal entries sit off the source line and use the short window.
+    Every entry uses the short window: the diagonal and M13 sit on the
+    column x = 0, where the kernel adds the closed-form tail; M12 and M21
+    sit off the source line.
     """
     d = geometry.d
     eta_d = geometry.eta * d

@@ -273,13 +273,14 @@ def resonance_beta(
 def _factor_complex(kind: str, a0: complex, beta: complex, eta: float,
                     xi: float, d: float, policy: TruncationPolicy) -> complex:
     """One dispersion factor continued to complex beta (no light-line guard)."""
-    m11 = _lattice_sum(a0, beta, d, 0.0, 0.0, policy.n_self)
-    m13 = _lattice_sum(a0, beta, d, 0.0, 2.0 * eta * d, policy.n_far)
+    def g(x: float, y: float) -> complex:
+        return _lattice_sum(a0, beta, d, x, y, policy.window(a0, beta, d, x, y))
+
+    m11 = g(0.0, 0.0)
+    m13 = g(0.0, 2.0 * eta * d)
     if kind == "odd":
         return m11 - m13
-    m12 = _lattice_sum(a0, beta, d, -xi * d, eta * d, policy.n_far)
-    m21 = _lattice_sum(a0, beta, d, xi * d, eta * d, policy.n_far)
-    return 2.0 * m12 * m21 - m11 * (m11 + m13)
+    return 2.0 * g(-xi * d, eta * d) * g(xi * d, eta * d) - m11 * (m11 + m13)
 
 
 def _factor_pole(kind: str, beta0: float, alpha0_at: Callable[[complex], complex],

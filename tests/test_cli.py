@@ -10,7 +10,7 @@ import math
 import pytest
 
 from pinstacks.cli import main
-from pinstacks.greens import SpectralPoint
+from pinstacks.greens import SpectralPoint, greens
 from pinstacks.modes import StackGeometry, assemble, dispersion_residual
 
 LIGHT_LINE_BETA = "6.283185307179586"   # 2 pi: order n = -1 on its light line
@@ -59,6 +59,25 @@ class TestGreens:
         diff = abs(complex(coarse["value"]["re"], coarse["value"]["im"])
                    - complex(fine["value"]["re"], fine["value"]["im"]))
         assert diff <= coarse["convergence_estimate"]
+
+    def test_reports_the_window_the_kernel_sums(self, capsys):
+        base = ["greens", "--beta", "3.61747", "--alpha0", "1.808735",
+                "--no-timestamp"]
+        # x = 0: the short window plus the closed-form tail
+        _, out = _run(capsys, base)
+        payload = json.loads(out)
+        assert payload["n_terms"] == 20
+        assert payload["convergence_estimate"] <= 1e-15
+        # x != 0 on the line: the long window
+        _, out = _run(capsys, base + ["--x", "0.3"])
+        assert json.loads(out)["n_terms"] == 1000
+        # an override below the kernel's minimum window is raised to it
+        _, out = _run(capsys, base + ["--n", "3"])
+        payload = json.loads(out)
+        assert payload["n_terms"] > 3
+        value = complex(payload["value"]["re"], payload["value"]["im"])
+        point = SpectralPoint(1.808735, 3.61747)
+        assert value == greens(point, 0.0, 0.0, n_terms=payload["n_terms"])
 
     def test_light_line_exit_code(self, capsys):
         code = main(["greens", "--beta", LIGHT_LINE_BETA, "--alpha0", "0.0"])

@@ -12,6 +12,7 @@ from pinstacks.greens import (
     DEFAULT_POLICY,
     SpectralPoint,
     TruncationPolicy,
+    _lattice_sum,
     greens,
     order_quantities,
     propagating_orders,
@@ -177,3 +178,88 @@ def test_window_defaults_follow_evaluation_site():
     off_line = greens(p, 0.2, 0.6)
     assert on_line == greens(p, 0.2, 0.0, n_terms=DEFAULT_POLICY.n_self)
     assert off_line == greens(p, 0.2, 0.6, n_terms=DEFAULT_POLICY.n_far)
+
+
+# Converged references for the closed-form tail at x = 0.
+
+# M11 = G(0, 0) at (alpha0, beta) = (1.808735, 3.61747), d = 1, from a
+# 30-digit mpmath sum with Richardson/Shanks tails.
+M11_MPMATH = 1.4288536085667263e-4 + 6.098100289233065e-3j
+
+
+def _plain_sum(alpha0: complex, beta: complex, y: float, n: int) -> complex:
+    """The spectral sum at x = 0 over |n| <= N, with no tail (d = 1)."""
+    alpha = alpha0 + TWO_PI * np.arange(-n, n + 1)
+    w = beta * beta - alpha * alpha
+    chi = np.where(np.abs(alpha.real) < beta.real,
+                   np.sqrt(w + 0j), 1j * np.sqrt(-w + 0j))
+    tau = np.sqrt(beta * beta + alpha * alpha + 0j)
+    terms = (np.exp(1j * chi * abs(y)) / (2j * chi)
+             + np.exp(-tau * abs(y)) / (2.0 * tau))
+    return complex(-terms.sum() / (2.0 * beta * beta))
+
+
+def _plain_self_term(alpha0: complex, beta: complex) -> complex:
+    """G(0, 0) from plain sums at N = 32000 and 64000.
+
+    The truncation error of the plain sum is c / N^2 + O(N^-3); one
+    Richardson step removes the N^-2 part, leaving ~1e-16 relative.
+    """
+    coarse = _plain_sum(alpha0, beta, 0.0, 32000)
+    fine = _plain_sum(alpha0, beta, 0.0, 64000)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _self_term(alpha0: complex, beta: complex) -> complex:
+    return _lattice_sum(alpha0, beta, 1.0, 0.0, 0.0,
+                        DEFAULT_POLICY.window(alpha0, beta, 1.0, 0.0, 0.0))
+
+
+def test_default_self_term_matches_mpmath():
+    m11 = greens(SpectralPoint(1.808735, 3.61747), 0.0, 0.0)
+    assert abs(m11 - M11_MPMATH) <= 1e-12 * abs(M11_MPMATH)
+
+
+def test_default_self_term_window_is_short():
+    # the closed-form tail replaces the long on-line window at x = 0
+    window = DEFAULT_POLICY.window(1.808735, 3.61747, 1.0, 0.0, 0.0)
+    assert window == DEFAULT_POLICY.n_far
+
+
+def test_complex_self_term_matches_plain_sum():
+    # a leaky point off the real axis: the tail's Euler-Maclaurin sum takes
+    # complex zeta arguments
+    a0, beta = 2.55 + 1e-4j, 2.947 - 2e-4j
+    ref = _plain_self_term(a0, beta)
+    assert abs(_self_term(a0, beta) - ref) <= 1e-12 * abs(ref)
+
+
+def test_self_term_for_large_beta_matches_plain_sum():
+    # eight propagating orders: the window grows past n_far so that the
+    # tail's expansion in beta / alpha_n holds
+    a0, beta = 0.7, 25.0
+    assert len(propagating_orders(SpectralPoint(a0, beta))) == 8
+    n = DEFAULT_POLICY.window(a0, beta, 1.0, 0.0, 0.0)
+    assert TWO_PI * (n + 1) >= 4.0 * beta
+    assert n > DEFAULT_POLICY.n_far
+    ref = _plain_self_term(a0, beta)
+    assert abs(_self_term(a0, beta) - ref) <= 1e-12 * abs(ref)
+
+
+def test_self_term_column_is_continuous_in_y():
+    p = SpectralPoint(1.808735, 3.61747)
+    g0 = greens(p, 0.0, 0.0)
+    assert abs(greens(p, 0.0, 1e-10) - g0) <= 1e-13 * abs(g0)
+    for y in (1e-3, 0.05):
+        ref = _plain_sum(p.alpha0, p.beta, y, 4000)
+        assert abs(greens(p, 0.0, y) - ref) <= 1e-12 * abs(ref)
+        assert greens(p, 0.0, -y) == greens(p, 0.0, y)
+
+
+def test_light_line_guard_covers_orders_past_the_window():
+    # order n = 25 sits on its light line, beyond the default n_far = 20
+    beta = TWO_PI * 25
+    with pytest.raises(LightLineProximity):
+        greens(SpectralPoint(0.0, beta), 0.1, 0.7)
+    with pytest.raises(LightLineProximity):
+        greens(SpectralPoint(0.0, beta), 0.0, 0.0)
