@@ -169,7 +169,13 @@ def cmd_greens(args: argparse.Namespace) -> int:
     point = SpectralPoint(alpha0, args.beta)
     n_terms = policy.window(alpha0, args.beta, point.d, args.x, args.y, args.n)
     value = greens(point, args.x, args.y, policy, n_terms=n_terms)
-    half = greens(point, args.x, args.y, policy, n_terms=max(n_terms // 2, 1))
+    # compare with N/2; where the kernel's minimum raises N/2 back to N
+    # (the same sum), with 2N
+    compare = policy.window(alpha0, args.beta, point.d, args.x, args.y,
+                            max(n_terms // 2, 1))
+    if compare == n_terms:
+        compare = 2 * n_terms
+    other = greens(point, args.x, args.y, policy, n_terms=compare)
     _emit_json({
         "alpha0": alpha0,
         "beta": args.beta,
@@ -177,7 +183,8 @@ def cmd_greens(args: argparse.Namespace) -> int:
         "y": args.y,
         "n_terms": n_terms,
         "value": _complex_json(value),
-        "convergence_estimate": abs(value - half),
+        "convergence_estimate": abs(value - other),
+        "comparison_terms": compare,
     }, args)
     return 0
 

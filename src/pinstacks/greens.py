@@ -30,8 +30,21 @@ Hurwitz-zeta-like series evaluated by Euler-Maclaurin for real or complex
 y, continuously as y -> 0.  Only on the source line at x != 0, where no
 closed form applies, does the long window policy.n_self remain.
 
-All functions here are pure and reentrant; evaluation is safe to parallelize
-from caller code.
+One array kernel, _lattice_sums, evaluates the sum for a vector of
+(alpha0, beta) points against a vector of offsets (x, y), real or complex,
+in numpy passes of at most _CHUNK terms, and returns the (points, offsets)
+values with a light-line mask.  greens is its one-point, one-offset case;
+_interaction_matrices builds every pin-interaction matrix of the package
+(scattering systems and the triplet mode matrix) from one kernel call.  A
+value depends only on its own (alpha0, beta, x, y, window): pairs are
+grouped by window, and every complex product keeps its operand order
+(numpy may turn ``a * temporary`` into an in-place product with swapped
+operands on large arrays, which rounds differently), so a point's value is
+the same whatever its batch-mates, batch size or pass.
+
+All functions here are pure and reentrant: they keep no state besides
+read-only caches of order offsets and tail tables, and every batch works
+on its own arrays, so concurrent calls from caller code are safe.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from scipy.special import exp1
 from .errors import LightLineProximity, NonFiniteValue
 
 TWO_PI = 2.0 * np.pi
+_CHUNK = 8192   # lattice-sum terms per kernel pass (128 KiB per complex temporary)
 
 
 @dataclass(frozen=True)
@@ -107,19 +121,21 @@ class TruncationPolicy:
         if not self.lightline_tol > 0.0:
             raise ValueError("lightline_tol must be positive")
 
-    def window(self, alpha0: complex, beta: complex, d: float, x: float,
-               y: float, n_terms: int | None = None) -> int:
+    def window(self, alpha0, beta, d: float, x, y, n_terms=None):
         """The window N the kernel sums at (x, y) for this (alpha0, beta, d).
 
         n_terms if given, else n_self on the source line at x != 0 and n_far
         everywhere else; raised to the smallest window past which every
         order is evanescent with |alpha_n| >= 4 |beta| (at x = 0, where
         the closed-form tail needs it, 16 |beta| and Hurwitz arguments of
-        at least 10).
+        at least 10).  Scalars give an int; arrays broadcast together give
+        an integer array.
         """
         if n_terms is None:
-            n_terms = self.n_self if y == 0.0 and x != 0.0 else self.n_far
-        return max(n_terms, _min_window(alpha0, beta, d, x))
+            n_terms = np.where(np.equal(y, 0.0) & np.not_equal(x, 0.0),
+                               self.n_self, self.n_far)
+        window = np.maximum(n_terms, _min_window(alpha0, beta, d, x))
+        return int(window) if np.ndim(window) == 0 else window
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -141,25 +157,64 @@ _KUMMER_TERMS = tuple(
      / (2**k * math.factorial(k)))
     for k in (1, 3) for j in range(k + 1)
 )
-_KUMMER_LINE = tuple(t for t in _KUMMER_TERMS if t[1] == 0)   # y = 0: p = 3, 7
 # Euler-Maclaurin weights B_2j / (2j)!, j = 1..5
 _EM_WEIGHTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
                1.0 / 47900160.0)
-_EM_DERIVS = 2 * len(_EM_WEIGHTS)
-_BINOM = tuple(tuple(math.comb(m, i) for i in range(m + 1))
-               for m in range(_EM_DERIVS))
-# Hurwitz zeta(p, q) = q^(1-p) [1/(p-1) + 1/(2q) + sum_j B_2j/(2j)! (p)_(2j-1) q^-2j];
-# the sum's coefficients, highest j first, for Horner in q^-2
-_ZETA_EM = {p: tuple(reversed([w * math.prod(range(p, p + 2 * j + 1))
-                               for j, w in enumerate(_EM_WEIGHTS)]))
-            for p, _, _, _ in _KUMMER_LINE}
+# sum_{m>=0} f(q + m) = int_q^inf f + sum_i _EM_FUNCTIONAL[i] f^(i)(q)
+_EM_FUNCTIONAL = (0.5,) + sum(((-w, 0.0) for w in _EM_WEIGHTS), ())[:-1]
+_R_POWERS = np.arange(17)     # powers of r = 1/q in the tail polynomial
+_C_POWERS = np.arange(13)     # powers of c = 2 pi |y| / d in its coefficients
+_SIDES = np.array([1.0, -1.0])
+
+
+def _tail_polynomial() -> np.ndarray:
+    """The Kummer tail of one side as a polynomial in r = 1/q and c, per k.
+
+    With w_p = coef |y|^(k-j) (d / 2 pi)^p / (2 d) the tail of one side is
+    sum_{m>=0} f(q + m), f(u) = exp(-c u) g(u), g(u) = sum_p w_p u^-p.
+    Since p + (k - j) = 2k + 1, w_p = coef c^(k-j) scale_k with
+    scale_k = (d / 2 pi)^(2k+1) / (2d).  By Euler-Maclaurin the sum is the
+    integral sum_p w_p q^(1-p) E_p(c q), written through E_1 and exp(-c q)
+    (DLMF 8.19.7), plus the corrections sum_i _EM_FUNCTIONAL[i] f^(i)(q),
+    expanded by Leibniz.  Altogether, per k,
+        E_1(c q) A_k(c) + exp(-c q) sum_m B_km(c) r^m,
+    and the table holds the coefficient of c^e in A_k (m = 0) and in B_km
+    as [k, m, e].  At c = 0 only e = 0 survives: A_k = 0 and B_km(0) r^m
+    sums to Hurwitz zetas, the tail on the line y = 0.
+    """
+    table = np.zeros((2, len(_R_POWERS), len(_C_POWERS)))
+    for p, y_pow, b_pow, coef in _KUMMER_TERMS:
+        k = b_pow // 2                       # 0 for k = 1, 1 for k = 3
+        fact = math.factorial(p - 1)
+        table[k, 0, y_pow + p - 1] += coef * (-1) ** (p - 1) / fact
+        for l in range(p - 1):
+            table[k, p - 1 - l, y_pow + l] += coef * (-1) ** l * math.factorial(p - l - 2) / fact
+        for i in range(len(_EM_FUNCTIONAL)):
+            deriv = (-1) ** i * math.prod(range(p, p + i))   # g^(i): (-1)^i (p)_i q^-(p+i)
+            for t in range(len(_EM_FUNCTIONAL) - i):
+                table[k, p + i, y_pow + t] += (coef * deriv * _EM_FUNCTIONAL[i + t]
+                                               * math.comb(i + t, i) * (-1) ** t)
+    return table
+
+
+_TAIL = _tail_polynomial()
+
+
+@functools.lru_cache(maxsize=8)
+def _tail_table(d: float) -> np.ndarray:
+    """_TAIL times scale_k for period d, read-only."""
+    table = _TAIL * ((d / TWO_PI) ** np.array([3, 7]) / (2.0 * d))[:, None, None]
+    table.flags.writeable = False
+    return table
+
+
 _GUARD_REACH = 4.0       # least |alpha_n| / |beta| past any window
 _TAIL_REACH = 16.0       # least |alpha_n| / |beta| past the window at x = 0
 _EM_START = 10.0         # least Hurwitz argument q at x = 0
 _DAMPING_CUTOFF = 40.0   # exp(-40) is below the rounding of any G
 
 
-def _min_window(alpha0: complex, beta: complex, d: float, x: float) -> int:
+def _min_window(alpha0, beta, d: float, x):
     """Smallest window N the kernel sums: the rule under every window.
 
     Past it every order is evanescent with |alpha_n| >= 4 |beta|, so the
@@ -168,85 +223,36 @@ def _min_window(alpha0: complex, beta: complex, d: float, x: float) -> int:
     term, (beta / alpha_n)^8 below the kept ones, is at rounding level
     (1e-14 relative at beta = 25 with eight propagating orders), and zeta
     arguments q >= 10, where five Euler-Maclaurin corrections are exact to
-    rounding.
+    rounding.  Scalars or arrays broadcast together.
     """
-    if x == 0.0:
-        reach = max(_TAIL_REACH * abs(beta), TWO_PI * _EM_START / d)
-    else:
-        reach = _GUARD_REACH * abs(beta)
-    return max(1, math.ceil((reach + abs(alpha0)) * d / TWO_PI) - 1)
+    on_column = np.equal(x, 0.0)
+    reach = abs(beta) * (_GUARD_REACH + (_TAIL_REACH - _GUARD_REACH) * on_column)
+    reach = np.maximum(reach, on_column * (TWO_PI * _EM_START / d))
+    return np.maximum(np.ceil((reach + abs(alpha0)) * d / TWO_PI).astype(int) - 1, 1)
 
 
-def _hurwitz_zeta(p: int, q: complex) -> complex:
-    """zeta(p, q) = sum_{m>=0} (q + m)^-p by Euler-Maclaurin, Re q >= 10.
-
-    p is one of the tail's powers on the line (3 or 7).  scipy's zeta takes
-    only real q; this is analytic in q, so the pole search's complex
-    (alpha0, beta) take the same path as real input.
-    """
-    r = 1.0 / q
-    r2 = r * r
-    acc = 0.0
-    for coef in _ZETA_EM[p]:
-        acc = acc * r2 + coef
-    return r ** (p - 1) * (1.0 / (p - 1) + r * (0.5 + r * acc))
-
-
-def _damped_sum(weights: list[tuple[int, complex]], q: complex,
-                c: float) -> complex:
-    """sum_{m>=0} exp(-c (q + m)) sum_p w_p (q + m)^-p by Euler-Maclaurin.
-
-    The damped analogue of _hurwitz_zeta (c > 0): the integral is
-    sum_p w_p q^(1-p) E_p(c q), with E_p from scipy's exp1 (complex
-    arguments allowed) by upward recurrence.
-    """
-    r = 1.0 / q
-    alg = [0.0] * _EM_DERIVS      # m-th u-derivative of sum_p w_p u^-p at q
-    for p, w in weights:
-        t = w * r ** p
-        for m in range(_EM_DERIVS):
-            alg[m] += t
-            t *= -(p + m) * r
-    z = c * q
-    ez = cmath.exp(-z)
-    e_p, order = complex(exp1(z)), 1
-    integral = 0.0
-    for p, w in weights:
-        while order < p:
-            e_p, order = (ez - z * e_p) / order, order + 1
-        integral += w * r ** (p - 1) * e_p
-    # Leibniz: derivatives of exp(-c u) times the algebraic part
-    h = [ez * sum(b * (-c) ** (m - i) * alg[i] for i, b in enumerate(row))
-         for m, row in enumerate(_BINOM)]
-    return (integral + 0.5 * h[0]
-            - sum(wj * h[2 * j + 1] for j, wj in enumerate(_EM_WEIGHTS)))
-
-
-def _kummer_tail(alpha0: complex, beta: complex, d: float, y: float,
-                 n_terms: int) -> complex:
+def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
+                 ay: np.ndarray, n_terms: int) -> np.ndarray:
     """G's share of every order |n| > n_terms at x = 0, in closed form.
 
     Order +-(n_terms + 1 + m) has a = (2 pi / d)(q +- m) with
     q = n_terms + 1 +- alpha0 d / (2 pi), and exp(-a |y|) = exp(-c (q + m))
-    with c = 2 pi |y| / d.
+    with c = 2 pi |y| / d; the sums over m are the polynomial of
+    _tail_polynomial, analytic in (alpha0, beta) (b2 = beta^2; scipy's exp1
+    takes complex arguments), so the pole search's complex points take the
+    same path.  Points with c min(Re q) > 40 get exactly 0.
     """
-    ay = abs(y)
-    c = TWO_PI * ay / d
-    shift = alpha0 * d / TWO_PI
-    qs = (n_terms + 1 + shift, n_terms + 1 - shift)
-    if c * min(qs[0].real, qs[1].real) > _DAMPING_CUTOFF:
-        return 0.0
-    b2 = beta * beta
-    s = d / TWO_PI
-    if not ay:
-        total = 0.0
-        for p, _, b_pow, coef in _KUMMER_LINE:
-            total += (coef * b2**b_pow * s**p
-                      * (_hurwitz_zeta(p, qs[0]) + _hurwitz_zeta(p, qs[1])))
-        return total / (2.0 * d)
-    weights = [(p, coef * ay**y_pow * b2**b_pow * s**p / (2.0 * d))
-               for p, y_pow, b_pow, coef in _KUMMER_TERMS]
-    return _damped_sum(weights, qs[0], c) + _damped_sum(weights, qs[1], c)
+    c = ay * (TWO_PI / d)
+    # the k = 1 and k = 3 (times beta^4) coefficients of c^e r^m, summed over e
+    by_k = (c[:, None, None, None] ** _C_POWERS * _tail_table(d)).sum(axis=3)
+    coef = by_k[:, 0] + np.multiply(np.multiply(b2, b2)[:, None], by_k[:, 1])
+    q = (n_terms + 1) + (alpha0 * (d / TWO_PI))[:, None] * _SIDES   # both sides
+    z = c[:, None] * q
+    # A_k(0) = 0 on the line, where E_1(0) is infinite
+    tail = (np.multiply(exp1(np.where(z == 0.0, 1.0, z)), coef[:, None, 0])
+            + np.multiply(np.exp(-z), np.multiply((1.0 / q)[:, :, None] ** _R_POWERS[1:],
+                                                  coef[:, None, 1:]).sum(axis=2)))
+    return np.where(z.real.min(axis=1) > _DAMPING_CUTOFF, 0.0, tail.sum(axis=1))
 
 
 @functools.lru_cache(maxsize=32)
@@ -257,9 +263,51 @@ def _order_offsets(n_terms: int, d: float) -> np.ndarray:
     return offsets
 
 
-def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
-                 n_terms: int, lightline_tol: float | None = None) -> complex:
-    """The spectral sum for possibly complex (alpha0, beta).
+def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
+               y: np.ndarray, n_terms: int,
+               lightline_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sum at M (alpha0, beta, x, y) elements sharing the window n_terms.
+
+    Returns the values and the light-line mask (all False without
+    lightline_tol).  One formula serves every element: at x = 0 the phase
+    is exp(0) = 1 and at y = 0 the decay factors are exp(0) = 1, exactly.
+    """
+    alpha = alpha0[:, None] + _order_offsets(n_terms, d)
+    b2 = beta * beta
+    a2 = alpha * alpha
+    w = b2[:, None] - a2
+    propagating = np.abs(alpha.real) < beta.real[:, None]
+    root = np.sqrt(np.where(propagating, w, -w))
+    chi = np.where(propagating, root, 1j * root)
+    if lightline_tol is None:
+        near = np.zeros(len(beta), dtype=bool)
+    else:
+        # |chi_n|^2 = |beta^2 - alpha_n^2| on either branch
+        near = np.abs(w).min(axis=1) <= (lightline_tol * beta.real) ** 2
+    tau = np.sqrt(b2[:, None] + a2)
+    # combine the two sums per order before accumulating: joint cubic decay
+    phase = 1j * x[:, None] * alpha
+    ay = np.abs(y)
+    terms = (np.exp(phase - ay[:, None] * tau) / tau
+             + np.exp(phase + 1j * ay[:, None] * chi) * (-1j / chi))
+    value = terms.sum(axis=1) / (-4.0 * d * b2)
+    column = np.flatnonzero(x == 0.0)
+    if len(column):
+        value[column] += _kummer_tail(alpha0[column], b2[column], d,
+                                      ay[column], n_terms)
+    return value, near
+
+
+def _lattice_sums(alpha0, beta, d: float, x, y, windows,
+                  lightline_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral sum at every (point, offset) pair: the one kernel.
+
+    alpha0 and beta (possibly complex), the offsets x and y, and the windows
+    from TruncationPolicy.window broadcast together: points of shape (B, 1)
+    against offsets of shape (P,) give the (B, P) grid.  Returns the values
+    and a light-line mask of that shape, True where a retained order has
+    |chi_n| <= lightline_tol * beta (never without lightline_tol; the guard
+    is for real input).
 
     Each order keeps the analytic continuation of its real-axis branch:
     chi_n = sqrt(beta^2 - alpha_n^2) for orders propagating on the real axis
@@ -267,43 +315,118 @@ def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
     analytic across the axis (their principal-branch cuts sit on the light
     lines), which lets resonance searches follow a dispersion factor onto
     the leaky-mode sheet at Im(beta) < 0.  On real input this reproduces the
-    physical branch exactly.
+    physical branch exactly.  At x = 0 the orders past the window are added
+    in closed form by _kummer_tail, so the value is converged at any y.
 
-    The window is n_terms, raised to _min_window; at x = 0 the orders past
-    it are added in closed form by _kummer_tail, so the value is converged
-    at any y.
-
-    With lightline_tol (real input only) the sum raises LightLineProximity
-    when a retained order has |chi_n| <= lightline_tol * beta.
+    The pairs of one window are summed together, _CHUNK terms (pairs times
+    orders) per pass.
     """
-    n_terms = max(n_terms, _min_window(alpha0, beta, d, x))
-    alpha = (alpha0 + 0j) + _order_offsets(n_terms, d)
-    b2 = beta * beta
-    a2 = alpha * alpha
-    w = b2 - a2
-    propagating = np.abs(alpha.real) < beta.real
-    root = np.sqrt(np.where(propagating, w, -w))
-    chi = np.where(propagating, root, 1j * root)
-    # |chi_n|^2 = |beta^2 - alpha_n^2| on either branch
-    if (lightline_tol is not None
-            and np.min(np.abs(w)) <= (lightline_tol * beta) ** 2):
-        raise LightLineProximity(
-            f"order within {lightline_tol:g}*beta of a light line at "
-            f"(alpha0={alpha0:.9g}, beta={beta:.9g})"
-        )
-    tau = np.sqrt(b2 + a2)
-    # combine the two sums per order before accumulating: joint cubic decay
-    ay = abs(y)
-    if ay:
-        terms = np.exp(-ay * tau) / tau - 1j * np.exp(1j * ay * chi) / chi
-    else:
-        terms = 1.0 / tau - 1j / chi
-    if x:
-        terms *= np.exp(1j * x * alpha)
-    value = -complex(terms.sum()) / (4.0 * d * b2)
-    if x == 0.0:
-        value += _kummer_tail(alpha0, beta, d, y, n_terms)
-    return value
+    shape = np.shape(windows)
+    alpha0, beta, x, y = (_flat(a, shape, dtype) for a, dtype in (
+        (alpha0, complex), (beta, complex), (x, float), (y, float)))
+    windows = np.ravel(windows)
+    values = np.empty(len(windows), dtype=complex)
+    near = np.empty(len(windows), dtype=bool)
+    with np.errstate(all="ignore"):   # a refused point may divide by chi_n = 0
+        for n_terms, idx in _passes(windows):
+            values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], d, x[idx],
+                                                y[idx], n_terms, lightline_tol)
+    return values.reshape(shape), near.reshape(shape)
+
+
+def _flat(a, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """a broadcast to shape, flattened."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != shape:
+        a, full = np.empty(shape, dtype=dtype), a
+        a[...] = full
+    return a.ravel()
+
+
+def _passes(windows: np.ndarray):
+    """(window, index) of each kernel pass: pairs of one window, _CHUNK terms at most."""
+    lo, hi = int(windows.min()), int(windows.max())
+    for n_terms in [lo] if lo == hi else np.unique(windows).tolist():
+        step = max(1, _CHUNK // (2 * n_terms + 1))
+        if lo == hi:
+            for start in range(0, len(windows), step):
+                yield n_terms, slice(start, start + step)
+        else:
+            pairs = np.flatnonzero(windows == n_terms)
+            for start in range(0, len(pairs), step):
+                yield n_terms, pairs[start:start + step]
+
+
+def _light_line_error(alpha0: float, beta: float,
+                      lightline_tol: float) -> LightLineProximity:
+    return LightLineProximity(
+        f"order within {lightline_tol:g}*beta of a light line at "
+        f"(alpha0={alpha0:.9g}, beta={beta:.9g})"
+    )
+
+
+def _non_finite_error(x: float, y: float) -> NonFiniteValue:
+    return NonFiniteValue(
+        f"Green's function accumulation not finite at (x={x}, y={y})"
+    )
+
+
+def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
+                 n_terms: int, lightline_tol: float | None = None) -> complex:
+    """One value of _lattice_sums (window n_terms from policy.window).
+
+    With lightline_tol (real input only) raises LightLineProximity when a
+    retained order has |chi_n| <= lightline_tol * beta.
+    """
+    values, near = _lattice_sums(alpha0, beta, d, x, y, np.array([n_terms]),
+                                 lightline_tol)
+    if near[0]:
+        raise _light_line_error(alpha0, beta, lightline_tol)
+    return complex(values[0])
+
+
+def _interaction_matrices(alpha0, beta, d: float, pins,
+                          policy: TruncationPolicy
+                          ) -> tuple[np.ndarray, list[Exception | None]]:
+    """G(a_m - a_j) between the pins a_m at every (alpha0, beta): the one builder.
+
+    alpha0 and beta are real, shape (B,); pins are (x, y) positions
+    (lengths, not units of d) of shape (n, 2), shared by every point, or
+    (B, n, 2), one stack per point; d is the lattice period.  Entries whose
+    offsets agree at every point share one sum, and G(x, -y) = G(x, y)
+    makes mirror entries agree: the diagonal is one sum and a triplet needs
+    4, not 9, all from one kernel call.  Returns the (B, n, n) matrices and
+    per point None or the exception greens would raise at the first failing
+    entry in row-major order (LightLineProximity, NonFiniteValue).
+    """
+    alpha0 = np.asarray(alpha0, dtype=float)[:, None]
+    beta = np.asarray(beta, dtype=float)[:, None]
+    pins = np.asarray(pins, dtype=float)
+    n = pins.shape[-2]
+    # entry (m, j) of every point as row m n + j, signed y kept for messages
+    dx = (pins[..., :, None, 0] - pins[..., None, :, 0]).reshape(-1, n * n).T
+    dy = (pins[..., :, None, 1] - pins[..., None, :, 1]).reshape(-1, n * n).T
+    ady = np.abs(dy)
+    offsets: dict[tuple[bytes, bytes], int] = {}
+    first: list[int] = []           # the first entry of each offset
+    entry = []
+    for e, key in enumerate(zip(map(np.ndarray.tobytes, dx), map(np.ndarray.tobytes, ady))):
+        if key not in offsets:
+            offsets[key] = len(first)
+            first.append(e)
+        entry.append(offsets[key])
+    xs, ys = dx[first].T, ady[first].T
+    windows = policy.window(alpha0, beta, d, xs, ys)
+    values, near = _lattice_sums(alpha0, beta, d, xs, ys, windows,
+                                 policy.lightline_tol)
+    failed = near | ~np.isfinite(values)
+    errors: list[Exception | None] = [None] * len(beta)
+    for b in np.flatnonzero(failed.any(axis=1)).tolist():
+        e = next(e for e, p in enumerate(entry) if failed[b, p])
+        errors[b] = (_light_line_error(alpha0[b, 0], beta[b, 0], policy.lightline_tol)
+                     if near[b, entry[e]]
+                     else _non_finite_error(dx[e, b % dx.shape[1]], dy[e, b % dy.shape[1]]))
+    return values[:, entry].reshape(len(beta), n, n), errors
 
 
 def order_quantities(point: SpectralPoint, n: int) -> OrderQuantities:
@@ -355,7 +478,5 @@ def greens(
     value = _lattice_sum(alpha0, beta, point.d, x, y, n_terms,
                          policy.lightline_tol)
     if not cmath.isfinite(value):
-        raise NonFiniteValue(
-            f"Green's function accumulation not finite at (x={x}, y={y})"
-        )
+        raise _non_finite_error(x, y)
     return value

@@ -24,6 +24,11 @@ product is -det M.
 
 Mirror symmetry of the Green's function in y makes M21 = G(xi d, eta d); the
 matrix is symmetric (M12 = M21) when xi = 0 or alpha0 = 0.
+
+M is the pin-interaction matrix of the pins in (top, centre, bottom) order,
+built by the same greens._interaction_matrices as every scattering system:
+four lattice sums per point, for a whole beta vector in one call.  assemble
+is its one-point case; dispersion_grid builds one alpha0 column per call.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFormula
-from .greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, greens
+from .greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, _interaction_matrices
 
 # below this magnitude the eigenvector formula 1/M12 is meaningless
 _M12_FLOOR = 1e-300
@@ -131,6 +136,20 @@ class CoincidenceReport:
     defective_basis: np.ndarray | None
 
 
+def _mode_matrices(alpha0, beta, geometry: StackGeometry, d: float,
+                   policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
+    """Triplet mode matrices at every (alpha0, beta) for lattice period d.
+
+    The pin-interaction matrix of the pins in (top, centre, bottom) order
+    is the mode matrix: M11, M13 sit on the column x = 0, where the kernel
+    adds the closed-form tail, and M12, M21 off the source line.  Returns
+    (B, 3, 3) entries and per-point errors, as _interaction_matrices.
+    """
+    eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
+    pins = ((0.0, eta_d), (xi_d, 0.0), (0.0, -eta_d))
+    return _interaction_matrices(alpha0, beta, d, pins, policy)
+
+
 def assemble(
     point: SpectralPoint,
     geometry: StackGeometry,
@@ -142,17 +161,11 @@ def assemble(
     column x = 0, where the kernel adds the closed-form tail; M12 and M21
     sit off the source line.
     """
-    d = geometry.d
-    eta_d = geometry.eta * d
-    xi_d = geometry.xi * d
-    m11 = greens(point, 0.0, 0.0, policy)
-    m12 = greens(point, -xi_d, eta_d, policy)
-    m21 = greens(point, xi_d, eta_d, policy)  # G(x, -y) = G(x, y)
-    m13 = greens(point, 0.0, 2.0 * eta_d, policy)
-    entries = np.array(
-        [[m11, m12, m13], [m21, m11, m21], [m13, m12, m11]], dtype=complex
-    )
-    return ModeMatrix(entries=entries, point=point, geometry=geometry)
+    entries, (error,) = _mode_matrices([point.alpha0], [point.beta], geometry,
+                                       point.d, policy)
+    if error is not None:
+        raise error
+    return ModeMatrix(entries=entries[0], point=point, geometry=geometry)
 
 
 def eigensystem(m: ModeMatrix) -> EigenSystem:
@@ -178,6 +191,19 @@ def eigensystem(m: ModeMatrix) -> EigenSystem:
     )
 
 
+def _factor_moduli(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|odd factor| and |even factor| of a stack of mode matrices (..., 3, 3)."""
+    m11, m12, m13, m21 = (entries[..., 0, 0], entries[..., 0, 1],
+                          entries[..., 0, 2], entries[..., 1, 0])
+    even = np.multiply(2.0 * m12, m21) - np.multiply(m11, m11 + m13)
+    return np.abs(m11 - m13), np.abs(even)
+
+
+def _log10(modulus: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log10(modulus)
+
+
 def dispersion_residual(m: ModeMatrix) -> DispersionResidual:
     """Moduli of the odd and even dispersion factors.
 
@@ -185,12 +211,10 @@ def dispersion_residual(m: ModeMatrix) -> DispersionResidual:
     even factor = 2 M12 M21 - M11 (M11 + M13) = -lambda_minus * lambda_plus.
     Zeros of either factor are points on the trapped-mode dispersion curves.
     """
-    odd = abs(m.m11 - m.m13)
-    even = abs(2.0 * m.m12 * m.m21 - m.m11 * (m.m11 + m.m13))
-    with np.errstate(divide="ignore"):
-        log_odd = float(np.log10(odd)) if odd > 0.0 else float("-inf")
-        log_even = float(np.log10(even)) if even > 0.0 else float("-inf")
-    return DispersionResidual(odd=odd, even=even, log10_odd=log_odd, log10_even=log_even)
+    odd, even = (float(v[0]) for v in _factor_moduli(m.entries[None]))
+    return DispersionResidual(odd=odd, even=even,
+                              log10_odd=float(_log10(odd)),
+                              log10_even=float(_log10(even)))
 
 
 def determinant(m: ModeMatrix) -> complex:
@@ -311,20 +335,27 @@ def dispersion_grid(
     Returns one row dict per grid cell in alpha0-major order with keys
     alpha0, beta, log10_odd, log10_even, status.  Cells where evaluation is
     refused (light-line proximity) carry NaN residuals and the error name in
-    status; the scan never aborts on a per-cell failure.
+    status; the scan never aborts on a per-cell failure.  Each alpha0
+    column is one batched build of its mode matrices.
     """
+    betas = [float(b) for b in beta_values]
     rows = []
-    for a0 in alpha0_values:
-        for b in beta_values:
-            row = {"alpha0": float(a0), "beta": float(b)}
+    for a0 in map(float, alpha0_values):
+        entries, errors = _mode_matrices([a0] * len(betas), betas, geometry,
+                                         geometry.d, policy)
+        odd, even = _factor_moduli(entries)
+        log_odd, log_even = _log10(odd).tolist(), _log10(even).tolist()
+        for i, (b, error) in enumerate(zip(betas, errors)):
             try:
-                m = assemble(SpectralPoint(float(a0), float(b), geometry.d),
-                             geometry, policy)
-                r = dispersion_residual(m)
-                row.update(log10_odd=r.log10_odd, log10_even=r.log10_even, status="ok")
-            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                SpectralPoint(a0, b, geometry.d)
+            except ValueError as exc:
+                error = exc
+            row = {"alpha0": a0, "beta": b}
+            if error is None:
+                row.update(log10_odd=log_odd[i], log10_even=log_even[i], status="ok")
+            else:
                 row.update(log10_odd=float("nan"), log10_even=float("nan"),
-                           status=type(exc).__name__)
+                           status=type(error).__name__)
             rows.append(row)
     return rows
 

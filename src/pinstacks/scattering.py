@@ -18,8 +18,13 @@ Energies are flux-normalized per order by chi_n / chi_0, so that the balance
 sum_n (R_n + T_n) = 1 holds for the lossless pins; its residual is carried on
 every spectrum record as a built-in accuracy check.
 
-scan sweeps beta at a fixed angle or Bloch parameter; spectrum_scan and the
-steering stages build on it.
+The pin-interaction matrices of a whole batch of waves come from one call
+of greens._interaction_matrices (each distinct pin offset summed once), the
+condition test and the solve run on the (B, n, n) stack, and the amplitudes
+are vectorised over waves and orders.  scan sweeps beta at a fixed angle or
+Bloch parameter this way in one call; spectrum_scan and the steering stages
+build on it.  scatter is the one-wave case of the same path, so a scan
+record equals scatter's record at its beta exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ import numpy as np
 from .errors import DomainError, SingularSystem
 from .greens import (
     DEFAULT_POLICY,
+    TWO_PI,
     SpectralPoint,
     TruncationPolicy,
-    greens,
-    propagating_orders,
+    _interaction_matrices,
 )
 
 _COND_LIMIT = 1e14
@@ -143,6 +148,65 @@ class SpectrumRecord:
     error: str | None = None
 
 
+def _geometry(stacks: PinStack | list[PinStack]) -> tuple[float, np.ndarray]:
+    """The period and the pin positions (lengths) of one stack, shape (n, 2),
+    or of one stack per wave, shape (B, n, 2), sharing their period."""
+    if isinstance(stacks, PinStack):
+        return stacks.d, np.array(stacks.pins, dtype=float).reshape(-1, 2) * stacks.d
+    (d,) = {s.d for s in stacks}
+    pins = np.array([s.pins for s in stacks], dtype=float)
+    return d, pins.reshape(len(stacks), -1, 2) * d
+
+
+def _coefficients(stacks: PinStack | list[PinStack], waves: list[IncidentWave],
+                  policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
+    """Pin reactions at every wave: (B, n) and per-wave errors.
+
+    stacks is one stack for every wave or one per wave.  One
+    interaction-matrix build for all waves; the condition test and the
+    solve run on the (B, n, n) stack of the waves that passed.
+    """
+    d, pins = _geometry(stacks)
+    n = pins.shape[-2]
+    coeffs = np.zeros((len(waves), n), dtype=complex)
+    if not n:
+        return coeffs, [None] * len(waves)
+    alpha0 = np.array([w.alpha0 for w in waves])
+    g, errors = _interaction_matrices(alpha0, np.array([w.beta for w in waves]),
+                                      d, pins, policy)
+    sign = np.array([-1.0 if w.direction == "down" else 1.0 for w in waves])
+    chi0 = np.array([w.chi0 for w in waves])
+    u = np.multiply(np.array([w.amplitude for w in waves])[:, None],
+                    np.exp(1j * (alpha0[:, None] * pins[..., 0]
+                                 + (sign * chi0)[:, None] * pins[..., 1])))
+    ok = [i for i, e in enumerate(errors) if e is None]
+    if n > 1 and ok:
+        for i, cond in zip(ok, np.linalg.cond(g[ok]).tolist()):
+            if cond > _COND_LIMIT:
+                errors[i] = SingularSystem(
+                    f"pin interaction matrix condition exceeds {_COND_LIMIT:g}")
+        ok = [i for i in ok if errors[i] is None]
+    try:
+        if ok:
+            coeffs[ok] = np.linalg.solve(g[ok], -u[ok][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:        # an exactly singular 1x1 system
+        for i in ok:
+            try:
+                coeffs[i] = np.linalg.solve(g[i], -u[i])
+            except np.linalg.LinAlgError as exc:
+                errors[i] = exc
+    return coeffs, errors
+
+
+def _invalid(wave: IncidentWave, d: float) -> ValueError | None:
+    """The error SpectralPoint raises for this wave's (alpha0, beta, d), if any."""
+    try:
+        SpectralPoint(wave.alpha0, wave.beta, d)
+    except ValueError as exc:
+        return exc
+    return None
+
+
 def solve_coefficients(
     stack: PinStack,
     inc: IncidentWave,
@@ -153,21 +217,69 @@ def solve_coefficients(
     Raises SingularSystem when the interaction matrix condition number
     exceeds 1e14.
     """
-    pins = stack.pins
-    n = len(pins)
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    point = SpectralPoint(inc.alpha0, inc.beta, stack.d)
-    g = np.empty((n, n), dtype=complex)
-    for m, (xm, ym) in enumerate(pins):
-        for j, (xj, yj) in enumerate(pins):
-            g[m, j] = greens(point, (xm - xj) * stack.d, (ym - yj) * stack.d, policy)
-    u = np.array([inc.field(x * stack.d, y * stack.d) for x, y in pins])
-    if n > 1 and np.linalg.cond(g) > _COND_LIMIT:
-        raise SingularSystem(
-            f"pin interaction matrix condition exceeds {_COND_LIMIT:g}"
-        )
-    return np.linalg.solve(g, -u)
+    error = _invalid(inc, stack.d) if stack.pins else None
+    if error is None:
+        coeffs, (error,) = _coefficients(stack, [inc], policy)
+    if error is not None:
+        raise error
+    return coeffs[0]
+
+
+def _amplitudes(coeffs: np.ndarray, stacks: PinStack | list[PinStack],
+                waves: list[IncidentWave], policy: TruncationPolicy) -> list:
+    """Amplitudes and energies of every propagating order of every wave.
+
+    Vectorised over waves and orders (see plane_wave_amplitudes and
+    SpectrumRecord); per wave the dicts (r, t, R_n, T_n), or the exception
+    plane_wave_amplitudes raises (DomainError when an order grazes its
+    light line).
+    """
+    d, pins = _geometry(stacks)
+    alpha0 = np.array([w.alpha0 for w in waves])
+    beta = np.array([w.beta for w in waves])
+    # alpha0 + 2 pi n / d in (-beta, beta), over the union of the waves' ranges
+    with np.errstate(invalid="ignore"):
+        lo = np.ceil((-beta - alpha0) * d / TWO_PI)
+        hi = np.floor((beta - alpha0) * d / TWO_PI)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    # an infinite incidence fails as int() fails on its order range
+    out: list = [None if ok else _attempt_each(int, [bound])[0]
+                 for ok, bound in zip(finite.tolist(), (lo + hi).tolist())]
+    if not finite.any():
+        return out
+    orders = np.arange(int(lo[finite].min()), int(hi[finite].max()) + 1)
+    alpha_n = alpha0[:, None] + TWO_PI * orders / d
+    b2 = beta * beta
+    propagating = alpha_n**2 < (beta**2)[:, None]
+    chi = np.sqrt(np.where(propagating, b2[:, None] - alpha_n * alpha_n, 1.0))
+    grazing = propagating & (chi <= policy.lightline_tol * beta[:, None])
+    # sum over pins j of A_j exp(-i alpha_n x_j) exp(-+i chi_n y_j), pins last
+    lateral = np.multiply(coeffs[:, None, :],
+                          np.exp(-1j * alpha_n[:, :, None] * pins[..., None, :, 0]))
+    vertical = np.exp(-1j * chi[:, :, None] * pins[..., None, :, 1])
+    pref = 1j / (4.0 * d * b2[:, None] * chi)
+    above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
+    below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
+    down = np.array([w.direction == "down" for w in waves])[:, None]
+    r = np.where(down, above, below)
+    t = np.where(down, below, above)
+    t[:, orders == 0] += np.array([w.amplitude for w in waves])[:, None]
+    # flux-normalized energies
+    scale = chi / (np.array([w.chi0 for w in waves])
+                   * np.abs(np.array([w.amplitude for w in waves])) ** 2)[:, None]
+    rows = [a.tolist() for a in (r, t, np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale)]
+    # each wave's propagating orders are one run of the union
+    first = propagating.argmax(axis=1)
+    runs = zip(first.tolist(), (first + propagating.sum(axis=1)).tolist())
+    for i, (lo_i, hi_i) in enumerate(runs):
+        if out[i] is not None:
+            continue
+        if grazing[i].any():
+            out[i] = DomainError(f"order {orders[grazing[i]][0]} grazes its light line")
+            continue
+        ns = orders[lo_i:hi_i].tolist()
+        out[i] = tuple(dict(zip(ns, row[i][lo_i:hi_i])) for row in rows)
+    return out
 
 
 def plane_wave_amplitudes(
@@ -182,31 +294,54 @@ def plane_wave_amplitudes(
     the wave comes from; the transmitted amplitude includes the incident
     delta_n0 contribution.
     """
-    point = SpectralPoint(inc.alpha0, inc.beta, stack.d)
-    d = stack.d
-    b2 = inc.beta * inc.beta
-    orders = propagating_orders(point)
-    xs = np.array([x * d for x, _ in stack.pins])
-    ys = np.array([y * d for _, y in stack.pins])
-    r: dict[int, complex] = {}
-    t: dict[int, complex] = {}
-    for n in orders:
-        alpha_n = inc.alpha0 + 2.0 * math.pi * n / d
-        chi_n = math.sqrt(b2 - alpha_n * alpha_n)
-        if chi_n <= policy.lightline_tol * inc.beta:
-            # propagating_orders guarantees chi_n > 0; guard the division anyway
-            raise DomainError(f"order {n} grazes its light line")
-        pref = 1j / (4.0 * d * b2 * chi_n)
-        lateral = np.exp(-1j * alpha_n * xs)
-        above = pref * np.sum(coeffs * lateral * np.exp(-1j * chi_n * ys))
-        below = pref * np.sum(coeffs * lateral * np.exp(1j * chi_n * ys))
-        if inc.direction == "down":
-            r[n] = complex(above)
-            t[n] = complex(below + (inc.amplitude if n == 0 else 0.0))
-        else:
-            r[n] = complex(below)
-            t[n] = complex(above + (inc.amplitude if n == 0 else 0.0))
-    return r, t
+    out = _invalid(inc, stack.d)
+    if out is None:
+        (out,) = _amplitudes(np.asarray(coeffs)[None, :], stack, [inc], policy)
+    if isinstance(out, Exception):
+        raise out
+    return out[:2]
+
+
+def _scatter_all(stacks: PinStack | list[PinStack],
+                 waves: list[IncidentWave | Exception],
+                 policy: TruncationPolicy) -> list[SpectrumRecord | Exception]:
+    """scatter at every wave, batched: the record or the exception it raises.
+
+    stacks is one stack for every wave or one per wave (a common period).
+    An exception in waves (an incidence that could not be built) passes
+    through in its place; no failure stops the others.
+    """
+    def pick(index: list[int]) -> PinStack | list[PinStack]:
+        return stacks if isinstance(stacks, PinStack) else [stacks[i] for i in index]
+
+    d = (stacks if isinstance(stacks, PinStack) else stacks[0]).d if waves else 1.0
+    out: list = [w if isinstance(w, Exception) else _invalid(w, d) or w for w in waves]
+    index = [i for i, w in enumerate(out) if not isinstance(w, Exception)]
+    if not index:
+        return out
+    coeffs, errors = _coefficients(pick(index), [waves[i] for i in index], policy)
+    ok = [k for k, e in enumerate(errors) if e is None]
+    for i, e in zip(index, errors):
+        out[i] = e or out[i]
+    index = [index[k] for k in ok]
+    if index:
+        amplitudes = _amplitudes(coeffs[ok], pick(index), [waves[i] for i in index], policy)
+        for i, res in zip(index, amplitudes):
+            out[i] = res if isinstance(res, Exception) else _record(waves[i], *res)
+    return out
+
+
+def _record(inc: IncidentWave, r_amp: dict[int, complex], t_amp: dict[int, complex],
+            r_orders: dict[int, float], t_orders: dict[int, float]) -> SpectrumRecord:
+    """One wave's SpectrumRecord from its amplitudes and order energies."""
+    big_r = float(sum(r_orders.values()))
+    big_t = float(sum(t_orders.values()))
+    return SpectrumRecord(
+        alpha0=inc.alpha0, beta=inc.beta,
+        R_orders=r_orders, T_orders=t_orders,
+        R=big_r, T=big_t, energy_residual=abs(big_r + big_t - 1.0),
+        r_amplitudes=r_amp, t_amplitudes=t_amp,
+    )
 
 
 def scatter(
@@ -215,26 +350,10 @@ def scatter(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SpectrumRecord:
     """Solve one scattering problem and fold it into a SpectrumRecord."""
-    coeffs = solve_coefficients(stack, inc, policy)
-    r_amp, t_amp = plane_wave_amplitudes(coeffs, stack, inc, policy)
-    a2 = abs(inc.amplitude) ** 2
-    point = SpectralPoint(inc.alpha0, inc.beta, stack.d)
-    r_orders = {}
-    t_orders = {}
-    for n in r_amp:
-        chi_n = abs(np.sqrt(inc.beta**2
-                            - (inc.alpha0 + 2.0 * math.pi * n / stack.d) ** 2))
-        flux = chi_n / inc.chi0
-        r_orders[n] = abs(r_amp[n]) ** 2 * flux / a2
-        t_orders[n] = abs(t_amp[n]) ** 2 * flux / a2
-    big_r = float(sum(r_orders.values()))
-    big_t = float(sum(t_orders.values()))
-    return SpectrumRecord(
-        alpha0=point.alpha0, beta=point.beta,
-        R_orders=r_orders, T_orders=t_orders,
-        R=big_r, T=big_t, energy_residual=abs(big_r + big_t - 1.0),
-        r_amplitudes=r_amp, t_amplitudes=t_amp,
-    )
+    (out,) = _scatter_all(stack, [inc], policy)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _alpha0_rule(theta_i: float | None,
@@ -284,18 +403,28 @@ def scan(
     """scatter at each beta of betas, in order, for one incidence.
 
     Exactly one of theta_i (fixed angle, alpha0 = beta sin theta_i) or alpha0
-    (fixed Bloch parameter), checked before any point is evaluated.  Per-point
-    failures are recorded on the record, never raised.
+    (fixed Bloch parameter), checked before any point is evaluated.  All
+    points are evaluated together; per-point failures are recorded on the
+    record, never raised, and never affect the other points.
     """
     alpha0_at = _alpha0_rule(theta_i, alpha0)
-    records = []
-    for beta in map(float, betas):
+    betas = [float(beta) for beta in betas]
+    waves = _attempt_each(lambda beta: _incident(beta, theta_i, alpha0), betas)
+    return [out if isinstance(out, SpectrumRecord)
+            else SpectrumRecord(alpha0=alpha0_at(beta), beta=beta,
+                                error=type(out).__name__)
+            for beta, out in zip(betas, _scatter_all(stack, waves, policy))]
+
+
+def _attempt_each(build: Callable, args: Iterable) -> list:
+    """build(arg) for each arg, with the exception in place of a failed one."""
+    out = []
+    for arg in args:
         try:
-            records.append(scatter(stack, _incident(beta, theta_i, alpha0), policy))
+            out.append(build(arg))
         except Exception as exc:  # noqa: BLE001 - recorded per point
-            records.append(SpectrumRecord(alpha0=alpha0_at(beta), beta=beta,
-                                          error=type(exc).__name__))
-    return records
+            out.append(exc)
+    return out
 
 
 def spectrum_scan(

@@ -15,7 +15,11 @@ peak (Elasto-Dynamically Inhibited Transmission).
 Resonance positions are tracked through the moduli of the two dispersion
 factors of the mode matrix (the factors of det M), and quality factors are
 measured on transmission spectra by FWHM, swept with scattering.scan
-(feature_scan zooms with it; steer's envelope is a spectrum_scan).
+(feature_scan zooms with it; steer's envelope is a spectrum_scan).  Every
+grid whose points are independent (the coarse beta grids of find_beta_g and
+resonance_beta, the fine separation grid of find_eta_star, each scan) is
+evaluated in one batched call; the scalar optimisers refine on the
+single-point functions, whose values equal the batched ones exactly.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ from .greens import (
     SpectralPoint,
     TruncationPolicy,
     TWO_PI,
-    _lattice_sum,
+    _lattice_sums,
     greens,
 )
-from .modes import StackGeometry, assemble, dispersion_residual
-from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, scan,
-                         single_grating_reflectance, spectrum_scan, transmittance)
+from .modes import StackGeometry, _factor_moduli, _mode_matrices, assemble, dispersion_residual
+from .scattering import (IncidentWave, PinStack, SpectrumRecord, _alpha0_rule,
+                         _attempt_each, _scatter_all, scan, scatter, spectrum_scan,
+                         transmittance)
 
 _R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
 _T_TOL = 1e-8    # 1 - T_pair at eta*
@@ -124,12 +129,17 @@ def find_beta_g(
     lo, hi = beta_bracket
     alpha0_at = _alpha0_rule(theta_i, alpha0)
 
-    def one_minus_r(beta: float) -> float:
+    def wave(beta: float) -> IncidentWave:   # as single_grating_reflectance
         point = SpectralPoint(alpha0_at(beta), beta)
-        return 1.0 - single_grating_reflectance(point, policy)
+        return IncidentWave.from_alpha0(point.alpha0, point.beta)
+
+    def one_minus_r(beta: float) -> float:
+        return 1.0 - scatter(PinStack.single(), wave(beta), policy).R_orders[0]
 
     grid = np.linspace(lo, hi, coarse)
-    values = np.array([one_minus_r(float(b)) for b in grid])
+    records = _scatter_all(PinStack.single(), _attempt_each(wave, grid.tolist()),
+                           policy)
+    values = np.array([1.0 - _raise_failed(rec).R_orders[0] for rec in records])
     i = int(np.argmin(values))
     b_lo = grid[max(i - 1, 0)]
     b_hi = grid[min(i + 1, coarse - 1)]
@@ -206,7 +216,9 @@ def find_eta_star(
         slope = (pair_det(eta_res + step) + pair_det(eta_res - step)) / (2 * step)
         width = max(res.fun / slope if slope > 0 else 0.0, 1e-9 * eta_guess)
         fine = np.linspace(eta_res - 8 * width, eta_res + 8 * width, 257)
-        t_values = np.array([one_minus_t(float(e)) for e in fine])
+        records = _scatter_all([PinStack.pair(e) for e in fine.tolist()],
+                               [IncidentWave.from_alpha0(a0, beta_g)] * len(fine), policy)
+        t_values = np.array([1.0 - _raise_failed(rec).T for rec in records])
         j = int(np.argmin(t_values))
         t_res = minimize_scalar(one_minus_t,
                                 bounds=(fine[max(j - 1, 0)], fine[min(j + 1, 256)]),
@@ -254,7 +266,14 @@ def resonance_beta(
 
     lo, hi = beta_window
     grid = np.linspace(lo, hi, coarse)
-    values = np.array([modulus(float(b)) for b in grid])
+    betas = grid.tolist()
+    points = _attempt_each(lambda b: SpectralPoint(alpha0_at(b), b, d), betas)
+    entries, errors = _mode_matrices([alpha0_at(b) for b in betas], betas,
+                                     geometry, d, policy)
+    for point, error in zip(points, errors):   # the first failure in grid order
+        _raise_failed(point)
+        _raise_failed(error)
+    values = _factor_moduli(entries)[0 if kind == "odd" else 1]
     interior = np.arange(1, coarse - 1)
     minima = interior[(values[interior] < values[interior - 1])
                       & (values[interior] <= values[interior + 1])]
@@ -272,15 +291,24 @@ def resonance_beta(
 
 def _factor_complex(kind: str, a0: complex, beta: complex, eta: float,
                     xi: float, d: float, policy: TruncationPolicy) -> complex:
-    """One dispersion factor continued to complex beta (no light-line guard)."""
-    def g(x: float, y: float) -> complex:
-        return _lattice_sum(a0, beta, d, x, y, policy.window(a0, beta, d, x, y))
+    """One dispersion factor continued to complex beta (no light-line guard).
 
-    m11 = g(0.0, 0.0)
-    m13 = g(0.0, 2.0 * eta * d)
+    Its 2 (odd) or 4 (even) entries come from one kernel call.
+    """
+    xs = np.array([0.0, 0.0, -xi * d, xi * d][:2 if kind == "odd" else 4])
+    ys = np.array([0.0, 2.0 * eta * d, eta * d, eta * d][:len(xs)])
+    values, _ = _lattice_sums(a0, beta, d, xs, ys, policy.window(a0, beta, d, xs, ys))
+    m11, m13, *off = values.tolist()
     if kind == "odd":
         return m11 - m13
-    return 2.0 * g(-xi * d, eta * d) * g(xi * d, eta * d) - m11 * (m11 + m13)
+    return 2.0 * off[0] * off[1] - m11 * (m11 + m13)
+
+
+def _raise_failed(result):
+    """result, unless it is an exception (then raised)."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _factor_pole(kind: str, beta0: float, alpha0_at: Callable[[complex], complex],

@@ -260,3 +260,18 @@ def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_convergence_estimate_never_compares_a_window_with_itself(capsys):
+    # at beta = 25 the kernel's minimum window (63 at x = 0) would raise N/2
+    # back to N; the estimate then compares with 2N instead
+    _, out = _run(capsys, ["greens", "--beta", "25", "--alpha0", "0.7",
+                           "--no-timestamp"])
+    payload = json.loads(out)
+    assert payload["n_terms"] == 63
+    assert payload["comparison_terms"] == 2 * payload["n_terms"]
+    assert payload["convergence_estimate"] > 0.0
+    # where N/2 is a window of its own it stays the comparison
+    _, out = _run(capsys, ["greens", "--beta", "2.7", "--alpha0", "1.2",
+                           "--x", "0.37", "--n", "100", "--no-timestamp"])
+    assert json.loads(out)["comparison_terms"] == 50
