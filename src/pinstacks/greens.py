@@ -132,8 +132,8 @@ class TruncationPolicy:
         an integer array.
         """
         if n_terms is None:
-            n_terms = np.where(np.equal(y, 0.0) & np.not_equal(x, 0.0),
-                               self.n_self, self.n_far)
+            on_line = (y == 0.0) & (x != 0.0)
+            n_terms = self.n_far + (self.n_self - self.n_far) * on_line
         window = np.maximum(n_terms, _min_window(alpha0, beta, d, x))
         return int(window) if np.ndim(window) == 0 else window
 
@@ -212,6 +212,15 @@ _GUARD_REACH = 4.0       # least |alpha_n| / |beta| past any window
 _TAIL_REACH = 16.0       # least |alpha_n| / |beta| past the window at x = 0
 _EM_START = 10.0         # least Hurwitz argument q at x = 0
 _DAMPING_CUTOFF = 40.0   # exp(-40) is below the rounding of any G
+_MAX_EXTENT = 2.0**62    # no order array of a wider window can be allocated
+
+
+def _window_extent(alpha0, beta, d: float, x):
+    """|alpha_n| d / 2 pi of the first order the kernel may leave out (float)."""
+    on_column = x == 0.0
+    reach = abs(beta) * (_GUARD_REACH + (_TAIL_REACH - _GUARD_REACH) * on_column)
+    reach = np.maximum(reach, on_column * (TWO_PI * _EM_START / d))
+    return (reach + abs(alpha0)) * d / TWO_PI
 
 
 def _min_window(alpha0, beta, d: float, x):
@@ -223,12 +232,37 @@ def _min_window(alpha0, beta, d: float, x):
     term, (beta / alpha_n)^8 below the kept ones, is at rounding level
     (1e-14 relative at beta = 25 with eight propagating orders), and zeta
     arguments q >= 10, where five Euler-Maclaurin corrections are exact to
-    rounding.  Scalars or arrays broadcast together.
+    rounding.  Scalars or arrays broadcast together.  Input that gives no
+    window raises: OverflowError for infinity (as int() does), ValueError
+    for NaN and for a finite window past 2^62 orders, whose order array
+    numpy could not allocate.
     """
-    on_column = np.equal(x, 0.0)
-    reach = abs(beta) * (_GUARD_REACH + (_TAIL_REACH - _GUARD_REACH) * on_column)
-    reach = np.maximum(reach, on_column * (TWO_PI * _EM_START / d))
-    return np.maximum(np.ceil((reach + abs(alpha0)) * d / TWO_PI).astype(int) - 1, 1)
+    extent = _window_extent(alpha0, beta, d, x)
+    if not np.all(extent < _MAX_EXTENT):          # NaN compares False
+        raise (OverflowError if np.isinf(extent).any() else ValueError)(
+            f"no window at alpha0={alpha0}, beta={beta}, d={d}")
+    return np.maximum(np.ceil(extent).astype(int) - 1, 1)
+
+
+def _point_errors(alpha0, beta, d: float) -> list[Exception | None]:
+    """What a sum at each real (alpha0, beta) for period d raises first.
+
+    SpectralPoint's ValueError, or the window rule's error on input that
+    gives no integer window (see _min_window); None for a point the kernel
+    can evaluate.  The builder and the batched callers check their points
+    with it, so the kernel only ever sees points it can size.
+    """
+    alpha0 = np.asarray(alpha0, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    fine = (beta > 0.0) & (d > 0.0) & (_window_extent(alpha0, beta, d, 0.0) < _MAX_EXTENT)
+    errors: list[Exception | None] = [None] * len(beta)
+    for i in np.nonzero(~fine)[0].tolist():
+        try:
+            SpectralPoint(alpha0[i], beta[i], d)
+            _min_window(alpha0[i], beta[i], d, 0.0)
+        except (ValueError, OverflowError) as exc:
+            errors[i] = exc
+    return errors
 
 
 def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
@@ -240,19 +274,29 @@ def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
     with c = 2 pi |y| / d; the sums over m are the polynomial of
     _tail_polynomial, analytic in (alpha0, beta) (b2 = beta^2; scipy's exp1
     takes complex arguments), so the pole search's complex points take the
-    same path.  Points with c min(Re q) > 40 get exactly 0.
+    same path.  Only points with c min(Re q) <= 40 come here; past that the
+    tail is exactly 0 (see _block_sum).
+
+    On the line (c = 0) only the c^0 coefficients survive and A_k = 0, so
+    a block without damped points skips the c powers, E_1 and exp(-c q);
+    a line point in a block with damped ones gets the same value exactly
+    (its extra terms are exact zeros and factors of one).
     """
     c = ay * (TWO_PI / d)
-    # the k = 1 and k = 3 (times beta^4) coefficients of c^e r^m, summed over e
-    by_k = (c[:, None, None, None] ** _C_POWERS * _tail_table(d)).sum(axis=3)
-    coef = by_k[:, 0] + np.multiply(np.multiply(b2, b2)[:, None], by_k[:, 1])
     q = (n_terms + 1) + (alpha0 * (d / TWO_PI))[:, None] * _SIDES   # both sides
+    damped = c.any()
+    # the k = 1 and k = 3 (times beta^4) coefficients of r^m, summed over c^e
+    by_k = (np.add.reduce(c[:, None, None, None] ** _C_POWERS * _tail_table(d), axis=3)
+            if damped else _tail_table(d)[..., 0])
+    coef = by_k[..., 0, :] + np.multiply(np.multiply(b2, b2)[:, None], by_k[..., 1, :])
+    tail = np.add.reduce(np.multiply((1.0 / q)[:, :, None] ** _R_POWERS[1:],
+                                     coef[:, None, 1:]), axis=2)
+    if not damped:
+        return np.add.reduce(tail, axis=1)
     z = c[:, None] * q
     # A_k(0) = 0 on the line, where E_1(0) is infinite
-    tail = (np.multiply(exp1(np.where(z == 0.0, 1.0, z)), coef[:, None, 0])
-            + np.multiply(np.exp(-z), np.multiply((1.0 / q)[:, :, None] ** _R_POWERS[1:],
-                                                  coef[:, None, 1:]).sum(axis=2)))
-    return np.where(z.real.min(axis=1) > _DAMPING_CUTOFF, 0.0, tail.sum(axis=1))
+    tail = np.multiply(exp1(z + (z == 0.0)), coef[:, None, 0]) + np.multiply(np.exp(-z), tail)
+    return np.add.reduce(tail, axis=1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -278,20 +322,22 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
     w = b2[:, None] - a2
     propagating = np.abs(alpha.real) < beta.real[:, None]
     root = np.sqrt(np.where(propagating, w, -w))
-    chi = np.where(propagating, root, 1j * root)
+    ichi = root * np.where(propagating, 1j, -1.0)      # i chi_n on either branch
     if lightline_tol is None:
         near = np.zeros(len(beta), dtype=bool)
     else:
         # |chi_n|^2 = |beta^2 - alpha_n^2| on either branch
-        near = np.abs(w).min(axis=1) <= (lightline_tol * beta.real) ** 2
+        near = np.minimum.reduce(np.abs(w), axis=1) <= (lightline_tol * beta.real) ** 2
     tau = np.sqrt(b2[:, None] + a2)
-    # combine the two sums per order before accumulating: joint cubic decay
-    phase = 1j * x[:, None] * alpha
     ay = np.abs(y)
-    terms = (np.exp(phase - ay[:, None] * tau) / tau
-             + np.exp(phase + 1j * ay[:, None] * chi) * (-1j / chi))
-    value = terms.sum(axis=1) / (-4.0 * d * b2)
-    column = np.flatnonzero(x == 0.0)
+    # combine the two sums per order before accumulating: joint cubic decay
+    terms = np.exp(-ay[:, None] * tau) / tau + np.exp(ay[:, None] * ichi) / ichi
+    terms = np.multiply(np.exp(1j * x[:, None] * alpha), terms)
+    value = np.add.reduce(terms, axis=1) / (-4.0 * d * b2)
+    # the closed-form tail at x = 0, exactly 0 where exp(-40) damps the
+    # first omitted order on both sides: c min(Re q) > 40 in _kummer_tail
+    q_min = (n_terms + 1) - np.abs((alpha0 * (d / TWO_PI)).real)
+    column = np.nonzero((x == 0.0) & (ay * (TWO_PI / d) * q_min <= _DAMPING_CUTOFF))[0]
     if len(column):
         value[column] += _kummer_tail(alpha0[column], b2[column], d,
                                       ay[column], n_terms)
@@ -302,12 +348,14 @@ def _lattice_sums(alpha0, beta, d: float, x, y, windows,
                   lightline_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The spectral sum at every (point, offset) pair: the one kernel.
 
-    alpha0 and beta (possibly complex), the offsets x and y, and the windows
-    from TruncationPolicy.window broadcast together: points of shape (B, 1)
-    against offsets of shape (P,) give the (B, P) grid.  Returns the values
-    and a light-line mask of that shape, True where a retained order has
-    |chi_n| <= lightline_tol * beta (never without lightline_tol; the guard
-    is for real input).
+    alpha0 and beta (real or complex), the offsets x and y (real), and the
+    windows broadcast together: points of shape (B, 1) against offsets of
+    shape (P,) give the (B, P) grid.  Each window must come from
+    TruncationPolicy.window, which never falls below the kernel's minimum
+    (the closed-form tail and the light-line guard rely on it).  Returns
+    the values and a light-line mask of that shape, True where a retained
+    order has |chi_n| <= lightline_tol * beta (never without lightline_tol;
+    the guard is for real input).
 
     Each order keeps the analytic continuation of its real-axis branch:
     chi_n = sqrt(beta^2 - alpha_n^2) for orders propagating on the real axis
@@ -322,39 +370,27 @@ def _lattice_sums(alpha0, beta, d: float, x, y, windows,
     orders) per pass.
     """
     shape = np.shape(windows)
-    alpha0, beta, x, y = (_flat(a, shape, dtype) for a, dtype in (
-        (alpha0, complex), (beta, complex), (x, float), (y, float)))
-    windows = np.ravel(windows)
+    dtype = np.result_type(alpha0, beta, 1.0)
+    alpha0, beta, x, y, windows = (_flat(a, shape, t) for a, t in (
+        (alpha0, dtype), (beta, dtype), (x, float), (y, float), (windows, int)))
     values = np.empty(len(windows), dtype=complex)
     near = np.empty(len(windows), dtype=bool)
     with np.errstate(all="ignore"):   # a refused point may divide by chi_n = 0
-        for n_terms, idx in _passes(windows):
-            values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], d, x[idx],
-                                                y[idx], n_terms, lightline_tol)
+        for n_terms in np.unique(windows).tolist():
+            pairs = np.nonzero(windows == n_terms)[0]
+            step = max(1, _CHUNK // (2 * n_terms + 1))
+            for start in range(0, len(pairs), step):
+                idx = pairs[start:start + step]
+                values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], d, x[idx],
+                                                    y[idx], n_terms, lightline_tol)
     return values.reshape(shape), near.reshape(shape)
 
 
-def _flat(a, shape: tuple[int, ...], dtype: type) -> np.ndarray:
-    """a broadcast to shape, flattened."""
-    a = np.asarray(a, dtype=dtype)
-    if a.shape != shape:
-        a, full = np.empty(shape, dtype=dtype), a
-        a[...] = full
-    return a.ravel()
-
-
-def _passes(windows: np.ndarray):
-    """(window, index) of each kernel pass: pairs of one window, _CHUNK terms at most."""
-    lo, hi = int(windows.min()), int(windows.max())
-    for n_terms in [lo] if lo == hi else np.unique(windows).tolist():
-        step = max(1, _CHUNK // (2 * n_terms + 1))
-        if lo == hi:
-            for start in range(0, len(windows), step):
-                yield n_terms, slice(start, start + step)
-        else:
-            pairs = np.flatnonzero(windows == n_terms)
-            for start in range(0, len(pairs), step):
-                yield n_terms, pairs[start:start + step]
+def _flat(a, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """a broadcast to shape, as a new flat array of dtype."""
+    full = np.empty(shape, dtype=dtype)
+    full[...] = a
+    return full.ravel()
 
 
 def _light_line_error(alpha0: float, beta: float,
@@ -373,7 +409,7 @@ def _non_finite_error(x: float, y: float) -> NonFiniteValue:
 
 def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
                  n_terms: int, lightline_tol: float | None = None) -> complex:
-    """One value of _lattice_sums (window n_terms from policy.window).
+    """One value of _lattice_sums; n_terms must come from policy.window.
 
     With lightline_tol (real input only) raises LightLineProximity when a
     retained order has |chi_n| <= lightline_tol * beta.
@@ -396,12 +432,17 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
     offsets agree at every point share one sum, and G(x, -y) = G(x, y)
     makes mirror entries agree: the diagonal is one sum and a triplet needs
     4, not 9, all from one kernel call.  Returns the (B, n, n) matrices and
-    per point None or the exception greens would raise at the first failing
-    entry in row-major order (LightLineProximity, NonFiniteValue).
+    per point None or the exception evaluating it raises: _point_errors'
+    for a point the kernel cannot size (its matrix is NaN), else greens'
+    at the first failing entry in row-major order (LightLineProximity,
+    NonFiniteValue).
     """
-    alpha0 = np.asarray(alpha0, dtype=float)[:, None]
-    beta = np.asarray(beta, dtype=float)[:, None]
+    errors = _point_errors(alpha0, beta, d)
+    ok = [i for i, error in enumerate(errors) if error is None]
+    alpha0 = np.asarray(alpha0, dtype=float)[ok, None]
+    beta = np.asarray(beta, dtype=float)[ok, None]
     pins = np.asarray(pins, dtype=float)
+    pins = pins[ok] if pins.ndim == 3 else pins
     n = pins.shape[-2]
     # entry (m, j) of every point as row m n + j, signed y kept for messages
     dx = (pins[..., :, None, 0] - pins[..., None, :, 0]).reshape(-1, n * n).T
@@ -420,13 +461,15 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
     values, near = _lattice_sums(alpha0, beta, d, xs, ys, windows,
                                  policy.lightline_tol)
     failed = near | ~np.isfinite(values)
-    errors: list[Exception | None] = [None] * len(beta)
-    for b in np.flatnonzero(failed.any(axis=1)).tolist():
-        e = next(e for e, p in enumerate(entry) if failed[b, p])
-        errors[b] = (_light_line_error(alpha0[b, 0], beta[b, 0], policy.lightline_tol)
-                     if near[b, entry[e]]
-                     else _non_finite_error(dx[e, b % dx.shape[1]], dy[e, b % dy.shape[1]]))
-    return values[:, entry].reshape(len(beta), n, n), errors
+    for k in np.nonzero(failed.any(axis=1))[0].tolist():
+        e = next(e for e, p in enumerate(entry) if failed[k, p])
+        errors[ok[k]] = (
+            _light_line_error(alpha0[k, 0], beta[k, 0], policy.lightline_tol)
+            if near[k, entry[e]]
+            else _non_finite_error(dx[e, k % dx.shape[1]], dy[e, k % dy.shape[1]]))
+    matrices = np.full((len(errors), n, n), np.nan, dtype=complex)
+    matrices[ok] = values[:, entry].reshape(len(ok), n, n)
+    return matrices, errors
 
 
 def order_quantities(point: SpectralPoint, n: int) -> OrderQuantities:
@@ -472,10 +515,8 @@ def greens(
     lightline_tol * beta of its light line, NonFiniteValue if the
     accumulation is not finite.
     """
-    # plain floats: numpy scalar arithmetic would outweigh the short sum
-    alpha0, beta = float(point.alpha0), float(point.beta)
-    n_terms = policy.window(alpha0, beta, point.d, x, y, n_terms)
-    value = _lattice_sum(alpha0, beta, point.d, x, y, n_terms,
+    n_terms = policy.window(point.alpha0, point.beta, point.d, x, y, n_terms)
+    value = _lattice_sum(point.alpha0, point.beta, point.d, x, y, n_terms,
                          policy.lightline_tol)
     if not cmath.isfinite(value):
         raise _non_finite_error(x, y)

@@ -343,16 +343,11 @@ def dispersion_grid(
     for a0 in map(float, alpha0_values):
         entries, errors = _mode_matrices([a0] * len(betas), betas, geometry,
                                          geometry.d, policy)
-        odd, even = _factor_moduli(entries)
-        log_odd, log_even = _log10(odd).tolist(), _log10(even).tolist()
-        for i, (b, error) in enumerate(zip(betas, errors)):
-            try:
-                SpectralPoint(a0, b, geometry.d)
-            except ValueError as exc:
-                error = exc
+        log_odd, log_even = (_log10(m).tolist() for m in _factor_moduli(entries))
+        for b, error, log_odd, log_even in zip(betas, errors, log_odd, log_even):
             row = {"alpha0": a0, "beta": b}
             if error is None:
-                row.update(log10_odd=log_odd[i], log10_even=log_even[i], status="ok")
+                row.update(log10_odd=log_odd, log10_even=log_even, status="ok")
             else:
                 row.update(log10_odd=float("nan"), log10_even=float("nan"),
                            status=type(error).__name__)

@@ -42,6 +42,7 @@ from .greens import (
     SpectralPoint,
     TruncationPolicy,
     _interaction_matrices,
+    _point_errors,
 )
 
 _COND_LIMIT = 1e14
@@ -198,15 +199,6 @@ def _coefficients(stacks: PinStack | list[PinStack], waves: list[IncidentWave],
     return coeffs, errors
 
 
-def _invalid(wave: IncidentWave, d: float) -> ValueError | None:
-    """The error SpectralPoint raises for this wave's (alpha0, beta, d), if any."""
-    try:
-        SpectralPoint(wave.alpha0, wave.beta, d)
-    except ValueError as exc:
-        return exc
-    return None
-
-
 def solve_coefficients(
     stack: PinStack,
     inc: IncidentWave,
@@ -217,7 +209,7 @@ def solve_coefficients(
     Raises SingularSystem when the interaction matrix condition number
     exceeds 1e14.
     """
-    error = _invalid(inc, stack.d) if stack.pins else None
+    (error,) = _point_errors([inc.alpha0], [inc.beta], stack.d) if stack.pins else (None,)
     if error is None:
         coeffs, (error,) = _coefficients(stack, [inc], policy)
     if error is not None:
@@ -230,55 +222,44 @@ def _amplitudes(coeffs: np.ndarray, stacks: PinStack | list[PinStack],
     """Amplitudes and energies of every propagating order of every wave.
 
     Vectorised over waves and orders (see plane_wave_amplitudes and
-    SpectrumRecord); per wave the dicts (r, t, R_n, T_n), or the exception
-    plane_wave_amplitudes raises (DomainError when an order grazes its
-    light line).
+    SpectrumRecord); per wave the dicts (r, t, R_n, T_n), or the DomainError
+    plane_wave_amplitudes raises when an order grazes its light line.  The
+    waves must have passed greens._point_error.
     """
     d, pins = _geometry(stacks)
-    alpha0 = np.array([w.alpha0 for w in waves])
-    beta = np.array([w.beta for w in waves])
+    alpha0, beta, chi0, amplitude = (np.array([getattr(w, key) for w in waves])
+                                     for key in ("alpha0", "beta", "chi0", "amplitude"))
     # alpha0 + 2 pi n / d in (-beta, beta), over the union of the waves' ranges
-    with np.errstate(invalid="ignore"):
-        lo = np.ceil((-beta - alpha0) * d / TWO_PI)
-        hi = np.floor((beta - alpha0) * d / TWO_PI)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    # an infinite incidence fails as int() fails on its order range
-    out: list = [None if ok else _attempt_each(int, [bound])[0]
-                 for ok, bound in zip(finite.tolist(), (lo + hi).tolist())]
-    if not finite.any():
-        return out
-    orders = np.arange(int(lo[finite].min()), int(hi[finite].max()) + 1)
+    orders = np.arange(math.ceil(np.min((-beta - alpha0) * d / TWO_PI)),
+                       math.floor(np.max((beta - alpha0) * d / TWO_PI)) + 1)
     alpha_n = alpha0[:, None] + TWO_PI * orders / d
-    b2 = beta * beta
-    propagating = alpha_n**2 < (beta**2)[:, None]
-    chi = np.sqrt(np.where(propagating, b2[:, None] - alpha_n * alpha_n, 1.0))
+    b2 = (beta * beta)[:, None]
+    propagating = alpha_n**2 < b2
+    chi = np.sqrt(np.where(propagating, b2 - alpha_n * alpha_n, 1.0))
     grazing = propagating & (chi <= policy.lightline_tol * beta[:, None])
     # sum over pins j of A_j exp(-i alpha_n x_j) exp(-+i chi_n y_j), pins last
     lateral = np.multiply(coeffs[:, None, :],
                           np.exp(-1j * alpha_n[:, :, None] * pins[..., None, :, 0]))
     vertical = np.exp(-1j * chi[:, :, None] * pins[..., None, :, 1])
-    pref = 1j / (4.0 * d * b2[:, None] * chi)
+    pref = 1j / (4.0 * d * b2 * chi)
     above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
     below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
     down = np.array([w.direction == "down" for w in waves])[:, None]
     r = np.where(down, above, below)
     t = np.where(down, below, above)
-    t[:, orders == 0] += np.array([w.amplitude for w in waves])[:, None]
+    t[:, orders == 0] += amplitude[:, None]
     # flux-normalized energies
-    scale = chi / (np.array([w.chi0 for w in waves])
-                   * np.abs(np.array([w.amplitude for w in waves])) ** 2)[:, None]
+    scale = chi / (chi0 * np.abs(amplitude) ** 2)[:, None]
     rows = [a.tolist() for a in (r, t, np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale)]
     # each wave's propagating orders are one run of the union
     first = propagating.argmax(axis=1)
-    runs = zip(first.tolist(), (first + propagating.sum(axis=1)).tolist())
-    for i, (lo_i, hi_i) in enumerate(runs):
-        if out[i] is not None:
-            continue
+    out: list = []
+    for i, (lo, hi) in enumerate(zip(first.tolist(), (first + propagating.sum(axis=1)).tolist())):
         if grazing[i].any():
-            out[i] = DomainError(f"order {orders[grazing[i]][0]} grazes its light line")
-            continue
-        ns = orders[lo_i:hi_i].tolist()
-        out[i] = tuple(dict(zip(ns, row[i][lo_i:hi_i])) for row in rows)
+            out.append(DomainError(f"order {orders[grazing[i]][0]} grazes its light line"))
+        else:
+            ns = orders[lo:hi].tolist()
+            out.append(tuple(dict(zip(ns, row[i][lo:hi])) for row in rows))
     return out
 
 
@@ -294,7 +275,7 @@ def plane_wave_amplitudes(
     the wave comes from; the transmitted amplitude includes the incident
     delta_n0 contribution.
     """
-    out = _invalid(inc, stack.d)
+    (out,) = _point_errors([inc.alpha0], [inc.beta], stack.d)
     if out is None:
         (out,) = _amplitudes(np.asarray(coeffs)[None, :], stack, [inc], policy)
     if isinstance(out, Exception):
@@ -315,8 +296,12 @@ def _scatter_all(stacks: PinStack | list[PinStack],
         return stacks if isinstance(stacks, PinStack) else [stacks[i] for i in index]
 
     d = (stacks if isinstance(stacks, PinStack) else stacks[0]).d if waves else 1.0
-    out: list = [w if isinstance(w, Exception) else _invalid(w, d) or w for w in waves]
-    index = [i for i, w in enumerate(out) if not isinstance(w, Exception)]
+    index = [i for i, w in enumerate(waves) if not isinstance(w, Exception)]
+    errors = _point_errors([waves[i].alpha0 for i in index], [waves[i].beta for i in index], d)
+    out: list = list(waves)
+    for i, error in zip(index, errors):
+        out[i] = error or out[i]
+    index = [i for i, error in zip(index, errors) if error is None]
     if not index:
         return out
     coeffs, errors = _coefficients(pick(index), [waves[i] for i in index], policy)

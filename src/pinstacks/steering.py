@@ -43,13 +43,14 @@ from .greens import (
     SpectralPoint,
     TruncationPolicy,
     TWO_PI,
+    _interaction_matrices,
     _lattice_sums,
     greens,
 )
 from .modes import StackGeometry, _factor_moduli, _mode_matrices, assemble, dispersion_residual
 from .scattering import (IncidentWave, PinStack, SpectrumRecord, _alpha0_rule,
-                         _attempt_each, _scatter_all, scan, scatter, spectrum_scan,
-                         transmittance)
+                         _attempt_each, _scatter_all, scan, single_grating_reflectance,
+                         spectrum_scan, transmittance)
 
 _R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
 _T_TOL = 1e-8    # 1 - T_pair at eta*
@@ -129,16 +130,17 @@ def find_beta_g(
     lo, hi = beta_bracket
     alpha0_at = _alpha0_rule(theta_i, alpha0)
 
-    def wave(beta: float) -> IncidentWave:   # as single_grating_reflectance
-        point = SpectralPoint(alpha0_at(beta), beta)
-        return IncidentWave.from_alpha0(point.alpha0, point.beta)
+    def point(beta: float) -> SpectralPoint:
+        return SpectralPoint(alpha0_at(beta), beta)
 
     def one_minus_r(beta: float) -> float:
-        return 1.0 - scatter(PinStack.single(), wave(beta), policy).R_orders[0]
+        return 1.0 - single_grating_reflectance(point(beta), policy)
 
+    # the coarse grid in one batch: the waves single_grating_reflectance builds
     grid = np.linspace(lo, hi, coarse)
-    records = _scatter_all(PinStack.single(), _attempt_each(wave, grid.tolist()),
-                           policy)
+    waves = _attempt_each(lambda b: IncidentWave.from_alpha0(point(b).alpha0, b),
+                          grid.tolist())
+    records = _scatter_all(PinStack.single(), waves, policy)
     values = np.array([1.0 - _raise_failed(rec).R_orders[0] for rec in records])
     i = int(np.argmin(values))
     b_lo = grid[max(i - 1, 0)]
@@ -195,6 +197,15 @@ def find_eta_star(
         g_eta = greens(point, 0.0, eta, policy)
         return abs(m11 * m11 - g_eta * g_eta)
 
+    def pair_dets(etas: np.ndarray) -> np.ndarray:
+        """pair_det over a grid, from one builder call (G(0, eta) = M12)."""
+        pins = [PinStack.pair(e).pins for e in etas.tolist()]
+        entries, errors = _interaction_matrices([a0] * len(pins), [beta_g] * len(pins),
+                                                point.d, pins, policy)
+        for error in errors:   # the first failure in grid order
+            _raise_failed(error)
+        return np.abs(m11 * m11 - entries[:, 0, 1] * entries[:, 0, 1])
+
     def one_minus_t(eta: float) -> float:
         return 1.0 - transmittance(PinStack.pair(eta), beta_g, alpha0=a0,
                                    policy=policy)
@@ -203,7 +214,7 @@ def find_eta_star(
     for spread in (0.1, 0.2):
         lo, hi = (1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess
         grid = np.linspace(lo, hi, coarse)
-        values = np.array([pair_det(float(e)) for e in grid])
+        values = pair_dets(grid)
         i = int(np.argmin(values))
         res = minimize_scalar(pair_det,
                               bounds=(grid[max(i - 1, 0)], grid[min(i + 1, coarse - 1)]),
@@ -267,11 +278,9 @@ def resonance_beta(
     lo, hi = beta_window
     grid = np.linspace(lo, hi, coarse)
     betas = grid.tolist()
-    points = _attempt_each(lambda b: SpectralPoint(alpha0_at(b), b, d), betas)
     entries, errors = _mode_matrices([alpha0_at(b) for b in betas], betas,
                                      geometry, d, policy)
-    for point, error in zip(points, errors):   # the first failure in grid order
-        _raise_failed(point)
+    for error in errors:   # the first failure in grid order
         _raise_failed(error)
     values = _factor_moduli(entries)[0 if kind == "odd" else 1]
     interior = np.arange(1, coarse - 1)

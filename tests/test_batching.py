@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from pinstacks.greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy
+from pinstacks.greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, greens
 from pinstacks.modes import StackGeometry, assemble, dispersion_grid, dispersion_residual
 from pinstacks.scattering import IncidentWave, PinStack, scan, scatter
 
@@ -134,3 +134,25 @@ def test_mode_matrix_is_the_triplet_interaction_matrix():
         [point.alpha0], [point.beta], 1.0, TRIPLET.pins, DEFAULT_POLICY)
     assert errors == [None]
     assert np.array_equal(assemble(point, geometry).entries, matrices[0])
+
+
+def test_points_without_a_window_fail_per_point():
+    # an infinite or NaN point has no truncation window: OverflowError for
+    # infinity (as int(inf)), ValueError for NaN, recorded per point, never
+    # aborting the batch and never reaching the kernel
+    inf, nan = math.inf, math.nan
+    theta = math.radians(30.0)
+    records = scan(TRIPLET, [3.0, inf, nan, 3.1], theta_i=theta)
+    assert [r.error for r in records] == [None, "OverflowError", "ValueError", None]
+    assert records[3] == scatter(TRIPLET, IncidentWave.from_angle(theta, 3.1))
+    # alpha0 = inf * sin(0) is NaN; the empty stack never calls the kernel
+    empty = scan(PinStack(pins=()), [3.0, inf], theta_i=0.0)
+    assert [r.error for r in empty] == [None, "ValueError"]
+    fixed = scan(TRIPLET, [inf, 3.0], alpha0=0.3)
+    assert [r.error for r in fixed] == ["OverflowError", None]
+    rows = dispersion_grid([0.3, inf], [3.0, nan], StackGeometry(eta=1.0, xi=0.25))
+    assert [r["status"] for r in rows] == ["ok", "ValueError", "OverflowError", "ValueError"]
+    with pytest.raises(OverflowError):
+        greens(SpectralPoint(0.3, inf), 0.0, 0.0)
+    with pytest.raises(ValueError):
+        greens(SpectralPoint(nan, 3.0), 0.0, 0.0)
