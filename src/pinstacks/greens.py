@@ -238,7 +238,7 @@ def _min_window(alpha0, beta, d: float, x):
     numpy could not allocate.
     """
     extent = _window_extent(alpha0, beta, d, x)
-    if not np.all(extent < _MAX_EXTENT):          # NaN compares False
+    if not (extent < _MAX_EXTENT).all():          # NaN compares False
         raise (OverflowError if np.isinf(extent).any() else ValueError)(
             f"no window at alpha0={alpha0}, beta={beta}, d={d}")
     return np.maximum(np.ceil(extent).astype(int) - 1, 1)
@@ -331,8 +331,9 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
     tau = np.sqrt(b2[:, None] + a2)
     ay = np.abs(y)
     # combine the two sums per order before accumulating: joint cubic decay
-    terms = np.exp(-ay[:, None] * tau) / tau + np.exp(ay[:, None] * ichi) / ichi
-    terms = np.multiply(np.exp(1j * x[:, None] * alpha), terms)
+    phase = 1j * x[:, None] * alpha
+    terms = (np.exp(phase - ay[:, None] * tau) / tau
+             + np.exp(phase + ay[:, None] * ichi) / ichi)
     value = np.add.reduce(terms, axis=1) / (-4.0 * d * b2)
     # the closed-form tail at x = 0, exactly 0 where exp(-40) damps the
     # first omitted order on both sides: c min(Re q) > 40 in _kummer_tail

@@ -159,27 +159,33 @@ def _geometry(stacks: PinStack | list[PinStack]) -> tuple[float, np.ndarray]:
     return d, pins.reshape(len(stacks), -1, 2) * d
 
 
-def _coefficients(stacks: PinStack | list[PinStack], waves: list[IncidentWave],
+def _wave_arrays(waves: list[IncidentWave]) -> tuple[np.ndarray, ...]:
+    """alpha0, beta, chi0, amplitude and side (-1 from above, +1 from below) per wave."""
+    return (np.array([w.alpha0 for w in waves], dtype=float),
+            np.array([w.beta for w in waves], dtype=float),
+            np.array([w.chi0 for w in waves], dtype=float),
+            np.array([w.amplitude for w in waves], dtype=complex),
+            np.array([-1.0 if w.direction == "down" else 1.0 for w in waves]))
+
+
+def _coefficients(d: float, pins: np.ndarray, waves: tuple[np.ndarray, ...],
                   policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
     """Pin reactions at every wave: (B, n) and per-wave errors.
 
-    stacks is one stack for every wave or one per wave.  One
-    interaction-matrix build for all waves; the condition test and the
-    solve run on the (B, n, n) stack of the waves that passed.
+    pins (lengths) are one stack for every wave, (n, 2), or one per wave,
+    (B, n, 2); waves are _wave_arrays.  One interaction-matrix build for
+    all waves; the condition test and the solve run on the (B, n, n) stack
+    of the waves that passed.
     """
-    d, pins = _geometry(stacks)
+    alpha0, beta, chi0, amplitude, side = waves
     n = pins.shape[-2]
-    coeffs = np.zeros((len(waves), n), dtype=complex)
+    coeffs = np.zeros((len(beta), n), dtype=complex)
     if not n:
-        return coeffs, [None] * len(waves)
-    alpha0 = np.array([w.alpha0 for w in waves])
-    g, errors = _interaction_matrices(alpha0, np.array([w.beta for w in waves]),
-                                      d, pins, policy)
-    sign = np.array([-1.0 if w.direction == "down" else 1.0 for w in waves])
-    chi0 = np.array([w.chi0 for w in waves])
-    u = np.multiply(np.array([w.amplitude for w in waves])[:, None],
+        return coeffs, [None] * len(beta)
+    g, errors = _interaction_matrices(alpha0, beta, d, pins, policy)
+    u = np.multiply(amplitude[:, None],
                     np.exp(1j * (alpha0[:, None] * pins[..., 0]
-                                 + (sign * chi0)[:, None] * pins[..., 1])))
+                                 + (side * chi0)[:, None] * pins[..., 1])))
     ok = [i for i, e in enumerate(errors) if e is None]
     if n > 1 and ok:
         for i, cond in zip(ok, np.linalg.cond(g[ok]).tolist()):
@@ -211,27 +217,26 @@ def solve_coefficients(
     """
     (error,) = _point_errors([inc.alpha0], [inc.beta], stack.d) if stack.pins else (None,)
     if error is None:
-        coeffs, (error,) = _coefficients(stack, [inc], policy)
+        coeffs, (error,) = _coefficients(*_geometry(stack), _wave_arrays([inc]), policy)
     if error is not None:
         raise error
     return coeffs[0]
 
 
-def _amplitudes(coeffs: np.ndarray, stacks: PinStack | list[PinStack],
-                waves: list[IncidentWave], policy: TruncationPolicy) -> list:
+def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
+                waves: tuple[np.ndarray, ...], policy: TruncationPolicy) -> list:
     """Amplitudes and energies of every propagating order of every wave.
 
     Vectorised over waves and orders (see plane_wave_amplitudes and
     SpectrumRecord); per wave the dicts (r, t, R_n, T_n), or the DomainError
-    plane_wave_amplitudes raises when an order grazes its light line.  The
-    waves must have passed greens._point_error.
+    plane_wave_amplitudes raises when an order grazes its light line.
+    Arguments as for _coefficients; the waves must have passed
+    greens._point_errors.
     """
-    d, pins = _geometry(stacks)
-    alpha0, beta, chi0, amplitude = (np.array([getattr(w, key) for w in waves])
-                                     for key in ("alpha0", "beta", "chi0", "amplitude"))
-    # alpha0 + 2 pi n / d in (-beta, beta), over the union of the waves' ranges
-    orders = np.arange(math.ceil(np.min((-beta - alpha0) * d / TWO_PI)),
-                       math.floor(np.max((beta - alpha0) * d / TWO_PI)) + 1)
+    alpha0, beta, chi0, amplitude, side = waves
+    # alpha0 + 2 pi n / d in (-beta, beta) needs |n| <= reach
+    reach = math.ceil(float(np.maximum.reduce(beta + np.abs(alpha0))) * d / TWO_PI)
+    orders = np.arange(-reach, reach + 1)
     alpha_n = alpha0[:, None] + TWO_PI * orders / d
     b2 = (beta * beta)[:, None]
     propagating = alpha_n**2 < b2
@@ -244,10 +249,10 @@ def _amplitudes(coeffs: np.ndarray, stacks: PinStack | list[PinStack],
     pref = 1j / (4.0 * d * b2 * chi)
     above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
     below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
-    down = np.array([w.direction == "down" for w in waves])[:, None]
+    down = (side < 0.0)[:, None]
     r = np.where(down, above, below)
     t = np.where(down, below, above)
-    t[:, orders == 0] += amplitude[:, None]
+    t[:, reach] += amplitude           # order 0
     # flux-normalized energies
     scale = chi / (chi0 * np.abs(amplitude) ** 2)[:, None]
     rows = [a.tolist() for a in (r, t, np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale)]
@@ -258,7 +263,7 @@ def _amplitudes(coeffs: np.ndarray, stacks: PinStack | list[PinStack],
         if grazing[i].any():
             out.append(DomainError(f"order {orders[grazing[i]][0]} grazes its light line"))
         else:
-            ns = orders[lo:hi].tolist()
+            ns = range(lo - reach, hi - reach)
             out.append(tuple(dict(zip(ns, row[i][lo:hi])) for row in rows))
     return out
 
@@ -277,7 +282,8 @@ def plane_wave_amplitudes(
     """
     (out,) = _point_errors([inc.alpha0], [inc.beta], stack.d)
     if out is None:
-        (out,) = _amplitudes(np.asarray(coeffs)[None, :], stack, [inc], policy)
+        (out,) = _amplitudes(np.asarray(coeffs)[None, :], *_geometry(stack),
+                             _wave_arrays([inc]), policy)
     if isinstance(out, Exception):
         raise out
     return out[:2]
@@ -292,26 +298,31 @@ def _scatter_all(stacks: PinStack | list[PinStack],
     An exception in waves (an incidence that could not be built) passes
     through in its place; no failure stops the others.
     """
-    def pick(index: list[int]) -> PinStack | list[PinStack]:
-        return stacks if isinstance(stacks, PinStack) else [stacks[i] for i in index]
-
-    d = (stacks if isinstance(stacks, PinStack) else stacks[0]).d if waves else 1.0
-    index = [i for i, w in enumerate(waves) if not isinstance(w, Exception)]
-    errors = _point_errors([waves[i].alpha0 for i in index], [waves[i].beta for i in index], d)
     out: list = list(waves)
-    for i, error in zip(index, errors):
-        out[i] = error or out[i]
-    index = [i for i, error in zip(index, errors) if error is None]
+    index = [i for i, w in enumerate(waves) if not isinstance(w, Exception)]
     if not index:
         return out
-    coeffs, errors = _coefficients(pick(index), [waves[i] for i in index], policy)
-    ok = [k for k, e in enumerate(errors) if e is None]
-    for i, e in zip(index, errors):
-        out[i] = e or out[i]
-    index = [index[k] for k in ok]
+    d, pins = _geometry(stacks)
+    arrays = _wave_arrays([waves[i] for i in index])
+    pins = pins[index] if pins.ndim == 3 else pins
+
+    def settle(errors: list[Exception | None]) -> list[int]:
+        """Record the failures; keep the waves that passed (their positions)."""
+        nonlocal index, arrays, pins
+        keep = [k for k, e in enumerate(errors) if e is None]
+        for i, e in zip(index, errors):
+            out[i] = e or out[i]
+        index = [index[k] for k in keep]
+        arrays = tuple(a[keep] for a in arrays)
+        pins = pins[keep] if pins.ndim == 3 else pins
+        return keep
+
+    settle(_point_errors(arrays[0], arrays[1], d))
     if index:
-        amplitudes = _amplitudes(coeffs[ok], pick(index), [waves[i] for i in index], policy)
-        for i, res in zip(index, amplitudes):
+        coeffs, errors = _coefficients(d, pins, arrays, policy)
+        coeffs = coeffs[settle(errors)]
+    if index:
+        for i, res in zip(index, _amplitudes(coeffs, d, pins, arrays, policy)):
             out[i] = res if isinstance(res, Exception) else _record(waves[i], *res)
     return out
 
