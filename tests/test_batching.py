@@ -156,3 +156,14 @@ def test_points_without_a_window_fail_per_point():
         greens(SpectralPoint(0.3, inf), 0.0, 0.0)
     with pytest.raises(ValueError):
         greens(SpectralPoint(nan, 3.0), 0.0, 0.0)
+
+
+def test_self_term_is_the_same_beside_a_damped_tail():
+    # a close pair puts G(0, 0) (tail on the line) and G(0, 0.05) (damped
+    # tail, c q < 40) in one kernel block; greens sums each alone
+    point = SpectralPoint(1.808735, 3.61747)
+    matrices, errors = greens_module._interaction_matrices(
+        [point.alpha0], [point.beta], 1.0, PinStack.pair(0.05).pins, DEFAULT_POLICY)
+    assert errors == [None]
+    assert matrices[0, 0, 0] == greens(point, 0.0, 0.0)
+    assert matrices[0, 0, 1] == greens(point, 0.0, 0.05)
