@@ -60,7 +60,10 @@ from scipy.special import exp1
 from .errors import LightLineProximity, NonFiniteValue
 
 TWO_PI = 2.0 * np.pi
-_CHUNK = 8192   # lattice-sum terms per kernel pass (128 KiB per complex temporary)
+# Lattice-sum terms per kernel pass.  Its (points, orders) temporaries stay
+# under 64 KiB (62.5 KiB complex): glibc's free() of a larger block trims the
+# heap top back to the system, and the next pass page-faults it in again.
+_CHUNK = 4000
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,3 +170,29 @@ def test_self_term_is_the_same_beside_a_damped_tail():
     assert errors == [None]
     assert matrices[0, 0, 0] == greens(point, 0.0, 0.0)
     assert matrices[0, 0, 1] == greens(point, 0.0, 0.05)
+
+
+# 20 repeats of a 401-point triplet scan, in a process of its own: what the
+# heap does on free() depends on what the process allocated before
+_FAULT_PROBE = """
+import math, resource
+import numpy as np
+from pinstacks.scattering import PinStack, scan
+stack, theta, betas = PinStack.triplet(1.0, 0.252), math.radians(30.0), np.linspace(3.3, 3.9, 401)
+scan(stack, betas, theta_i=theta)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    scan(stack, betas, theta_i=theta)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_repeated_scans_fault_in_no_new_memory():
+    # the kernel's (points, orders) temporaries stay under the size whose
+    # free() trims the C heap, so a repeated scan reuses its pages instead
+    # of faulting them in again (with 128 KiB temporaries: ~1,400 per scan)
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
+                          text=True, timeout=300, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert int(done.stdout) < 400
