@@ -12,14 +12,19 @@ invariant odd resonance; at the merged shift xi_edit the transmission
 spectrum develops an extremely narrow notch splitting a full-transmission
 peak (Elasto-Dynamically Inhibited Transmission).
 
-Resonance positions are tracked through the moduli of the two dispersion
-factors of the mode matrix (the factors of det M), and quality factors are
-measured on transmission spectra by FWHM, swept with scattering.scan
-(feature_scan zooms with it; steer's envelope is a spectrum_scan).  Every
-grid whose points are independent (the coarse beta grids of find_beta_g and
-resonance_beta, the fine separation grid of find_eta_star, each scan) is
-evaluated in one batched call; the scalar optimisers refine on the
-single-point functions, whose values equal the batched ones exactly.
+Resonance positions come from the two dispersion factors of the mode
+matrix (the factors of det M): resonance_beta searches a beta window for the
+minimum of a factor's modulus on a grid and polishes it to the factor's
+complex zero.  Stage 3 runs that search only to seed the even zero, where
+continuing it fails, and for the final bisection; between scan steps of xi
+it continues the zero itself, from a seed extrapolated in xi.  Quality
+factors are measured on transmission spectra by FWHM, swept with
+scattering.scan (feature_scan zooms with it; steer's envelope is a
+spectrum_scan).  Every grid whose points are independent (the coarse beta
+grids of find_beta_g and resonance_beta, the fine separation grid of
+find_eta_star, each scan) is evaluated in one batched call; the scalar
+optimisers refine on the single-point functions, whose values equal the
+batched ones exactly.
 """
 
 from __future__ import annotations
@@ -320,26 +325,28 @@ def _raise_failed(result):
     return result
 
 
-def _factor_pole(kind: str, beta0: float, alpha0_at: Callable[[complex], complex],
+def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], complex],
                  eta: float, xi: float, d: float, policy: TruncationPolicy,
                  max_shift: float) -> complex | None:
-    """Complex zero of a dispersion factor near real beta0.
+    """Complex zero of a dispersion factor near beta0.
 
     On the real axis a leaky resonance leaves only a rounded minimum whose
     position is biased by up to its half linewidth; the underlying zero sits
     at complex beta, its real part is the resonance centre and |Im| its half
     linewidth.  A secant iteration (the factors are analytic, so no
     derivative bookkeeping is needed) recovers it from the real-axis
-    minimum.  Returns None when the iteration fails to converge, degrades
-    the residual, or leaves the neighbourhood, so the caller can keep the
-    real-axis result.  alpha0_at is the incidence's _alpha0_rule.
+    minimum, or from a complex seed such as a pole continued from a nearby
+    geometry.  Returns None when the iteration fails to converge, does not
+    halve the seed's residual, or moves Re beta or |Im beta| past max_shift
+    from the seed's real part, so the caller can keep its own result.
+    alpha0_at is the incidence's _alpha0_rule.
     """
 
     def f(beta: complex) -> complex:
         return _factor_complex(kind, alpha0_at(beta), beta, eta, xi, d, policy)
 
-    z0 = complex(beta0)
-    z1 = complex(beta0 + 1e-7)
+    seed = complex(beta0)
+    z0, z1 = seed, seed + 1e-7
     f0, f1 = f(z0), f(z1)
     start = abs(f0)
     for _ in range(60):
@@ -354,7 +361,7 @@ def _factor_pole(kind: str, beta0: float, alpha0_at: Callable[[complex], complex
             break
     else:
         return None
-    if not (abs(f1) < 0.5 * start and abs(z1.real - beta0) <= max_shift
+    if not (abs(f1) < 0.5 * start and abs(z1.real - seed.real) <= max_shift
             and abs(z1.imag) <= max_shift and z1.real > 0):
         return None
     return complex(z1)
@@ -375,9 +382,15 @@ def find_xi_edit(
 
     The odd resonance beta_odd is shift-invariant (the odd factor involves
     only M11 and M13, neither of which depends on xi).  The even resonance
-    beta_even(xi) is tracked while xi steps across the bracket; a sign change
-    of the gap beta_even - beta_odd is then closed by bisection.  Returns
-    (xi_edit, beta_edit) with |beta_even(xi_edit) - beta_odd| <= merge_tol.
+    beta_even(xi) is tracked while xi steps across the bracket: the even
+    factor's complex zero is continued from step to step, its seed
+    extrapolated linearly in xi from the two nearest tracked poles and
+    polished by _factor_pole.  resonance_beta's window search runs only at
+    the first step and wherever the continued secant is rejected (the pole
+    is then re-anchored at its result).  A sign change of the gap
+    beta_even - beta_odd is closed by bisection on resonance_beta itself.
+    Returns (xi_edit, beta_edit) with |beta_even(xi_edit) - beta_odd| <=
+    merge_tol.
 
     Raises ModesDidNotMerge (reporting the closest approach) when the gap
     never changes sign over the bracket.
@@ -387,19 +400,49 @@ def find_xi_edit(
                               policy, theta_i=theta_i)
     even_window = (beta_odd - beta_window_halfwidth,
                    beta_odd + beta_window_halfwidth)
+    alpha0_at = _alpha0_rule(theta_i, None)
+    max_shift = 0.1 * (even_window[1] - even_window[0])   # as resonance_beta's polish
+    track: list[tuple[float, complex]] = []   # (xi, even pole) of the scan steps
+
+    def even_resonance(xi: float) -> float:
+        return resonance_beta("even", eta_star, xi, even_window,
+                              policy, theta_i=theta_i)
 
     def gap(xi: float) -> float:
-        beta_even = resonance_beta("even", eta_star, xi, even_window,
-                                   policy, theta_i=theta_i)
+        return even_resonance(xi) - beta_odd
+
+    def pole_at(xi: float, seed: complex) -> complex | None:
+        pole = _factor_pole("even", seed, alpha0_at, eta_star, xi, 1.0, policy,
+                            max_shift)
+        inside = pole is not None and even_window[0] < pole.real < even_window[1]
+        return pole if inside else None
+
+    def scan_gap(xi: float) -> float:
+        """gap(xi) at a scan step, from the even pole continued along the track."""
+        if track:
+            x1, seed = track[-1]
+            if len(track) > 1:        # linear in xi through the two nearest poles
+                x0, z0 = track[-2]
+                seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
+            pole = pole_at(xi, seed)
+            if pole is not None:
+                track.append((xi, pole))
+                return pole.real - beta_odd
+        beta_even = even_resonance(xi)
+        pole = pole_at(xi, beta_even)
+        if pole is None:
+            track.clear()
+        else:
+            track.append((xi, pole))
         return beta_even - beta_odd
 
     lo, hi = xi_bracket
     n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
     xs = np.linspace(lo, hi, n_steps)
-    g_prev = gap(float(xs[0]))
+    g_prev = scan_gap(float(xs[0]))
     best = (abs(g_prev), float(xs[0]))
     for x in xs[1:]:
-        g_here = gap(float(x))
+        g_here = scan_gap(float(x))
         if abs(g_here) < best[0]:
             best = (abs(g_here), float(x))
         if np.sign(g_here) != np.sign(g_prev):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pinstacks import scattering
 from pinstacks.errors import (
@@ -38,6 +40,7 @@ from pinstacks.steering import (
 )
 
 THETA_30 = math.radians(30.0)
+steering = importlib.import_module("pinstacks.steering")
 
 
 def _lorentzian_records(center, gamma, halfwidth, points, feature):
@@ -141,9 +144,115 @@ def test_find_xi_edit_merges_the_resonances():
 
 def test_find_xi_edit_reports_no_merge():
     # a bracket entirely above the crossing: the gap keeps one sign
-    with pytest.raises(ModesDidNotMerge):
+    with pytest.raises(ModesDidNotMerge, match="closest approach"):
         find_xi_edit(THETA_30, 3.599363, 1.0, xi_bracket=(0.27, 0.30),
                      xi_step=5e-3)
+
+
+def _edit_inputs(degrees):
+    """(theta, beta_g, slab eta): find_xi_edit's inputs at an angle, as in criterion 3."""
+    theta = math.radians(degrees)
+    beta_g = find_beta_g(theta)
+    return theta, beta_g, slab_guess(beta_g, beta_g * math.sin(theta))
+
+
+@pytest.fixture(scope="module", params=[30.0, 45.0, 60.0])
+def edit_inputs(request):
+    return _edit_inputs(request.param)
+
+
+@pytest.fixture(scope="module")
+def inputs_60():
+    return _edit_inputs(60.0)
+
+
+def _window_searches(monkeypatch):
+    """The argument tuples of every resonance_beta call made from steering."""
+    calls = []
+    window_search = steering.resonance_beta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return window_search(*args, **kwargs)
+
+    monkeypatch.setattr(steering, "resonance_beta", counted)
+    return calls
+
+
+def _continued_secants(monkeypatch, reject=False):
+    """Record (xi, pole) of every continued secant, or reject them all.
+
+    The continuation starts _factor_pole from a complex seed; resonance_beta's
+    polish and the re-anchoring after a fallback start from a real one.
+    """
+    polish = steering._factor_pole
+    tracked = []
+
+    def spy(kind, beta0, alpha0_at, eta, xi, *args, **kwargs):
+        if not isinstance(beta0, complex):
+            return polish(kind, beta0, alpha0_at, eta, xi, *args, **kwargs)
+        pole = None if reject else polish(kind, beta0, alpha0_at, eta, xi, *args, **kwargs)
+        if pole is not None:
+            tracked.append((xi, pole))
+        return pole
+
+    monkeypatch.setattr(steering, "_factor_pole", spy)
+    return tracked
+
+
+def test_continued_pole_is_resonance_beta_at_every_step(edit_inputs, monkeypatch):
+    theta, beta_g, eta = edit_inputs
+    tracked = _continued_secants(monkeypatch)
+    find_xi_edit(theta, beta_g, eta)
+    assert len(tracked) >= 50      # every scan step up to the merge at xi ~ 0.23-0.25
+    monkeypatch.undo()
+    beta_odd = resonance_beta("odd", eta, 0.0, (beta_g - 0.05, beta_g + 0.05),
+                              theta_i=theta)
+    even_window = (beta_odd - 0.05, beta_odd + 0.05)
+    for xi, pole in tracked:
+        assert pole.real == pytest.approx(
+            resonance_beta("even", eta, xi, even_window, theta_i=theta), abs=1e-12)
+
+
+def _xi_edit_by_window_search(theta, beta_g, eta, lo=0.15, hi=0.30, xi_step=1e-3):
+    """find_xi_edit as a search of resonance_beta at every scan step."""
+    window = (beta_g - 0.05, beta_g + 0.05)
+    beta_odd = resonance_beta("odd", eta, 0.0, window, theta_i=theta)
+    even_window = (beta_odd - 0.05, beta_odd + 0.05)
+
+    def gap(xi):
+        return resonance_beta("even", eta, xi, even_window, theta_i=theta) - beta_odd
+
+    n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
+    xs = np.linspace(lo, hi, n_steps)
+    g_prev = gap(float(xs[0]))
+    for x in xs[1:]:
+        g_here = gap(float(x))
+        if np.sign(g_here) != np.sign(g_prev):
+            return brentq(gap, float(x) - (hi - lo) / (n_steps - 1), float(x),
+                          xtol=1e-9), beta_odd
+        g_prev = g_here
+    raise AssertionError("no merge in the bracket")
+
+
+def test_find_xi_edit_equals_the_window_search_at_60_degrees(inputs_60):
+    assert find_xi_edit(*inputs_60) == _xi_edit_by_window_search(*inputs_60)
+
+
+def test_rejected_continuation_falls_back_to_the_same_result(inputs_60, monkeypatch):
+    continued = find_xi_edit(*inputs_60)
+    _continued_secants(monkeypatch, reject=True)
+    calls = _window_searches(monkeypatch)
+    assert find_xi_edit(*inputs_60) == continued
+    assert len(calls) > 50          # every scan step fell back
+
+
+def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
+    # the first scan step, the bisection and its residual check; the scan
+    # itself continues the pole (a search at every step would make 106)
+    calls = _window_searches(monkeypatch)
+    find_xi_edit(*inputs_60)
+    assert len(calls) <= 10
 
 
 class TestQFactor:
