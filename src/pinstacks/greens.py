@@ -40,10 +40,7 @@ value depends only on its own (alpha0, beta, x, y, window): pairs are
 grouped by window, and every complex product keeps its operand order
 (numpy may turn ``a * temporary`` into an in-place product with swapped
 operands on large arrays, which rounds differently), so a point's value is
-the same whatever its batch-mates, batch size or pass.  A call of many
-pairs sorts them so that pairs on the column x = 0 skip the phase product
-and pairs at the pin (0, 0) both exponentials, which are exactly 1 there;
-the values stay those of the one formula that small calls run.
+the same whatever its batch-mates, batch size or pass.
 
 All functions here are pure and reentrant: they keep no state besides
 read-only caches of order offsets and tail tables, and every batch works
@@ -67,10 +64,6 @@ TWO_PI = 2.0 * np.pi
 # under 64 KiB (62.5 KiB complex): glibc's free() of a larger block trims the
 # heap top back to the system, and the next pass page-faults it in again.
 _CHUNK = 4000
-# Least pairs in a kernel call whose rows are split by _offset_group.  The
-# split saves the exponentials of the pin rows but costs ~10 numpy calls a
-# block; measured on a triplet's offsets it breaks even near 32 rows.
-_SPLIT_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -318,30 +311,14 @@ def _order_offsets(n_terms: int, d: float) -> np.ndarray:
     return offsets
 
 
-def _offset_group(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """0 off the column x = 0, 1 on it, 2 at the pin (0, 0): _block_sum's row order."""
-    return (x == 0.0) * (1 + (y == 0.0))
-
-
-def _paired_terms(phase, ay: np.ndarray, tau: np.ndarray, ichi: np.ndarray) -> np.ndarray:
-    """Each order's terms of the two sums, paired before accumulating (their
-    joint decay is cubic): exp(phase - |y| tau_n) / tau_n
-    + exp(phase + i chi_n |y|) / (i chi_n)."""
-    return np.exp(phase - ay * tau) / tau + np.exp(phase + ay * ichi) / ichi
-
-
 def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
-               y: np.ndarray, group: np.ndarray | None, n_terms: int,
+               y: np.ndarray, n_terms: int,
                lightline_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """The sum at M (alpha0, beta, x, y) elements sharing the window n_terms.
 
     Returns the values and the light-line mask (all False without
-    lightline_tol).  With group, the elements come sorted by their
-    _offset_group: off the column x = 0, on it, then at the pin (0, 0).  On
-    the column the phase exp(i x alpha_n) is 1 and at the pin both
-    exponentials are, exactly, so group 1 skips the phase product and group
-    2 both complex exponentials.  The values equal those of the one formula
-    that group 0 (and every element, without group) runs.
+    lightline_tol).  One formula serves every element: at x = 0 the phase
+    is exp(0) = 1 and at y = 0 the decay factors are exp(0) = 1, exactly.
     """
     alpha = alpha0[:, None] + _order_offsets(n_terms, d)
     b2 = beta * beta
@@ -357,15 +334,10 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
         near = np.minimum.reduce(np.abs(w), axis=1) <= (lightline_tol * beta.real) ** 2
     tau = np.sqrt(b2[:, None] + a2)
     ay = np.abs(y)
-    if group is None:
-        terms = _paired_terms(1j * x[:, None] * alpha, ay[:, None], tau, ichi)
-    else:
-        off, pin = np.searchsorted(group, (1, 2)).tolist()   # where groups 1, 2 start
-        phase = np.zeros((pin, alpha.shape[1]), dtype=complex)
-        np.multiply(1j * x[:off, None], alpha[:off], out=phase[:off])
-        terms = np.empty_like(ichi)
-        terms[:pin] = _paired_terms(phase, ay[:pin, None], tau[:pin], ichi[:pin])
-        terms[pin:] = 1.0 / tau[pin:] + 1.0 / ichi[pin:]
+    # combine the two sums per order before accumulating: joint cubic decay
+    phase = 1j * x[:, None] * alpha
+    terms = (np.exp(phase - ay[:, None] * tau) / tau
+             + np.exp(phase + ay[:, None] * ichi) / ichi)
     value = np.add.reduce(terms, axis=1) / (-4.0 * d * b2)
     # the closed-form tail at x = 0, exactly 0 where exp(-40) damps the
     # first omitted order on both sides: c min(Re q) > 40 in _kummer_tail
@@ -400,8 +372,7 @@ def _lattice_sums(alpha0, beta, d: float, x, y, windows,
     in closed form by _kummer_tail, so the value is converged at any y.
 
     The pairs of one window are summed together, _CHUNK terms (pairs times
-    orders) per pass; with _SPLIT_PAIRS pairs or more they are sorted by
-    _offset_group first.
+    orders) per pass.
     """
     shape = np.shape(windows)
     dtype = np.result_type(alpha0, beta, 1.0)
@@ -409,18 +380,14 @@ def _lattice_sums(alpha0, beta, d: float, x, y, windows,
         (alpha0, dtype), (beta, dtype), (x, float), (y, float), (windows, int)))
     values = np.empty(len(windows), dtype=complex)
     near = np.empty(len(windows), dtype=bool)
-    group = _offset_group(x, y) if len(windows) >= _SPLIT_PAIRS else None
     with np.errstate(all="ignore"):   # a refused point may divide by chi_n = 0
         for n_terms in np.unique(windows).tolist():
             pairs = np.nonzero(windows == n_terms)[0]
-            if group is not None:
-                pairs = pairs[np.argsort(group[pairs], kind="stable")]
             step = max(1, _CHUNK // (2 * n_terms + 1))
             for start in range(0, len(pairs), step):
                 idx = pairs[start:start + step]
-                rows = None if group is None else group[idx]
                 values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], d, x[idx],
-                                                    y[idx], rows, n_terms, lightline_tol)
+                                                    y[idx], n_terms, lightline_tol)
     return values.reshape(shape), near.reshape(shape)
 
 

@@ -270,6 +270,18 @@ def resonance_beta(
     which removes the half-linewidth bias a leaky resonance imprints on its
     real-axis minimum.
     """
+    return _window_search(kind, eta, xi, beta_window, policy, theta_i=theta_i,
+                          alpha0=alpha0, d=d, coarse=coarse)[0]
+
+
+def _polish_reach(beta_window: tuple[float, float]) -> float:
+    """How far a polished pole may move from its seed in a window search."""
+    return 0.1 * (beta_window[1] - beta_window[0])
+
+
+def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i=None,
+                   alpha0=None, d=1.0, coarse=241) -> tuple[float, complex | None]:
+    """resonance_beta's result and the complex zero it polished (None if rejected)."""
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
     geometry = StackGeometry(eta=eta, xi=xi, d=d)
@@ -299,8 +311,8 @@ def resonance_beta(
     res = minimize_scalar(modulus, bounds=(grid[i - 1], grid[i + 1]),
                           method="bounded", options={"xatol": 1e-14})
     pole = _factor_pole(kind, float(res.x), alpha0_at, eta, xi, d, policy,
-                        max_shift=0.1 * (hi - lo))
-    return float(res.x) if pole is None else float(pole.real)
+                        max_shift=_polish_reach(beta_window))
+    return (float(res.x) if pole is None else float(pole.real)), pole
 
 
 def _factor_complex(kind: str, a0: complex, beta: complex, eta: float,
@@ -386,8 +398,8 @@ def find_xi_edit(
     factor's complex zero is continued from step to step, its seed
     extrapolated linearly in xi from the two nearest tracked poles and
     polished by _factor_pole.  resonance_beta's window search runs only at
-    the first step and wherever the continued secant is rejected (the pole
-    is then re-anchored at its result).  A sign change of the gap
+    the first step and wherever the continued secant is rejected (the track
+    then restarts from the zero that search polished).  A sign change of the gap
     beta_even - beta_odd is closed by bisection on resonance_beta itself.
     Returns (xi_edit, beta_edit) with |beta_even(xi_edit) - beta_odd| <=
     merge_tol.
@@ -401,21 +413,11 @@ def find_xi_edit(
     even_window = (beta_odd - beta_window_halfwidth,
                    beta_odd + beta_window_halfwidth)
     alpha0_at = _alpha0_rule(theta_i, None)
-    max_shift = 0.1 * (even_window[1] - even_window[0])   # as resonance_beta's polish
     track: list[tuple[float, complex]] = []   # (xi, even pole) of the scan steps
 
-    def even_resonance(xi: float) -> float:
-        return resonance_beta("even", eta_star, xi, even_window,
-                              policy, theta_i=theta_i)
-
     def gap(xi: float) -> float:
-        return even_resonance(xi) - beta_odd
-
-    def pole_at(xi: float, seed: complex) -> complex | None:
-        pole = _factor_pole("even", seed, alpha0_at, eta_star, xi, 1.0, policy,
-                            max_shift)
-        inside = pole is not None and even_window[0] < pole.real < even_window[1]
-        return pole if inside else None
+        return resonance_beta("even", eta_star, xi, even_window,
+                              policy, theta_i=theta_i) - beta_odd
 
     def scan_gap(xi: float) -> float:
         """gap(xi) at a scan step, from the even pole continued along the track."""
@@ -424,12 +426,13 @@ def find_xi_edit(
             if len(track) > 1:        # linear in xi through the two nearest poles
                 x0, z0 = track[-2]
                 seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
-            pole = pole_at(xi, seed)
-            if pole is not None:
+            pole = _factor_pole("even", seed, alpha0_at, eta_star, xi, 1.0, policy,
+                                _polish_reach(even_window))
+            if pole is not None and even_window[0] < pole.real < even_window[1]:
                 track.append((xi, pole))
                 return pole.real - beta_odd
-        beta_even = even_resonance(xi)
-        pole = pole_at(xi, beta_even)
+        beta_even, pole = _window_search("even", eta_star, xi, even_window, policy,
+                                         theta_i=theta_i)
         if pole is None:
             track.clear()
         else:

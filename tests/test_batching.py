@@ -172,32 +172,6 @@ def test_self_term_is_the_same_beside_a_damped_tail():
     assert matrices[0, 0, 1] == greens(point, 0.0, 0.05)
 
 
-@pytest.mark.parametrize("kind", [float, complex])
-def test_column_and_pin_rows_equal_the_full_formula(kind, chunk, monkeypatch):
-    # a call of many pairs skips the phase on the column x = 0 and both
-    # exponentials at the pin (0, 0); with the split switched off the kernel
-    # runs the one formula for every pair, and each value must be the same
-    betas = np.linspace(3.3, 3.9, 13).astype(kind)
-    if kind is complex:
-        betas -= 1e-3j * np.linspace(0.1, 2.0, 13)
-    alpha0 = np.append(betas[:-1] * math.sin(math.radians(30.0)), 3.5)[:, None]
-    betas = betas[:, None]
-    xs = np.array([0.0, 0.25, 0.0, -0.25, 0.0, 0.5, 0.0, 0.0])
-    ys = np.array([0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.05, -1.0])
-    windows = DEFAULT_POLICY.window(alpha0, betas, 1.0, xs, ys)
-    assert len(np.unique(windows)) > 1      # on-line x != 0 takes n_self
-    assert set(greens_module._offset_group(xs, ys).tolist()) == {0, 1, 2}
-
-    def sums():
-        return greens_module._lattice_sums(alpha0, betas, 1.0, xs, ys, windows, 1e-8)
-
-    shortcut = sums()
-    monkeypatch.setattr(greens_module, "_SPLIT_PAIRS", windows.size + 1)
-    full = sums()
-    assert (shortcut[0] == full[0]).all()
-    assert (shortcut[1] == full[1]).all()
-
-
 # 20 repeats of a 401-point triplet scan, in a process of its own: what the
 # heap does on free() depends on what the process allocated before
 _FAULT_PROBE = """

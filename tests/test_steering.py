@@ -166,24 +166,27 @@ def inputs_60():
     return _edit_inputs(60.0)
 
 
-def _window_searches(monkeypatch):
-    """The argument tuples of every resonance_beta call made from steering."""
-    calls = []
-    window_search = steering.resonance_beta
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of steering's function name.
+
+    resonance_beta and the scan's seeds and fallbacks all run the window
+    search steering._window_search.
+    """
+    calls, function = [], getattr(steering, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return window_search(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(steering, "resonance_beta", counted)
+    monkeypatch.setattr(steering, name, counted)
     return calls
 
 
 def _continued_secants(monkeypatch, reject=False):
     """Record (xi, pole) of every continued secant, or reject them all.
 
-    The continuation starts _factor_pole from a complex seed; resonance_beta's
-    polish and the re-anchoring after a fallback start from a real one.
+    The continuation starts _factor_pole from a complex seed; the window
+    search's polish starts from a real one.
     """
     polish = steering._factor_pole
     tracked = []
@@ -235,24 +238,25 @@ def _xi_edit_by_window_search(theta, beta_g, eta, lo=0.15, hi=0.30, xi_step=1e-3
     raise AssertionError("no merge in the bracket")
 
 
-def test_find_xi_edit_equals_the_window_search_at_60_degrees(inputs_60):
-    assert find_xi_edit(*inputs_60) == _xi_edit_by_window_search(*inputs_60)
+def test_find_xi_edit_equals_the_window_search(edit_inputs):
+    assert find_xi_edit(*edit_inputs) == _xi_edit_by_window_search(*edit_inputs)
 
 
 def test_rejected_continuation_falls_back_to_the_same_result(inputs_60, monkeypatch):
     continued = find_xi_edit(*inputs_60)
     _continued_secants(monkeypatch, reject=True)
-    calls = _window_searches(monkeypatch)
+    searches = _counted(monkeypatch, "_window_search")
     assert find_xi_edit(*inputs_60) == continued
-    assert len(calls) > 50          # every scan step fell back
+    assert len(searches) > 50          # every scan step fell back
 
 
 def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
     # the first scan step, the bisection and its residual check; the scan
     # itself continues the pole (a search at every step would make 106)
-    calls = _window_searches(monkeypatch)
+    searches = _counted(monkeypatch, "_window_search")
+    public = _counted(monkeypatch, "resonance_beta")
     find_xi_edit(*inputs_60)
-    assert len(calls) <= 10
+    assert len(public) <= len(searches) <= 10
 
 
 class TestQFactor:
