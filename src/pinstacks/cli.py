@@ -52,7 +52,7 @@ TABLE1_ANGLES_DEG = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
                      24.0, 27.0, 30.0, 33.0, 36.0, 45.0, 60.0]
 
 _STEER_COLUMNS = ["theta_deg", "beta_g", "alpha0_g", "eta_star", "m_eff",
-                  "beta_odd", "beta_even", "xi_edit", "beta_edit",
+                  "beta_odd", "beta_even", "eta_edit", "xi_edit", "beta_edit",
                   "q_notch", "q_pair", "error"]
 
 
@@ -285,7 +285,7 @@ def _dump_angle_scans(res, results_dir: Path, policy: TruncationPolicy,
     if res.xi_edit is None or res.beta_edit is None:
         return
     theta = math.radians(res.theta_i) if res.theta_i else None
-    stack = PinStack.triplet(res.eta_star, res.xi_edit)
+    stack = PinStack.triplet(res.eta_edit, res.xi_edit)
     tag = f"theta{res.theta_i:g}"
     for name, records in [
         ("notch", feature_scan(stack, res.beta_edit, 1e-7, "notch", policy,
@@ -319,7 +319,8 @@ def cmd_steer(args: argparse.Namespace) -> int:
             "theta_deg": deg, "beta_g": res.beta_g, "alpha0_g": res.alpha0_g,
             "eta_star": res.eta_star, "m_eff": res.m_eff,
             "beta_odd": res.beta_odd, "beta_even": res.beta_even,
-            "xi_edit": res.xi_edit, "beta_edit": res.beta_edit,
+            "eta_edit": res.eta_edit, "xi_edit": res.xi_edit,
+            "beta_edit": res.beta_edit,
             "q_notch": res.q_notch, "q_pair": res.q_pair,
             "error": res.error or "",
         })

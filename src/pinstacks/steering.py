@@ -12,19 +12,19 @@ invariant odd resonance; at the merged shift xi_edit the transmission
 spectrum develops an extremely narrow notch splitting a full-transmission
 peak (Elasto-Dynamically Inhibited Transmission).
 
-Resonance positions come from the two dispersion factors of the mode
-matrix (the factors of det M): resonance_beta searches a beta window for the
-minimum of a factor's modulus on a grid and polishes it to the factor's
-complex zero.  Stage 3 runs that search only to seed the even zero, where
-continuing it fails, and for the final bisection; between scan steps of xi
-it continues the zero itself, from a seed extrapolated in xi.  Quality
-factors are measured on transmission spectra by FWHM, swept with
-scattering.scan (feature_scan zooms with it; steer's envelope is a
+Resonances are the complex zeros (poles of the response) of the two
+dispersion factors of the mode matrix (the factors of det M):
+resonance_beta polishes a factor's zero from the deepest point of a grid of
+its modulus over a beta window.  Stage 3 runs that search only to seed the
+even zero, where continuing it fails, and for the final bisection; between
+scan steps of xi it continues the zero itself, from a seed extrapolated in
+xi.  Quality factors are measured on transmission spectra by FWHM, swept
+with scattering.scan (feature_scan zooms with it; steer's envelope is a
 spectrum_scan).  Every grid whose points are independent (the coarse beta
 grids of find_beta_g and resonance_beta, the fine separation grid of
 find_eta_star, each scan) is evaluated in one batched call; the scalar
-optimisers refine on the single-point functions, whose values equal the
-batched ones exactly.
+optimisers of stages 1 and 2 refine on the single-point functions, whose
+values equal the batched ones exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .greens import (
     _lattice_sums,
     greens,
 )
-from .modes import StackGeometry, _factor_moduli, _mode_matrices, assemble, dispersion_residual
+from .modes import StackGeometry, _factor_moduli, _mode_matrices
 from .scattering import (IncidentWave, PinStack, SpectrumRecord, _alpha0_rule,
                          _attempt_each, _scatter_all, scan, single_grating_reflectance,
                          spectrum_scan, transmittance)
@@ -78,6 +78,7 @@ class SteeringResult:
     m_eff: float | None = None
     beta_even: float | None = None   # unshifted triplet, xi = 0
     beta_odd: float | None = None
+    eta_edit: float | None = None    # outer separation of EDIT tuning (slab eta)
     xi_edit: float | None = None
     beta_edit: float | None = None
     q_notch: float | None = None
@@ -260,18 +261,18 @@ def resonance_beta(
     d: float = 1.0,
     coarse: int = 241,
 ) -> float:
-    """beta of the local minimum of one dispersion-factor modulus.
+    """Resonance centre of one dispersion factor: Re beta of its complex zero.
 
-    kind selects the odd factor |M11 - M13| or the even factor
-    |2 M12 M21 - M11 (M11 + M13)|; their minima over real beta locate the
-    triplet's trapped-mode resonances (the minima of log|det M| split by
-    parity).  Scans the window on a coarse grid, refines the deepest interior
-    minimum, then sharpens it to the real part of the factor's complex zero,
-    which removes the half-linewidth bias a leaky resonance imprints on its
-    real-axis minimum.
+    kind selects the odd factor M11 - M13 or the even factor
+    2 M12 M21 - M11 (M11 + M13); their complex zeros are the triplet's
+    trapped-mode resonances (the zeros of det M split by parity).  Evaluates
+    the factor's modulus on a coarse grid over the window (edges included)
+    and polishes the zero from the deepest grid point.  Raises Unresolved
+    when that polish is rejected (see _factor_pole; the reach is a tenth of
+    the window width), as when the window holds no resonance.
     """
     return _window_search(kind, eta, xi, beta_window, policy, theta_i=theta_i,
-                          alpha0=alpha0, d=d, coarse=coarse)[0]
+                          alpha0=alpha0, d=d, coarse=coarse).real
 
 
 def _polish_reach(beta_window: tuple[float, float]) -> float:
@@ -280,39 +281,27 @@ def _polish_reach(beta_window: tuple[float, float]) -> float:
 
 
 def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i=None,
-                   alpha0=None, d=1.0, coarse=241) -> tuple[float, complex | None]:
-    """resonance_beta's result and the complex zero it polished (None if rejected)."""
+                   alpha0=None, d=1.0, coarse=241) -> complex:
+    """The factor's complex zero, polished from the deepest point of a window grid."""
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
     geometry = StackGeometry(eta=eta, xi=xi, d=d)
     alpha0_at = _alpha0_rule(theta_i, alpha0)
-
-    def modulus(beta: float) -> float:
-        point = SpectralPoint(alpha0_at(beta), beta, d)
-        r = dispersion_residual(assemble(point, geometry, policy))
-        return r.odd if kind == "odd" else r.even
-
     lo, hi = beta_window
-    grid = np.linspace(lo, hi, coarse)
-    betas = grid.tolist()
+    betas = np.linspace(lo, hi, coarse).tolist()
     entries, errors = _mode_matrices([alpha0_at(b) for b in betas], betas,
                                      geometry, d, policy)
     for error in errors:   # the first failure in grid order
         _raise_failed(error)
-    values = _factor_moduli(entries)[0 if kind == "odd" else 1]
-    interior = np.arange(1, coarse - 1)
-    minima = interior[(values[interior] < values[interior - 1])
-                      & (values[interior] <= values[interior + 1])]
-    if len(minima) == 0:
-        raise Unresolved(
-            f"no interior minimum of the {kind} factor in ({lo:g}, {hi:g})"
-        )
-    i = int(minima[np.argmin(values[minima])])
-    res = minimize_scalar(modulus, bounds=(grid[i - 1], grid[i + 1]),
-                          method="bounded", options={"xatol": 1e-14})
-    pole = _factor_pole(kind, float(res.x), alpha0_at, eta, xi, d, policy,
+    seed = betas[int(np.argmin(_factor_moduli(entries)[0 if kind == "odd" else 1]))]
+    pole = _factor_pole(kind, seed, alpha0_at, eta, xi, d, policy,
                         max_shift=_polish_reach(beta_window))
-    return (float(res.x) if pole is None else float(pole.real)), pole
+    if pole is None:
+        raise Unresolved(
+            f"no zero of the {kind} factor within reach of beta = {seed:.9g} "
+            f"in ({lo:g}, {hi:g})"
+        )
+    return pole
 
 
 def _factor_complex(kind: str, a0: complex, beta: complex, eta: float,
@@ -346,11 +335,12 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     position is biased by up to its half linewidth; the underlying zero sits
     at complex beta, its real part is the resonance centre and |Im| its half
     linewidth.  A secant iteration (the factors are analytic, so no
-    derivative bookkeeping is needed) recovers it from the real-axis
-    minimum, or from a complex seed such as a pole continued from a nearby
-    geometry.  Returns None when the iteration fails to converge, does not
-    halve the seed's residual, or moves Re beta or |Im beta| past max_shift
-    from the seed's real part, so the caller can keep its own result.
+    derivative bookkeeping is needed) recovers it from a real seed near the
+    resonance, such as the deepest point of a grid of the factor's modulus,
+    or from a complex seed such as a pole continued from a nearby geometry.
+    Returns None when the iteration fails to converge, does not halve the
+    seed's residual, or moves Re beta or |Im beta| past max_shift from the
+    seed's real part; the caller decides what a rejection means.
     alpha0_at is the incidence's _alpha0_rule.
     """
 
@@ -431,13 +421,9 @@ def find_xi_edit(
             if pole is not None and even_window[0] < pole.real < even_window[1]:
                 track.append((xi, pole))
                 return pole.real - beta_odd
-        beta_even, pole = _window_search("even", eta_star, xi, even_window, policy,
-                                         theta_i=theta_i)
-        if pole is None:
-            track.clear()
-        else:
-            track.append((xi, pole))
-        return beta_even - beta_odd
+        pole = _window_search("even", eta_star, xi, even_window, policy, theta_i=theta_i)
+        track.append((xi, pole))
+        return pole.real - beta_odd
 
     lo, hi = xi_bracket
     n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
@@ -595,11 +581,13 @@ def steer(
     """Run the steering pipeline for each angle, collecting per-angle results.
 
     Stages: beta_g and eta_star always; the unshifted triplet's even/odd
-    resonance pair when with_modes; EDIT shift tuning when with_edit; notch
-    and outer-pair Q factors when with_q (implies with_edit).  Failures are
-    recorded per angle and do not stop the sweep.  EDIT tuning is skipped at
-    normal incidence (no even/odd merging without a symmetry-breaking
-    lateral shift relative to an oblique wave).
+    resonance pair (at eta_star) when with_modes; EDIT shift tuning when
+    with_edit; notch and outer-pair Q factors when with_q (implies
+    with_edit).  EDIT tuning and its Q factors run at the slab separation
+    eta_edit = slab_guess(beta_g, alpha0_g, m), as in the paper's EDIT
+    construction.  Failures are recorded per angle and do not stop the
+    sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
+    without a symmetry-breaking lateral shift relative to an oblique wave).
     """
     results = []
     for theta in theta_list:
@@ -623,20 +611,21 @@ def steer(
                 if theta == 0.0:
                     res.error = "EDIT unsupported at normal incidence"
                     continue
+                res.eta_edit = guess
                 res.xi_edit, res.beta_edit = find_xi_edit(
-                    theta, res.beta_g, res.eta_star, policy=policy)
+                    theta, res.beta_g, res.eta_edit, policy=policy)
                 if with_q:
                     # the merged resonance is the notch centre; label it by
                     # the parity whose pole is darker (smaller |Im|)
                     poles = {
-                        k: _factor_pole(k, res.beta_edit, alpha0_at, res.eta_star,
+                        k: _factor_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
                                         res.xi_edit, 1.0, policy, max_shift=1e-3)
                         for k in ("odd", "even")
                     }
                     live = {k: z for k, z in poles.items() if z is not None}
                     notch_kind = (min(live, key=lambda k: abs(live[k].imag))
                                   if live else "unknown")
-                    triplet = PinStack.triplet(res.eta_star, res.xi_edit)
+                    triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
                     notch = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
                                          policy, theta_i=theta)
                     res.q_notch = q_factor(notch, "notch", kind=notch_kind).q

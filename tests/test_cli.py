@@ -255,6 +255,15 @@ class TestSteer:
                               "m_eff"]
         assert "error" in header
 
+    def test_eta_edit_column_follows_beta_even(self, capsys):
+        code, out = _run(capsys, ["steer", "--theta", "0", "--no-modes",
+                                  "--with-edit", "--no-timestamp"])
+        assert code == 0
+        row, = _csv_rows(out)
+        columns = list(row)
+        assert columns[columns.index("beta_even") + 1] == "eta_edit"
+        assert row["eta_edit"] == ""       # no EDIT tuning at normal incidence
+
 
 def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:

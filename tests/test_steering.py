@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from pinstacks import scattering
+from pinstacks.cli import TABLE1_ANGLES_DEG
 from pinstacks.errors import (
     DomainError,
     ModesDidNotMerge,
@@ -128,6 +129,12 @@ class TestResonanceBeta:
     def test_monotone_window_raises(self):
         with pytest.raises(Unresolved):
             resonance_beta("odd", 1.0, 0.0, (3.30, 3.35), alpha0=2.1)
+
+    def test_rejected_polish_raises(self, monkeypatch):
+        # no real-axis minimum stands in for a zero the polish did not reach
+        monkeypatch.setattr(steering, "_factor_pole", lambda *args, **kwargs: None)
+        with pytest.raises(Unresolved, match="odd factor"):
+            resonance_beta("odd", 0.98624, 0.0, (3.55, 3.65), theta_i=THETA_30)
 
 
 def test_find_xi_edit_merges_the_resonances():
@@ -379,3 +386,29 @@ class TestSteer:
         assert res.beta_g == pytest.approx(4.456001, abs=1e-4)
         assert res.error == "EDIT unsupported at normal incidence"
         assert res.xi_edit is None
+
+    def test_both_resonances_at_every_integer_degree(self):
+        # the window search polishes from the deepest grid point, edges
+        # included, so a resonance near a window edge is still found
+        degrees = range(61)
+        for deg, res in zip(degrees, steer([math.radians(d) for d in degrees])):
+            assert res.error is None, f"{deg} deg: {res.error}"
+            assert res.beta_even < res.beta_g < res.beta_odd, f"{deg} deg"
+
+    def test_edit_at_every_oblique_table1_angle(self):
+        degrees = TABLE1_ANGLES_DEG[1:]
+        results = steer([math.radians(d) for d in degrees], with_edit=True)
+        for deg, res in zip(degrees, results):
+            assert res.error is None, f"{deg} deg: {res.error}"
+            assert res.xi_edit is not None and res.beta_edit is not None
+
+    def test_edit_runs_at_the_slab_separation(self):
+        # criterion 3's gates, reached through the public pipeline
+        res, = steer([math.radians(60.0)], with_q=True)
+        assert res.error is None
+        assert res.eta_edit == slab_guess(res.beta_g, res.alpha0_g)
+        assert res.eta_edit != res.eta_star
+        assert res.xi_edit == pytest.approx(0.2476, abs=2e-3)
+        assert res.beta_edit == pytest.approx(2.94716, abs=1e-4)
+        assert res.q_notch >= 1e9
+        assert 5e4 <= res.q_pair <= 5e5
