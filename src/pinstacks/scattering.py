@@ -134,7 +134,7 @@ class SpectrumRecord:
 
     R_orders / T_orders are flux-normalized energies per propagating order,
     R / T their sums, and energy_residual = |R + T - 1|.  For points where
-    evaluation failed the totals are NaN and error holds the exception name.
+    evaluation failed the totals are NaN and error reads "Class: message".
     """
 
     alpha0: float
@@ -408,7 +408,7 @@ def scan(
     waves = _attempt_each(lambda beta: _incident(beta, theta_i, alpha0), betas)
     return [out if isinstance(out, SpectrumRecord)
             else SpectrumRecord(alpha0=alpha0_at(beta), beta=beta,
-                                error=type(out).__name__)
+                                error=f"{type(out).__name__}: {out}")
             for beta, out in zip(betas, _scatter_all(stack, waves, policy))]
 
 

@@ -20,11 +20,11 @@ even zero, where continuing it fails, and for the final bisection; between
 scan steps of xi it continues the zero itself, from a seed extrapolated in
 xi.  Quality factors are measured on transmission spectra by FWHM, swept
 with scattering.scan (feature_scan zooms with it; steer's envelope is a
-spectrum_scan).  Every grid whose points are independent (the coarse beta
-grids of find_beta_g and resonance_beta, the fine separation grid of
-find_eta_star, each scan) is evaluated in one batched call; the scalar
-optimisers of stages 1 and 2 refine on the single-point functions, whose
-values equal the batched ones exactly.
+spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
+one batched grid brackets each sign change, and brentq refines it to the
+nearest float on the single-point function, whose values equal the
+batched ones exactly.  Every other grid (resonance_beta's, each scan) is
+likewise evaluated in one batched call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -53,9 +53,8 @@ from .greens import (
     greens,
 )
 from .modes import StackGeometry, _factor_moduli, _mode_matrices
-from .scattering import (IncidentWave, PinStack, SpectrumRecord, _alpha0_rule,
-                         _attempt_each, _scatter_all, scan, single_grating_reflectance,
-                         spectrum_scan, transmittance)
+from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, scan,
+                         single_grating_reflectance, spectrum_scan, transmittance)
 
 _R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
 _T_TOL = 1e-8    # 1 - T_pair at eta*
@@ -125,40 +124,39 @@ def find_beta_g(
 ) -> float:
     """Stage 1: beta at which the single-grating reflectance reaches 1.
 
-    The bracket must contain exactly one reflectance maximum reaching 1 and
-    keep every retained order away from its light line.  A coarse grid
-    brackets the maximum, a bounded derivative-free refinement polishes it.
-    Raises NoUnityReflectance when the refined maximum misses 1 by more than
-    1e-10.
+    One pin per period scatters with amplitude A = -u_inc(0, 0) / G(0, 0),
+    so r_0 = i s A with s = 1 / (4 d beta^2 chi_0).  With one propagating
+    order Im G(0, 0) = s exactly (every other order's term is real), hence
+    1 - R = (Re G)^2 / |G|^2: the mirror condition is the root of Re G(0, 0).
+    A grid of Re G(0, 0) over the bracket (one builder call) locates its sign
+    changes; each, in grid order, is refined to the nearest float
+    (_nearest_root) and the first with 1 - R <= 1e-10 is returned.  Raises
+    NoUnityReflectance when there is none (wrong bracket, or more than one
+    propagating order).
     """
     if beta_bracket is None:
         beta_bracket = default_bracket(theta_i, alpha0)
     lo, hi = beta_bracket
     alpha0_at = _alpha0_rule(theta_i, alpha0)
 
-    def point(beta: float) -> SpectralPoint:
-        return SpectralPoint(alpha0_at(beta), beta)
+    def re_g(betas: list[float]) -> np.ndarray:
+        """Re G(0, 0) at each beta, from one builder call."""
+        entries, errors = _interaction_matrices([alpha0_at(b) for b in betas], betas,
+                                                1.0, [(0.0, 0.0)], policy)
+        for error in errors:   # the first failure in grid order
+            _raise_failed(error)
+        return entries[:, 0, 0].real
 
-    def one_minus_r(beta: float) -> float:
-        return 1.0 - single_grating_reflectance(point(beta), policy)
-
-    # the coarse grid in one batch: the waves single_grating_reflectance builds
-    grid = np.linspace(lo, hi, coarse)
-    waves = _attempt_each(lambda b: IncidentWave.from_alpha0(point(b).alpha0, b),
-                          grid.tolist())
-    records = _scatter_all(PinStack.single(), waves, policy)
-    values = np.array([1.0 - _raise_failed(rec).R_orders[0] for rec in records])
-    i = int(np.argmin(values))
-    b_lo = grid[max(i - 1, 0)]
-    b_hi = grid[min(i + 1, coarse - 1)]
-    res = minimize_scalar(one_minus_r, bounds=(b_lo, b_hi), method="bounded",
-                          options={"xatol": 1e-13})
-    if res.fun > _R_TOL:
-        raise NoUnityReflectance(
-            f"max single-grating reflectance in bracket ({lo:g}, {hi:g}) is "
-            f"1 - {res.fun:.3e}; wrong bracket or multiple propagating orders"
-        )
-    return float(res.x)
+    grid = np.linspace(lo, hi, coarse).tolist()
+    for i in _sign_changes(re_g(grid)):
+        beta = _nearest_root(lambda b: re_g([b])[0], grid[i], grid[i + 1])
+        point = SpectralPoint(alpha0_at(beta), beta)
+        if 1.0 - single_grating_reflectance(point, policy) <= _R_TOL:
+            return beta
+    raise NoUnityReflectance(
+        f"no root of Re G(0, 0) in bracket ({lo:g}, {hi:g}) gives unit "
+        f"reflectance; wrong bracket or multiple propagating orders"
+    )
 
 
 def slab_guess(beta_g: float, alpha0_g: float, m: int = 1) -> float:
@@ -183,70 +181,71 @@ def find_eta_star(
 ) -> float:
     """Stage 2: pair separation at which the pair transmittance returns to 1.
 
-    Searches [0.9, 1.1] * eta_guess, widening once to [0.8, 1.2] before
-    raising NoUnityTransmittance.  The guess is expected within 10% of the
-    optimum (the slab model lands within ~2.5%).
+    Pins at y = 0 and L = eta d under the wave exp(i alpha0 x + i chi_0 y)
+    solve M A_1 + N A_2 = -1, N A_1 + M A_2 = -e, with M = G(0, 0),
+    N = G(0, L) and e = exp(i chi_0 L), so A_1 +- A_2 = -(1 +- e) / (M +- N).
+    The reflection r_0 = i s (A_1 + e A_2) vanishes where (1 + e)^2 (M - N)
+    + (1 - e)^2 (M + N) = 0, that is N = M cos(chi_0 L).  With one
+    propagating order Im N = s cos(chi_0 L) and Im M = s (see find_beta_g),
+    so T_pair = 1 exactly where Re G(0, eta d) = Re G(0, 0) cos(chi_0 eta d).
 
-    At beta_g each grating is a perfect mirror, so T(eta) is a resonance
-    spike that can be orders of magnitude narrower than any fixed grid (and
-    narrower for steeper incidence).  The spike is first located through the
-    smooth proxy |M11^2 - G(0, eta d)^2|, the determinant modulus of the
-    2x2 pair mode matrix, whose minimum marks the trapped-mode separation;
-    the transmittance maximum is then polished inside a window a few spike
-    widths wide.
+    That difference is sampled over [0.9, 1.1] * eta_guess (one kernel
+    call), widening once to [0.8, 1.2]; each sign change, in grid order, is
+    refined to the nearest float (_nearest_root) and the first with
+    1 - T <= 1e-8 is returned, else NoUnityTransmittance is raised.  The
+    guess is expected within 10% of the optimum (the slab model lands
+    within ~2.5%).
     """
     a0 = _alpha0_rule(theta_i, alpha0)(beta_g)
     point = SpectralPoint(a0, beta_g)
-    m11 = greens(point, 0.0, 0.0, policy)
+    re_m11 = greens(point, 0.0, 0.0, policy).real
+    chi0 = math.sqrt(beta_g * beta_g - a0 * a0)
 
-    def pair_det(eta: float) -> float:
-        g_eta = greens(point, 0.0, eta, policy)
-        return abs(m11 * m11 - g_eta * g_eta)
+    def condition(etas):
+        """Re G(0, eta d) - Re G(0, 0) cos(chi_0 eta d), zero where T_pair = 1."""
+        ys = np.multiply(etas, point.d)
+        values, _ = _lattice_sums(a0, beta_g, point.d, 0.0, ys,
+                                  policy.window(a0, beta_g, point.d, 0.0, ys))
+        return values.real - re_m11 * np.cos(chi0 * ys)
 
-    def pair_dets(etas: np.ndarray) -> np.ndarray:
-        """pair_det over a grid, from one builder call (G(0, eta) = M12)."""
-        pins = [PinStack.pair(e).pins for e in etas.tolist()]
-        entries, errors = _interaction_matrices([a0] * len(pins), [beta_g] * len(pins),
-                                                point.d, pins, policy)
-        for error in errors:   # the first failure in grid order
-            _raise_failed(error)
-        return np.abs(m11 * m11 - entries[:, 0, 1] * entries[:, 0, 1])
-
-    def one_minus_t(eta: float) -> float:
-        return 1.0 - transmittance(PinStack.pair(eta), beta_g, alpha0=a0,
-                                   policy=policy)
-
-    best = None
     for spread in (0.1, 0.2):
-        lo, hi = (1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess
-        grid = np.linspace(lo, hi, coarse)
-        values = pair_dets(grid)
-        i = int(np.argmin(values))
-        res = minimize_scalar(pair_det,
-                              bounds=(grid[max(i - 1, 0)], grid[min(i + 1, coarse - 1)]),
-                              method="bounded", options={"xatol": 1e-14})
-        eta_res = float(res.x)
-        # Spike half-width in eta: the determinant floor (set by radiative
-        # leakage) over its linear slope, the latter sampled away from the
-        # rounded bottom where |det| ~ slope * |eta - eta_res|.
-        step = 0.02 * eta_guess
-        slope = (pair_det(eta_res + step) + pair_det(eta_res - step)) / (2 * step)
-        width = max(res.fun / slope if slope > 0 else 0.0, 1e-9 * eta_guess)
-        fine = np.linspace(eta_res - 8 * width, eta_res + 8 * width, 257)
-        records = _scatter_all([PinStack.pair(e) for e in fine.tolist()],
-                               [IncidentWave.from_alpha0(a0, beta_g)] * len(fine), policy)
-        t_values = np.array([1.0 - _raise_failed(rec).T for rec in records])
-        j = int(np.argmin(t_values))
-        t_res = minimize_scalar(one_minus_t,
-                                bounds=(fine[max(j - 1, 0)], fine[min(j + 1, 256)]),
-                                method="bounded", options={"xatol": 1e-13})
-        best = t_res if best is None or t_res.fun < best.fun else best
-        if best.fun <= _T_TOL:
-            return float(best.x)
+        grid = np.linspace((1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess,
+                           coarse).tolist()
+        for i in _sign_changes(condition(grid)):
+            eta = _nearest_root(lambda e: float(condition(e)), grid[i], grid[i + 1])
+            t = transmittance(PinStack.pair(eta), beta_g, alpha0=a0, policy=policy)
+            if 1.0 - t <= _T_TOL:
+                return eta
     raise NoUnityTransmittance(
-        f"pair transmittance at beta_g = {beta_g:.9g} reaches only "
-        f"1 - {best.fun:.3e} for eta within 20% of the guess {eta_guess:.6g}"
+        f"no root of the pair condition at beta_g = {beta_g:.9g} with eta within "
+        f"20% of the guess {eta_guess:.6g} gives unit transmittance"
     )
+
+
+def _sign_changes(values: np.ndarray) -> list[int]:
+    """Each i at which values[i] and values[i + 1] differ in sign, ascending."""
+    positive = values > 0
+    return np.nonzero(positive[:-1] != positive[1:])[0].tolist()
+
+
+def _nearest_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """The float nearest the root of f in [a, b], where f changes sign.
+
+    brentq narrows the bracket to a few ulp; stepping float by float from
+    its answer to the sign change then returns whichever of the two
+    straddling floats has the smaller |f|, so the result does not depend on
+    where brentq stopped, and hence on neither the bracket nor the grid.
+    """
+    x = brentq(f, a, b, xtol=1e-15)
+    fx = f(x)
+    toward = b if (fx > 0) == (f(a) > 0) else a
+    while fx != 0.0:
+        y = math.nextafter(x, toward)
+        fy = f(y)
+        if (fy > 0) != (fx > 0) or fy == 0.0:
+            return y if abs(fy) < abs(fx) else x
+        x, fx = y, fy
+    return x
 
 
 def resonance_beta(

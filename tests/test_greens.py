@@ -12,11 +12,13 @@ from pinstacks.greens import (
     DEFAULT_POLICY,
     SpectralPoint,
     TruncationPolicy,
+    _interaction_matrices,
     _lattice_sum,
     greens,
     order_quantities,
     propagating_orders,
 )
+from pinstacks.steering import default_bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,3 +265,28 @@ def test_light_line_guard_covers_orders_past_the_window():
         greens(SpectralPoint(0.0, beta), 0.1, 0.7)
     with pytest.raises(LightLineProximity):
         greens(SpectralPoint(0.0, beta), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha0, beta, d", [
+    (0.0, 4.456, 1.0), (1.8, 3.6, 1.0), (2.1, 3.35, 1.0), (2.55, 2.95, 1.0),
+    (-0.7, 1.3, 1.0), (0.4, 5.5, 1.0), (0.3, 2.0, 2.0), (1.0, 1.2, 0.5)])
+def test_imaginary_self_term_is_the_zero_order_alone(alpha0, beta, d):
+    # every term but the propagating zero order's is real at x = 0, so
+    # Im G(0, 0) = 1 / (4 d beta^2 chi_0) and R = 1 exactly where Re G(0, 0) = 0
+    point = SpectralPoint(alpha0, beta, d)
+    assert propagating_orders(point) == [0]
+    expected = 1.0 / (4.0 * d * beta * beta * math.sqrt(beta * beta - alpha0 * alpha0))
+    assert abs(greens(point, 0.0, 0.0).imag - expected) <= 2 * math.ulp(expected)
+
+
+def test_real_self_term_changes_sign_once_on_the_mirror_grid():
+    # find_beta_g's default grid brackets exactly one root of Re G(0, 0)
+    cases = [(math.radians(deg), None) for deg in range(61)] + [(None, 2.1)]
+    for theta, alpha0 in cases:
+        betas = np.linspace(*default_bracket(theta, alpha0), 241)
+        alpha0s = betas * math.sin(theta) if alpha0 is None else np.full_like(betas, alpha0)
+        matrices, errors = _interaction_matrices(alpha0s, betas, 1.0, [(0.0, 0.0)],
+                                                 DEFAULT_POLICY)
+        assert errors == [None] * len(betas)
+        positive = matrices[:, 0, 0].real > 0
+        assert np.count_nonzero(positive[1:] != positive[:-1]) == 1, (theta, alpha0)

@@ -191,7 +191,9 @@ def test_scan_records_scatter_at_each_beta_in_order():
     records = scan(stack, np.array(betas), alpha0=2.1)
     assert [r.beta for r in records] == betas
     failed = records.pop(1)
-    assert failed.error == "DomainError" and failed.alpha0 == 2.1
+    assert failed.error == ("DomainError: |alpha0| = 2.1 must be < beta = 2.0 "
+                            "for a propagating incident wave")
+    assert failed.alpha0 == 2.1
     assert math.isnan(failed.T)
     for rec in records:
         assert rec == scatter(stack, IncidentWave.from_alpha0(2.1, rec.beta))
@@ -221,7 +223,8 @@ class TestSpectrumScan:
         betas = [r.beta for r in records]
         assert betas == sorted(betas)
         statuses = [r.error for r in records]
-        assert statuses[0] == "DomainError"
+        assert statuses[0] == ("DomainError: |alpha0| = 2.1 must be < beta = 2.05 "
+                               "for a propagating incident wave")
         assert statuses[-1] is None
         assert math.isnan(records[0].T)
 

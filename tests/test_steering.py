@@ -77,6 +77,12 @@ class TestFindBetaG:
         with pytest.raises(NoUnityReflectance):
             find_beta_g(THETA_30, beta_bracket=(1.0, 1.5), coarse=41)
 
+    def test_root_does_not_depend_on_the_grid(self):
+        # each root is refined to the nearest float, whatever its bracket
+        for deg in (0.0, 30.0, 45.0, 60.0):
+            roots = {find_beta_g(math.radians(deg), coarse=n) for n in (41, 121, 241, 481)}
+            assert len(roots) == 1, f"{deg} deg: {roots}"
+
 
 class TestSlabGuess:
     def test_formula(self):
@@ -103,10 +109,31 @@ class TestFindEtaStar:
         t = transmittance(PinStack.pair(eta_star), beta_g, alpha0=alpha0)
         assert 1.0 - t <= 1e-8
 
+    def test_root_off_the_mirror_frequency(self):
+        # at a beta that is not beta_g, Re G(0, 0) != 0 and only the full pair
+        # condition Re G(0, eta d) = Re G(0, 0) cos(chi_0 eta d) gives T = 1
+        eta = find_eta_star(3.599363, 0.98624, theta_i=THETA_30)
+        t = transmittance(PinStack.pair(eta), 3.599363, theta_i=THETA_30)
+        assert abs(1.0 - t) <= 1e-12
+
     def test_guess_far_from_any_resonance_raises(self):
         from pinstacks.errors import NoUnityTransmittance
         with pytest.raises(NoUnityTransmittance):
             find_eta_star(3.599363, 0.5, theta_i=THETA_30)
+
+
+def test_mirror_and_pair_conditions_hold_to_rounding():
+    # stages 1 and 2 are roots of analytic conditions, not minima of 1 - R
+    # and 1 - T, so both hold to rounding at every Table-1 angle
+    cases = [{"theta_i": math.radians(deg)} for deg in TABLE1_ANGLES_DEG] + [{"alpha0": 2.1}]
+    for inc in cases:
+        beta_g = find_beta_g(**inc)
+        alpha0 = inc.get("alpha0", beta_g * math.sin(inc.get("theta_i", 0.0)))
+        eta_star = find_eta_star(beta_g, slab_guess(beta_g, alpha0), **inc)
+        r = single_grating_reflectance(SpectralPoint(alpha0, beta_g))
+        t = transmittance(PinStack.pair(eta_star), beta_g, alpha0=alpha0)
+        assert 1.0 - r <= 1e-14, inc
+        assert abs(1.0 - t) <= 2e-11, inc
 
 
 class TestResonanceBeta:
