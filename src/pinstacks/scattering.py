@@ -258,9 +258,10 @@ def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
     rows = [a.tolist() for a in (r, t, np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale)]
     # each wave's propagating orders are one run of the union
     first = propagating.argmax(axis=1)
+    grazes = grazing.any(axis=1).tolist()
     out: list = []
     for i, (lo, hi) in enumerate(zip(first.tolist(), (first + propagating.sum(axis=1)).tolist())):
-        if grazing[i].any():
+        if grazes[i]:
             out.append(DomainError(f"order {orders[grazing[i]][0]} grazes its light line"))
         else:
             ns = range(lo - reach, hi - reach)

@@ -13,18 +13,21 @@ spectrum develops an extremely narrow notch splitting a full-transmission
 peak (Elasto-Dynamically Inhibited Transmission).
 
 Resonances are the complex zeros (poles of the response) of the two
-dispersion factors of the mode matrix (the factors of det M):
-resonance_beta polishes a factor's zero from the deepest point of a grid of
-its modulus over a beta window.  Stage 3 runs that search only to seed the
-even zero, where continuing it fails, and for the final bisection; between
-scan steps of xi it continues the zero itself, from a seed extrapolated in
-xi.  Quality factors are measured on transmission spectra by FWHM, swept
-with scattering.scan (feature_scan zooms with it; steer's envelope is a
+dispersion factors of the mode matrix (the factors of det M).  steer
+polishes the unshifted triplet's even and odd zeros directly from beta_g.
+The window search (a batched grid of the factor's modulus over a beta
+window, the zero polished from its deepest point) serves only
+resonance_beta and stage 3: find_xi_edit runs it to seed the even zero,
+where continuing it fails, and for the final bisection; between scan steps
+of xi it continues the zero itself, from a seed extrapolated in xi.
+Quality factors are measured on transmission spectra by FWHM, swept with
+scattering.scan (feature_scan zooms with it; steer's envelope is a
 spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
 one batched grid brackets each sign change, and brentq refines it to the
 nearest float on the single-point function, whose values equal the
-batched ones exactly.  Every other grid (resonance_beta's, each scan) is
-likewise evaluated in one batched call.
+batched ones exactly (the grid's values serve brentq's two ends).  Every
+other grid (the window search's, each scan) is likewise evaluated in one
+batched call.
 """
 
 from __future__ import annotations
@@ -148,8 +151,10 @@ def find_beta_g(
         return entries[:, 0, 0].real
 
     grid = np.linspace(lo, hi, coarse).tolist()
-    for i in _sign_changes(re_g(grid)):
-        beta = _nearest_root(lambda b: re_g([b])[0], grid[i], grid[i + 1])
+    values = re_g(grid)
+    for i in _sign_changes(values):
+        beta = _nearest_root(lambda b: re_g([b])[0], grid[i], grid[i + 1],
+                             values[i], values[i + 1])
         point = SpectralPoint(alpha0_at(beta), beta)
         if 1.0 - single_grating_reflectance(point, policy) <= _R_TOL:
             return beta
@@ -211,8 +216,10 @@ def find_eta_star(
     for spread in (0.1, 0.2):
         grid = np.linspace((1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess,
                            coarse).tolist()
-        for i in _sign_changes(condition(grid)):
-            eta = _nearest_root(lambda e: float(condition(e)), grid[i], grid[i + 1])
+        values = condition(grid)
+        for i in _sign_changes(values):
+            eta = _nearest_root(lambda e: float(condition(e)), grid[i], grid[i + 1],
+                                values[i], values[i + 1])
             t = transmittance(PinStack.pair(eta), beta_g, alpha0=a0, policy=policy)
             if 1.0 - t <= _T_TOL:
                 return eta
@@ -228,20 +235,28 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return np.nonzero(positive[:-1] != positive[1:])[0].tolist()
 
 
-def _nearest_root(f: Callable[[float], float], a: float, b: float) -> float:
+def _nearest_root(f: Callable[[float], float], a: float, b: float,
+                  fa: float, fb: float) -> float:
     """The float nearest the root of f in [a, b], where f changes sign.
 
-    brentq narrows the bracket to a few ulp; stepping float by float from
-    its answer to the sign change then returns whichever of the two
-    straddling floats has the smaller |f|, so the result does not depend on
-    where brentq stopped, and hence on neither the bracket nor the grid.
+    fa and fb are f(a) and f(b) from the bracketing grid; f is never
+    evaluated at a or b.  brentq narrows the bracket to a few ulp; stepping
+    float by float from its answer to the sign change then returns whichever
+    of the two straddling floats has the smaller |f|, so the result does not
+    depend on where brentq stopped, and hence on neither the bracket nor the
+    grid.
     """
-    x = brentq(f, a, b, xtol=1e-15)
-    fx = f(x)
-    toward = b if (fx > 0) == (f(a) > 0) else a
+    known = {a: fa, b: fb}
+
+    def g(x: float) -> float:
+        return known[x] if x in known else f(x)
+
+    x = brentq(g, a, b, xtol=1e-15)
+    fx = g(x)
+    toward = b if (fx > 0) == (fa > 0) else a
     while fx != 0.0:
         y = math.nextafter(x, toward)
-        fy = f(y)
+        fy = g(y)
         if (fy > 0) != (fx > 0) or fy == 0.0:
             return y if abs(fy) < abs(fx) else x
         x, fx = y, fy
@@ -335,8 +350,9 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     at complex beta, its real part is the resonance centre and |Im| its half
     linewidth.  A secant iteration (the factors are analytic, so no
     derivative bookkeeping is needed) recovers it from a real seed near the
-    resonance, such as the deepest point of a grid of the factor's modulus,
-    or from a complex seed such as a pole continued from a nearby geometry.
+    resonance, such as beta_g or the deepest point of a grid of the factor's
+    modulus, or from a complex seed such as a pole continued from a nearby
+    geometry.
     Returns None when the iteration fails to converge, does not halve the
     seed's residual, or moves Re beta or |Im beta| past max_shift from the
     seed's real part; the caller decides what a rejection means.
@@ -580,11 +596,12 @@ def steer(
     """Run the steering pipeline for each angle, collecting per-angle results.
 
     Stages: beta_g and eta_star always; the unshifted triplet's even/odd
-    resonance pair (at eta_star) when with_modes; EDIT shift tuning when
-    with_edit; notch and outer-pair Q factors when with_q (implies
-    with_edit).  EDIT tuning and its Q factors run at the slab separation
-    eta_edit = slab_guess(beta_g, alpha0_g, m), as in the paper's EDIT
-    construction.  Failures are recorded per angle and do not stop the
+    resonance pair (at eta_star) when with_modes, each pole polished
+    directly from beta_g (no window search; Unresolved when rejected); EDIT
+    shift tuning when with_edit; notch and outer-pair Q factors when with_q
+    (implies with_edit).  EDIT tuning and its Q factors run at the slab
+    separation eta_edit = slab_guess(beta_g, alpha0_g, m), as in the paper's
+    EDIT construction.  Failures are recorded per angle and do not stop the
     sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
     without a symmetry-breaking lateral shift relative to an oblique wave).
     """
@@ -601,11 +618,15 @@ def steer(
             res.eta_star = find_eta_star(res.beta_g, guess, policy, theta_i=theta)
             res.m_eff = res.eta_star * chi0 / math.pi
             if with_modes or with_edit or with_q:
-                window = (res.beta_g - 0.05, res.beta_g + 0.05)
-                res.beta_odd = resonance_beta("odd", res.eta_star, 0.0, window,
-                                              policy, theta_i=theta)
-                res.beta_even = resonance_beta("even", res.eta_star, 0.0, window,
-                                               policy, theta_i=theta)
+                # each pole is polished from beta_g; its reach, 0.06, is the
+                # farthest a window search over beta_g +- 0.05 can return
+                for kind in ("odd", "even"):
+                    pole = _factor_pole(kind, res.beta_g, alpha0_at, res.eta_star,
+                                        0.0, 1.0, policy, max_shift=0.06)
+                    if pole is None:
+                        raise Unresolved(f"no zero of the {kind} factor within reach "
+                                         f"of beta_g = {res.beta_g:.9g}")
+                    setattr(res, f"beta_{kind}", pole.real)
             if (with_edit or with_q):
                 if theta == 0.0:
                     res.error = "EDIT unsupported at normal incidence"

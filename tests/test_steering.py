@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pinstacks import scattering
+from pinstacks import modes, scattering
 from pinstacks.cli import TABLE1_ANGLES_DEG
 from pinstacks.errors import (
     DomainError,
@@ -120,6 +120,38 @@ class TestFindEtaStar:
         from pinstacks.errors import NoUnityTransmittance
         with pytest.raises(NoUnityTransmittance):
             find_eta_star(3.599363, 0.5, theta_i=THETA_30)
+
+
+@pytest.mark.parametrize("deg, beta_g, eta_star", [
+    (0.0, 4.456011789073157, 0.6955998702908188),
+    (30.0, 3.599363462904312, 0.9862400477980744),
+    (60.0, 2.9471596875548824, 2.1286633377919055),
+])
+def test_stage_roots_are_pinned(deg, beta_g, eta_star):
+    # the nearest-float roots; reusing the bracket's grid values in
+    # _nearest_root must not move them by a single bit
+    theta = math.radians(deg)
+    assert find_beta_g(theta) == beta_g
+    assert find_eta_star(beta_g, slab_guess(beta_g, beta_g * math.sin(theta)),
+                         theta_i=theta) == eta_star
+
+
+def test_nearest_root_never_evaluates_the_bracket_ends(monkeypatch):
+    # f(a) and f(b) come from the bracketing grid, which already holds them
+    nearest, brackets = steering._nearest_root, []
+
+    def spy(f, a, b, fa, fb):
+        evaluated = []
+        brackets.append((a, b, evaluated))
+        return nearest(lambda x: evaluated.append(x) or f(x), a, b, fa, fb)
+
+    monkeypatch.setattr(steering, "_nearest_root", spy)
+    beta_g = find_beta_g(THETA_30)
+    find_eta_star(beta_g, slab_guess(beta_g, beta_g * math.sin(THETA_30)),
+                  theta_i=THETA_30)
+    assert len(brackets) == 2
+    for a, b, evaluated in brackets:
+        assert evaluated and a not in evaluated and b not in evaluated
 
 
 def test_mirror_and_pair_conditions_hold_to_rounding():
@@ -415,12 +447,41 @@ class TestSteer:
         assert res.xi_edit is None
 
     def test_both_resonances_at_every_integer_degree(self):
-        # the window search polishes from the deepest grid point, edges
-        # included, so a resonance near a window edge is still found
+        # each pole is polished from beta_g and reaches the zero that the
+        # window search over beta_g +- 0.05 polishes from its deepest point
         degrees = range(61)
         for deg, res in zip(degrees, steer([math.radians(d) for d in degrees])):
             assert res.error is None, f"{deg} deg: {res.error}"
             assert res.beta_even < res.beta_g < res.beta_odd, f"{deg} deg"
+            window = (res.beta_g - 0.05, res.beta_g + 0.05)
+            for kind, found in (("odd", res.beta_odd), ("even", res.beta_even)):
+                searched = resonance_beta(kind, res.eta_star, 0.0, window,
+                                          theta_i=res.theta_i)
+                assert abs(found - searched) <= 4 * math.ulp(searched), f"{deg} deg {kind}"
+
+    def test_resonance_pair_runs_no_window_grid(self, monkeypatch):
+        # without EDIT the pipeline evaluates no 241-point mode-matrix grid
+        searches = _counted(monkeypatch, "_window_search")
+        grids, build = [], modes._mode_matrices
+
+        def counted_build(*args, **kwargs):
+            grids.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(modes, "_mode_matrices", counted_build)
+        monkeypatch.setattr(steering, "_mode_matrices", counted_build)
+        results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
+        assert all(res.error is None and res.beta_odd is not None for res in results)
+        assert searches == [] and grids == []
+
+    def test_rejected_pole_is_recorded(self, monkeypatch):
+        # no grid search stands in for a pole the polish from beta_g missed
+        monkeypatch.setattr(steering, "_factor_pole", lambda *args, **kwargs: None)
+        res, = steer([THETA_30])
+        assert res.error.startswith("Unresolved: ")
+        assert "odd factor" in res.error
+        assert res.beta_odd is None and res.beta_even is None
+        assert res.beta_g is not None and res.eta_star is not None
 
     def test_edit_at_every_oblique_table1_angle(self):
         degrees = TABLE1_ANGLES_DEG[1:]
