@@ -33,7 +33,10 @@ closed form applies, does the long window policy.n_self remain.
 One array kernel, _lattice_sums, evaluates the sum for a vector of
 (alpha0, beta) points against a vector of offsets (x, y), real or complex,
 in numpy passes of at most _CHUNK terms, and returns the (points, offsets)
-values with a light-line mask.  greens is its one-point, one-offset case;
+values with a light-line mask.  It sizes every window itself from its
+TruncationPolicy (policy.window, the one window rule) and guards every real
+input with policy.lightline_tol, so no caller computes a window or can pass
+one that breaks the rule.  greens is its one-point, one-offset case;
 _interaction_matrices builds every pin-interaction matrix of the package
 (scattering systems and the triplet mode matrix) from one kernel call.  A
 value depends only on its own (alpha0, beta, x, y, window): pairs are
@@ -349,18 +352,18 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
     return value, near
 
 
-def _lattice_sums(alpha0, beta, d: float, x, y, windows,
-                  lightline_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_sums(alpha0, beta, d: float, x, y, policy: TruncationPolicy,
+                  n_terms=None) -> tuple[np.ndarray, np.ndarray]:
     """The spectral sum at every (point, offset) pair: the one kernel.
 
-    alpha0 and beta (real or complex), the offsets x and y (real), and the
-    windows broadcast together: points of shape (B, 1) against offsets of
-    shape (P,) give the (B, P) grid.  Each window must come from
-    TruncationPolicy.window, which never falls below the kernel's minimum
-    (the closed-form tail and the light-line guard rely on it).  Returns
-    the values and a light-line mask of that shape, True where a retained
-    order has |chi_n| <= lightline_tol * beta (never without lightline_tol;
-    the guard is for real input).
+    alpha0 and beta (real or complex), the offsets x and y (real) and
+    n_terms broadcast together: points of shape (B, 1) against offsets of
+    shape (P,) give the (B, P) grid.  Each pair's window is
+    policy.window(alpha0, beta, d, x, y, n_terms), which never falls below
+    the kernel's minimum (the closed-form tail and the light-line guard rely
+    on it).  Returns the values and a light-line mask of that shape: on real
+    input True where a retained order has |chi_n| <= policy.lightline_tol *
+    beta; complex input is not guarded (all False).
 
     Each order keeps the analytic continuation of its real-axis branch:
     chi_n = sqrt(beta^2 - alpha_n^2) for orders propagating on the real axis
@@ -374,8 +377,10 @@ def _lattice_sums(alpha0, beta, d: float, x, y, windows,
     The pairs of one window are summed together, _CHUNK terms (pairs times
     orders) per pass.
     """
-    shape = np.shape(windows)
+    windows = policy.window(alpha0, beta, d, x, y, n_terms)
+    shape = np.broadcast(alpha0, beta, x, y, windows).shape
     dtype = np.result_type(alpha0, beta, 1.0)
+    lightline_tol = None if dtype.kind == "c" else policy.lightline_tol
     alpha0, beta, x, y, windows = (_flat(a, shape, t) for a, t in (
         (alpha0, dtype), (beta, dtype), (x, float), (y, float), (windows, int)))
     values = np.empty(len(windows), dtype=complex)
@@ -410,20 +415,6 @@ def _non_finite_error(x: float, y: float) -> NonFiniteValue:
     return NonFiniteValue(
         f"Green's function accumulation not finite at (x={x}, y={y})"
     )
-
-
-def _lattice_sum(alpha0: complex, beta: complex, d: float, x: float, y: float,
-                 n_terms: int, lightline_tol: float | None = None) -> complex:
-    """One value of _lattice_sums; n_terms must come from policy.window.
-
-    With lightline_tol (real input only) raises LightLineProximity when a
-    retained order has |chi_n| <= lightline_tol * beta.
-    """
-    values, near = _lattice_sums(alpha0, beta, d, x, y, np.array([n_terms]),
-                                 lightline_tol)
-    if near[0]:
-        raise _light_line_error(alpha0, beta, lightline_tol)
-    return complex(values[0])
 
 
 def _interaction_matrices(alpha0, beta, d: float, pins,
@@ -462,9 +453,7 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
             first.append(e)
         entry.append(offsets[key])
     xs, ys = dx[first].T, ady[first].T
-    windows = policy.window(alpha0, beta, d, xs, ys)
-    values, near = _lattice_sums(alpha0, beta, d, xs, ys, windows,
-                                 policy.lightline_tol)
+    values, near = _lattice_sums(alpha0, beta, d, xs, ys, policy)
     failed = near | ~np.isfinite(values)
     for k in np.nonzero(failed.any(axis=1))[0].tolist():
         e = next(e for e, p in enumerate(entry) if failed[k, p])
@@ -520,9 +509,10 @@ def greens(
     lightline_tol * beta of its light line, NonFiniteValue if the
     accumulation is not finite.
     """
-    n_terms = policy.window(point.alpha0, point.beta, point.d, x, y, n_terms)
-    value = _lattice_sum(point.alpha0, point.beta, point.d, x, y, n_terms,
-                         policy.lightline_tol)
+    value, near = _lattice_sums(point.alpha0, point.beta, point.d, x, y, policy, n_terms)
+    if near:
+        raise _light_line_error(point.alpha0, point.beta, policy.lightline_tol)
+    value = complex(value)
     if not cmath.isfinite(value):
         raise _non_finite_error(x, y)
     return value

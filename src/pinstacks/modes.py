@@ -29,6 +29,8 @@ M is the pin-interaction matrix of the pins in (top, centre, bottom) order,
 built by the same greens._interaction_matrices as every scattering system:
 four lattice sums per point, for a whole beta vector in one call.  assemble
 is its one-point case; dispersion_grid builds one alpha0 column per call.
+_factor_complex continues either dispersion factor to complex beta, from the
+same entry offsets, for steering's pole searches.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFormula
-from .greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, _interaction_matrices
+from .greens import (DEFAULT_POLICY, SpectralPoint, TruncationPolicy, _interaction_matrices,
+                     _lattice_sums)
 
 # below this magnitude the eigenvector formula 1/M12 is meaningless
 _M12_FLOOR = 1e-300
@@ -136,9 +139,9 @@ class CoincidenceReport:
     defective_basis: np.ndarray | None
 
 
-def _mode_matrices(alpha0, beta, geometry: StackGeometry, d: float,
+def _mode_matrices(alpha0, beta, geometry: StackGeometry,
                    policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
-    """Triplet mode matrices at every (alpha0, beta) for lattice period d.
+    """Triplet mode matrices at every (alpha0, beta), for the geometry's period.
 
     The pin-interaction matrix of the pins in (top, centre, bottom) order
     is the mode matrix: M11, M13 sit on the column x = 0, where the kernel
@@ -147,7 +150,24 @@ def _mode_matrices(alpha0, beta, geometry: StackGeometry, d: float,
     """
     eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
     pins = ((0.0, eta_d), (xi_d, 0.0), (0.0, -eta_d))
-    return _interaction_matrices(alpha0, beta, d, pins, policy)
+    return _interaction_matrices(alpha0, beta, geometry.d, pins, policy)
+
+
+def _factor_complex(kind: str, a0: complex, beta: complex, geometry: StackGeometry,
+                    policy: TruncationPolicy) -> complex:
+    """One dispersion factor continued to complex beta (no light-line guard).
+
+    Its entries (M11, M13) or (M11, M13, M12, M21) come from one kernel call.
+    """
+    eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
+    count = 2 if kind == "odd" else 4
+    xs = [0.0, 0.0, -xi_d, xi_d][:count]
+    ys = [0.0, 2.0 * eta_d, eta_d, eta_d][:count]
+    values, _ = _lattice_sums(a0, beta, geometry.d, np.array(xs), np.array(ys), policy)
+    m11, m13, *off = values.tolist()
+    if kind == "odd":
+        return m11 - m13
+    return 2.0 * off[0] * off[1] - m11 * (m11 + m13)
 
 
 def assemble(
@@ -159,10 +179,13 @@ def assemble(
 
     Every entry uses the short window: the diagonal and M13 sit on the
     column x = 0, where the kernel adds the closed-form tail; M12 and M21
-    sit off the source line.
+    sit off the source line.  Raises ValueError when point and geometry
+    have different periods.
     """
-    entries, (error,) = _mode_matrices([point.alpha0], [point.beta], geometry,
-                                       point.d, policy)
+    if point.d != geometry.d:
+        raise ValueError(f"point period d = {point.d} differs from the "
+                         f"geometry's d = {geometry.d}")
+    entries, (error,) = _mode_matrices([point.alpha0], [point.beta], geometry, policy)
     if error is not None:
         raise error
     return ModeMatrix(entries=entries[0], point=point, geometry=geometry)
@@ -341,8 +364,7 @@ def dispersion_grid(
     betas = [float(b) for b in beta_values]
     rows = []
     for a0 in map(float, alpha0_values):
-        entries, errors = _mode_matrices([a0] * len(betas), betas, geometry,
-                                         geometry.d, policy)
+        entries, errors = _mode_matrices([a0] * len(betas), betas, geometry, policy)
         log_odd, log_even = (_log10(m).tolist() for m in _factor_moduli(entries))
         for b, error, log_odd, log_even in zip(betas, errors, log_odd, log_even):
             row = {"alpha0": a0, "beta": b}

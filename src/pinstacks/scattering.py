@@ -46,6 +46,8 @@ from .greens import (
 )
 
 _COND_LIMIT = 1e14
+_MIN_STEP = 1e-12        # spectrum_scan refines no beta step below this
+_MAX_POINTS = 200_000    # spectrum_scan's refinement stops at this many points
 
 
 @dataclass(frozen=True)
@@ -434,15 +436,13 @@ def spectrum_scan(
     policy: TruncationPolicy = DEFAULT_POLICY,
     refine: bool = False,
     refine_jump: float = 0.1,
-    min_step: float = 1e-12,
-    max_points: int = 200_000,
 ) -> list[SpectrumRecord]:
     """Scan transmittance over beta, optionally refining sharp features.
 
     A uniform grid of resolution points over beta_range goes through scan,
     with the incidence as there.  With refine=True, intervals where
     |Delta T| > refine_jump are bisected until the jump falls below the
-    threshold or the beta step reaches min_step.
+    threshold or the beta step reaches 1e-12, up to 200,000 points.
     """
     opts = {"theta_i": theta_i, "alpha0": alpha0, "policy": policy}
     lo, hi = beta_range
@@ -453,9 +453,9 @@ def spectrum_scan(
     if refine:
         work = [(float(betas[i]), float(betas[i + 1]))
                 for i in range(len(betas) - 1)]
-        while work and len(records) < max_points:
+        while work and len(records) < _MAX_POINTS:
             b_lo, b_hi = work.pop()
-            if b_hi - b_lo <= 2.0 * min_step:
+            if b_hi - b_lo <= 2.0 * _MIN_STEP:
                 continue
             t_lo, t_hi = records[b_lo].T, records[b_hi].T
             if math.isnan(t_lo) or math.isnan(t_hi):

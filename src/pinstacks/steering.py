@@ -13,8 +13,9 @@ spectrum develops an extremely narrow notch splitting a full-transmission
 peak (Elasto-Dynamically Inhibited Transmission).
 
 Resonances are the complex zeros (poles of the response) of the two
-dispersion factors of the mode matrix (the factors of det M).  steer
-polishes the unshifted triplet's even and odd zeros directly from beta_g.
+dispersion factors of the mode matrix (the factors of det M, continued by
+modes._factor_complex).  steer polishes the unshifted triplet's even and
+odd zeros directly from beta_g, and those at the EDIT point from beta_edit.
 The window search (a batched grid of the factor's modulus over a beta
 window, the zero polished from its deepest point) serves only
 resonance_beta and stage 3: find_xi_edit runs it to seed the even zero,
@@ -55,13 +56,18 @@ from .greens import (
     _lattice_sums,
     greens,
 )
-from .modes import StackGeometry, _factor_moduli, _mode_matrices
+from .modes import StackGeometry, _factor_complex, _factor_moduli, _mode_matrices
 from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, scan,
                          single_grating_reflectance, spectrum_scan, transmittance)
 
 _R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
 _T_TOL = 1e-8    # 1 - T_pair at eta*
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
+_BETA_WINDOW_HALFWIDTH = 0.05   # find_xi_edit's window searches, beta +- this
+# How far a pole polished from a nearby real seed (beta_g, beta_edit) may
+# move: the farthest a window search over beta_g +- 0.05 can return.
+_POLE_REACH = 0.06
+_MAX_ZOOM = 60    # feature_scan's window rescans before it gives up
 
 
 @dataclass
@@ -146,8 +152,8 @@ def find_beta_g(
         """Re G(0, 0) at each beta, from one builder call."""
         entries, errors = _interaction_matrices([alpha0_at(b) for b in betas], betas,
                                                 1.0, [(0.0, 0.0)], policy)
-        for error in errors:   # the first failure in grid order
-            _raise_failed(error)
+        for error in filter(None, errors):   # the first failure in grid order
+            raise error
         return entries[:, 0, 0].real
 
     grid = np.linspace(lo, hi, coarse).tolist()
@@ -209,8 +215,7 @@ def find_eta_star(
     def condition(etas):
         """Re G(0, eta d) - Re G(0, 0) cos(chi_0 eta d), zero where T_pair = 1."""
         ys = np.multiply(etas, point.d)
-        values, _ = _lattice_sums(a0, beta_g, point.d, 0.0, ys,
-                                  policy.window(a0, beta_g, point.d, 0.0, ys))
+        values, _ = _lattice_sums(a0, beta_g, point.d, 0.0, ys, policy)
         return values.real - re_m11 * np.cos(chi0 * ys)
 
     for spread in (0.1, 0.2):
@@ -304,40 +309,12 @@ def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i
     lo, hi = beta_window
     betas = np.linspace(lo, hi, coarse).tolist()
     entries, errors = _mode_matrices([alpha0_at(b) for b in betas], betas,
-                                     geometry, d, policy)
-    for error in errors:   # the first failure in grid order
-        _raise_failed(error)
+                                     geometry, policy)
+    for error in filter(None, errors):   # the first failure in grid order
+        raise error
     seed = betas[int(np.argmin(_factor_moduli(entries)[0 if kind == "odd" else 1]))]
-    pole = _factor_pole(kind, seed, alpha0_at, eta, xi, d, policy,
-                        max_shift=_polish_reach(beta_window))
-    if pole is None:
-        raise Unresolved(
-            f"no zero of the {kind} factor within reach of beta = {seed:.9g} "
-            f"in ({lo:g}, {hi:g})"
-        )
-    return pole
-
-
-def _factor_complex(kind: str, a0: complex, beta: complex, eta: float,
-                    xi: float, d: float, policy: TruncationPolicy) -> complex:
-    """One dispersion factor continued to complex beta (no light-line guard).
-
-    Its 2 (odd) or 4 (even) entries come from one kernel call.
-    """
-    xs = np.array([0.0, 0.0, -xi * d, xi * d][:2 if kind == "odd" else 4])
-    ys = np.array([0.0, 2.0 * eta * d, eta * d, eta * d][:len(xs)])
-    values, _ = _lattice_sums(a0, beta, d, xs, ys, policy.window(a0, beta, d, xs, ys))
-    m11, m13, *off = values.tolist()
-    if kind == "odd":
-        return m11 - m13
-    return 2.0 * off[0] * off[1] - m11 * (m11 + m13)
-
-
-def _raise_failed(result):
-    """result, unless it is an exception (then raised)."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _polished_pole(kind, seed, alpha0_at, eta, xi, d, policy,
+                          _polish_reach(beta_window), f"beta = {seed:.9g} in ({lo:g}, {hi:g})")
 
 
 def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], complex],
@@ -359,8 +336,10 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     alpha0_at is the incidence's _alpha0_rule.
     """
 
+    geometry = StackGeometry(eta=eta, xi=xi, d=d)
+
     def f(beta: complex) -> complex:
-        return _factor_complex(kind, alpha0_at(beta), beta, eta, xi, d, policy)
+        return _factor_complex(kind, alpha0_at(beta), beta, geometry, policy)
 
     seed = complex(beta0)
     z0, z1 = seed, seed + 1e-7
@@ -384,6 +363,14 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     return complex(z1)
 
 
+def _polished_pole(kind, seed, alpha0_at, eta, xi, d, policy, max_shift, where) -> complex:
+    """_factor_pole's zero, or Unresolved naming the parity and where the seed is."""
+    pole = _factor_pole(kind, seed, alpha0_at, eta, xi, d, policy, max_shift)
+    if pole is None:
+        raise Unresolved(f"no zero of the {kind} factor within reach of {where}")
+    return pole
+
+
 def find_xi_edit(
     theta_i: float,
     beta_g: float,
@@ -391,9 +378,7 @@ def find_xi_edit(
     xi_bracket: tuple[float, float] = (0.15, 0.30),
     policy: TruncationPolicy = DEFAULT_POLICY,
     *,
-    beta_window_halfwidth: float = 0.05,
     xi_step: float = 1e-3,
-    merge_tol: float = _MERGE_TOL,
 ) -> tuple[float, float]:
     """Stage 3: central-grating shift merging the even resonance into the odd.
 
@@ -406,17 +391,18 @@ def find_xi_edit(
     the first step and wherever the continued secant is rejected (the track
     then restarts from the zero that search polished).  A sign change of the gap
     beta_even - beta_odd is closed by bisection on resonance_beta itself.
-    Returns (xi_edit, beta_edit) with |beta_even(xi_edit) - beta_odd| <=
-    merge_tol.
+    The window searches span beta +- 0.05, around beta_g for the odd
+    resonance and around beta_odd for the even one.  Returns (xi_edit,
+    beta_edit) with |beta_even(xi_edit) - beta_odd| <= 1e-7.
 
     Raises ModesDidNotMerge (reporting the closest approach) when the gap
     never changes sign over the bracket.
     """
-    window = (beta_g - beta_window_halfwidth, beta_g + beta_window_halfwidth)
+    window = (beta_g - _BETA_WINDOW_HALFWIDTH, beta_g + _BETA_WINDOW_HALFWIDTH)
     beta_odd = resonance_beta("odd", eta_star, 0.0, window,
                               policy, theta_i=theta_i)
-    even_window = (beta_odd - beta_window_halfwidth,
-                   beta_odd + beta_window_halfwidth)
+    even_window = (beta_odd - _BETA_WINDOW_HALFWIDTH,
+                   beta_odd + _BETA_WINDOW_HALFWIDTH)
     alpha0_at = _alpha0_rule(theta_i, None)
     track: list[tuple[float, complex]] = []   # (xi, even pole) of the scan steps
 
@@ -453,7 +439,7 @@ def find_xi_edit(
             xi_edit = brentq(gap, float(x) - (hi - lo) / (n_steps - 1), float(x),
                              xtol=1e-9)
             residual_gap = abs(gap(xi_edit))
-            if residual_gap > merge_tol:
+            if residual_gap > _MERGE_TOL:
                 raise ModesDidNotMerge(
                     f"bisection left |beta_even - beta_odd| = {residual_gap:.3e}"
                 )
@@ -530,7 +516,6 @@ def feature_scan(
     theta_i: float | None = None,
     alpha0: float | None = None,
     points: int = 1001,
-    max_zoom: int = 60,
 ) -> list[SpectrumRecord]:
     """Zoom onto a spectral feature until its half-width is well resolved.
 
@@ -542,7 +527,7 @@ def feature_scan(
     window that fails to evaluate raises Unresolved.
     """
     center0 = center
-    for _ in range(max_zoom):
+    for _ in range(_MAX_ZOOM):
         # anchor the give-up test to the starting point so neither a boundary
         # extremum nor a drifting baseline minimum can walk the window
         # arbitrarily far from the requested feature
@@ -599,11 +584,14 @@ def steer(
     resonance pair (at eta_star) when with_modes, each pole polished
     directly from beta_g (no window search; Unresolved when rejected); EDIT
     shift tuning when with_edit; notch and outer-pair Q factors when with_q
-    (implies with_edit).  EDIT tuning and its Q factors run at the slab
-    separation eta_edit = slab_guess(beta_g, alpha0_g, m), as in the paper's
-    EDIT construction.  Failures are recorded per angle and do not stop the
-    sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
-    without a symmetry-breaking lateral shift relative to an oblique wave).
+    (implies with_edit), from both poles polished from beta_edit: the darker
+    labels the notch, 12 half-linewidths of the brighter size the envelope
+    scan (Unresolved when either is rejected).  EDIT tuning and its Q
+    factors run at the slab separation eta_edit = slab_guess(beta_g,
+    alpha0_g, m), as in the paper's EDIT construction.  Failures are
+    recorded per angle and do not stop the sweep.  EDIT tuning is skipped at
+    normal incidence (no even/odd merging without a symmetry-breaking
+    lateral shift relative to an oblique wave).
     """
     results = []
     for theta in theta_list:
@@ -618,14 +606,10 @@ def steer(
             res.eta_star = find_eta_star(res.beta_g, guess, policy, theta_i=theta)
             res.m_eff = res.eta_star * chi0 / math.pi
             if with_modes or with_edit or with_q:
-                # each pole is polished from beta_g; its reach, 0.06, is the
-                # farthest a window search over beta_g +- 0.05 can return
                 for kind in ("odd", "even"):
-                    pole = _factor_pole(kind, res.beta_g, alpha0_at, res.eta_star,
-                                        0.0, 1.0, policy, max_shift=0.06)
-                    if pole is None:
-                        raise Unresolved(f"no zero of the {kind} factor within reach "
-                                         f"of beta_g = {res.beta_g:.9g}")
+                    pole = _polished_pole(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
+                                          1.0, policy, _POLE_REACH,
+                                          f"beta_g = {res.beta_g:.9g}")
                     setattr(res, f"beta_{kind}", pole.real)
             if (with_edit or with_q):
                 if theta == 0.0:
@@ -635,31 +619,25 @@ def steer(
                 res.xi_edit, res.beta_edit = find_xi_edit(
                     theta, res.beta_g, res.eta_edit, policy=policy)
                 if with_q:
-                    # the merged resonance is the notch centre; label it by
-                    # the parity whose pole is darker (smaller |Im|)
-                    poles = {
-                        k: _factor_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
-                                        res.xi_edit, 1.0, policy, max_shift=1e-3)
-                        for k in ("odd", "even")
-                    }
-                    live = {k: z for k, z in poles.items() if z is not None}
-                    notch_kind = (min(live, key=lambda k: abs(live[k].imag))
-                                  if live else "unknown")
+                    # the merged resonance is the notch centre, labelled by
+                    # the darker pole (smaller |Im|)
+                    poles = {k: _polished_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
+                                               res.xi_edit, 1.0, policy, _POLE_REACH,
+                                               f"beta_edit = {res.beta_edit:.9g}")
+                             for k in ("odd", "even")}
+                    dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
                     triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
                     notch = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
                                          policy, theta_i=theta)
-                    res.q_notch = q_factor(notch, "notch", kind=notch_kind).q
+                    res.q_notch = q_factor(notch, "notch", kind=dark).q
                     # The broad envelope the notch splits is the outer-pair
                     # cavity mode; its half-linewidth comes from the bright
                     # pole.  An even point count keeps the needle at the
                     # window centre from puncturing the envelope samples.
-                    bright_kind = (max(live, key=lambda k: abs(live[k].imag))
-                                   if live else "even")
-                    bright = live.get(bright_kind)
-                    hw = 12.0 * abs(bright.imag) if bright is not None else 1e-4
+                    hw = 12.0 * abs(poles[bright].imag)
                     env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
                                         theta_i=theta, resolution=2000, policy=policy)
-                    res.q_pair = q_factor(env, "peak", kind=bright_kind).q
+                    res.q_pair = q_factor(env, "peak", kind=bright).q
         except Exception as exc:  # noqa: BLE001 - per-angle failures recorded
             res.error = f"{type(exc).__name__}: {exc}"
     return results

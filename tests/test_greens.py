@@ -13,7 +13,7 @@ from pinstacks.greens import (
     SpectralPoint,
     TruncationPolicy,
     _interaction_matrices,
-    _lattice_sum,
+    _lattice_sums,
     greens,
     order_quantities,
     propagating_orders,
@@ -174,6 +174,16 @@ def test_light_line_guard():
         greens(SpectralPoint(0.0, TWO_PI), 0.1, 0.7)
 
 
+def test_kernel_guards_real_input_only():
+    # the kernel applies the policy's guard itself; the pole searches'
+    # complex points follow the factors across the light lines unguarded
+    ys = np.array([0.0, 0.7])
+    _, near = _lattice_sums(0.0, TWO_PI, 1.0, 0.0, ys, DEFAULT_POLICY)
+    assert near.tolist() == [True, True]
+    values, near = _lattice_sums(0.0, complex(TWO_PI, -1e-3), 1.0, 0.0, ys, DEFAULT_POLICY)
+    assert near.tolist() == [False, False] and np.isfinite(values).all()
+
+
 def test_window_defaults_follow_evaluation_site():
     p = SpectralPoint(0.4, 3.0)
     on_line = greens(p, 0.2, 0.0)
@@ -213,8 +223,8 @@ def _plain_self_term(alpha0: complex, beta: complex) -> complex:
 
 
 def _self_term(alpha0: complex, beta: complex) -> complex:
-    return _lattice_sum(alpha0, beta, 1.0, 0.0, 0.0,
-                        DEFAULT_POLICY.window(alpha0, beta, 1.0, 0.0, 0.0))
+    values, _ = _lattice_sums(alpha0, beta, 1.0, 0.0, 0.0, DEFAULT_POLICY)
+    return complex(values)
 
 
 def test_default_self_term_matches_mpmath():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from pinstacks.errors import DegenerateFormula
-from pinstacks.greens import SpectralPoint
+from pinstacks.greens import DEFAULT_POLICY, SpectralPoint
 from pinstacks.modes import (
     ModeMatrix,
     StackGeometry,
+    _factor_complex,
     assemble,
     coincidence_conditions,
     determinant,
@@ -56,6 +57,25 @@ def _random_assembled(rng: np.random.Generator) -> ModeMatrix:
 def test_stack_geometry_validation():
     with pytest.raises(ValueError):
         StackGeometry(eta=0.0)
+
+
+def test_assemble_refuses_mixed_periods():
+    # the sums and the pin layout must share one period
+    with pytest.raises(ValueError, match="period"):
+        assemble(SpectralPoint(1.2, 3.0, d=2.0), StackGeometry(eta=1.0, xi=0.25, d=1.0))
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+def test_factor_complex_is_the_assembled_factor(d):
+    # the pole searches' factors use the mode matrix's entries bit for bit
+    point = SpectralPoint(1.808735, 3.61747, d=d)
+    geometry = StackGeometry(eta=1.0, xi=0.252, d=d)
+    m = assemble(point, geometry)
+    m11, m12, m13, m21 = (complex(v) for v in (m.m11, m.m12, m.m13, m.m21))
+    assert _factor_complex("odd", point.alpha0, point.beta, geometry,
+                           DEFAULT_POLICY) == m11 - m13
+    assert _factor_complex("even", point.alpha0, point.beta, geometry,
+                           DEFAULT_POLICY) == 2.0 * m12 * m21 - m11 * (m11 + m13)
 
 
 def test_matrix_structure():

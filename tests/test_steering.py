@@ -316,6 +316,26 @@ def test_rejected_continuation_falls_back_to_the_same_result(inputs_60, monkeypa
     assert len(searches) > 50          # every scan step fell back
 
 
+def test_edit60_result_bits_are_pinned(inputs_60):
+    # The 60-degree EDIT pass with its notch and envelope Q, pinned to the
+    # bit.  A refactor that claims to leave every result unchanged must
+    # pass this; an intended change updates these values and says why.
+    # max |R + T - 1| sits at rounding level, so it jumps with the last
+    # bits of its inputs and shows any such change at once.
+    theta, beta_g, eta = inputs_60
+    xi_edit, beta_edit = find_xi_edit(theta, beta_g, eta)
+    stack = PinStack.triplet(eta, xi_edit)
+    q_notch = q_factor(feature_scan(stack, beta_edit, 1e-7, "notch", theta_i=theta),
+                       "notch").q
+    envelope = spectrum_scan(stack, (beta_edit - 1.2e-4, beta_edit + 1.2e-4),
+                             theta_i=theta, resolution=2000)
+    residual = max(r.energy_residual for r in envelope if r.error is None)
+    assert (beta_g, eta, xi_edit, beta_edit, q_notch, q_factor(envelope, "peak").q,
+            residual) == (2.9471596875548824, 2.1319459999781842, 0.247771426660849,
+                          2.947171960007326, 13316347097.81303, 150857.24852839397,
+                          2.6968649535774603e-11)
+
+
 def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
     # the first scan step, the bisection and its residual check; the scan
     # itself continues the pole (a search at every step would make 106)
@@ -482,6 +502,29 @@ class TestSteer:
         assert "odd factor" in res.error
         assert res.beta_odd is None and res.beta_even is None
         assert res.beta_g is not None and res.eta_star is not None
+
+    @pytest.mark.parametrize("deg", [9.0, 30.0, 36.0])
+    def test_q_where_the_bright_pole_is_broad(self, deg):
+        # envelope Q below ~1,800: the bright pole's |Im beta| passes 1e-3,
+        # and the polish from beta_edit must still reach it
+        res, = steer([math.radians(deg)], with_q=True)
+        assert res.error is None, f"{deg} deg: {res.error}"
+        assert res.q_notch > 1e5 and 500 < res.q_pair < 2000
+
+    def test_rejected_q_pole_is_recorded(self, monkeypatch):
+        # a pole at the EDIT point that the polish misses stops the Q stage
+        polish = steering._factor_pole
+
+        def reject_at_edit(kind, beta0, alpha0_at, eta, xi, d, policy, max_shift):
+            if xi != 0.0 and max_shift == steering._POLE_REACH and kind == "even":
+                return None
+            return polish(kind, beta0, alpha0_at, eta, xi, d, policy, max_shift)
+
+        monkeypatch.setattr(steering, "_factor_pole", reject_at_edit)
+        res, = steer([math.radians(60.0)], with_q=True)
+        assert res.error.startswith("Unresolved: no zero of the even factor "
+                                    "within reach of beta_edit = ")
+        assert res.beta_edit is not None and res.q_notch is None
 
     def test_edit_at_every_oblique_table1_angle(self):
         degrees = TABLE1_ANGLES_DEG[1:]
