@@ -149,11 +149,11 @@ def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
                             "theta re-derived per beta along scans)")
     p.add_argument("--n-self", type=int, default=DEFAULT_POLICY.n_self,
                    help="on-line window where no closed-form tail applies "
-                        "(y = 0, x != 0; default %(default)s)")
+                        "(y = 0, x != 0), the cap off x = 0 (default %(default)s)")
     p.add_argument("--n-far", type=int, default=DEFAULT_POLICY.n_far,
-                   help="window everywhere else: off the source line, and "
-                        "at x = 0 plus the closed-form tail "
-                        "(default %(default)s)")
+                   help="window at x = 0 plus the closed-form tail, the least "
+                        "off it (grown as |y| -> 0 until exp(-|alpha_n| |y|) "
+                        "< exp(-40) past it; default %(default)s)")
     p.add_argument("--out", help="write output to this file (and echo the "
                                  "config to <out>.config.json)")
     p.add_argument("--format", choices=list(formats), default=formats[0],

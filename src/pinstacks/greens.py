@@ -27,8 +27,9 @@ Linton, SIAM Rev. 52, 2010): their paired terms expand in odd powers of
 beta^2 / alpha_n^2, and the kept terms, damped by exp(-|alpha_n| |y|), sum to
 Hurwitz-zeta-like series evaluated by Euler-Maclaurin for real or complex
 (alpha0, beta).  A 20-order window then gives G(0, y) to rounding at every
-y, continuously as y -> 0.  Only on the source line at x != 0, where no
-closed form applies, does the long window policy.n_self remain.
+y, continuously as y -> 0.  Off the column, with no closed form, the window
+reaches the order exp(-|alpha_n| |y|) damps below exp(-40): 20 orders at
+|y| >~ 0.3 d, up to the long window policy.n_self on the source line.
 
 One array kernel, _lattice_sums, evaluates the sum for a vector of
 (alpha0, beta) points against a vector of offsets (x, y), real or complex,
@@ -38,9 +39,10 @@ TruncationPolicy (policy.window, the one window rule) and guards every real
 input with policy.lightline_tol, so no caller computes a window or can pass
 one that breaks the rule.  greens is its one-point, one-offset case;
 _interaction_matrices builds every pin-interaction matrix of the package
-(scattering systems and the triplet mode matrix) from one kernel call.  A
-value depends only on its own (alpha0, beta, x, y, window): pairs are
-grouped by window, and every complex product keeps its operand order
+(scattering systems and the triplet mode matrix), one stack at a whole
+vector of points, from one kernel call.  A value depends only on its own
+(alpha0, beta, x, y, window): pairs are grouped by window, and every
+complex product keeps its operand order
 (numpy may turn ``a * temporary`` into an in-place product with swapped
 operands on large arrays, which rounds differently), so a point's value is
 the same whatever its batch-mates, batch size or pass.
@@ -107,13 +109,13 @@ class OrderQuantities:
 class TruncationPolicy:
     """Symmetric truncation window n in [-N, N] plus the light-line guard.
 
-    n_far is the window wherever the sum converges fast: off the source line,
-    where the evanescent factors cut it off, and on the column x = 0 at any
-    y, where the orders past the window enter through a closed-form Kummer
-    tail.  n_self is the window only on the source line at x != 0
-    (y = 0), where no closed form exists and the pairwise-combined terms
-    decay cubically.  No window falls below the kernel's minimum (see
-    window).  Evaluation refuses any point where a retained order satisfies
+    n_far is the window on the column x = 0 at any y, where the orders past
+    it enter through a closed-form Kummer tail, and the least one off it,
+    where orders die as exp(-|alpha_n| |y|) and the window grows as |y|
+    shrinks up to n_self: the window on the source line at x != 0 (y = 0),
+    where no closed form exists and the pairwise-combined terms decay
+    cubically.  No window falls below the kernel's minimum (see window).
+    Evaluation refuses any point where a retained order satisfies
     |chi_n| <= lightline_tol * beta.
     """
 
@@ -130,18 +132,22 @@ class TruncationPolicy:
     def window(self, alpha0, beta, d: float, x, y, n_terms=None):
         """The window N the kernel sums at (x, y) for this (alpha0, beta, d).
 
-        n_terms if given, else n_self on the source line at x != 0 and n_far
-        everywhere else; raised to the smallest window past which every
-        order is evanescent with |alpha_n| >= 4 |beta| (at x = 0, where
+        n_terms if given; else n_far on the column x = 0, and off it
+        N >= (40 / |y| + |alpha0|) d / 2 pi, past which exp(-|alpha_n| |y|)
+        < exp(-40), floored at n_far and capped at n_self (its y -> 0
+        limit, the source line); raised to the smallest window past which
+        every order is evanescent with |alpha_n| >= 4 |beta| (at x = 0, where
         the closed-form tail needs it, 16 |beta| and Hurwitz arguments of
         at least 10).  Scalars give an int; arrays broadcast together give
         an integer array.
         """
+        least = _min_window(alpha0, beta, d, x)       # raises on NaN input
         if n_terms is None:
-            on_line = (y == 0.0) & (x != 0.0)
-            n_terms = self.n_far + (self.n_self - self.n_far) * on_line
-        window = np.maximum(n_terms, _min_window(alpha0, beta, d, x))
-        return int(window) if np.ndim(window) == 0 else window
+            # + 1e-300 leaves any |y| > 1e-284 as it is; y = 0 gets the cap, not 40 / 0
+            damped = np.ceil((_DAMPING_CUTOFF / (abs(y) + 1e-300) + abs(alpha0)) * (d / TWO_PI))
+            n_terms = np.where(x == 0.0, self.n_far, damped.clip(self.n_far, self.n_self))
+        window = np.maximum(n_terms, least)
+        return int(window) if np.ndim(window) == 0 else window.astype(int)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -422,45 +428,36 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
                           ) -> tuple[np.ndarray, list[Exception | None]]:
     """G(a_m - a_j) between the pins a_m at every (alpha0, beta): the one builder.
 
-    alpha0 and beta are real, shape (B,); pins are (x, y) positions
-    (lengths, not units of d) of shape (n, 2), shared by every point, or
-    (B, n, 2), one stack per point; d is the lattice period.  Entries whose
-    offsets agree at every point share one sum, and G(x, -y) = G(x, y)
-    makes mirror entries agree: the diagonal is one sum and a triplet needs
-    4, not 9, all from one kernel call.  Returns the (B, n, n) matrices and
-    per point None or the exception evaluating it raises: _point_errors'
-    for a point the kernel cannot size (its matrix is NaN), else greens'
-    at the first failing entry in row-major order (LightLineProximity,
-    NonFiniteValue).
+    alpha0 and beta are real, shape (B,); pins are the (x, y) positions
+    (lengths, not units of d) of one stack, shape (n, 2), shared by every
+    point; d is the lattice period.  Entries with the same (x, |y|) offset
+    share one sum, since G(x, -y) = G(x, y): the diagonal is one sum and a
+    triplet needs 4, not 9, all from one kernel call.  Returns the
+    (B, n, n) matrices and per point None or the exception evaluating it
+    raises: _point_errors' for a point the kernel cannot size (its matrix is
+    NaN), else greens' at the first failing entry in row-major order
+    (LightLineProximity, NonFiniteValue).
     """
     errors = _point_errors(alpha0, beta, d)
     ok = [i for i, error in enumerate(errors) if error is None]
     alpha0 = np.asarray(alpha0, dtype=float)[ok, None]
     beta = np.asarray(beta, dtype=float)[ok, None]
-    pins = np.asarray(pins, dtype=float)
-    pins = pins[ok] if pins.ndim == 3 else pins
-    n = pins.shape[-2]
-    # entry (m, j) of every point as row m n + j, signed y kept for messages
-    dx = (pins[..., :, None, 0] - pins[..., None, :, 0]).reshape(-1, n * n).T
-    dy = (pins[..., :, None, 1] - pins[..., None, :, 1]).reshape(-1, n * n).T
-    ady = np.abs(dy)
-    offsets: dict[tuple[bytes, bytes], int] = {}
-    first: list[int] = []           # the first entry of each offset
-    entry = []
-    for e, key in enumerate(zip(map(np.ndarray.tobytes, dx), map(np.ndarray.tobytes, ady))):
-        if key not in offsets:
-            offsets[key] = len(first)
-            first.append(e)
-        entry.append(offsets[key])
-    xs, ys = dx[first].T, ady[first].T
+    pins = np.asarray(pins, dtype=float).reshape(-1, 2)
+    n = len(pins)
+    # entry (m, j) as m n + j, signed y kept for messages
+    dx = (pins[:, None, 0] - pins[None, :, 0]).ravel()
+    dy = (pins[:, None, 1] - pins[None, :, 1]).ravel()
+    offsets: dict[tuple[float, float], int] = {}
+    entry = [offsets.setdefault((x, abs(y)), len(offsets))
+             for x, y in zip(dx.tolist(), dy.tolist())]
+    xs, ys = np.array(list(offsets), dtype=float).reshape(-1, 2).T
     values, near = _lattice_sums(alpha0, beta, d, xs, ys, policy)
     failed = near | ~np.isfinite(values)
     for k in np.nonzero(failed.any(axis=1))[0].tolist():
         e = next(e for e, p in enumerate(entry) if failed[k, p])
         errors[ok[k]] = (
             _light_line_error(alpha0[k, 0], beta[k, 0], policy.lightline_tol)
-            if near[k, entry[e]]
-            else _non_finite_error(dx[e, k % dx.shape[1]], dy[e, k % dy.shape[1]]))
+            if near[k, entry[e]] else _non_finite_error(dx[e], dy[e]))
     matrices = np.full((len(errors), n, n), np.nan, dtype=complex)
     matrices[ok] = values[:, entry].reshape(len(ok), n, n)
     return matrices, errors
@@ -500,9 +497,9 @@ def greens(
 
     The source row sits at y = 0 with one source per period at x = 0.  The
     truncation window is policy.window(...): policy.n_far, plus the
-    closed-form tail at x = 0, except on the source line at x != 0 (y = 0,
-    where the pairwise-combined terms decay only cubically), which takes
-    policy.n_self; n_terms overrides both, and no window falls below the
+    closed-form tail at x = 0; off it, from n_far to n_self (the source
+    line, where the pairwise-combined terms decay only cubically) as |y|
+    shrinks.  n_terms overrides the rule; no window falls below the
     kernel's minimum.
 
     Raises LightLineProximity when any retained order is within

@@ -18,13 +18,15 @@ Energies are flux-normalized per order by chi_n / chi_0, so that the balance
 sum_n (R_n + T_n) = 1 holds for the lossless pins; its residual is carried on
 every spectrum record as a built-in accuracy check.
 
-The pin-interaction matrices of a whole batch of waves come from one call
-of greens._interaction_matrices (each distinct pin offset summed once), the
-condition test and the solve run on the (B, n, n) stack, and the amplitudes
-are vectorised over waves and orders.  scan sweeps beta at a fixed angle or
-Bloch parameter this way in one call; spectrum_scan and the steering stages
-build on it.  scatter is the one-wave case of the same path, so a scan
-record equals scatter's record at its beta exactly.
+The batching contract is one stack, many waves.  The pin-interaction
+matrices of every wave come from one call of greens._interaction_matrices
+(each distinct pin offset summed once), whose per-wave errors are the one
+validation pass; every system, 1x1 included, faces the same condition test
+(SingularSystem past 1e14), the rest solve as one (B, n, n) stack, and the
+amplitudes are vectorised over waves and orders.  scan sweeps beta at a
+fixed angle or Bloch parameter this way in one call; spectrum_scan and the
+steering stages build on it.  scatter is the one-wave case of the same
+path, so a scan record equals scatter's record at its beta exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class IncidentWave:
 
     direction "down" means incidence from y = +inf (the default); "up" from
     y = -inf.  alpha0 = beta sin(theta_i) and chi0 = beta cos(theta_i) satisfy
-    alpha0^2 + chi0^2 = beta^2 by construction.
+    alpha0^2 + chi0^2 = beta^2 by construction; |theta_i| < pi/2.
     """
 
     theta_i: float
@@ -67,8 +69,8 @@ class IncidentWave:
     direction: str = "down"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta_i < math.pi / 2:
-            raise DomainError(f"theta_i must be in [0, pi/2), got {self.theta_i}")
+        if not abs(self.theta_i) < math.pi / 2:
+            raise DomainError(f"theta_i must be in (-pi/2, pi/2), got {self.theta_i}")
         if self.direction not in ("down", "up"):
             raise ValueError(f"direction must be 'down' or 'up', got {self.direction!r}")
 
@@ -151,14 +153,9 @@ class SpectrumRecord:
     error: str | None = None
 
 
-def _geometry(stacks: PinStack | list[PinStack]) -> tuple[float, np.ndarray]:
-    """The period and the pin positions (lengths) of one stack, shape (n, 2),
-    or of one stack per wave, shape (B, n, 2), sharing their period."""
-    if isinstance(stacks, PinStack):
-        return stacks.d, np.array(stacks.pins, dtype=float).reshape(-1, 2) * stacks.d
-    (d,) = {s.d for s in stacks}
-    pins = np.array([s.pins for s in stacks], dtype=float)
-    return d, pins.reshape(len(stacks), -1, 2) * d
+def _geometry(stack: PinStack) -> tuple[float, np.ndarray]:
+    """The period and the pin positions (lengths) of the stack, shape (n, 2)."""
+    return stack.d, np.array(stack.pins, dtype=float).reshape(-1, 2) * stack.d
 
 
 def _wave_arrays(waves: list[IncidentWave]) -> tuple[np.ndarray, ...]:
@@ -174,36 +171,29 @@ def _coefficients(d: float, pins: np.ndarray, waves: tuple[np.ndarray, ...],
                   policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
     """Pin reactions at every wave: (B, n) and per-wave errors.
 
-    pins (lengths) are one stack for every wave, (n, 2), or one per wave,
-    (B, n, 2); waves are _wave_arrays.  One interaction-matrix build for
-    all waves; the condition test and the solve run on the (B, n, n) stack
-    of the waves that passed.
+    pins (lengths) are the stack's, (n, 2); waves are _wave_arrays.  The
+    one validation pass is the interaction-matrix build, for all waves at
+    once (the empty stack, which never reaches it, takes _point_errors').
+    Every system of the waves that passed, 1x1 included, then faces the
+    condition test (SingularSystem past 1e14, an exactly singular matrix
+    among them), and the rest solve as one (B, n, n) stack.
     """
     alpha0, beta, chi0, amplitude, side = waves
-    n = pins.shape[-2]
+    n = len(pins)
     coeffs = np.zeros((len(beta), n), dtype=complex)
     if not n:
-        return coeffs, [None] * len(beta)
+        return coeffs, _point_errors(alpha0, beta, d)
     g, errors = _interaction_matrices(alpha0, beta, d, pins, policy)
-    u = np.multiply(amplitude[:, None],
-                    np.exp(1j * (alpha0[:, None] * pins[..., 0]
-                                 + (side * chi0)[:, None] * pins[..., 1])))
     ok = [i for i, e in enumerate(errors) if e is None]
-    if n > 1 and ok:
-        for i, cond in zip(ok, np.linalg.cond(g[ok]).tolist()):
-            if cond > _COND_LIMIT:
-                errors[i] = SingularSystem(
-                    f"pin interaction matrix condition exceeds {_COND_LIMIT:g}")
-        ok = [i for i in ok if errors[i] is None]
-    try:
-        if ok:
-            coeffs[ok] = np.linalg.solve(g[ok], -u[ok][:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:        # an exactly singular 1x1 system
-        for i in ok:
-            try:
-                coeffs[i] = np.linalg.solve(g[i], -u[i])
-            except np.linalg.LinAlgError as exc:
-                errors[i] = exc
+    for i, cond in zip(ok, np.linalg.cond(g[ok]).tolist()):
+        if cond > _COND_LIMIT:
+            errors[i] = SingularSystem(
+                f"pin interaction matrix condition exceeds {_COND_LIMIT:g}")
+    ok = [i for i in ok if errors[i] is None]
+    u = np.multiply(amplitude[ok, None],
+                    np.exp(1j * (alpha0[ok, None] * pins[:, 0]
+                                 + (side * chi0)[ok, None] * pins[:, 1])))
+    coeffs[ok] = np.linalg.solve(g[ok], -u[:, :, None])[:, :, 0]
     return coeffs, errors
 
 
@@ -217,9 +207,7 @@ def solve_coefficients(
     Raises SingularSystem when the interaction matrix condition number
     exceeds 1e14.
     """
-    (error,) = _point_errors([inc.alpha0], [inc.beta], stack.d) if stack.pins else (None,)
-    if error is None:
-        coeffs, (error,) = _coefficients(*_geometry(stack), _wave_arrays([inc]), policy)
+    coeffs, (error,) = _coefficients(*_geometry(stack), _wave_arrays([inc]), policy)
     if error is not None:
         raise error
     return coeffs[0]
@@ -233,7 +221,7 @@ def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
     SpectrumRecord); per wave the dicts (r, t, R_n, T_n), or the DomainError
     plane_wave_amplitudes raises when an order grazes its light line.
     Arguments as for _coefficients; the waves must have passed
-    greens._point_errors.
+    greens._point_errors (plane_wave_amplitudes) or _coefficients.
     """
     alpha0, beta, chi0, amplitude, side = waves
     # alpha0 + 2 pi n / d in (-beta, beta) needs |n| <= reach
@@ -246,8 +234,8 @@ def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
     grazing = propagating & (chi <= policy.lightline_tol * beta[:, None])
     # sum over pins j of A_j exp(-i alpha_n x_j) exp(-+i chi_n y_j), pins last
     lateral = np.multiply(coeffs[:, None, :],
-                          np.exp(-1j * alpha_n[:, :, None] * pins[..., None, :, 0]))
-    vertical = np.exp(-1j * chi[:, :, None] * pins[..., None, :, 1])
+                          np.exp(-1j * alpha_n[:, :, None] * pins[:, 0]))
+    vertical = np.exp(-1j * chi[:, :, None] * pins[:, 1])
     pref = 1j / (4.0 * d * b2 * chi)
     above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
     below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
@@ -292,40 +280,26 @@ def plane_wave_amplitudes(
     return out[:2]
 
 
-def _scatter_all(stacks: PinStack | list[PinStack],
-                 waves: list[IncidentWave | Exception],
+def _scatter_all(stack: PinStack, waves: list[IncidentWave | Exception],
                  policy: TruncationPolicy) -> list[SpectrumRecord | Exception]:
-    """scatter at every wave, batched: the record or the exception it raises.
+    """scatter at every wave on one stack, batched: the record or the exception.
 
-    stacks is one stack for every wave or one per wave (a common period).
     An exception in waves (an incidence that could not be built) passes
-    through in its place; no failure stops the others.
+    through in its place; _coefficients validates the others in one pass,
+    and no failure stops the rest.
     """
     out: list = list(waves)
     index = [i for i, w in enumerate(waves) if not isinstance(w, Exception)]
-    if not index:
-        return out
-    d, pins = _geometry(stacks)
+    d, pins = _geometry(stack)
     arrays = _wave_arrays([waves[i] for i in index])
-    pins = pins[index] if pins.ndim == 3 else pins
-
-    def settle(errors: list[Exception | None]) -> list[int]:
-        """Record the failures; keep the waves that passed (their positions)."""
-        nonlocal index, arrays, pins
-        keep = [k for k, e in enumerate(errors) if e is None]
-        for i, e in zip(index, errors):
-            out[i] = e or out[i]
-        index = [index[k] for k in keep]
+    coeffs, errors = _coefficients(d, pins, arrays, policy)
+    for i, e in zip(index, errors):
+        out[i] = e or out[i]
+    keep = [k for k, e in enumerate(errors) if e is None]
+    if keep:
         arrays = tuple(a[keep] for a in arrays)
-        pins = pins[keep] if pins.ndim == 3 else pins
-        return keep
-
-    settle(_point_errors(arrays[0], arrays[1], d))
-    if index:
-        coeffs, errors = _coefficients(d, pins, arrays, policy)
-        coeffs = coeffs[settle(errors)]
-    if index:
-        for i, res in zip(index, _amplitudes(coeffs, d, pins, arrays, policy)):
+        for i, res in zip([index[k] for k in keep],
+                          _amplitudes(coeffs[keep], d, pins, arrays, policy)):
             out[i] = res if isinstance(res, Exception) else _record(waves[i], *res)
     return out
 

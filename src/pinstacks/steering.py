@@ -109,12 +109,13 @@ def default_bracket(theta_i: float | None = None,
                     alpha0: float | None = None) -> tuple[float, float]:
     """A beta bracket below the first light line for the given incidence.
 
-    For fixed theta the n = -1 order turns propagating at
-    beta = 2 pi / (1 + sin theta); for fixed alpha0 > 0 at beta = 2 pi - alpha0.
-    The bracket spans (0.55, 0.99) of that limit, clipped above |alpha0|.
+    For fixed theta the first order beside n = 0 (n = -1 for theta > 0,
+    n = +1 for theta < 0) turns propagating at beta = 2 pi / (1 + |sin theta|);
+    for fixed alpha0 at beta = 2 pi - |alpha0|.  The bracket spans
+    (0.55, 0.99) of that limit, clipped above |alpha0|.
     """
     if theta_i is not None:
-        limit = TWO_PI / (1.0 + math.sin(theta_i))
+        limit = TWO_PI / (1.0 + abs(math.sin(theta_i)))
         return 0.55 * limit, 0.99 * limit
     if alpha0 is None:
         raise ValueError("specify theta_i or alpha0")
@@ -277,7 +278,6 @@ def resonance_beta(
     *,
     theta_i: float | None = None,
     alpha0: float | None = None,
-    d: float = 1.0,
     coarse: int = 241,
 ) -> float:
     """Resonance centre of one dispersion factor: Re beta of its complex zero.
@@ -291,7 +291,7 @@ def resonance_beta(
     the window width), as when the window holds no resonance.
     """
     return _window_search(kind, eta, xi, beta_window, policy, theta_i=theta_i,
-                          alpha0=alpha0, d=d, coarse=coarse).real
+                          alpha0=alpha0, coarse=coarse).real
 
 
 def _polish_reach(beta_window: tuple[float, float]) -> float:
@@ -300,11 +300,11 @@ def _polish_reach(beta_window: tuple[float, float]) -> float:
 
 
 def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i=None,
-                   alpha0=None, d=1.0, coarse=241) -> complex:
+                   alpha0=None, coarse=241) -> complex:
     """The factor's complex zero, polished from the deepest point of a window grid."""
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
-    geometry = StackGeometry(eta=eta, xi=xi, d=d)
+    geometry = StackGeometry(eta=eta, xi=xi)
     alpha0_at = _alpha0_rule(theta_i, alpha0)
     lo, hi = beta_window
     betas = np.linspace(lo, hi, coarse).tolist()
@@ -313,12 +313,12 @@ def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i
     for error in filter(None, errors):   # the first failure in grid order
         raise error
     seed = betas[int(np.argmin(_factor_moduli(entries)[0 if kind == "odd" else 1]))]
-    return _polished_pole(kind, seed, alpha0_at, eta, xi, d, policy,
+    return _polished_pole(kind, seed, alpha0_at, eta, xi, policy,
                           _polish_reach(beta_window), f"beta = {seed:.9g} in ({lo:g}, {hi:g})")
 
 
 def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], complex],
-                 eta: float, xi: float, d: float, policy: TruncationPolicy,
+                 eta: float, xi: float, policy: TruncationPolicy,
                  max_shift: float) -> complex | None:
     """Complex zero of a dispersion factor near beta0.
 
@@ -336,7 +336,7 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     alpha0_at is the incidence's _alpha0_rule.
     """
 
-    geometry = StackGeometry(eta=eta, xi=xi, d=d)
+    geometry = StackGeometry(eta=eta, xi=xi)
 
     def f(beta: complex) -> complex:
         return _factor_complex(kind, alpha0_at(beta), beta, geometry, policy)
@@ -363,9 +363,9 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     return complex(z1)
 
 
-def _polished_pole(kind, seed, alpha0_at, eta, xi, d, policy, max_shift, where) -> complex:
+def _polished_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift, where) -> complex:
     """_factor_pole's zero, or Unresolved naming the parity and where the seed is."""
-    pole = _factor_pole(kind, seed, alpha0_at, eta, xi, d, policy, max_shift)
+    pole = _factor_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift)
     if pole is None:
         raise Unresolved(f"no zero of the {kind} factor within reach of {where}")
     return pole
@@ -417,7 +417,7 @@ def find_xi_edit(
             if len(track) > 1:        # linear in xi through the two nearest poles
                 x0, z0 = track[-2]
                 seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
-            pole = _factor_pole("even", seed, alpha0_at, eta_star, xi, 1.0, policy,
+            pole = _factor_pole("even", seed, alpha0_at, eta_star, xi, policy,
                                 _polish_reach(even_window))
             if pole is not None and even_window[0] < pole.real < even_window[1]:
                 track.append((xi, pole))
@@ -608,8 +608,7 @@ def steer(
             if with_modes or with_edit or with_q:
                 for kind in ("odd", "even"):
                     pole = _polished_pole(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
-                                          1.0, policy, _POLE_REACH,
-                                          f"beta_g = {res.beta_g:.9g}")
+                                          policy, _POLE_REACH, f"beta_g = {res.beta_g:.9g}")
                     setattr(res, f"beta_{kind}", pole.real)
             if (with_edit or with_q):
                 if theta == 0.0:
@@ -622,7 +621,7 @@ def steer(
                     # the merged resonance is the notch centre, labelled by
                     # the darker pole (smaller |Im|)
                     poles = {k: _polished_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
-                                               res.xi_edit, 1.0, policy, _POLE_REACH,
+                                               res.xi_edit, policy, _POLE_REACH,
                                                f"beta_edit = {res.beta_edit:.9g}")
                              for k in ("odd", "even")}
                     dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))

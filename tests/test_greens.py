@@ -192,6 +192,22 @@ def test_window_defaults_follow_evaluation_site():
     assert off_line == greens(p, 0.2, 0.6, n_terms=DEFAULT_POLICY.n_far)
 
 
+@pytest.mark.parametrize("y", [0.1, 0.05, -0.01])
+def test_off_column_window_converges_near_the_line(y):
+    # off x = 0 the orders die only as exp(-|alpha_n| |y|): the window grows
+    # as |y| shrinks, until the line's n_self caps it
+    point = SpectralPoint(1.2, 2.7)
+    reference = greens(point, 0.3, y, n_terms=40000)
+    assert abs(greens(point, 0.3, y) - reference) <= 1e-13 * abs(reference)
+    assert DEFAULT_POLICY.window(1.2, 2.7, 1.0, 0.3, y) > DEFAULT_POLICY.n_far
+
+
+def test_off_column_window_tends_to_the_line_window():
+    windows = DEFAULT_POLICY.window(1.2, 2.7, 1.0, 0.3, np.array([1e-3, 1e-9, 0.0]))
+    assert windows.tolist() == [DEFAULT_POLICY.n_self] * 3
+    assert DEFAULT_POLICY.window(1.2, 2.7, 1.0, 0.3, 0.69) == DEFAULT_POLICY.n_far
+
+
 # Converged references for the closed-form tail at x = 0.
 
 # M11 = G(0, 0) at (alpha0, beta) = (1.808735, 3.61747), d = 1, from a

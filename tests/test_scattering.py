@@ -10,6 +10,7 @@ import pytest
 from pinstacks.errors import DomainError, SingularSystem
 from pinstacks.greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, greens
 from pinstacks.modes import StackGeometry, assemble, dispersion_residual
+from pinstacks import scattering
 from pinstacks.scattering import (
     IncidentWave,
     PinStack,
@@ -60,6 +61,56 @@ class TestIncidentWave:
     def test_rejects_grazing_angle(self):
         with pytest.raises(DomainError):
             IncidentWave.from_angle(math.pi / 2, 2.0)
+        with pytest.raises(DomainError):
+            IncidentWave.from_angle(-math.pi / 2, 2.0)
+
+    def test_negative_bloch_parameter_is_a_negative_angle(self):
+        w = IncidentWave.from_alpha0(-1.8, 3.6)
+        assert w.theta_i == pytest.approx(-math.radians(30.0), rel=1e-12)
+        assert IncidentWave.from_angle(w.theta_i, 3.6).alpha0 == pytest.approx(-1.8)
+
+
+@pytest.mark.parametrize("stack, mirror", [
+    (PinStack.single(), PinStack.single()),
+    (PinStack.pair(1.0), PinStack.pair(1.0)),
+    (PinStack.triplet(1.0, 0.252), PinStack.triplet(1.0, -0.252)),
+], ids=["single", "pair", "triplet"])
+def test_negative_incidence_mirrors_positive(stack, mirror):
+    # x -> -x maps alpha0 to -alpha0, order n to -n and the shift xi to -xi
+    for beta in (3.3, 3.62, 5.0):
+        for alpha0 in (0.7, 1.8, 2.1):
+            plus = scatter(stack, IncidentWave.from_alpha0(alpha0, beta))
+            minus = scatter(mirror, IncidentWave.from_alpha0(-alpha0, beta))
+            assert sorted(minus.R_orders) == sorted(-n for n in plus.R_orders)
+            for n, energy in plus.R_orders.items():
+                assert minus.R_orders[-n] == pytest.approx(energy, abs=1e-13)
+                assert minus.T_orders[-n] == pytest.approx(plus.T_orders[n], abs=1e-13)
+    records = scan(mirror, np.linspace(3.3, 3.9, 41), alpha0=-1.8)
+    assert [r.error for r in records] == [None] * 41
+
+
+class TestSingularSystem:
+    """Every system, 1x1 included, faces the one condition test."""
+
+    @pytest.fixture(autouse=True)
+    def zero_matrices(self, monkeypatch):
+        def zeros(alpha0, beta, d, pins, policy):
+            n = len(pins)
+            return np.zeros((len(beta), n, n), dtype=complex), [None] * len(beta)
+
+        monkeypatch.setattr(scattering, "_interaction_matrices", zeros)
+
+    @pytest.mark.parametrize("stack", [PinStack.single(), PinStack.pair(1.0)],
+                             ids=["single", "pair"])
+    def test_exactly_singular_system(self, stack):
+        inc = IncidentWave.from_angle(0.3, 3.0)
+        with pytest.raises(SingularSystem, match="condition exceeds 1e\\+14"):
+            scatter(stack, inc)
+        with pytest.raises(SingularSystem):
+            solve_coefficients(stack, inc)
+        records = scan(stack, [3.0, 3.1], theta_i=0.3)
+        assert [r.error for r in records] == [
+            "SingularSystem: pin interaction matrix condition exceeds 1e+14"] * 2
 
 
 def test_pin_stack_geometry():

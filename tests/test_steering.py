@@ -61,8 +61,14 @@ def test_default_bracket_contains_mirror_condition():
     assert lo > 2.1 and lo < 3.3508 < hi
     lo, hi = default_bracket(theta_i=0.0)
     assert lo < 4.456001 < hi
+    assert default_bracket(theta_i=-THETA_30) == default_bracket(theta_i=THETA_30)
+    assert default_bracket(alpha0=-2.1) == default_bracket(alpha0=2.1)
     with pytest.raises(ValueError):
         default_bracket()
+
+
+def test_mirror_point_at_negative_bloch_parameter():
+    assert find_beta_g(alpha0=-2.1) == pytest.approx(find_beta_g(alpha0=2.1), rel=1e-14)
 
 
 class TestFindBetaG:
@@ -460,6 +466,16 @@ class TestSteer:
         assert res.beta_odd != pytest.approx(res.beta_even, abs=1e-4)
         assert res.xi_edit is None and res.q_notch is None
 
+    def test_negative_angle_mirrors_the_positive_row(self):
+        # x -> -x maps the wave at -theta onto the one at +theta: every
+        # stage finds the same beta and eta, with alpha0 negated
+        minus, plus = steer([-THETA_30, THETA_30], with_q=True)
+        assert minus.error is None and plus.error is None
+        assert minus.alpha0_g == pytest.approx(-plus.alpha0_g, rel=1e-14)
+        for name in ("beta_g", "eta_star", "m_eff", "beta_even", "beta_odd", "eta_edit",
+                     "xi_edit", "beta_edit", "q_notch", "q_pair"):
+            assert getattr(minus, name) == pytest.approx(getattr(plus, name), rel=1e-9), name
+
     def test_normal_incidence_skips_edit(self):
         res, = steer([0.0], with_edit=True)
         assert res.beta_g == pytest.approx(4.456001, abs=1e-4)
@@ -515,10 +531,10 @@ class TestSteer:
         # a pole at the EDIT point that the polish misses stops the Q stage
         polish = steering._factor_pole
 
-        def reject_at_edit(kind, beta0, alpha0_at, eta, xi, d, policy, max_shift):
+        def reject_at_edit(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
             if xi != 0.0 and max_shift == steering._POLE_REACH and kind == "even":
                 return None
-            return polish(kind, beta0, alpha0_at, eta, xi, d, policy, max_shift)
+            return polish(kind, beta0, alpha0_at, eta, xi, policy, max_shift)
 
         monkeypatch.setattr(steering, "_factor_pole", reject_at_edit)
         res, = steer([math.radians(60.0)], with_q=True)
