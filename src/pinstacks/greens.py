@@ -60,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import LightLineProximity, NonFiniteValue
 
@@ -177,6 +176,7 @@ _EM_FUNCTIONAL = (0.5,) + sum(((-w, 0.0) for w in _EM_WEIGHTS), ())[:-1]
 _R_POWERS = np.arange(17)     # powers of r = 1/q in the tail polynomial
 _C_POWERS = np.arange(13)     # powers of c = 2 pi |y| / d in its coefficients
 _SIDES = np.array([1.0, -1.0])
+_EULER_GAMMA = 0.5772156649015329
 
 
 def _tail_polynomial() -> np.ndarray:
@@ -277,6 +277,44 @@ def _point_errors(alpha0, beta, d: float) -> list[Exception | None]:
     return errors
 
 
+def _exp1(z: np.ndarray) -> np.ndarray:
+    """The exponential integral E_1(z) of every element, real or complex, Re z > 0.
+
+    The power series (Abramowitz & Stegun 5.1.11) for |z| <= 1; beyond, the
+    continued fraction 5.1.22 in its even form
+    E_1(z) = exp(-z) / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))), evaluated
+    by the modified Lentz method until each element's factor is 1 to two
+    ulp (about 90 steps near |z| = 1).  Within 2e-14 relative of mpmath
+    for Re z in (1e-6, 45] and |Im z| <= 0.05, the range z = c q of
+    _kummer_tail.
+    """
+    out = np.empty_like(z)
+    near = np.abs(z) <= 1.0
+    w = z[near]
+    term = total = -w
+    for k in range(2, 20):          # |z|^k / (k k!) < 1e-18 past k = 19
+        term = term * (-w) / k
+        total = total + term / k
+    out[near] = -_EULER_GAMMA - np.log(w) - total
+    w = z[~near]
+    b = w + 1.0
+    c = np.full_like(w, 1e300)      # Lentz's 1 / tiny
+    d = 1.0 / b
+    h = d
+    live = np.ones(w.shape, dtype=bool)
+    for i in range(1, 200):
+        b = b + 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        step = c * d
+        h = np.where(live, h * step, h)
+        live &= np.abs(step - 1.0) > 4.5e-16
+        if not live.any():
+            break
+    out[~near] = h * np.exp(-w)
+    return out
+
+
 def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
                  ay: np.ndarray, n_terms: int) -> np.ndarray:
     """G's share of every order |n| > n_terms at x = 0, in closed form.
@@ -284,7 +322,7 @@ def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
     Order +-(n_terms + 1 + m) has a = (2 pi / d)(q +- m) with
     q = n_terms + 1 +- alpha0 d / (2 pi), and exp(-a |y|) = exp(-c (q + m))
     with c = 2 pi |y| / d; the sums over m are the polynomial of
-    _tail_polynomial, analytic in (alpha0, beta) (b2 = beta^2; scipy's exp1
+    _tail_polynomial, analytic in (alpha0, beta) (b2 = beta^2; _exp1
     takes complex arguments), so the pole search's complex points take the
     same path.  Only points with c min(Re q) <= 40 come here; past that the
     tail is exactly 0 (see _block_sum).
@@ -308,7 +346,7 @@ def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
         return np.add.reduce(tail, axis=1)
     z = c[:, None] * q
     # A_k(0) = 0 on the line, where E_1(0) is infinite
-    tail = np.multiply(exp1(z + (z == 0.0)), coef[:, None, 0]) + np.multiply(np.exp(-z), tail)
+    tail = np.multiply(_exp1(z + (z == 0.0)), coef[:, None, 0]) + np.multiply(np.exp(-z), tail)
     return np.add.reduce(tail, axis=1)
 
 

@@ -148,8 +148,6 @@ class SpectrumRecord:
     R: float = float("nan")
     T: float = float("nan")
     energy_residual: float = float("nan")
-    r_amplitudes: dict[int, complex] = field(default_factory=dict)
-    t_amplitudes: dict[int, complex] = field(default_factory=dict)
     error: str | None = None
 
 
@@ -214,12 +212,14 @@ def solve_coefficients(
 
 
 def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
-                waves: tuple[np.ndarray, ...], policy: TruncationPolicy) -> list:
-    """Amplitudes and energies of every propagating order of every wave.
+                waves: tuple[np.ndarray, ...], policy: TruncationPolicy,
+                energies: bool) -> list:
+    """Amplitudes or energies of every propagating order of every wave.
 
     Vectorised over waves and orders (see plane_wave_amplitudes and
-    SpectrumRecord); per wave the dicts (r, t, R_n, T_n), or the DomainError
-    plane_wave_amplitudes raises when an order grazes its light line.
+    SpectrumRecord); per wave the dicts (r, t), or (R_n, T_n) with
+    energies, or the DomainError plane_wave_amplitudes raises when an order
+    grazes its light line.
     Arguments as for _coefficients; the waves must have passed
     greens._point_errors (plane_wave_amplitudes) or _coefficients.
     """
@@ -244,8 +244,10 @@ def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
     t = np.where(down, below, above)
     t[:, reach] += amplitude           # order 0
     # flux-normalized energies
-    scale = chi / (chi0 * np.abs(amplitude) ** 2)[:, None]
-    rows = [a.tolist() for a in (r, t, np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale)]
+    if energies:
+        scale = chi / (chi0 * np.abs(amplitude) ** 2)[:, None]
+        r, t = np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale
+    rows = [r.tolist(), t.tolist()]
     # each wave's propagating orders are one run of the union
     first = propagating.argmax(axis=1)
     grazes = grazing.any(axis=1).tolist()
@@ -274,10 +276,10 @@ def plane_wave_amplitudes(
     (out,) = _point_errors([inc.alpha0], [inc.beta], stack.d)
     if out is None:
         (out,) = _amplitudes(np.asarray(coeffs)[None, :], *_geometry(stack),
-                             _wave_arrays([inc]), policy)
+                             _wave_arrays([inc]), policy, energies=False)
     if isinstance(out, Exception):
         raise out
-    return out[:2]
+    return out
 
 
 def _scatter_all(stack: PinStack, waves: list[IncidentWave | Exception],
@@ -299,21 +301,20 @@ def _scatter_all(stack: PinStack, waves: list[IncidentWave | Exception],
     if keep:
         arrays = tuple(a[keep] for a in arrays)
         for i, res in zip([index[k] for k in keep],
-                          _amplitudes(coeffs[keep], d, pins, arrays, policy)):
+                          _amplitudes(coeffs[keep], d, pins, arrays, policy, energies=True)):
             out[i] = res if isinstance(res, Exception) else _record(waves[i], *res)
     return out
 
 
-def _record(inc: IncidentWave, r_amp: dict[int, complex], t_amp: dict[int, complex],
-            r_orders: dict[int, float], t_orders: dict[int, float]) -> SpectrumRecord:
-    """One wave's SpectrumRecord from its amplitudes and order energies."""
+def _record(inc: IncidentWave, r_orders: dict[int, float],
+            t_orders: dict[int, float]) -> SpectrumRecord:
+    """One wave's SpectrumRecord from its order energies."""
     big_r = float(sum(r_orders.values()))
     big_t = float(sum(t_orders.values()))
     return SpectrumRecord(
         alpha0=inc.alpha0, beta=inc.beta,
         R_orders=r_orders, T_orders=t_orders,
         R=big_r, T=big_t, energy_residual=abs(big_r + big_t - 1.0),
-        r_amplitudes=r_amp, t_amplitudes=t_amp,
     )
 
 

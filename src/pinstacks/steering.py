@@ -24,11 +24,11 @@ of xi it continues the zero itself, from a seed extrapolated in xi.
 Quality factors are measured on transmission spectra by FWHM, swept with
 scattering.scan (feature_scan zooms with it; steer's envelope is a
 spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
-one batched grid brackets each sign change, and brentq refines it to the
-nearest float on the single-point function, whose values equal the
-batched ones exactly (the grid's values serve brentq's two ends).  Every
-other grid (the window search's, each scan) is likewise evaluated in one
-batched call.
+one batched grid brackets each sign change, and Brent's method
+(_brent_root, a port of scipy's brentq) refines it to the nearest float on
+the single-point function, whose values equal the batched ones exactly (the
+grid's values serve the bracket's two ends).  Every other grid (the window
+search's, each scan) is likewise evaluated in one batched call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -241,23 +240,77 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return np.nonzero(positive[:-1] != positive[1:])[0].tolist()
 
 
+def _brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], where f changes sign, to xtol + 4 eps |root|.
+
+    A line-for-line port of the C routine under scipy.optimize.brentq
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4):
+    the same tolerance, the same interpolation, extrapolation and bisection
+    rules, f(a) and f(b) evaluated first and at most 100 iterations, so it
+    returns brentq's float for the same f, bracket and xtol.  Raises
+    ValueError when f(a) and f(b) have the same sign and RuntimeError when
+    100 iterations do not converge.
+    """
+    rtol = 4.0 * math.ulp(1.0)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):       # xcur becomes the best estimate
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:   # C gives inf or nan: bisect
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in 100 iterations (x = {xcur!r})")
+
+
 def _nearest_root(f: Callable[[float], float], a: float, b: float,
                   fa: float, fb: float) -> float:
     """The float nearest the root of f in [a, b], where f changes sign.
 
     fa and fb are f(a) and f(b) from the bracketing grid; f is never
-    evaluated at a or b.  brentq narrows the bracket to a few ulp; stepping
-    float by float from its answer to the sign change then returns whichever
-    of the two straddling floats has the smaller |f|, so the result does not
-    depend on where brentq stopped, and hence on neither the bracket nor the
-    grid.
+    evaluated at a or b.  _brent_root narrows the bracket to a few ulp;
+    stepping float by float from its answer to the sign change then returns
+    whichever of the two straddling floats has the smaller |f|, so the
+    result does not depend on where Brent's method stopped, and hence on
+    neither the bracket nor the grid.
     """
     known = {a: fa, b: fb}
 
     def g(x: float) -> float:
         return known[x] if x in known else f(x)
 
-    x = brentq(g, a, b, xtol=1e-15)
+    x = _brent_root(g, a, b, 1e-15)
     fx = g(x)
     toward = b if (fx > 0) == (fa > 0) else a
     while fx != 0.0:
@@ -436,8 +489,8 @@ def find_xi_edit(
         if abs(g_here) < best[0]:
             best = (abs(g_here), float(x))
         if np.sign(g_here) != np.sign(g_prev):
-            xi_edit = brentq(gap, float(x) - (hi - lo) / (n_steps - 1), float(x),
-                             xtol=1e-9)
+            xi_edit = _brent_root(gap, float(x) - (hi - lo) / (n_steps - 1),
+                                  float(x), 1e-9)
             residual_gap = abs(gap(xi_edit))
             if residual_gap > _MERGE_TOL:
                 raise ModesDidNotMerge(

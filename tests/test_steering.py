@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from pinstacks import modes, scattering
 from pinstacks.cli import TABLE1_ANGLES_DEG
@@ -291,6 +290,7 @@ def test_continued_pole_is_resonance_beta_at_every_step(edit_inputs, monkeypatch
 
 def _xi_edit_by_window_search(theta, beta_g, eta, lo=0.15, hi=0.30, xi_step=1e-3):
     """find_xi_edit as a search of resonance_beta at every scan step."""
+    brentq = pytest.importorskip("scipy.optimize").brentq   # independent of the port
     window = (beta_g - 0.05, beta_g + 0.05)
     beta_odd = resonance_beta("odd", eta, 0.0, window, theta_i=theta)
     even_window = (beta_odd - 0.05, beta_odd + 0.05)
