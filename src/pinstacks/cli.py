@@ -46,7 +46,7 @@ from .modes import (
     locate_crossing,
 )
 from .scattering import PinStack, _alpha0_rule, spectrum_scan
-from .steering import feature_scan, q_factor, steer
+from .steering import steer
 
 TABLE1_ANGLES_DEG = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
                      24.0, 27.0, 30.0, 33.0, 36.0, 45.0, 60.0]
@@ -279,24 +279,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dump_angle_scans(res, results_dir: Path, policy: TruncationPolicy,
-                      args: argparse.Namespace) -> None:
-    """Per-angle notch / envelope scans next to the steer table."""
-    if res.xi_edit is None or res.beta_edit is None:
+def _dump_angle_scans(res, results_dir: Path, args: argparse.Namespace) -> None:
+    """The notch zoom's final window that steer measured q_notch on, next to the table."""
+    if res.notch_records is None:
         return
-    theta = math.radians(res.theta_i) if res.theta_i else None
-    stack = PinStack.triplet(res.eta_edit, res.xi_edit)
-    tag = f"theta{res.theta_i:g}"
-    for name, records in [
-        ("notch", feature_scan(stack, res.beta_edit, 1e-7, "notch", policy,
-                               theta_i=theta)),
-    ]:
-        sub = argparse.Namespace(**{**vars(args),
-                                    "out": str(results_dir / f"{tag}_{name}.csv"),
-                                    "format": "csv"})
-        rows = [{"beta": r.beta, "alpha0": r.alpha0, "T": r.T, "R": r.R}
-                for r in records]
-        _emit_rows(rows, ["beta", "alpha0", "T", "R"], sub)
+    sub = argparse.Namespace(**{**vars(args),
+                                "out": str(results_dir / f"theta{res.theta_i:g}_notch.csv"),
+                                "format": "csv"})
+    rows = [{"beta": r.beta, "alpha0": r.alpha0, "T": r.T, "R": r.R}
+            for r in res.notch_records]
+    _emit_rows(rows, ["beta", "alpha0", "T", "R"], sub)
 
 
 def cmd_steer(args: argparse.Namespace) -> int:
@@ -328,7 +320,7 @@ def cmd_steer(args: argparse.Namespace) -> int:
         results_dir = Path(args.results_dir)
         results_dir.mkdir(parents=True, exist_ok=True)
         for res in results:
-            _dump_angle_scans(res, results_dir, policy, args)
+            _dump_angle_scans(res, results_dir, args)
     if args.format == "table":
         _emit_table(rows, _STEER_COLUMNS, args)
     else:
@@ -410,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measure notch and envelope Q factors (implies "
                         "--with-edit)")
     p.add_argument("--results-dir",
-                   help="dump per-angle notch scans into this directory")
+                   help="dump each angle's notch scan (--with-q) into this "
+                        "directory")
     _add_shared(p, incidence=False, formats=("csv", "json", "table"))
     p.set_defaults(func=cmd_steer)
 

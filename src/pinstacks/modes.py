@@ -29,8 +29,8 @@ M is the pin-interaction matrix of the pins in (top, centre, bottom) order,
 built by the same greens._interaction_matrices as every scattering system:
 four lattice sums per point, for a whole beta vector in one call.  assemble
 is its one-point case; dispersion_grid builds one alpha0 column per call.
-_factor_complex continues either dispersion factor to complex beta, from the
-same entry offsets, for steering's pole searches.
+_factor_offsets and _factor_from continue either dispersion factor to
+complex beta, from the same entry offsets, for steering's pole searches.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFormula
-from .greens import (DEFAULT_POLICY, SpectralPoint, TruncationPolicy, _interaction_matrices,
-                     _lattice_sums)
+from .greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, _interaction_matrices
 
 # below this magnitude the eigenvector formula 1/M12 is meaningless
 _M12_FLOOR = 1e-300
@@ -153,17 +152,16 @@ def _mode_matrices(alpha0, beta, geometry: StackGeometry,
     return _interaction_matrices(alpha0, beta, geometry.d, pins, policy)
 
 
-def _factor_complex(kind: str, a0: complex, beta: complex, geometry: StackGeometry,
-                    policy: TruncationPolicy) -> complex:
-    """One dispersion factor continued to complex beta (no light-line guard).
-
-    Its entries (M11, M13) or (M11, M13, M12, M21) come from one kernel call.
-    """
+def _factor_offsets(kind: str, geometry: StackGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) offsets of the entries (M11, M13) or (M11, M13, M12, M21) a factor needs."""
     eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
     count = 2 if kind == "odd" else 4
-    xs = [0.0, 0.0, -xi_d, xi_d][:count]
-    ys = [0.0, 2.0 * eta_d, eta_d, eta_d][:count]
-    values, _ = _lattice_sums(a0, beta, geometry.d, np.array(xs), np.array(ys), policy)
+    return (np.array([0.0, 0.0, -xi_d, xi_d][:count]),
+            np.array([0.0, 2.0 * eta_d, eta_d, eta_d][:count]))
+
+
+def _factor_from(kind: str, values: np.ndarray) -> complex:
+    """The dispersion factor from its entries' lattice sums, in _factor_offsets' order."""
     m11, m13, *off = values.tolist()
     if kind == "odd":
         return m11 - m13

@@ -13,22 +13,30 @@ spectrum develops an extremely narrow notch splitting a full-transmission
 peak (Elasto-Dynamically Inhibited Transmission).
 
 Resonances are the complex zeros (poles of the response) of the two
-dispersion factors of the mode matrix (the factors of det M, continued by
-modes._factor_complex).  steer polishes the unshifted triplet's even and
-odd zeros directly from beta_g, and those at the EDIT point from beta_edit.
-The window search (a batched grid of the factor's modulus over a beta
-window, the zero polished from its deepest point) serves only
-resonance_beta and stage 3: find_xi_edit runs it to seed the even zero,
-where continuing it fails, and for the final bisection; between scan steps
-of xi it continues the zero itself, from a seed extrapolated in xi.
+dispersion factors of the mode matrix (the factors of det M, continued to
+complex beta from the lattice sums at modes._factor_offsets).  steer
+polishes the unshifted triplet's even and odd zeros directly from beta_g,
+and those at the EDIT point from beta_edit.  The window search (a batched
+grid of the factor's modulus over a beta window, the zero polished from its
+deepest point) serves only resonance_beta and stage 3: find_xi_edit runs it
+to seed the even zero, where continuing it fails, and for the final
+bisection; between scan steps of xi it continues the zero itself, from a
+seed extrapolated in xi.
 Quality factors are measured on transmission spectra by FWHM, swept with
 scattering.scan (feature_scan zooms with it; steer's envelope is a
 spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
 one batched grid brackets each sign change, and Brent's method
-(_brent_root, a port of scipy's brentq) refines it to the nearest float on
+(_brent_steps, a port of scipy's brentq) refines it to the nearest float on
 the single-point function, whose values equal the batched ones exactly (the
 grid's values serve the bracket's two ends).  Every other grid (the window
 search's, each scan) is likewise evaluated in one batched call.
+
+The searches of stages 1-2 and the pole polish are written as generators
+that yield each kernel evaluation they need (a _Request) and are sent its
+value.  _lockstep advances many of them together, one kernel call per kind
+of request and round; steer runs every angle's stages 1-2 and unshifted
+pole pair that way.  The scalar functions (find_beta_g, find_eta_star,
+_factor_pole, _brent_root) run one search alone through the same driver.
 """
 
 from __future__ import annotations
@@ -51,13 +59,13 @@ from .greens import (
     SpectralPoint,
     TruncationPolicy,
     TWO_PI,
+    _flat,
     _interaction_matrices,
     _lattice_sums,
-    greens,
 )
-from .modes import StackGeometry, _factor_complex, _factor_moduli, _mode_matrices
-from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, scan,
-                         single_grating_reflectance, spectrum_scan, transmittance)
+from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _mode_matrices
+from .scattering import (IncidentWave, PinStack, SpectrumRecord, _alpha0_rule, _scatter_all,
+                         scan, spectrum_scan)
 
 _R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
 _T_TOL = 1e-8    # 1 - T_pair at eta*
@@ -67,6 +75,9 @@ _BETA_WINDOW_HALFWIDTH = 0.05   # find_xi_edit's window searches, beta +- this
 # move: the farthest a window search over beta_g +- 0.05 can return.
 _POLE_REACH = 0.06
 _MAX_ZOOM = 60    # feature_scan's window rescans before it gives up
+_MIRROR_GRID = 241   # find_beta_g's bracketing grid
+_PAIR_GRID = 41      # find_eta_star's, per spread
+_ONE_PIN = ((0.0, 0.0),)
 
 
 @dataclass
@@ -91,6 +102,8 @@ class SteeringResult:
     q_notch: float | None = None
     q_pair: float | None = None
     error: str | None = None
+    # the final window of the notch zoom behind q_notch
+    notch_records: list[SpectrumRecord] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -129,7 +142,7 @@ def find_beta_g(
     policy: TruncationPolicy = DEFAULT_POLICY,
     *,
     alpha0: float | None = None,
-    coarse: int = 241,
+    coarse: int = _MIRROR_GRID,
 ) -> float:
     """Stage 1: beta at which the single-grating reflectance reaches 1.
 
@@ -145,24 +158,34 @@ def find_beta_g(
     """
     if beta_bracket is None:
         beta_bracket = default_bracket(theta_i, alpha0)
-    lo, hi = beta_bracket
-    alpha0_at = _alpha0_rule(theta_i, alpha0)
+    return _run(_mirror_search(_alpha0_rule(theta_i, alpha0), beta_bracket, policy, coarse))
 
-    def re_g(betas: list[float]) -> np.ndarray:
+
+def _mirror_search(alpha0_at, beta_bracket, policy, coarse=_MIRROR_GRID):
+    """find_beta_g's search, as lockstep steps (see _lockstep)."""
+    lo, hi = beta_bracket
+
+    def re_g(betas: list[float]):
         """Re G(0, 0) at each beta, from one builder call."""
-        entries, errors = _interaction_matrices([alpha0_at(b) for b in betas], betas,
-                                                1.0, [(0.0, 0.0)], policy)
+        entries, errors = yield from _built([alpha0_at(b) for b in betas], betas,
+                                            1.0, _ONE_PIN, policy)
         for error in filter(None, errors):   # the first failure in grid order
             raise error
         return entries[:, 0, 0].real
 
+    def re_g_at(beta: float):
+        return (yield from re_g([beta]))[0]
+
     grid = np.linspace(lo, hi, coarse).tolist()
-    values = re_g(grid)
+    values = yield from re_g(grid)
     for i in _sign_changes(values):
-        beta = _nearest_root(lambda b: re_g([b])[0], grid[i], grid[i + 1],
-                             values[i], values[i + 1])
-        point = SpectralPoint(alpha0_at(beta), beta)
-        if 1.0 - single_grating_reflectance(point, policy) <= _R_TOL:
+        beta = yield from _nearest_root(re_g_at, grid[i], grid[i + 1],
+                                        values[i], values[i + 1])
+        point = SpectralPoint(alpha0_at(beta), beta)   # single_grating_reflectance's wave
+        mirror = yield from _scattered(PinStack.single(point.d),
+                                       IncidentWave.from_alpha0(point.alpha0, point.beta),
+                                       policy)
+        if 1.0 - mirror.R_orders[0] <= _R_TOL:
             return beta
     raise NoUnityReflectance(
         f"no root of Re G(0, 0) in bracket ({lo:g}, {hi:g}) gives unit "
@@ -188,7 +211,7 @@ def find_eta_star(
     *,
     theta_i: float | None = None,
     alpha0: float | None = None,
-    coarse: int = 41,
+    coarse: int = _PAIR_GRID,
 ) -> float:
     """Stage 2: pair separation at which the pair transmittance returns to 1.
 
@@ -208,25 +231,38 @@ def find_eta_star(
     within ~2.5%).
     """
     a0 = _alpha0_rule(theta_i, alpha0)(beta_g)
+    return _run(_pair_search(beta_g, a0, eta_guess, policy, coarse))
+
+
+def _pair_search(beta_g, a0, eta_guess, policy, coarse=_PAIR_GRID):
+    """find_eta_star's search at alpha0 = a0, as lockstep steps (see _lockstep)."""
     point = SpectralPoint(a0, beta_g)
-    re_m11 = greens(point, 0.0, 0.0, policy).real
+    # Re G(0, 0) from the single-pin builder, so it joins stage 1's requests
+    entries, (error,) = yield from _built([a0], [beta_g], point.d, _ONE_PIN, policy)
+    if error is not None:
+        raise error
+    re_m11 = entries[0, 0, 0].real
     chi0 = math.sqrt(beta_g * beta_g - a0 * a0)
 
     def condition(etas):
         """Re G(0, eta d) - Re G(0, 0) cos(chi_0 eta d), zero where T_pair = 1."""
         ys = np.multiply(etas, point.d)
-        values, _ = _lattice_sums(a0, beta_g, point.d, 0.0, ys, policy)
+        values, _ = yield from _summed(a0, beta_g, point.d, 0.0, ys, policy)
         return values.real - re_m11 * np.cos(chi0 * ys)
+
+    def condition_at(eta: float):
+        return float((yield from condition(eta)))
 
     for spread in (0.1, 0.2):
         grid = np.linspace((1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess,
                            coarse).tolist()
-        values = condition(grid)
+        values = yield from condition(grid)
         for i in _sign_changes(values):
-            eta = _nearest_root(lambda e: float(condition(e)), grid[i], grid[i + 1],
-                                values[i], values[i + 1])
-            t = transmittance(PinStack.pair(eta), beta_g, alpha0=a0, policy=policy)
-            if 1.0 - t <= _T_TOL:
+            eta = yield from _nearest_root(condition_at, grid[i], grid[i + 1],
+                                           values[i], values[i + 1])
+            pair = yield from _scattered(PinStack.pair(eta), IncidentWave.from_alpha0(a0, beta_g),
+                                         policy)
+            if 1.0 - pair.T <= _T_TOL:
                 return eta
     raise NoUnityTransmittance(
         f"no root of the pair condition at beta_g = {beta_g:.9g} with eta within "
@@ -240,20 +276,147 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return np.nonzero(positive[:-1] != positive[1:])[0].tolist()
 
 
+@dataclass(frozen=True)
+class _Request:
+    """One evaluation a search waits for: call(*args).
+
+    Requests with equal keys are answered together, by one call on their
+    columns joined (see _lockstep); columns() gives args as flat arrays of
+    one length, a row per evaluation.
+    """
+
+    key: tuple
+    call: Callable[..., tuple]
+    args: tuple
+    columns: Callable[[], tuple]
+
+
+def _lockstep(searches: list) -> list:
+    """Run searches together: each one's return value, or the exception it raised.
+
+    A search is a generator that yields a _Request for every evaluation it
+    needs and is sent the answer.  Each round answers every pending request,
+    one call per key on the requests' columns joined, each search getting
+    its own rows back.  The kernel's values depend only on their own inputs
+    (see greens), so a search gets the same floats whatever runs beside it.
+    A request alone in its round is answered by its own call; a joined call
+    that raises is answered request by request, so a request that raises
+    fails its own search alone, with the exception its own call raises.
+    """
+    outcomes: list = [None] * len(searches)
+    pending: dict[int, _Request] = {}
+
+    def resume(i: int, answer=None, error: Exception | None = None) -> None:
+        try:
+            pending[i] = (searches[i].send(answer) if error is None
+                          else searches[i].throw(error))
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - a failed search fails alone
+            outcomes[i] = exc
+
+    for i in range(len(searches)):
+        resume(i)
+    while pending:
+        requests = dict(pending)
+        pending.clear()
+        groups: dict[tuple, list[int]] = {}
+        for i, request in requests.items():
+            groups.setdefault(request.key, []).append(i)
+        for members in groups.values():
+            answers = None
+            if len(members) > 1:
+                try:
+                    answers = _joined([requests[i] for i in members])
+                except Exception:  # noqa: BLE001 - answered one by one below
+                    pass
+            for k, i in enumerate(members):
+                if answers is not None:
+                    resume(i, answers[k])
+                    continue
+                try:
+                    answer = requests[i].call(*requests[i].args)
+                except Exception as exc:  # noqa: BLE001 - fails its own search
+                    resume(i, error=exc)
+                else:
+                    resume(i, answer)
+    return outcomes
+
+
+def _joined(requests: list[_Request]) -> list[tuple]:
+    """Each request's rows of every output of one call on all their columns."""
+    columns = [request.columns() for request in requests]
+    outputs = requests[0].call(*(np.concatenate(parts) for parts in zip(*columns)))
+    ends = np.cumsum([len(c[0]) for c in columns]).tolist()
+    return [tuple(out[lo:hi] for out in outputs) for lo, hi in zip([0] + ends, ends)]
+
+
+def _run(search):
+    """The return value of one search run alone, or the exception it raised."""
+    (outcome,) = _lockstep([search])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _built(alpha0, beta, d: float, pins: tuple, policy: TruncationPolicy):
+    """_interaction_matrices(alpha0, beta, d, pins, policy), as a search step."""
+    return (yield _Request(("build", d, pins, policy),
+                           lambda a, b: _interaction_matrices(a, b, d, pins, policy),
+                           (alpha0, beta),
+                           lambda: (np.asarray(alpha0, dtype=float), np.asarray(beta, dtype=float))))
+
+
+def _summed(alpha0, beta, d: float, x, y, policy: TruncationPolicy):
+    """_lattice_sums(alpha0, beta, d, x, y, policy), as a search step."""
+    shape = np.broadcast(alpha0, beta, x, y).shape
+    dtype = np.result_type(alpha0, beta, 1.0)     # real sums are guarded, complex not
+    values, near = yield _Request(("sums", dtype, d, policy),
+                                  lambda a, b, xs, ys: _lattice_sums(a, b, d, xs, ys, policy),
+                                  (alpha0, beta, x, y),
+                                  lambda: (_flat(alpha0, shape, dtype), _flat(beta, shape, dtype),
+                                           _flat(x, shape, float), _flat(y, shape, float)))
+    return values.reshape(shape), near.reshape(shape)
+
+
+def _scattered(stack: PinStack, wave: IncidentWave, policy: TruncationPolicy):
+    """scatter(stack, wave, policy), as a search step."""
+    (records,) = yield _Request(("scatter", stack, policy),
+                                lambda waves: (_scatter_all(stack, list(waves), policy),),
+                                ([wave],), lambda: (np.array([wave], dtype=object),))
+    if isinstance(records[0], Exception):
+        raise records[0]
+    return records[0]
+
+
 def _brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], where f changes sign, to xtol + 4 eps |root|.
+
+    _brent_steps run alone on the plain function f.
+    """
+    def step(x: float):
+        yield from ()     # a step that requests nothing
+        return f(x)
+
+    return _run(_brent_steps(step, a, b, xtol))
+
+
+def _brent_steps(f, a: float, b: float, xtol: float):
     """A root of f in [a, b], where f changes sign, to xtol + 4 eps |root|.
 
     A line-for-line port of the C routine under scipy.optimize.brentq
     (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4):
     the same tolerance, the same interpolation, extrapolation and bisection
     rules, f(a) and f(b) evaluated first and at most 100 iterations, so it
-    returns brentq's float for the same f, bracket and xtol.  Raises
+    returns brentq's float for the same f, bracket and xtol.  f(x) is a
+    search step (a generator returning the value; see _lockstep).  Raises
     ValueError when f(a) and f(b) have the same sign and RuntimeError when
     100 iterations do not converge.
     """
     rtol = 4.0 * math.ulp(1.0)
     xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre = float((yield from f(xpre)))
+    fcur = float((yield from f(xcur)))
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -290,32 +453,32 @@ def _brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) ->
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
+        fcur = float((yield from f(xcur)))
     raise RuntimeError(f"Brent's method did not converge in 100 iterations (x = {xcur!r})")
 
 
-def _nearest_root(f: Callable[[float], float], a: float, b: float,
-                  fa: float, fb: float) -> float:
+def _nearest_root(f, a: float, b: float, fa: float, fb: float):
     """The float nearest the root of f in [a, b], where f changes sign.
 
-    fa and fb are f(a) and f(b) from the bracketing grid; f is never
-    evaluated at a or b.  _brent_root narrows the bracket to a few ulp;
-    stepping float by float from its answer to the sign change then returns
-    whichever of the two straddling floats has the smaller |f|, so the
-    result does not depend on where Brent's method stopped, and hence on
-    neither the bracket nor the grid.
+    f(x) is a search step, and so is this (see _lockstep).  fa and fb are
+    f(a) and f(b) from the bracketing grid; f is never evaluated at a or b.
+    _brent_steps narrows the bracket to a few ulp; stepping float by float
+    from its answer to the sign change then returns whichever of the two
+    straddling floats has the smaller |f|, so the result does not depend on
+    where Brent's method stopped, and hence on neither the bracket nor the
+    grid.
     """
     known = {a: fa, b: fb}
 
-    def g(x: float) -> float:
-        return known[x] if x in known else f(x)
+    def g(x: float):
+        return known[x] if x in known else (yield from f(x))
 
-    x = _brent_root(g, a, b, 1e-15)
-    fx = g(x)
+    x = yield from _brent_steps(g, a, b, 1e-15)
+    fx = yield from g(x)
     toward = b if (fx > 0) == (fa > 0) else a
     while fx != 0.0:
         y = math.nextafter(x, toward)
-        fy = g(y)
+        fy = yield from g(y)
         if (fy > 0) != (fx > 0) or fy == 0.0:
             return y if abs(fy) < abs(fx) else x
         x, fx = y, fy
@@ -373,7 +536,12 @@ def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i
 def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], complex],
                  eta: float, xi: float, policy: TruncationPolicy,
                  max_shift: float) -> complex | None:
-    """Complex zero of a dispersion factor near beta0.
+    """Complex zero of a dispersion factor near beta0: _pole_search run alone."""
+    return _run(_pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift))
+
+
+def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
+    """Complex zero of a dispersion factor near beta0, as lockstep steps.
 
     On the real axis a leaky resonance leaves only a rounded minimum whose
     position is biased by up to its half linewidth; the underlying zero sits
@@ -388,15 +556,18 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
     seed's real part; the caller decides what a rejection means.
     alpha0_at is the incidence's _alpha0_rule.
     """
-
     geometry = StackGeometry(eta=eta, xi=xi)
+    xs, ys = _factor_offsets(kind, geometry)
 
-    def f(beta: complex) -> complex:
-        return _factor_complex(kind, alpha0_at(beta), beta, geometry, policy)
+    def f(beta: complex):
+        """The factor continued to complex beta (no light-line guard), one kernel call."""
+        values, _ = yield from _summed(alpha0_at(beta), beta, geometry.d, xs, ys, policy)
+        return _factor_from(kind, values)
 
     seed = complex(beta0)
     z0, z1 = seed, seed + 1e-7
-    f0, f1 = f(z0), f(z1)
+    f0 = yield from f(z0)
+    f1 = yield from f(z1)
     start = abs(f0)
     for _ in range(60):
         denom = f1 - f0
@@ -405,7 +576,7 @@ def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], compl
         dz = -f1 * (z1 - z0) / denom
         z0, f0 = z1, f1
         z1 = z1 + dz
-        f1 = f(z1)
+        f1 = yield from f(z1)
         if abs(dz) <= 1e-14 * abs(z1) or f1 == 0:
             break
     else:
@@ -420,8 +591,12 @@ def _polished_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift, where) -> 
     """_factor_pole's zero, or Unresolved naming the parity and where the seed is."""
     pole = _factor_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift)
     if pole is None:
-        raise Unresolved(f"no zero of the {kind} factor within reach of {where}")
+        raise _no_zero(kind, where)
     return pole
+
+
+def _no_zero(kind: str, where: str) -> Unresolved:
+    return Unresolved(f"no zero of the {kind} factor within reach of {where}")
 
 
 def find_xi_edit(
@@ -638,58 +813,80 @@ def steer(
     directly from beta_g (no window search; Unresolved when rejected); EDIT
     shift tuning when with_edit; notch and outer-pair Q factors when with_q
     (implies with_edit), from both poles polished from beta_edit: the darker
-    labels the notch, 12 half-linewidths of the brighter size the envelope
-    scan (Unresolved when either is rejected).  EDIT tuning and its Q
-    factors run at the slab separation eta_edit = slab_guess(beta_g,
-    alpha0_g, m), as in the paper's EDIT construction.  Failures are
-    recorded per angle and do not stop the sweep.  EDIT tuning is skipped at
-    normal incidence (no even/odd merging without a symmetry-breaking
-    lateral shift relative to an oblique wave).
+    labels the notch (its zoom's final window is kept as notch_records), 12
+    half-linewidths of the brighter size the envelope scan (Unresolved when
+    either is rejected).  EDIT tuning and its Q factors run at the slab
+    separation eta_edit = slab_guess(beta_g, alpha0_g, m), as in the paper's
+    EDIT construction.  Failures are recorded per angle and do not stop the
+    sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
+    without a symmetry-breaking lateral shift relative to an oblique wave).
+
+    Stages 1-2 and the unshifted pair run for all angles in lockstep
+    (_lockstep): each round evaluates every angle's pending step in one
+    kernel call per kind, with the same floats as one angle alone.  EDIT
+    tuning and Q then run angle by angle.
     """
-    results = []
-    for theta in theta_list:
-        res = SteeringResult(theta_i=theta)
-        results.append(res)
+    results = [SteeringResult(theta_i=theta) for theta in theta_list]
+    searches = [_unshifted_search(res, m, with_modes or with_edit or with_q, policy)
+                for res in results]
+    for res, eta_edit in zip(results, _lockstep(searches)):
         try:
-            res.beta_g = find_beta_g(theta, policy=policy)
-            alpha0_at = _alpha0_rule(theta, None)
-            res.alpha0_g = alpha0_at(res.beta_g)
-            chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
-            guess = slab_guess(res.beta_g, res.alpha0_g, m)
-            res.eta_star = find_eta_star(res.beta_g, guess, policy, theta_i=theta)
-            res.m_eff = res.eta_star * chi0 / math.pi
-            if with_modes or with_edit or with_q:
-                for kind in ("odd", "even"):
-                    pole = _polished_pole(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
-                                          policy, _POLE_REACH, f"beta_g = {res.beta_g:.9g}")
-                    setattr(res, f"beta_{kind}", pole.real)
-            if (with_edit or with_q):
-                if theta == 0.0:
-                    res.error = "EDIT unsupported at normal incidence"
-                    continue
-                res.eta_edit = guess
-                res.xi_edit, res.beta_edit = find_xi_edit(
-                    theta, res.beta_g, res.eta_edit, policy=policy)
-                if with_q:
-                    # the merged resonance is the notch centre, labelled by
-                    # the darker pole (smaller |Im|)
-                    poles = {k: _polished_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
-                                               res.xi_edit, policy, _POLE_REACH,
-                                               f"beta_edit = {res.beta_edit:.9g}")
-                             for k in ("odd", "even")}
-                    dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
-                    triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
-                    notch = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
-                                         policy, theta_i=theta)
-                    res.q_notch = q_factor(notch, "notch", kind=dark).q
-                    # The broad envelope the notch splits is the outer-pair
-                    # cavity mode; its half-linewidth comes from the bright
-                    # pole.  An even point count keeps the needle at the
-                    # window centre from puncturing the envelope samples.
-                    hw = 12.0 * abs(poles[bright].imag)
-                    env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
-                                        theta_i=theta, resolution=2000, policy=policy)
-                    res.q_pair = q_factor(env, "peak", kind=bright).q
+            if isinstance(eta_edit, Exception):
+                raise eta_edit
+            if not (with_edit or with_q):
+                continue
+            if res.theta_i == 0.0:
+                res.error = "EDIT unsupported at normal incidence"
+                continue
+            theta = res.theta_i
+            res.eta_edit = eta_edit
+            res.xi_edit, res.beta_edit = find_xi_edit(
+                theta, res.beta_g, res.eta_edit, policy=policy)
+            if with_q:
+                # the merged resonance is the notch centre, labelled by
+                # the darker pole (smaller |Im|)
+                alpha0_at = _alpha0_rule(theta, None)
+                poles = {k: _polished_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
+                                           res.xi_edit, policy, _POLE_REACH,
+                                           f"beta_edit = {res.beta_edit:.9g}")
+                         for k in ("odd", "even")}
+                dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
+                triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
+                res.notch_records = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
+                                                 policy, theta_i=theta)
+                res.q_notch = q_factor(res.notch_records, "notch", kind=dark).q
+                # The broad envelope the notch splits is the outer-pair
+                # cavity mode; its half-linewidth comes from the bright
+                # pole.  An even point count keeps the needle at the
+                # window centre from puncturing the envelope samples.
+                hw = 12.0 * abs(poles[bright].imag)
+                env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
+                                    theta_i=theta, resolution=2000, policy=policy)
+                res.q_pair = q_factor(env, "peak", kind=bright).q
         except Exception as exc:  # noqa: BLE001 - per-angle failures recorded
             res.error = f"{type(exc).__name__}: {exc}"
     return results
+
+
+def _unshifted_search(res: SteeringResult, m: int, with_modes: bool,
+                      policy: TruncationPolicy):
+    """steer's lockstep stages at one angle, filling res as each lands.
+
+    beta_g, eta_star and, with_modes, the unshifted pair's poles polished
+    from beta_g; returns the slab separation, EDIT tuning's eta.
+    """
+    alpha0_at = _alpha0_rule(res.theta_i, None)
+    res.beta_g = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i), policy)
+    res.alpha0_g = alpha0_at(res.beta_g)
+    chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
+    guess = slab_guess(res.beta_g, res.alpha0_g, m)
+    res.eta_star = yield from _pair_search(res.beta_g, res.alpha0_g, guess, policy)
+    res.m_eff = res.eta_star * chi0 / math.pi
+    if with_modes:
+        for kind in ("odd", "even"):
+            pole = yield from _pole_search(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
+                                           policy, _POLE_REACH)
+            if pole is None:
+                raise _no_zero(kind, f"beta_g = {res.beta_g:.9g}")
+            setattr(res, f"beta_{kind}", pole.real)
+    return guess

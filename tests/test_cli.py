@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from pinstacks.cli import main
 from pinstacks.greens import SpectralPoint, greens
 from pinstacks.modes import StackGeometry, assemble, dispersion_residual
+from pinstacks.scattering import PinStack
 
 LIGHT_LINE_BETA = "6.283185307179586"   # 2 pi: order n = -1 on its light line
+DATA = Path(__file__).resolve().parent / "data"
+cli = importlib.import_module("pinstacks.cli")
+steering = importlib.import_module("pinstacks.steering")
 
 
 def _run(capsys, argv):
@@ -254,6 +260,40 @@ class TestSteer:
         assert header[:5] == ["theta_deg", "beta_g", "alpha0_g", "eta_star",
                               "m_eff"]
         assert "error" in header
+
+    def test_table1_bytes_are_pinned(self, capsys):
+        # steer --table1 as written before its stages ran in lockstep; an
+        # intended change of any value rewrites the file and says why
+        code, out = _run(capsys, ["steer", "--table1", "--format", "json",
+                                  "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "steer_table1.json").read_text()
+
+    def test_results_dir_writes_the_notch_scan_steer_measured(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the notch zoom runs once per angle, inside steer; the CSV holds
+        # the records of its final window
+        zooms, zoom = [], steering.feature_scan
+
+        def counted(*args, **kwargs):
+            zooms.append(args)
+            return zoom(*args, **kwargs)
+
+        for module in (steering, cli):
+            if hasattr(module, "feature_scan"):
+                monkeypatch.setattr(module, "feature_scan", counted)
+        code, out = _run(capsys, ["steer", "--theta", "60", "--with-q", "--format", "json",
+                                  "--no-timestamp", "--results-dir", str(tmp_path)])
+        assert code == 0 and len(zooms) == 1
+        row, = json.loads(out)["rows"]
+        monkeypatch.undo()
+        records = zoom(PinStack.triplet(row["eta_edit"], row["xi_edit"]), row["beta_edit"],
+                       1e-7, "notch", theta_i=math.radians(60.0))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["beta", "alpha0", "T", "R"])
+        writer.writerows([r.beta, r.alpha0, r.T, r.R] for r in records)
+        assert (tmp_path / "theta60_notch.csv").read_text() == expected.getvalue()
 
     def test_eta_edit_column_follows_beta_even(self, capsys):
         code, out = _run(capsys, ["steer", "--theta", "0", "--no-modes",

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from pinstacks.errors import DegenerateFormula
-from pinstacks.greens import DEFAULT_POLICY, SpectralPoint
+from pinstacks.greens import DEFAULT_POLICY, SpectralPoint, _lattice_sums
 from pinstacks.modes import (
     ModeMatrix,
     StackGeometry,
-    _factor_complex,
+    _factor_from,
+    _factor_offsets,
     assemble,
     coincidence_conditions,
     determinant,
@@ -72,10 +73,14 @@ def test_factor_complex_is_the_assembled_factor(d):
     geometry = StackGeometry(eta=1.0, xi=0.252, d=d)
     m = assemble(point, geometry)
     m11, m12, m13, m21 = (complex(v) for v in (m.m11, m.m12, m.m13, m.m21))
-    assert _factor_complex("odd", point.alpha0, point.beta, geometry,
-                           DEFAULT_POLICY) == m11 - m13
-    assert _factor_complex("even", point.alpha0, point.beta, geometry,
-                           DEFAULT_POLICY) == 2.0 * m12 * m21 - m11 * (m11 + m13)
+
+    def factor(kind):
+        values, _ = _lattice_sums(point.alpha0, point.beta, d,
+                                  *_factor_offsets(kind, geometry), DEFAULT_POLICY)
+        return _factor_from(kind, values)
+
+    assert factor("odd") == m11 - m13
+    assert factor("even") == 2.0 * m12 * m21 - m11 * (m11 + m13)
 
 
 def test_matrix_structure():

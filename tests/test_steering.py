@@ -496,7 +496,8 @@ class TestSteer:
                 assert abs(found - searched) <= 4 * math.ulp(searched), f"{deg} deg {kind}"
 
     def test_resonance_pair_runs_no_window_grid(self, monkeypatch):
-        # without EDIT the pipeline evaluates no 241-point mode-matrix grid
+        # without EDIT the pipeline evaluates no 241-point mode-matrix grid:
+        # no builder call, lockstep or not, builds a triplet's matrices
         searches = _counted(monkeypatch, "_window_search")
         grids, build = [], modes._mode_matrices
 
@@ -506,13 +507,22 @@ class TestSteer:
 
         monkeypatch.setattr(modes, "_mode_matrices", counted_build)
         monkeypatch.setattr(steering, "_mode_matrices", counted_build)
+        stacks, builder = [], steering._interaction_matrices
+
+        def counted_builder(alpha0, beta, d, pins, policy):
+            stacks.append(len(pins))
+            return builder(alpha0, beta, d, pins, policy)
+
+        monkeypatch.setattr(steering, "_interaction_matrices", counted_builder)
         results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
         assert all(res.error is None and res.beta_odd is not None for res in results)
         assert searches == [] and grids == []
+        assert stacks and 3 not in stacks
 
     def test_rejected_pole_is_recorded(self, monkeypatch):
-        # no grid search stands in for a pole the polish from beta_g missed
-        monkeypatch.setattr(steering, "_factor_pole", lambda *args, **kwargs: None)
+        # no grid search stands in for a pole the polish from beta_g missed;
+        # an empty search returns None at once
+        monkeypatch.setattr(steering, "_pole_search", lambda *args, **kwargs: iter(()))
         res, = steer([THETA_30])
         assert res.error.startswith("Unresolved: ")
         assert "odd factor" in res.error
@@ -559,3 +569,56 @@ class TestSteer:
         assert res.beta_edit == pytest.approx(2.94716, abs=1e-4)
         assert res.q_notch >= 1e9
         assert 5e4 <= res.q_pair <= 5e5
+
+
+@pytest.fixture(scope="module")
+def table1_alone():
+    """steer at each Table-1 angle on its own."""
+    return [steer([math.radians(d)])[0] for d in TABLE1_ANGLES_DEG]
+
+
+def test_lockstep_equals_one_angle_at_a_time(table1_alone):
+    # the kernel's values depend only on their own inputs, so advancing every
+    # angle's searches together changes no bit of any field
+    together = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
+    assert together == table1_alone
+
+
+def test_a_failed_request_fails_its_own_angle(table1_alone, monkeypatch):
+    # a kernel call that raises for one angle's pair condition: the joined
+    # call fails, each request is retried alone, and only that angle records
+    # the error, as a per-angle run does
+    bad = TABLE1_ANGLES_DEG.index(30.0)
+    bad_alpha0 = table1_alone[bad].alpha0_g
+    kernel = steering._lattice_sums
+
+    def failing(alpha0, beta, d, x, y, policy):
+        if np.isrealobj(alpha0) and np.any(np.asarray(alpha0) == bad_alpha0):
+            raise ArithmeticError("injected failure")
+        return kernel(alpha0, beta, d, x, y, policy)
+
+    monkeypatch.setattr(steering, "_lattice_sums", failing)
+    together = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
+    alone, = steer([math.radians(30.0)])
+    assert together[bad] == alone
+    assert alone.error == "ArithmeticError: injected failure"
+    assert alone.beta_g == table1_alone[bad].beta_g and alone.eta_star is None
+    assert together[:bad] + together[bad + 1:] == table1_alone[:bad] + table1_alone[bad + 1:]
+
+
+def test_table1_makes_few_kernel_calls(monkeypatch):
+    # each lockstep round makes one kernel call per kind of pending step; one
+    # angle at a time, the 15 angles made 486 one-point calls
+    calls, kernel = [], steering._lattice_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for name in ("greens", "modes", "scattering", "steering"):
+        module = importlib.import_module(f"pinstacks.{name}")
+        if hasattr(module, "_lattice_sums"):
+            monkeypatch.setattr(module, "_lattice_sums", counted)
+    results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
+    assert all(res.error is None for res in results)
+    assert 0 < len(calls) <= 80
