@@ -29,6 +29,7 @@ M is the pin-interaction matrix of the pins in (top, centre, bottom) order,
 built by the same greens._interaction_matrices as every scattering system:
 four lattice sums per point, for a whole beta vector in one call.  assemble
 is its one-point case; dispersion_grid builds one alpha0 column per call.
+_triplet_pins gives steering's window search the same pins, and
 _factor_offsets and _factor_from continue either dispersion factor to
 complex beta, from the same entry offsets, for steering's pole searches.
 """
@@ -147,9 +148,13 @@ def _mode_matrices(alpha0, beta, geometry: StackGeometry,
     adds the closed-form tail, and M12, M21 off the source line.  Returns
     (B, 3, 3) entries and per-point errors, as _interaction_matrices.
     """
+    return _interaction_matrices(alpha0, beta, geometry.d, _triplet_pins(geometry), policy)
+
+
+def _triplet_pins(geometry: StackGeometry) -> tuple:
+    """The triplet's pins in (top, centre, bottom) order, the mode matrix's."""
     eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
-    pins = ((0.0, eta_d), (xi_d, 0.0), (0.0, -eta_d))
-    return _interaction_matrices(alpha0, beta, geometry.d, pins, policy)
+    return ((0.0, eta_d), (xi_d, 0.0), (0.0, -eta_d))
 
 
 def _factor_offsets(kind: str, geometry: StackGeometry) -> tuple[np.ndarray, np.ndarray]:

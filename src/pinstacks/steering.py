@@ -28,15 +28,18 @@ spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
 one batched grid brackets each sign change, and Brent's method
 (_brent_steps, a port of scipy's brentq) refines it to the nearest float on
 the single-point function, whose values equal the batched ones exactly (the
-grid's values serve the bracket's two ends).  Every other grid (the window
-search's, each scan) is likewise evaluated in one batched call.
+grid's values serve the bracket's two ends).  With one propagating order
+those roots give R = 1 and T_pair = 1 to rounding, so a root is accepted
+when order 0 alone propagates there (_one_order), with no scattering solve.
+Every other grid (the window search's, each scan) is likewise evaluated in
+one batched call.
 
-The searches of stages 1-2 and the pole polish are written as generators
-that yield each kernel evaluation they need (a _Request) and are sent its
-value.  _lockstep advances many of them together, one kernel call per kind
-of request and round; steer runs every angle's stages 1-2 and unshifted
-pole pair that way.  The scalar functions (find_beta_g, find_eta_star,
-_factor_pole, _brent_root) run one search alone through the same driver.
+Every search (stages 1-3, the window search and the pole polish) is a
+generator that yields each kernel evaluation it needs (a _Request for the
+builder or the lattice sums) and is sent its value.  _lockstep advances
+many of them together, one kernel call per kind of request and round;
+steer runs each angle's whole chain of searches that way, and each public
+function runs its one search alone through the same driver (_run).
 """
 
 from __future__ import annotations
@@ -62,13 +65,11 @@ from .greens import (
     _flat,
     _interaction_matrices,
     _lattice_sums,
+    propagating_orders,
 )
-from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _mode_matrices
-from .scattering import (IncidentWave, PinStack, SpectrumRecord, _alpha0_rule, _scatter_all,
-                         scan, spectrum_scan)
+from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _triplet_pins
+from .scattering import PinStack, SpectrumRecord, _alpha0_rule, scan, spectrum_scan
 
-_R_TOL = 1e-10   # 1 - R_g at beta_g ("to at least ten decimal places")
-_T_TOL = 1e-8    # 1 - T_pair at eta*
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 _BETA_WINDOW_HALFWIDTH = 0.05   # find_xi_edit's window searches, beta +- this
 # How far a pole polished from a nearby real seed (beta_g, beta_edit) may
@@ -152,9 +153,10 @@ def find_beta_g(
     1 - R = (Re G)^2 / |G|^2: the mirror condition is the root of Re G(0, 0).
     A grid of Re G(0, 0) over the bracket (one builder call) locates its sign
     changes; each, in grid order, is refined to the nearest float
-    (_nearest_root) and the first with 1 - R <= 1e-10 is returned.  Raises
-    NoUnityReflectance when there is none (wrong bracket, or more than one
-    propagating order).
+    (_nearest_root), where 1 - R vanishes to rounding, and the first at which
+    order 0 alone propagates is returned (_one_order; with more orders the
+    others carry energy and R < 1).  Raises NoUnityReflectance when there is
+    none (wrong bracket, or more than one propagating order).
     """
     if beta_bracket is None:
         beta_bracket = default_bracket(theta_i, alpha0)
@@ -181,11 +183,7 @@ def _mirror_search(alpha0_at, beta_bracket, policy, coarse=_MIRROR_GRID):
     for i in _sign_changes(values):
         beta = yield from _nearest_root(re_g_at, grid[i], grid[i + 1],
                                         values[i], values[i + 1])
-        point = SpectralPoint(alpha0_at(beta), beta)   # single_grating_reflectance's wave
-        mirror = yield from _scattered(PinStack.single(point.d),
-                                       IncidentWave.from_alpha0(point.alpha0, point.beta),
-                                       policy)
-        if 1.0 - mirror.R_orders[0] <= _R_TOL:
+        if _one_order(SpectralPoint(alpha0_at(beta), beta)):
             return beta
     raise NoUnityReflectance(
         f"no root of Re G(0, 0) in bracket ({lo:g}, {hi:g}) gives unit "
@@ -225,8 +223,9 @@ def find_eta_star(
 
     That difference is sampled over [0.9, 1.1] * eta_guess (one kernel
     call), widening once to [0.8, 1.2]; each sign change, in grid order, is
-    refined to the nearest float (_nearest_root) and the first with
-    1 - T <= 1e-8 is returned, else NoUnityTransmittance is raised.  The
+    refined to the nearest float (_nearest_root), where 1 - T vanishes to
+    rounding, and the first is returned if order 0 alone propagates at
+    (alpha0, beta_g) (_one_order), else NoUnityTransmittance is raised.  The
     guess is expected within 10% of the optimum (the slab model lands
     within ~2.5%).
     """
@@ -260,14 +259,23 @@ def _pair_search(beta_g, a0, eta_guess, policy, coarse=_PAIR_GRID):
         for i in _sign_changes(values):
             eta = yield from _nearest_root(condition_at, grid[i], grid[i + 1],
                                            values[i], values[i + 1])
-            pair = yield from _scattered(PinStack.pair(eta), IncidentWave.from_alpha0(a0, beta_g),
-                                         policy)
-            if 1.0 - pair.T <= _T_TOL:
+            if _one_order(point):
                 return eta
     raise NoUnityTransmittance(
         f"no root of the pair condition at beta_g = {beta_g:.9g} with eta within "
         f"20% of the guess {eta_guess:.6g} gives unit transmittance"
     )
+
+
+def _one_order(point: SpectralPoint) -> bool:
+    """Whether order 0 alone propagates at point.
+
+    Then every other order's term of G is real, so Im G(0, y) = s cos(chi_0 y)
+    exactly (see find_beta_g and find_eta_star): R = 1 holds to rounding at
+    the nearest-float root of stage 1's condition, and T_pair = 1 at stage
+    2's.  With more than one propagating order the others carry energy away.
+    """
+    return propagating_orders(point) == [0]
 
 
 def _sign_changes(values: np.ndarray) -> list[int]:
@@ -379,28 +387,6 @@ def _summed(alpha0, beta, d: float, x, y, policy: TruncationPolicy):
     return values.reshape(shape), near.reshape(shape)
 
 
-def _scattered(stack: PinStack, wave: IncidentWave, policy: TruncationPolicy):
-    """scatter(stack, wave, policy), as a search step."""
-    (records,) = yield _Request(("scatter", stack, policy),
-                                lambda waves: (_scatter_all(stack, list(waves), policy),),
-                                ([wave],), lambda: (np.array([wave], dtype=object),))
-    if isinstance(records[0], Exception):
-        raise records[0]
-    return records[0]
-
-
-def _brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """A root of f in [a, b], where f changes sign, to xtol + 4 eps |root|.
-
-    _brent_steps run alone on the plain function f.
-    """
-    def step(x: float):
-        yield from ()     # a step that requests nothing
-        return f(x)
-
-    return _run(_brent_steps(step, a, b, xtol))
-
-
 def _brent_steps(f, a: float, b: float, xtol: float):
     """A root of f in [a, b], where f changes sign, to xtol + 4 eps |root|.
 
@@ -503,11 +489,11 @@ def resonance_beta(
     trapped-mode resonances (the zeros of det M split by parity).  Evaluates
     the factor's modulus on a coarse grid over the window (edges included)
     and polishes the zero from the deepest grid point.  Raises Unresolved
-    when that polish is rejected (see _factor_pole; the reach is a tenth of
+    when that polish is rejected (see _pole_search; the reach is a tenth of
     the window width), as when the window holds no resonance.
     """
-    return _window_search(kind, eta, xi, beta_window, policy, theta_i=theta_i,
-                          alpha0=alpha0, coarse=coarse).real
+    alpha0_at = _alpha0_rule(theta_i, alpha0)
+    return _run(_window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse)).real
 
 
 def _polish_reach(beta_window: tuple[float, float]) -> float:
@@ -515,29 +501,25 @@ def _polish_reach(beta_window: tuple[float, float]) -> float:
     return 0.1 * (beta_window[1] - beta_window[0])
 
 
-def _window_search(kind, eta, xi, beta_window, policy=DEFAULT_POLICY, *, theta_i=None,
-                   alpha0=None, coarse=241) -> complex:
-    """The factor's complex zero, polished from the deepest point of a window grid."""
+def _window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse=241):
+    """The factor's complex zero, polished from the deepest point of a window grid.
+
+    As lockstep steps (see _lockstep): the grid's mode matrices are one
+    builder request, the polish a _resolved_pole.
+    """
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
     geometry = StackGeometry(eta=eta, xi=xi)
-    alpha0_at = _alpha0_rule(theta_i, alpha0)
     lo, hi = beta_window
     betas = np.linspace(lo, hi, coarse).tolist()
-    entries, errors = _mode_matrices([alpha0_at(b) for b in betas], betas,
-                                     geometry, policy)
+    entries, errors = yield from _built([alpha0_at(b) for b in betas], betas, geometry.d,
+                                        _triplet_pins(geometry), policy)
     for error in filter(None, errors):   # the first failure in grid order
         raise error
     seed = betas[int(np.argmin(_factor_moduli(entries)[0 if kind == "odd" else 1]))]
-    return _polished_pole(kind, seed, alpha0_at, eta, xi, policy,
-                          _polish_reach(beta_window), f"beta = {seed:.9g} in ({lo:g}, {hi:g})")
-
-
-def _factor_pole(kind: str, beta0: complex, alpha0_at: Callable[[complex], complex],
-                 eta: float, xi: float, policy: TruncationPolicy,
-                 max_shift: float) -> complex | None:
-    """Complex zero of a dispersion factor near beta0: _pole_search run alone."""
-    return _run(_pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift))
+    return (yield from _resolved_pole(kind, seed, alpha0_at, eta, xi, policy,
+                                      _polish_reach(beta_window),
+                                      f"beta = {seed:.9g} in ({lo:g}, {hi:g})"))
 
 
 def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
@@ -587,16 +569,12 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
     return complex(z1)
 
 
-def _polished_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift, where) -> complex:
-    """_factor_pole's zero, or Unresolved naming the parity and where the seed is."""
-    pole = _factor_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift)
+def _resolved_pole(kind, seed, alpha0_at, eta, xi, policy, max_shift, where):
+    """_pole_search's zero, or Unresolved naming the parity and where the seed is."""
+    pole = yield from _pole_search(kind, seed, alpha0_at, eta, xi, policy, max_shift)
     if pole is None:
-        raise _no_zero(kind, where)
+        raise Unresolved(f"no zero of the {kind} factor within reach of {where}")
     return pole
-
-
-def _no_zero(kind: str, where: str) -> Unresolved:
-    return Unresolved(f"no zero of the {kind} factor within reach of {where}")
 
 
 def find_xi_edit(
@@ -615,58 +593,64 @@ def find_xi_edit(
     beta_even(xi) is tracked while xi steps across the bracket: the even
     factor's complex zero is continued from step to step, its seed
     extrapolated linearly in xi from the two nearest tracked poles and
-    polished by _factor_pole.  resonance_beta's window search runs only at
-    the first step and wherever the continued secant is rejected (the track
-    then restarts from the zero that search polished).  A sign change of the gap
-    beta_even - beta_odd is closed by bisection on resonance_beta itself.
-    The window searches span beta +- 0.05, around beta_g for the odd
-    resonance and around beta_odd for the even one.  Returns (xi_edit,
-    beta_edit) with |beta_even(xi_edit) - beta_odd| <= 1e-7.
+    polished by _pole_search.  The window search runs only at the first
+    step and wherever the continued secant is rejected (the track then
+    restarts from the zero that search polished).  A sign change of the gap
+    beta_even - beta_odd is closed by Brent's method (xtol 1e-9) on window
+    searches.  The window searches span beta +- 0.05, around beta_g for the
+    odd resonance and around beta_odd for the even one.  Returns (xi_edit,
+    beta_edit) with |beta_even(xi_edit) - beta_odd| <= 1e-7.  The search is
+    _edit_search, run alone (steer runs it in lockstep with other angles').
 
     Raises ModesDidNotMerge (reporting the closest approach) when the gap
     never changes sign over the bracket.
     """
+    return _run(_edit_search(_alpha0_rule(theta_i, None), beta_g, eta_star, policy,
+                             xi_bracket, xi_step))
+
+
+def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30), xi_step=1e-3):
+    """find_xi_edit's search, as lockstep steps (see _lockstep)."""
     window = (beta_g - _BETA_WINDOW_HALFWIDTH, beta_g + _BETA_WINDOW_HALFWIDTH)
-    beta_odd = resonance_beta("odd", eta_star, 0.0, window,
-                              policy, theta_i=theta_i)
+    beta_odd = (yield from _window_search("odd", eta_star, 0.0, window, alpha0_at,
+                                          policy)).real
     even_window = (beta_odd - _BETA_WINDOW_HALFWIDTH,
                    beta_odd + _BETA_WINDOW_HALFWIDTH)
-    alpha0_at = _alpha0_rule(theta_i, None)
     track: list[tuple[float, complex]] = []   # (xi, even pole) of the scan steps
 
-    def gap(xi: float) -> float:
-        return resonance_beta("even", eta_star, xi, even_window,
-                              policy, theta_i=theta_i) - beta_odd
+    def gap(xi: float):
+        pole = yield from _window_search("even", eta_star, xi, even_window, alpha0_at, policy)
+        return pole.real - beta_odd
 
-    def scan_gap(xi: float) -> float:
+    def scan_gap(xi: float):
         """gap(xi) at a scan step, from the even pole continued along the track."""
         if track:
             x1, seed = track[-1]
             if len(track) > 1:        # linear in xi through the two nearest poles
                 x0, z0 = track[-2]
                 seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
-            pole = _factor_pole("even", seed, alpha0_at, eta_star, xi, policy,
-                                _polish_reach(even_window))
+            pole = yield from _pole_search("even", seed, alpha0_at, eta_star, xi, policy,
+                                           _polish_reach(even_window))
             if pole is not None and even_window[0] < pole.real < even_window[1]:
                 track.append((xi, pole))
                 return pole.real - beta_odd
-        pole = _window_search("even", eta_star, xi, even_window, policy, theta_i=theta_i)
+        pole = yield from _window_search("even", eta_star, xi, even_window, alpha0_at, policy)
         track.append((xi, pole))
         return pole.real - beta_odd
 
     lo, hi = xi_bracket
     n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
     xs = np.linspace(lo, hi, n_steps)
-    g_prev = scan_gap(float(xs[0]))
+    g_prev = yield from scan_gap(float(xs[0]))
     best = (abs(g_prev), float(xs[0]))
     for x in xs[1:]:
-        g_here = scan_gap(float(x))
+        g_here = yield from scan_gap(float(x))
         if abs(g_here) < best[0]:
             best = (abs(g_here), float(x))
         if np.sign(g_here) != np.sign(g_prev):
-            xi_edit = _brent_root(gap, float(x) - (hi - lo) / (n_steps - 1),
-                                  float(x), 1e-9)
-            residual_gap = abs(gap(xi_edit))
+            xi_edit = yield from _brent_steps(gap, float(x) - (hi - lo) / (n_steps - 1),
+                                              float(x), 1e-9)
+            residual_gap = abs((yield from gap(xi_edit)))
             if residual_gap > _MERGE_TOL:
                 raise ModesDidNotMerge(
                     f"bisection left |beta_even - beta_odd| = {residual_gap:.3e}"
@@ -699,14 +683,7 @@ def q_factor(
     pts.sort()
     beta = np.array([b for b, _ in pts])
     t = np.array([v for _, v in pts])
-    if feature == "notch":
-        i0 = int(np.argmin(t))
-        level = 0.5 * (np.max(t) + t[i0])
-        inside = t < level
-    else:
-        i0 = int(np.argmax(t))
-        level = 0.5 * (np.min(t) + t[i0])
-        inside = t > level
+    i0, level, inside = _half_level(t, feature)
     if i0 in (0, len(t) - 1) or not inside[i0]:
         raise Unresolved("feature extremum sits on the scan boundary")
 
@@ -732,6 +709,21 @@ def q_factor(
     center = float(beta[i0])
     return ResonancePeak(beta_center=center, fwhm=fwhm, q=center / fwhm,
                          kind=kind, is_notch=(feature == "notch"))
+
+
+def _half_level(t: np.ndarray, feature: str) -> tuple[int, float, np.ndarray]:
+    """The extremum of T, its half-width level and the points past that level.
+
+    A notch's level is half depth, midway between the window's maximum and
+    the floor; a peak's half height above the window's minimum.
+    """
+    if feature == "notch":
+        i0 = int(np.argmin(t))
+        level = 0.5 * (np.max(t) + t[i0])
+        return i0, level, t < level
+    i0 = int(np.argmax(t))
+    level = 0.5 * (np.min(t) + t[i0])
+    return i0, level, t > level
 
 
 def feature_scan(
@@ -772,13 +764,7 @@ def feature_scan(
             raise Unresolved(f"{feature} scan failed at beta = "
                              f"{bad.beta:.9g}: {bad.error}")
         ts = np.array([r.T for r in records])
-        i0 = int(np.argmin(ts)) if feature == "notch" else int(np.argmax(ts))
-        if feature == "notch":
-            level = 0.5 * (np.max(ts) + ts[i0])
-            inside = ts < level
-        else:
-            level = 0.5 * (np.min(ts) + ts[i0])
-            inside = ts > level
+        i0, _, inside = _half_level(ts, feature)
         across = int(np.sum(inside))
         center = records[i0].beta
         if i0 in (0, len(ts) - 1):
@@ -821,59 +807,52 @@ def steer(
     sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
     without a symmetry-breaking lateral shift relative to an oblique wave).
 
-    Stages 1-2 and the unshifted pair run for all angles in lockstep
-    (_lockstep): each round evaluates every angle's pending step in one
-    kernel call per kind, with the same floats as one angle alone.  EDIT
-    tuning and Q then run angle by angle.
+    Each angle's searches (beta_g, eta_star, the unshifted pair, xi_edit and
+    the two poles at beta_edit) are one search, and all angles' run in
+    lockstep (_lockstep): each round evaluates every angle's pending step in
+    one kernel call per kind, with the same floats as one angle alone.  Only
+    the FWHM scans of the Q factors then run angle by angle.
     """
+    with_edit = with_edit or with_q
     results = [SteeringResult(theta_i=theta) for theta in theta_list]
-    searches = [_unshifted_search(res, m, with_modes or with_edit or with_q, policy)
+    searches = [_angle_search(res, m, with_modes or with_edit, with_edit, with_q, policy)
                 for res in results]
-    for res, eta_edit in zip(results, _lockstep(searches)):
+    for res, poles in zip(results, _lockstep(searches)):
         try:
-            if isinstance(eta_edit, Exception):
-                raise eta_edit
-            if not (with_edit or with_q):
-                continue
-            if res.theta_i == 0.0:
+            if isinstance(poles, Exception):
+                raise poles
+            if with_edit and res.theta_i == 0.0:
                 res.error = "EDIT unsupported at normal incidence"
                 continue
-            theta = res.theta_i
-            res.eta_edit = eta_edit
-            res.xi_edit, res.beta_edit = find_xi_edit(
-                theta, res.beta_g, res.eta_edit, policy=policy)
-            if with_q:
-                # the merged resonance is the notch centre, labelled by
-                # the darker pole (smaller |Im|)
-                alpha0_at = _alpha0_rule(theta, None)
-                poles = {k: _polished_pole(k, res.beta_edit, alpha0_at, res.eta_edit,
-                                           res.xi_edit, policy, _POLE_REACH,
-                                           f"beta_edit = {res.beta_edit:.9g}")
-                         for k in ("odd", "even")}
-                dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
-                triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
-                res.notch_records = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
-                                                 policy, theta_i=theta)
-                res.q_notch = q_factor(res.notch_records, "notch", kind=dark).q
-                # The broad envelope the notch splits is the outer-pair
-                # cavity mode; its half-linewidth comes from the bright
-                # pole.  An even point count keeps the needle at the
-                # window centre from puncturing the envelope samples.
-                hw = 12.0 * abs(poles[bright].imag)
-                env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
-                                    theta_i=theta, resolution=2000, policy=policy)
-                res.q_pair = q_factor(env, "peak", kind=bright).q
+            if not with_q:
+                continue
+            dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
+            triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
+            res.notch_records = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
+                                             policy, theta_i=res.theta_i)
+            res.q_notch = q_factor(res.notch_records, "notch", kind=dark).q
+            # The broad envelope the notch splits is the outer-pair cavity
+            # mode; its half-linewidth comes from the bright pole.  An even
+            # point count keeps the needle at the window centre from
+            # puncturing the envelope samples.
+            hw = 12.0 * abs(poles[bright].imag)
+            env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
+                                theta_i=res.theta_i, resolution=2000, policy=policy)
+            res.q_pair = q_factor(env, "peak", kind=bright).q
         except Exception as exc:  # noqa: BLE001 - per-angle failures recorded
             res.error = f"{type(exc).__name__}: {exc}"
     return results
 
 
-def _unshifted_search(res: SteeringResult, m: int, with_modes: bool,
-                      policy: TruncationPolicy):
-    """steer's lockstep stages at one angle, filling res as each lands.
+def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool,
+                  with_q: bool, policy: TruncationPolicy):
+    """steer's searches at one angle, filling res as each lands.
 
     beta_g, eta_star and, with_modes, the unshifted pair's poles polished
-    from beta_g; returns the slab separation, EDIT tuning's eta.
+    from beta_g; with_edit and off normal incidence, xi_edit at the slab
+    separation; with_q, the odd and even poles polished from beta_edit,
+    returned by kind (the merged resonance is the notch centre, labelled by
+    the darker pole, the one of smaller |Im|).
     """
     alpha0_at = _alpha0_rule(res.theta_i, None)
     res.beta_g = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i), policy)
@@ -884,9 +863,17 @@ def _unshifted_search(res: SteeringResult, m: int, with_modes: bool,
     res.m_eff = res.eta_star * chi0 / math.pi
     if with_modes:
         for kind in ("odd", "even"):
-            pole = yield from _pole_search(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
-                                           policy, _POLE_REACH)
-            if pole is None:
-                raise _no_zero(kind, f"beta_g = {res.beta_g:.9g}")
+            pole = yield from _resolved_pole(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
+                                             policy, _POLE_REACH, f"beta_g = {res.beta_g:.9g}")
             setattr(res, f"beta_{kind}", pole.real)
-    return guess
+    poles: dict[str, complex] = {}
+    if not with_edit or res.theta_i == 0.0:
+        return poles
+    res.eta_edit = guess
+    res.xi_edit, res.beta_edit = yield from _edit_search(alpha0_at, res.beta_g, guess, policy)
+    if with_q:
+        for kind in ("odd", "even"):
+            poles[kind] = yield from _resolved_pole(kind, res.beta_edit, alpha0_at, res.eta_edit,
+                                                    res.xi_edit, policy, _POLE_REACH,
+                                                    f"beta_edit = {res.beta_edit:.9g}")
+    return poles

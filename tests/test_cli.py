@@ -269,6 +269,14 @@ class TestSteer:
         assert code == 0
         assert out == (DATA / "steer_table1.json").read_text()
 
+    def test_with_q_bytes_are_pinned(self, capsys):
+        # steer --theta 30 60 --with-q as written before EDIT tuning and the
+        # poles at beta_edit ran in lockstep
+        code, out = _run(capsys, ["steer", "--theta", "30", "60", "--with-q", "--format",
+                                  "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "steer_q.json").read_text()
+
     def test_results_dir_writes_the_notch_scan_steer_measured(self, tmp_path, capsys,
                                                              monkeypatch):
         # the notch zoom runs once per angle, inside steer; the CSV holds

@@ -1,7 +1,8 @@
 """The package's own numerics: Brent's root finder and the exponential integral.
 
-The package imports numpy alone.  _brent_root is checked against scipy's
-brentq, whose C routine it ports, float for float; _exp1 against mpmath.
+The package imports numpy alone.  _brent_steps, run alone on a plain
+function, is checked against scipy's brentq, whose C routine it ports,
+float for float; _exp1 against mpmath.
 Subprocess tests check that no run of the chain imports scipy.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 import pinstacks
 from pinstacks.greens import _exp1
-from pinstacks.steering import _brent_root, resonance_beta
+from pinstacks.steering import _brent_steps, _run, resonance_beta
 
 SRC = str(Path(pinstacks.__file__).resolve().parent.parent)
 
@@ -35,6 +36,15 @@ FAMILIES = {
     "step": lambda c: lambda x: 1.0 if x > c else -1.0,
     "tiny": lambda c: lambda x: x - c if x < c else 1e-300 * (x - c),
 }
+
+
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """_brent_steps run alone on the plain function f."""
+    def step(x: float):
+        yield from ()     # a step that requests nothing
+        return f(x)
+
+    return _run(_brent_steps(step, a, b, xtol))
 
 
 def _brackets(seed: int, n: int) -> list[tuple[float, float, float]]:

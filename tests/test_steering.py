@@ -14,6 +14,7 @@ from pinstacks.errors import (
     DomainError,
     ModesDidNotMerge,
     NoUnityReflectance,
+    NoUnityTransmittance,
     Unresolved,
 )
 from pinstacks.greens import SpectralPoint
@@ -82,6 +83,12 @@ class TestFindBetaG:
         with pytest.raises(NoUnityReflectance):
             find_beta_g(THETA_30, beta_bracket=(1.0, 1.5), coarse=41)
 
+    def test_root_with_three_propagating_orders_is_refused(self):
+        # past 2 pi at normal incidence orders -1, 0 and 1 propagate: Re G(0, 0)
+        # has a root near beta = 10.686, but there R_0 is about 0.083
+        with pytest.raises(NoUnityReflectance):
+            find_beta_g(0.0, beta_bracket=(6.4, 12.0))
+
     def test_root_does_not_depend_on_the_grid(self):
         # each root is refined to the nearest float, whatever its bracket
         for deg in (0.0, 30.0, 45.0, 60.0):
@@ -122,9 +129,14 @@ class TestFindEtaStar:
         assert abs(1.0 - t) <= 1e-12
 
     def test_guess_far_from_any_resonance_raises(self):
-        from pinstacks.errors import NoUnityTransmittance
         with pytest.raises(NoUnityTransmittance):
             find_eta_star(3.599363, 0.5, theta_i=THETA_30)
+
+    def test_roots_with_two_propagating_orders_are_refused(self):
+        # at beta = 5 and 30 degrees order -1 propagates too: the pair
+        # condition has two roots, where 1 - T is about 0.418
+        with pytest.raises(NoUnityTransmittance):
+            find_eta_star(5.0, 1.0, theta_i=THETA_30)
 
 
 @pytest.mark.parametrize("deg, beta_g, eta_star", [
@@ -195,8 +207,9 @@ class TestResonanceBeta:
             resonance_beta("odd", 1.0, 0.0, (3.30, 3.35), alpha0=2.1)
 
     def test_rejected_polish_raises(self, monkeypatch):
-        # no real-axis minimum stands in for a zero the polish did not reach
-        monkeypatch.setattr(steering, "_factor_pole", lambda *args, **kwargs: None)
+        # no real-axis minimum stands in for a zero the polish did not reach;
+        # an empty search returns None at once
+        monkeypatch.setattr(steering, "_pole_search", lambda *args, **kwargs: iter(()))
         with pytest.raises(Unresolved, match="odd factor"):
             resonance_beta("odd", 0.98624, 0.0, (3.55, 3.65), theta_i=THETA_30)
 
@@ -237,40 +250,41 @@ def inputs_60():
     return _edit_inputs(60.0)
 
 
-def _counted(monkeypatch, name):
-    """The argument tuples of every call of steering's function name.
+def _counted(monkeypatch, name, module=steering):
+    """The argument tuples of every call of module's function name.
 
     resonance_beta and the scan's seeds and fallbacks all run the window
     search steering._window_search.
     """
-    calls, function = [], getattr(steering, name)
+    calls, function = [], getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return function(*args, **kwargs)
 
-    monkeypatch.setattr(steering, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def _continued_secants(monkeypatch, reject=False):
     """Record (xi, pole) of every continued secant, or reject them all.
 
-    The continuation starts _factor_pole from a complex seed; the window
-    search's polish starts from a real one.
+    The continuation starts _pole_search from a complex seed; the window
+    search's polish starts from a real one.  The spy is a search itself.
     """
-    polish = steering._factor_pole
+    search = steering._pole_search
     tracked = []
 
     def spy(kind, beta0, alpha0_at, eta, xi, *args, **kwargs):
         if not isinstance(beta0, complex):
-            return polish(kind, beta0, alpha0_at, eta, xi, *args, **kwargs)
-        pole = None if reject else polish(kind, beta0, alpha0_at, eta, xi, *args, **kwargs)
+            return (yield from search(kind, beta0, alpha0_at, eta, xi, *args, **kwargs))
+        pole = None if reject else (
+            yield from search(kind, beta0, alpha0_at, eta, xi, *args, **kwargs))
         if pole is not None:
             tracked.append((xi, pole))
         return pole
 
-    monkeypatch.setattr(steering, "_factor_pole", spy)
+    monkeypatch.setattr(steering, "_pole_search", spy)
     return tracked
 
 
@@ -506,7 +520,6 @@ class TestSteer:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(modes, "_mode_matrices", counted_build)
-        monkeypatch.setattr(steering, "_mode_matrices", counted_build)
         stacks, builder = [], steering._interaction_matrices
 
         def counted_builder(alpha0, beta, d, pins, policy):
@@ -539,23 +552,22 @@ class TestSteer:
 
     def test_rejected_q_pole_is_recorded(self, monkeypatch):
         # a pole at the EDIT point that the polish misses stops the Q stage
-        polish = steering._factor_pole
+        search = steering._pole_search
 
         def reject_at_edit(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
             if xi != 0.0 and max_shift == steering._POLE_REACH and kind == "even":
                 return None
-            return polish(kind, beta0, alpha0_at, eta, xi, policy, max_shift)
+            return (yield from search(kind, beta0, alpha0_at, eta, xi, policy, max_shift))
 
-        monkeypatch.setattr(steering, "_factor_pole", reject_at_edit)
+        monkeypatch.setattr(steering, "_pole_search", reject_at_edit)
         res, = steer([math.radians(60.0)], with_q=True)
         assert res.error.startswith("Unresolved: no zero of the even factor "
                                     "within reach of beta_edit = ")
         assert res.beta_edit is not None and res.q_notch is None
 
-    def test_edit_at_every_oblique_table1_angle(self):
-        degrees = TABLE1_ANGLES_DEG[1:]
-        results = steer([math.radians(d) for d in degrees], with_edit=True)
-        for deg, res in zip(degrees, results):
+    def test_edit_at_every_oblique_table1_angle(self, oblique_edit):
+        results, _ = oblique_edit
+        for deg, res in zip(TABLE1_ANGLES_DEG[1:], results):
             assert res.error is None, f"{deg} deg: {res.error}"
             assert res.xi_edit is not None and res.beta_edit is not None
 
@@ -606,9 +618,8 @@ def test_a_failed_request_fails_its_own_angle(table1_alone, monkeypatch):
     assert together[:bad] + together[bad + 1:] == table1_alone[:bad] + table1_alone[bad + 1:]
 
 
-def test_table1_makes_few_kernel_calls(monkeypatch):
-    # each lockstep round makes one kernel call per kind of pending step; one
-    # angle at a time, the 15 angles made 486 one-point calls
+def _counted_kernel(monkeypatch) -> list:
+    """The argument tuples of every _lattice_sums call, from whichever module."""
     calls, kernel = [], steering._lattice_sums
 
     def counted(*args, **kwargs):
@@ -619,6 +630,48 @@ def test_table1_makes_few_kernel_calls(monkeypatch):
         module = importlib.import_module(f"pinstacks.{name}")
         if hasattr(module, "_lattice_sums"):
             monkeypatch.setattr(module, "_lattice_sums", counted)
+    return calls
+
+
+def test_table1_makes_few_kernel_calls(monkeypatch):
+    # each lockstep round makes one kernel call per kind of pending step; one
+    # angle at a time, the 15 angles made 486 one-point calls.  No root is
+    # confirmed by a scattering solve: the one-order rule needs none
+    calls = _counted_kernel(monkeypatch)
+    solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 80
+    assert 0 < len(calls) <= 40
+    assert solves == []
+
+
+@pytest.fixture(scope="module")
+def oblique_edit():
+    """steer with_edit over the 14 oblique Table-1 angles, and its kernel calls."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counted_kernel(monkeypatch)
+        results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG[1:]], with_edit=True)
+    return results, calls
+
+
+def test_edit_lockstep_equals_one_angle_at_a_time(oblique_edit):
+    # xi_edit's searches join the lockstep too, and change no bit of any field
+    results, _ = oblique_edit
+    alone = [steer([math.radians(d)], with_edit=True)[0] for d in TABLE1_ANGLES_DEG[1:]]
+    assert results == alone
+
+
+def test_q_lockstep_equals_one_angle_at_a_time():
+    # the poles at beta_edit join the lockstep; the Q scans run per angle
+    thetas = [math.radians(30.0), math.radians(60.0)]
+    together = steer(thetas, with_q=True)
+    assert all(res.error is None and res.q_notch is not None for res in together)
+    assert together == [steer([theta], with_q=True)[0] for theta in thetas]
+
+
+def test_edit_makes_few_kernel_calls(oblique_edit):
+    # each round's window grids and continued secants share their calls;
+    # run angle by angle, the 14 EDIT searches made 5,333
+    results, calls = oblique_edit
+    assert all(res.error is None for res in results)
+    assert 0 < len(calls) <= 1000
