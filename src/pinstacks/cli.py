@@ -167,12 +167,11 @@ def cmd_greens(args: argparse.Namespace) -> int:
     policy = _policy(args)
     alpha0 = _alpha0_rule(_theta_i(args), args.alpha0)(args.beta)
     point = SpectralPoint(alpha0, args.beta)
-    n_terms = policy.window(alpha0, args.beta, point.d, args.x, args.y, args.n)
+    n_terms = policy.window(alpha0, args.beta, args.x, args.y, args.n)
     value = greens(point, args.x, args.y, policy, n_terms=n_terms)
     # compare with N/2; where the kernel's minimum raises N/2 back to N
     # (the same sum), with 2N
-    compare = policy.window(alpha0, args.beta, point.d, args.x, args.y,
-                            max(n_terms // 2, 1))
+    compare = policy.window(alpha0, args.beta, args.x, args.y, max(n_terms // 2, 1))
     if compare == n_terms:
         compare = 2 * n_terms
     other = greens(point, args.x, args.y, policy, n_terms=compare)

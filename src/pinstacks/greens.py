@@ -1,18 +1,23 @@
 """Quasi-periodic Green's function for flexural waves on a thin plate.
 
 The displacement Green's function of the biharmonic operator
-``Delta^2 - beta^4`` for a 1D-periodic row of sources with period ``d`` and
-Bloch parameter ``alpha0`` is evaluated in its plane-wave (spectral) form
+``Delta^2 - beta^4`` for a 1D-periodic row of sources with Bloch parameter
+``alpha0``, all lengths in units of the period, is evaluated in its
+plane-wave (spectral) form
 
-    G(x, y) = -(1 / 2 beta^2) * [  (1 / 2 i d) * sum_n exp(i alpha_n x + i chi_n |y|) / chi_n
-                                 + (1 / 2 d)   * sum_n exp(i alpha_n x) exp(-tau_n |y|) / tau_n ],
+    G(x, y) = -(1 / 2 beta^2) * [  (1 / 2 i) * sum_n exp(i alpha_n x + i chi_n |y|) / chi_n
+                                 + (1 / 2)   * sum_n exp(i alpha_n x) exp(-tau_n |y|) / tau_n ],
 
 with
 
-    alpha_n = alpha0 + 2 pi n / d,
+    alpha_n = alpha0 + 2 pi n,
     chi_n   = sqrt(beta^2 - alpha_n^2)   (positive real when propagating,
                                           +i sqrt(alpha_n^2 - beta^2) otherwise),
     tau_n   = sqrt(beta^2 + alpha_n^2).
+
+A period D maps onto the unit period exactly: beta -> beta D,
+alpha0 -> alpha0 D, lengths -> lengths / D, and G at period D is D^2 times
+G at the mapped point.
 
 The first (Helmholtz-type) sum carries the propagating orders; the second
 (modified) sum is evanescent everywhere.  Individually the two sums converge
@@ -29,7 +34,7 @@ Hurwitz-zeta-like series evaluated by Euler-Maclaurin for real or complex
 (alpha0, beta).  A 20-order window then gives G(0, y) to rounding at every
 y, continuously as y -> 0.  Off the column, with no closed form, the window
 reaches the order exp(-|alpha_n| |y|) damps below exp(-40): 20 orders at
-|y| >~ 0.3 d, up to the long window policy.n_self on the source line.
+|y| >~ 0.3, up to the long window policy.n_self on the source line.
 
 One array kernel, _lattice_sums, evaluates the sum for a vector of
 (alpha0, beta) points against a vector of offsets (x, y), real or complex,
@@ -47,9 +52,9 @@ complex product keeps its operand order
 operands on large arrays, which rounds differently), so a point's value is
 the same whatever its batch-mates, batch size or pass.
 
-All functions here are pure and reentrant: they keep no state besides
-read-only caches of order offsets and tail tables, and every batch works
-on its own arrays, so concurrent calls from caller code are safe.
+All functions here are pure and reentrant: they keep no state besides a
+read-only cache of order offsets and the read-only tail table, and every
+batch works on its own arrays, so concurrent calls from caller code are safe.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ _CHUNK = 4000
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A (Bloch parameter, spectral parameter) pair for a grating of period d.
+    """A (Bloch parameter, spectral parameter) pair, in units of the period.
 
     beta is the flexural wave parameter, beta^2 = omega sqrt(rho h / D);
     alpha0 is the Bloch wavenumber along the grating.
@@ -80,13 +85,10 @@ class SpectralPoint:
 
     alpha0: float
     beta: float
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.d > 0.0:
-            raise ValueError(f"period d must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,11 @@ class TruncationPolicy:
         if not self.lightline_tol > 0.0:
             raise ValueError("lightline_tol must be positive")
 
-    def window(self, alpha0, beta, d: float, x, y, n_terms=None):
-        """The window N the kernel sums at (x, y) for this (alpha0, beta, d).
+    def window(self, alpha0, beta, x, y, n_terms=None):
+        """The window N the kernel sums at (x, y) for this (alpha0, beta).
 
         n_terms if given; else n_far on the column x = 0, and off it
-        N >= (40 / |y| + |alpha0|) d / 2 pi, past which exp(-|alpha_n| |y|)
+        N >= (40 / |y| + |alpha0|) / 2 pi, past which exp(-|alpha_n| |y|)
         < exp(-40), floored at n_far and capped at n_self (its y -> 0
         limit, the source line); raised to the smallest window past which
         every order is evanescent with |alpha_n| >= 4 |beta| (at x = 0, where
@@ -140,10 +142,10 @@ class TruncationPolicy:
         at least 10).  Scalars give an int; arrays broadcast together give
         an integer array.
         """
-        least = _min_window(alpha0, beta, d, x)       # raises on NaN input
+        least = _min_window(alpha0, beta, x)          # raises on NaN input
         if n_terms is None:
             # + 1e-300 leaves any |y| > 1e-284 as it is; y = 0 gets the cap, not 40 / 0
-            damped = np.ceil((_DAMPING_CUTOFF / (abs(y) + 1e-300) + abs(alpha0)) * (d / TWO_PI))
+            damped = np.ceil((_DAMPING_CUTOFF / (abs(y) + 1e-300) + abs(alpha0)) * (1.0 / TWO_PI))
             n_terms = np.where(x == 0.0, self.n_far, damped.clip(self.n_far, self.n_self))
         window = np.maximum(n_terms, least)
         return int(window) if np.ndim(window) == 0 else window.astype(int)
@@ -154,14 +156,14 @@ DEFAULT_POLICY = TruncationPolicy()
 
 # Kummer's transformation at x = 0.  Past the window every order is
 # evanescent; with a = +-alpha_n (Re a > 0) its paired term
-#     (1/2d) [exp(-tau |y|) / tau - exp(-kappa |y|) / kappa],
+#     (1/2) [exp(-tau |y|) / tau - exp(-kappa |y|) / kappa],
 #     tau = sqrt(a^2 + beta^2),  kappa = sqrt(a^2 - beta^2),
 # is odd in beta^2, with k-th Taylor term
-#     -(1/d) exp(-a |y|) theta_k(a |y|) beta^(2k) / (2^k k! a^(2k+1)),
+#     -exp(-a |y|) theta_k(a |y|) beta^(2k) / (2^k k! a^(2k+1)),
 # theta_k(z) = sum_j (k+j)! / (2^j j! (k-j)!) z^(k-j) the reverse Bessel
 # polynomial (theta_k(0) = (2k-1)!!).  The terms k = 1, 3 are kept; each
 # (k, j) piece is (p, power of |y|, power of beta^2 past beta^2, coef) for
-# G's share coef |y|^(k-j) beta^(2k-2) / (2 d a^p), p = k + j + 1.
+# G's share coef |y|^(k-j) beta^(2k-2) / (2 a^p), p = k + j + 1.
 _KUMMER_TERMS = tuple(
     (k + j + 1, k - j, k - 1,
      math.factorial(k + j) / (2**j * math.factorial(j) * math.factorial(k - j))
@@ -174,7 +176,7 @@ _EM_WEIGHTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
 # sum_{m>=0} f(q + m) = int_q^inf f + sum_i _EM_FUNCTIONAL[i] f^(i)(q)
 _EM_FUNCTIONAL = (0.5,) + sum(((-w, 0.0) for w in _EM_WEIGHTS), ())[:-1]
 _R_POWERS = np.arange(17)     # powers of r = 1/q in the tail polynomial
-_C_POWERS = np.arange(13)     # powers of c = 2 pi |y| / d in its coefficients
+_C_POWERS = np.arange(13)     # powers of c = 2 pi |y| in its coefficients
 _SIDES = np.array([1.0, -1.0])
 _EULER_GAMMA = 0.5772156649015329
 
@@ -182,10 +184,10 @@ _EULER_GAMMA = 0.5772156649015329
 def _tail_polynomial() -> np.ndarray:
     """The Kummer tail of one side as a polynomial in r = 1/q and c, per k.
 
-    With w_p = coef |y|^(k-j) (d / 2 pi)^p / (2 d) the tail of one side is
+    With w_p = coef |y|^(k-j) (1 / 2 pi)^p / 2 the tail of one side is
     sum_{m>=0} f(q + m), f(u) = exp(-c u) g(u), g(u) = sum_p w_p u^-p.
     Since p + (k - j) = 2k + 1, w_p = coef c^(k-j) scale_k with
-    scale_k = (d / 2 pi)^(2k+1) / (2d).  By Euler-Maclaurin the sum is the
+    scale_k = (1 / 2 pi)^(2k+1) / 2.  By Euler-Maclaurin the sum is the
     integral sum_p w_p q^(1-p) E_p(c q), written through E_1 and exp(-c q)
     (DLMF 8.19.7), plus the corrections sum_i _EM_FUNCTIONAL[i] f^(i)(q),
     expanded by Leibniz.  Altogether, per k,
@@ -209,15 +211,9 @@ def _tail_polynomial() -> np.ndarray:
     return table
 
 
-_TAIL = _tail_polynomial()
-
-
-@functools.lru_cache(maxsize=8)
-def _tail_table(d: float) -> np.ndarray:
-    """_TAIL times scale_k for period d, read-only."""
-    table = _TAIL * ((d / TWO_PI) ** np.array([3, 7]) / (2.0 * d))[:, None, None]
-    table.flags.writeable = False
-    return table
+# _tail_polynomial times scale_k, read-only
+_TAIL = _tail_polynomial() * ((1.0 / TWO_PI) ** np.array([3, 7]) / 2.0)[:, None, None]
+_TAIL.flags.writeable = False
 
 
 _GUARD_REACH = 4.0       # least |alpha_n| / |beta| past any window
@@ -227,15 +223,15 @@ _DAMPING_CUTOFF = 40.0   # exp(-40) is below the rounding of any G
 _MAX_EXTENT = 2.0**62    # no order array of a wider window can be allocated
 
 
-def _window_extent(alpha0, beta, d: float, x):
-    """|alpha_n| d / 2 pi of the first order the kernel may leave out (float)."""
+def _window_extent(alpha0, beta, x):
+    """|alpha_n| / 2 pi of the first order the kernel may leave out (float)."""
     on_column = x == 0.0
     reach = abs(beta) * (_GUARD_REACH + (_TAIL_REACH - _GUARD_REACH) * on_column)
-    reach = np.maximum(reach, on_column * (TWO_PI * _EM_START / d))
-    return (reach + abs(alpha0)) * d / TWO_PI
+    reach = np.maximum(reach, on_column * (TWO_PI * _EM_START))
+    return (reach + abs(alpha0)) / TWO_PI
 
 
-def _min_window(alpha0, beta, d: float, x):
+def _min_window(alpha0, beta, x):
     """Smallest window N the kernel sums: the rule under every window.
 
     Past it every order is evanescent with |alpha_n| >= 4 |beta|, so the
@@ -249,15 +245,15 @@ def _min_window(alpha0, beta, d: float, x):
     for NaN and for a finite window past 2^62 orders, whose order array
     numpy could not allocate.
     """
-    extent = _window_extent(alpha0, beta, d, x)
+    extent = _window_extent(alpha0, beta, x)
     if not (extent < _MAX_EXTENT).all():          # NaN compares False
         raise (OverflowError if np.isinf(extent).any() else ValueError)(
-            f"no window at alpha0={alpha0}, beta={beta}, d={d}")
+            f"no window at alpha0={alpha0}, beta={beta}")
     return np.maximum(np.ceil(extent).astype(int) - 1, 1)
 
 
-def _point_errors(alpha0, beta, d: float) -> list[Exception | None]:
-    """What a sum at each real (alpha0, beta) for period d raises first.
+def _point_errors(alpha0, beta) -> list[Exception | None]:
+    """What a sum at each real (alpha0, beta) raises first.
 
     SpectralPoint's ValueError, or the window rule's error on input that
     gives no window (see _min_window); None for a point the kernel
@@ -266,12 +262,12 @@ def _point_errors(alpha0, beta, d: float) -> list[Exception | None]:
     """
     alpha0 = np.asarray(alpha0, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    fine = (beta > 0.0) & (d > 0.0) & (_window_extent(alpha0, beta, d, 0.0) < _MAX_EXTENT)
+    fine = (beta > 0.0) & (_window_extent(alpha0, beta, 0.0) < _MAX_EXTENT)
     errors: list[Exception | None] = [None] * len(beta)
     for i in np.nonzero(~fine)[0].tolist():
         try:
-            SpectralPoint(alpha0[i], beta[i], d)
-            _min_window(alpha0[i], beta[i], d, 0.0)
+            SpectralPoint(alpha0[i], beta[i])
+            _min_window(alpha0[i], beta[i], 0.0)
         except (ValueError, OverflowError) as exc:
             errors[i] = exc
     return errors
@@ -315,13 +311,13 @@ def _exp1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
+def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray,
                  ay: np.ndarray, n_terms: int) -> np.ndarray:
     """G's share of every order |n| > n_terms at x = 0, in closed form.
 
-    Order +-(n_terms + 1 + m) has a = (2 pi / d)(q +- m) with
-    q = n_terms + 1 +- alpha0 d / (2 pi), and exp(-a |y|) = exp(-c (q + m))
-    with c = 2 pi |y| / d; the sums over m are the polynomial of
+    Order +-(n_terms + 1 + m) has a = 2 pi (q +- m) with
+    q = n_terms + 1 +- alpha0 / (2 pi), and exp(-a |y|) = exp(-c (q + m))
+    with c = 2 pi |y|; the sums over m are the polynomial of
     _tail_polynomial, analytic in (alpha0, beta) (b2 = beta^2; _exp1
     takes complex arguments), so the pole search's complex points take the
     same path.  Only points with c min(Re q) <= 40 come here; past that the
@@ -333,12 +329,12 @@ def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
     with damped ones gets the same value exactly (its extra terms are exact
     zeros and factors of one).
     """
-    c = ay * (TWO_PI / d)
-    q = (n_terms + 1) + (alpha0 * (d / TWO_PI))[:, None] * _SIDES   # both sides
+    c = ay * TWO_PI
+    q = (n_terms + 1) + (alpha0 * (1.0 / TWO_PI))[:, None] * _SIDES   # both sides
     damped = c.any()
     # the k = 1 and k = 3 (times beta^4) coefficients of r^m, summed over c^e
-    by_k = (np.add.reduce(c[:, None, None, None] ** _C_POWERS * _tail_table(d), axis=3)
-            if damped else _tail_table(d)[..., 0])
+    by_k = (np.add.reduce(c[:, None, None, None] ** _C_POWERS * _TAIL, axis=3)
+            if damped else _TAIL[..., 0])
     coef = by_k[..., 0, :] + np.multiply(np.multiply(b2, b2)[:, None], by_k[..., 1, :])
     tail = np.add.reduce(np.multiply((1.0 / q)[:, :, None] ** _R_POWERS[1:],
                                      coef[:, None, 1:]), axis=2)
@@ -351,14 +347,14 @@ def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray, d: float,
 
 
 @functools.lru_cache(maxsize=32)
-def _order_offsets(n_terms: int, d: float) -> np.ndarray:
-    """alpha_n - alpha0 = 2 pi n / d for n in [-n_terms, n_terms], read-only."""
-    offsets = (TWO_PI / d) * np.arange(-n_terms, n_terms + 1)
+def _order_offsets(n_terms: int) -> np.ndarray:
+    """alpha_n - alpha0 = 2 pi n for n in [-n_terms, n_terms], read-only."""
+    offsets = TWO_PI * np.arange(-n_terms, n_terms + 1)
     offsets.flags.writeable = False
     return offsets
 
 
-def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
+def _block_sum(alpha0: np.ndarray, beta: np.ndarray, x: np.ndarray,
                y: np.ndarray, n_terms: int,
                lightline_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """The sum at M (alpha0, beta, x, y) elements sharing the window n_terms.
@@ -367,7 +363,7 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
     lightline_tol).  One formula serves every element: at x = 0 the phase
     is exp(0) = 1 and at y = 0 the decay factors are exp(0) = 1, exactly.
     """
-    alpha = alpha0[:, None] + _order_offsets(n_terms, d)
+    alpha = alpha0[:, None] + _order_offsets(n_terms)
     b2 = beta * beta
     a2 = alpha * alpha
     w = b2[:, None] - a2
@@ -385,25 +381,24 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, d: float, x: np.ndarray,
     phase = 1j * x[:, None] * alpha
     terms = (np.exp(phase - ay[:, None] * tau) / tau
              + np.exp(phase + ay[:, None] * ichi) / ichi)
-    value = np.add.reduce(terms, axis=1) / (-4.0 * d * b2)
+    value = np.add.reduce(terms, axis=1) / (-4.0 * b2)
     # the closed-form tail at x = 0, exactly 0 where exp(-40) damps the
     # first omitted order on both sides: c min(Re q) > 40 in _kummer_tail
-    q_min = (n_terms + 1) - np.abs((alpha0 * (d / TWO_PI)).real)
-    column = np.nonzero((x == 0.0) & (ay * (TWO_PI / d) * q_min <= _DAMPING_CUTOFF))[0]
+    q_min = (n_terms + 1) - np.abs((alpha0 * (1.0 / TWO_PI)).real)
+    column = np.nonzero((x == 0.0) & (ay * TWO_PI * q_min <= _DAMPING_CUTOFF))[0]
     if len(column):
-        value[column] += _kummer_tail(alpha0[column], b2[column], d,
-                                      ay[column], n_terms)
+        value[column] += _kummer_tail(alpha0[column], b2[column], ay[column], n_terms)
     return value, near
 
 
-def _lattice_sums(alpha0, beta, d: float, x, y, policy: TruncationPolicy,
+def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
                   n_terms=None) -> tuple[np.ndarray, np.ndarray]:
     """The spectral sum at every (point, offset) pair: the one kernel.
 
     alpha0 and beta (real or complex), the offsets x and y (real) and
     n_terms broadcast together: points of shape (B, 1) against offsets of
     shape (P,) give the (B, P) grid.  Each pair's window is
-    policy.window(alpha0, beta, d, x, y, n_terms), which never falls below
+    policy.window(alpha0, beta, x, y, n_terms), which never falls below
     the kernel's minimum (the closed-form tail and the light-line guard rely
     on it).  Returns the values and a light-line mask of that shape: on real
     input True where a retained order has |chi_n| <= policy.lightline_tol *
@@ -421,7 +416,7 @@ def _lattice_sums(alpha0, beta, d: float, x, y, policy: TruncationPolicy,
     The pairs of one window are summed together, _CHUNK terms (pairs times
     orders) per pass.
     """
-    windows = policy.window(alpha0, beta, d, x, y, n_terms)
+    windows = policy.window(alpha0, beta, x, y, n_terms)
     shape = np.broadcast(alpha0, beta, x, y, windows).shape
     dtype = np.result_type(alpha0, beta, 1.0)
     lightline_tol = None if dtype.kind == "c" else policy.lightline_tol
@@ -435,7 +430,7 @@ def _lattice_sums(alpha0, beta, d: float, x, y, policy: TruncationPolicy,
             step = max(1, _CHUNK // (2 * n_terms + 1))
             for start in range(0, len(pairs), step):
                 idx = pairs[start:start + step]
-                values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], d, x[idx],
+                values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], x[idx],
                                                     y[idx], n_terms, lightline_tol)
     return values.reshape(shape), near.reshape(shape)
 
@@ -461,14 +456,12 @@ def _non_finite_error(x: float, y: float) -> NonFiniteValue:
     )
 
 
-def _interaction_matrices(alpha0, beta, d: float, pins,
-                          policy: TruncationPolicy
+def _interaction_matrices(alpha0, beta, pins, policy: TruncationPolicy
                           ) -> tuple[np.ndarray, list[Exception | None]]:
     """G(a_m - a_j) between the pins a_m at every (alpha0, beta): the one builder.
 
-    alpha0 and beta are real, shape (B,); pins are the (x, y) positions
-    (lengths, not units of d) of one stack, shape (n, 2), shared by every
-    point; d is the lattice period.  Entries with the same (x, |y|) offset
+    alpha0 and beta are real, shape (B,); pins are the (x, y) positions of
+    one stack, shape (n, 2), shared by every point.  Entries with the same (x, |y|) offset
     share one sum, since G(x, -y) = G(x, y): the diagonal is one sum and a
     triplet needs 4, not 9, all from one kernel call.  Returns the
     (B, n, n) matrices and per point None or the exception evaluating it
@@ -476,7 +469,7 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
     NaN), else greens' at the first failing entry in row-major order
     (LightLineProximity, NonFiniteValue).
     """
-    errors = _point_errors(alpha0, beta, d)
+    errors = _point_errors(alpha0, beta)
     ok = [i for i, error in enumerate(errors) if error is None]
     alpha0 = np.asarray(alpha0, dtype=float)[ok, None]
     beta = np.asarray(beta, dtype=float)[ok, None]
@@ -489,7 +482,7 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
     entry = [offsets.setdefault((x, abs(y)), len(offsets))
              for x, y in zip(dx.tolist(), dy.tolist())]
     xs, ys = np.array(list(offsets), dtype=float).reshape(-1, 2).T
-    values, near = _lattice_sums(alpha0, beta, d, xs, ys, policy)
+    values, near = _lattice_sums(alpha0, beta, xs, ys, policy)
     failed = near | ~np.isfinite(values)
     for k in np.nonzero(failed.any(axis=1))[0].tolist():
         e = next(e for e, p in enumerate(entry) if failed[k, p])
@@ -503,7 +496,7 @@ def _interaction_matrices(alpha0, beta, d: float, pins,
 
 def order_quantities(point: SpectralPoint, n: int) -> OrderQuantities:
     """Wavenumbers alpha_n, chi_n, tau_n of diffraction order n."""
-    alpha_n = point.alpha0 + TWO_PI * n / point.d
+    alpha_n = point.alpha0 + TWO_PI * n
     b2 = point.beta * point.beta
     a2 = alpha_n * alpha_n
     if a2 <= b2:
@@ -517,11 +510,11 @@ def order_quantities(point: SpectralPoint, n: int) -> OrderQuantities:
 
 def propagating_orders(point: SpectralPoint) -> list[int]:
     """All orders n with alpha_n^2 < beta^2 (real chi_n), ascending."""
-    # alpha0 + 2 pi n / d in (-beta, beta)
-    lo = int(np.ceil((-point.beta - point.alpha0) * point.d / TWO_PI))
-    hi = int(np.floor((point.beta - point.alpha0) * point.d / TWO_PI))
+    # alpha0 + 2 pi n in (-beta, beta)
+    lo = int(np.ceil((-point.beta - point.alpha0) / TWO_PI))
+    hi = int(np.floor((point.beta - point.alpha0) / TWO_PI))
     return [n for n in range(lo, hi + 1)
-            if (point.alpha0 + TWO_PI * n / point.d) ** 2 < point.beta**2]
+            if (point.alpha0 + TWO_PI * n) ** 2 < point.beta**2]
 
 
 def greens(
@@ -544,7 +537,7 @@ def greens(
     lightline_tol * beta of its light line, NonFiniteValue if the
     accumulation is not finite.
     """
-    value, near = _lattice_sums(point.alpha0, point.beta, point.d, x, y, policy, n_terms)
+    value, near = _lattice_sums(point.alpha0, point.beta, x, y, policy, n_terms)
     if near:
         raise _light_line_error(point.alpha0, point.beta, policy.lightline_tol)
     value = complex(value)

@@ -1,14 +1,14 @@
 """Mode matrix of a pinned triplet and its closed-form eigensystem.
 
-A triplet of pinned gratings with period d carries one pin per period on each
-of three lines: outer gratings at y = +/- eta d (pins at x = 0) and a central
-grating at y = 0 whose pins are shifted to x = xi d.  Collecting the
-quasi-periodic Green's function between representative pins gives the 3x3
-interaction matrix
+A triplet of pinned gratings carries one pin per period on each of three
+lines, all lengths in units of the period: outer gratings at y = +/- eta
+(pins at x = 0) and a central grating at y = 0 whose pins are shifted to
+x = xi.  Collecting the quasi-periodic Green's function between
+representative pins gives the 3x3 interaction matrix
 
         [ M11  M12  M13 ]
-    M = [ M21  M11  M21 ],      M11 = G(0, 0),         M12 = G(-xi d, eta d),
-        [ M13  M12  M11 ]       M21 = G(xi d, -eta d), M13 = G(0, 2 eta d),
+    M = [ M21  M11  M21 ],      M11 = G(0, 0),      M12 = G(-xi, eta),
+        [ M13  M12  M11 ]       M21 = G(xi, -eta),  M13 = G(0, 2 eta),
 
 whose null vectors are the trapped modes of the stack.  The structure admits a
 closed-form eigensystem:
@@ -22,7 +22,7 @@ pairs with the +- of lambda.  Dispersion curves are the zero sets of the odd
 factor M11 - M13 and the even factor 2 M12 M21 - M11 (M11 + M13), whose
 product is -det M.
 
-Mirror symmetry of the Green's function in y makes M21 = G(xi d, eta d); the
+Mirror symmetry of the Green's function in y makes M21 = G(xi, eta); the
 matrix is symmetric (M12 = M21) when xi = 0 or alpha0 = 0.
 
 M is the pin-interaction matrix of the pins in (top, centre, bottom) order,
@@ -49,22 +49,19 @@ _M12_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class StackGeometry:
-    """Triplet geometry in units of the period d.
+    """Triplet geometry in units of the period.
 
-    eta is the grating separation (outer lines at y = +/- eta d), xi the
+    eta is the grating separation (outer lines at y = +/- eta), xi the
     lateral shift of the central grating's pins; each outer mirror is a
     single grating.
     """
 
     eta: float
     xi: float = 0.0
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if not self.d > 0.0:
-            raise ValueError(f"period d must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -141,28 +138,28 @@ class CoincidenceReport:
 
 def _mode_matrices(alpha0, beta, geometry: StackGeometry,
                    policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
-    """Triplet mode matrices at every (alpha0, beta), for the geometry's period.
+    """Triplet mode matrices at every (alpha0, beta).
 
     The pin-interaction matrix of the pins in (top, centre, bottom) order
     is the mode matrix: M11, M13 sit on the column x = 0, where the kernel
     adds the closed-form tail, and M12, M21 off the source line.  Returns
     (B, 3, 3) entries and per-point errors, as _interaction_matrices.
     """
-    return _interaction_matrices(alpha0, beta, geometry.d, _triplet_pins(geometry), policy)
+    return _interaction_matrices(alpha0, beta, _triplet_pins(geometry), policy)
 
 
 def _triplet_pins(geometry: StackGeometry) -> tuple:
     """The triplet's pins in (top, centre, bottom) order, the mode matrix's."""
-    eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
-    return ((0.0, eta_d), (xi_d, 0.0), (0.0, -eta_d))
+    eta, xi = geometry.eta, geometry.xi
+    return ((0.0, eta), (xi, 0.0), (0.0, -eta))
 
 
 def _factor_offsets(kind: str, geometry: StackGeometry) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) offsets of the entries (M11, M13) or (M11, M13, M12, M21) a factor needs."""
-    eta_d, xi_d = geometry.eta * geometry.d, geometry.xi * geometry.d
+    eta, xi = geometry.eta, geometry.xi
     count = 2 if kind == "odd" else 4
-    return (np.array([0.0, 0.0, -xi_d, xi_d][:count]),
-            np.array([0.0, 2.0 * eta_d, eta_d, eta_d][:count]))
+    return (np.array([0.0, 0.0, -xi, xi][:count]),
+            np.array([0.0, 2.0 * eta, eta, eta][:count]))
 
 
 def _factor_from(kind: str, values: np.ndarray) -> complex:
@@ -182,12 +179,8 @@ def assemble(
 
     Every entry uses the short window: the diagonal and M13 sit on the
     column x = 0, where the kernel adds the closed-form tail; M12 and M21
-    sit off the source line.  Raises ValueError when point and geometry
-    have different periods.
+    sit off the source line.
     """
-    if point.d != geometry.d:
-        raise ValueError(f"point period d = {point.d} differs from the "
-                         f"geometry's d = {geometry.d}")
     entries, (error,) = _mode_matrices([point.alpha0], [point.beta], geometry, policy)
     if error is not None:
         raise error

@@ -1,9 +1,10 @@
 """Plane-wave scattering of flexural waves by finite stacks of pinned gratings.
 
-A stack is a finite list of pinned gratings with common period d, one pin per
-period per grating.  An incident plane wave u_inc = exp(i(alpha0 x - chi0 y))
-(travelling downward from y = +inf) drives point reactions A_j at the pins;
-the pinned-plate conditions u(pin) = 0 give the linear system
+A stack is a finite list of pinned gratings with a common period, one pin
+per period per grating, all lengths in units of that period.  An incident
+plane wave u_inc = exp(i(alpha0 x - chi0 y)) (travelling downward from
+y = +inf) drives point reactions A_j at the pins; the pinned-plate
+conditions u(pin) = 0 give the linear system
 
     sum_j G(a_m - a_j) A_j = -u_inc(a_m),
 
@@ -11,8 +12,8 @@ with G the quasi-periodic Green's function.  Above and below the stack the
 scattered field expands in plane-wave orders; the reflected and transmitted
 amplitudes of propagating order n are
 
-    r_n = i / (4 d beta^2 chi_n) * sum_j A_j exp(-i alpha_n x_j) exp(-i chi_n y_j),
-    t_n = delta_n0 * amp + i / (4 d beta^2 chi_n) * sum_j A_j exp(-i alpha_n x_j) exp(+i chi_n y_j).
+    r_n = i / (4 beta^2 chi_n) * sum_j A_j exp(-i alpha_n x_j) exp(-i chi_n y_j),
+    t_n = delta_n0 * amp + i / (4 beta^2 chi_n) * sum_j A_j exp(-i alpha_n x_j) exp(+i chi_n y_j).
 
 Energies are flux-normalized per order by chi_n / chi_0, so that the balance
 sum_n (R_n + T_n) = 1 holds for the lossless pins; its residual is carried on
@@ -104,32 +105,29 @@ class IncidentWave:
 class PinStack:
     """Pin positions of a finite stack, one representative pin per grating.
 
-    Positions are (x, y) pairs in units of the period d.
+    Positions are (x, y) pairs in units of the period.
     """
 
     pins: tuple[tuple[float, float], ...]
-    d: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.d > 0.0:
-            raise ValueError(f"period d must be positive, got {self.d}")
         ys = [y for _, y in self.pins]
         if len(set(ys)) != len(ys):
             raise ValueError("one pin per grating: y positions must be distinct")
 
     @classmethod
-    def single(cls, d: float = 1.0) -> "PinStack":
-        return cls(pins=((0.0, 0.0),), d=d)
+    def single(cls) -> "PinStack":
+        return cls(pins=((0.0, 0.0),))
 
     @classmethod
-    def pair(cls, eta: float, d: float = 1.0) -> "PinStack":
-        """Two gratings separated by eta d, centered on y = 0."""
-        return cls(pins=((0.0, eta / 2.0), (0.0, -eta / 2.0)), d=d)
+    def pair(cls, eta: float) -> "PinStack":
+        """Two gratings separated by eta, centered on y = 0."""
+        return cls(pins=((0.0, eta / 2.0), (0.0, -eta / 2.0)))
 
     @classmethod
-    def triplet(cls, eta: float, xi: float = 0.0, d: float = 1.0) -> "PinStack":
-        """Outer gratings at y = +/- eta d, shifted central grating at (xi d, 0)."""
-        return cls(pins=((0.0, eta), (xi, 0.0), (0.0, -eta)), d=d)
+    def triplet(cls, eta: float, xi: float = 0.0) -> "PinStack":
+        """Outer gratings at y = +/- eta, shifted central grating at (xi, 0)."""
+        return cls(pins=((0.0, eta), (xi, 0.0), (0.0, -eta)))
 
 
 @dataclass(frozen=True)
@@ -151,9 +149,9 @@ class SpectrumRecord:
     error: str | None = None
 
 
-def _geometry(stack: PinStack) -> tuple[float, np.ndarray]:
-    """The period and the pin positions (lengths) of the stack, shape (n, 2)."""
-    return stack.d, np.array(stack.pins, dtype=float).reshape(-1, 2) * stack.d
+def _pins(stack: PinStack) -> np.ndarray:
+    """The pin positions of the stack, shape (n, 2)."""
+    return np.array(stack.pins, dtype=float).reshape(-1, 2)
 
 
 def _wave_arrays(waves: list[IncidentWave]) -> tuple[np.ndarray, ...]:
@@ -165,11 +163,11 @@ def _wave_arrays(waves: list[IncidentWave]) -> tuple[np.ndarray, ...]:
             np.array([-1.0 if w.direction == "down" else 1.0 for w in waves]))
 
 
-def _coefficients(d: float, pins: np.ndarray, waves: tuple[np.ndarray, ...],
+def _coefficients(pins: np.ndarray, waves: tuple[np.ndarray, ...],
                   policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
     """Pin reactions at every wave: (B, n) and per-wave errors.
 
-    pins (lengths) are the stack's, (n, 2); waves are _wave_arrays.  The
+    pins are the stack's, (n, 2); waves are _wave_arrays.  The
     one validation pass is the interaction-matrix build, for all waves at
     once (the empty stack, which never reaches it, takes _point_errors').
     Every system of the waves that passed, 1x1 included, then faces the
@@ -180,8 +178,8 @@ def _coefficients(d: float, pins: np.ndarray, waves: tuple[np.ndarray, ...],
     n = len(pins)
     coeffs = np.zeros((len(beta), n), dtype=complex)
     if not n:
-        return coeffs, _point_errors(alpha0, beta, d)
-    g, errors = _interaction_matrices(alpha0, beta, d, pins, policy)
+        return coeffs, _point_errors(alpha0, beta)
+    g, errors = _interaction_matrices(alpha0, beta, pins, policy)
     ok = [i for i, e in enumerate(errors) if e is None]
     for i, cond in zip(ok, np.linalg.cond(g[ok]).tolist()):
         if cond > _COND_LIMIT:
@@ -205,13 +203,13 @@ def solve_coefficients(
     Raises SingularSystem when the interaction matrix condition number
     exceeds 1e14.
     """
-    coeffs, (error,) = _coefficients(*_geometry(stack), _wave_arrays([inc]), policy)
+    coeffs, (error,) = _coefficients(_pins(stack), _wave_arrays([inc]), policy)
     if error is not None:
         raise error
     return coeffs[0]
 
 
-def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
+def _amplitudes(coeffs: np.ndarray, pins: np.ndarray,
                 waves: tuple[np.ndarray, ...], policy: TruncationPolicy,
                 energies: bool) -> list:
     """Amplitudes or energies of every propagating order of every wave.
@@ -224,10 +222,10 @@ def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
     greens._point_errors (plane_wave_amplitudes) or _coefficients.
     """
     alpha0, beta, chi0, amplitude, side = waves
-    # alpha0 + 2 pi n / d in (-beta, beta) needs |n| <= reach
-    reach = math.ceil(float(np.maximum.reduce(beta + np.abs(alpha0))) * d / TWO_PI)
+    # alpha0 + 2 pi n in (-beta, beta) needs |n| <= reach
+    reach = math.ceil(float(np.maximum.reduce(beta + np.abs(alpha0))) / TWO_PI)
     orders = np.arange(-reach, reach + 1)
-    alpha_n = alpha0[:, None] + TWO_PI * orders / d
+    alpha_n = alpha0[:, None] + TWO_PI * orders
     b2 = (beta * beta)[:, None]
     propagating = alpha_n**2 < b2
     chi = np.sqrt(np.where(propagating, b2 - alpha_n * alpha_n, 1.0))
@@ -236,7 +234,7 @@ def _amplitudes(coeffs: np.ndarray, d: float, pins: np.ndarray,
     lateral = np.multiply(coeffs[:, None, :],
                           np.exp(-1j * alpha_n[:, :, None] * pins[:, 0]))
     vertical = np.exp(-1j * chi[:, :, None] * pins[:, 1])
-    pref = 1j / (4.0 * d * b2 * chi)
+    pref = 1j / (4.0 * b2 * chi)
     above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
     below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
     down = (side < 0.0)[:, None]
@@ -273,9 +271,9 @@ def plane_wave_amplitudes(
     the wave comes from; the transmitted amplitude includes the incident
     delta_n0 contribution.
     """
-    (out,) = _point_errors([inc.alpha0], [inc.beta], stack.d)
+    (out,) = _point_errors([inc.alpha0], [inc.beta])
     if out is None:
-        (out,) = _amplitudes(np.asarray(coeffs)[None, :], *_geometry(stack),
+        (out,) = _amplitudes(np.asarray(coeffs)[None, :], _pins(stack),
                              _wave_arrays([inc]), policy, energies=False)
     if isinstance(out, Exception):
         raise out
@@ -292,16 +290,16 @@ def _scatter_all(stack: PinStack, waves: list[IncidentWave | Exception],
     """
     out: list = list(waves)
     index = [i for i, w in enumerate(waves) if not isinstance(w, Exception)]
-    d, pins = _geometry(stack)
+    pins = _pins(stack)
     arrays = _wave_arrays([waves[i] for i in index])
-    coeffs, errors = _coefficients(d, pins, arrays, policy)
+    coeffs, errors = _coefficients(pins, arrays, policy)
     for i, e in zip(index, errors):
         out[i] = e or out[i]
     keep = [k for k, e in enumerate(errors) if e is None]
     if keep:
         arrays = tuple(a[keep] for a in arrays)
         for i, res in zip([index[k] for k in keep],
-                          _amplitudes(coeffs[keep], d, pins, arrays, policy, energies=True)):
+                          _amplitudes(coeffs[keep], pins, arrays, policy, energies=True)):
             out[i] = res if isinstance(res, Exception) else _record(waves[i], *res)
     return out
 
@@ -455,7 +453,7 @@ def single_grating_reflectance(
     it is evaluated through the generic solver for consistency with the
     multi-grating scans.
     """
-    rec = scatter(PinStack.single(point.d),
+    rec = scatter(PinStack.single(),
                   IncidentWave.from_alpha0(point.alpha0, point.beta),
                   policy)
     return rec.R_orders[0]

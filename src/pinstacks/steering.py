@@ -2,10 +2,11 @@
 
 Stage 1 finds the spectral parameter beta_g at which a single pinned grating
 is a perfect mirror (reflectance 1) for the chosen angle of incidence.  Stage
-2 places two such mirrors a separation eta d apart and tunes eta to eta*
-where the pair transmittance returns to exactly 1: the pair then supports an
-optimized trapped mode between the gratings, with the slab (Fabry-Perot)
-estimate eta = pi m / sqrt(beta_g^2 - alpha0^2) as the starting guess.  Stage
+2 places two such mirrors a separation eta apart (lengths in units of the
+grating period) and tunes eta to eta* where the pair transmittance returns
+to exactly 1: the pair then supports an optimized trapped mode between the
+gratings, with the slab (Fabry-Perot) estimate
+eta = pi m / sqrt(beta_g^2 - alpha0^2) as the starting guess.  Stage
 3 inserts a central grating and tunes its lateral shift xi until the even
 trapped-mode resonance of the triplet merges, in beta, with the shift-
 invariant odd resonance; at the merged shift xi_edit the transmission
@@ -125,13 +126,13 @@ def default_bracket(theta_i: float | None = None,
     For fixed theta the first order beside n = 0 (n = -1 for theta > 0,
     n = +1 for theta < 0) turns propagating at beta = 2 pi / (1 + |sin theta|);
     for fixed alpha0 at beta = 2 pi - |alpha0|.  The bracket spans
-    (0.55, 0.99) of that limit, clipped above |alpha0|.
+    (0.55, 0.99) of that limit, clipped above |alpha0|.  Exactly one of
+    theta_i and alpha0 is given.
     """
+    _alpha0_rule(theta_i, alpha0)  # exactly one incidence
     if theta_i is not None:
         limit = TWO_PI / (1.0 + abs(math.sin(theta_i)))
         return 0.55 * limit, 0.99 * limit
-    if alpha0 is None:
-        raise ValueError("specify theta_i or alpha0")
     limit = TWO_PI - abs(alpha0)
     lo = max(0.55 * limit, 1.02 * abs(alpha0))
     return lo, 0.99 * limit
@@ -148,7 +149,7 @@ def find_beta_g(
     """Stage 1: beta at which the single-grating reflectance reaches 1.
 
     One pin per period scatters with amplitude A = -u_inc(0, 0) / G(0, 0),
-    so r_0 = i s A with s = 1 / (4 d beta^2 chi_0).  With one propagating
+    so r_0 = i s A with s = 1 / (4 beta^2 chi_0).  With one propagating
     order Im G(0, 0) = s exactly (every other order's term is real), hence
     1 - R = (Re G)^2 / |G|^2: the mirror condition is the root of Re G(0, 0).
     A grid of Re G(0, 0) over the bracket (one builder call) locates its sign
@@ -170,7 +171,7 @@ def _mirror_search(alpha0_at, beta_bracket, policy, coarse=_MIRROR_GRID):
     def re_g(betas: list[float]):
         """Re G(0, 0) at each beta, from one builder call."""
         entries, errors = yield from _built([alpha0_at(b) for b in betas], betas,
-                                            1.0, _ONE_PIN, policy)
+                                            _ONE_PIN, policy)
         for error in filter(None, errors):   # the first failure in grid order
             raise error
         return entries[:, 0, 0].real
@@ -213,21 +214,21 @@ def find_eta_star(
 ) -> float:
     """Stage 2: pair separation at which the pair transmittance returns to 1.
 
-    Pins at y = 0 and L = eta d under the wave exp(i alpha0 x + i chi_0 y)
+    Pins at y = 0 and L = eta under the wave exp(i alpha0 x + i chi_0 y)
     solve M A_1 + N A_2 = -1, N A_1 + M A_2 = -e, with M = G(0, 0),
     N = G(0, L) and e = exp(i chi_0 L), so A_1 +- A_2 = -(1 +- e) / (M +- N).
     The reflection r_0 = i s (A_1 + e A_2) vanishes where (1 + e)^2 (M - N)
     + (1 - e)^2 (M + N) = 0, that is N = M cos(chi_0 L).  With one
     propagating order Im N = s cos(chi_0 L) and Im M = s (see find_beta_g),
-    so T_pair = 1 exactly where Re G(0, eta d) = Re G(0, 0) cos(chi_0 eta d).
+    so T_pair = 1 exactly where Re G(0, eta) = Re G(0, 0) cos(chi_0 eta).
 
-    That difference is sampled over [0.9, 1.1] * eta_guess (one kernel
-    call), widening once to [0.8, 1.2]; each sign change, in grid order, is
+    Unless order 0 alone propagates at (alpha0, beta_g) (_one_order),
+    NoUnityTransmittance is raised before any evaluation.  Else that
+    difference is sampled over [0.9, 1.1] * eta_guess (one kernel call),
+    widening once to [0.8, 1.2], and its first sign change in grid order is
     refined to the nearest float (_nearest_root), where 1 - T vanishes to
-    rounding, and the first is returned if order 0 alone propagates at
-    (alpha0, beta_g) (_one_order), else NoUnityTransmittance is raised.  The
-    guess is expected within 10% of the optimum (the slab model lands
-    within ~2.5%).
+    rounding; NoUnityTransmittance when there is none.  The guess is
+    expected within 10% of the optimum (the slab model lands within ~2.5%).
     """
     a0 = _alpha0_rule(theta_i, alpha0)(beta_g)
     return _run(_pair_search(beta_g, a0, eta_guess, policy, coarse))
@@ -235,19 +236,22 @@ def find_eta_star(
 
 def _pair_search(beta_g, a0, eta_guess, policy, coarse=_PAIR_GRID):
     """find_eta_star's search at alpha0 = a0, as lockstep steps (see _lockstep)."""
-    point = SpectralPoint(a0, beta_g)
+    if not _one_order(SpectralPoint(a0, beta_g)):
+        raise NoUnityTransmittance(
+            f"more than order 0 propagates at beta_g = {beta_g:.9g}, alpha0 = {a0:.9g}: "
+            f"no separation gives unit transmittance")
     # Re G(0, 0) from the single-pin builder, so it joins stage 1's requests
-    entries, (error,) = yield from _built([a0], [beta_g], point.d, _ONE_PIN, policy)
+    entries, (error,) = yield from _built([a0], [beta_g], _ONE_PIN, policy)
     if error is not None:
         raise error
     re_m11 = entries[0, 0, 0].real
     chi0 = math.sqrt(beta_g * beta_g - a0 * a0)
 
     def condition(etas):
-        """Re G(0, eta d) - Re G(0, 0) cos(chi_0 eta d), zero where T_pair = 1."""
-        ys = np.multiply(etas, point.d)
-        values, _ = yield from _summed(a0, beta_g, point.d, 0.0, ys, policy)
-        return values.real - re_m11 * np.cos(chi0 * ys)
+        """Re G(0, eta) - Re G(0, 0) cos(chi_0 eta), zero where T_pair = 1."""
+        etas = np.asarray(etas, dtype=float)
+        values, _ = yield from _summed(a0, beta_g, 0.0, etas, policy)
+        return values.real - re_m11 * np.cos(chi0 * etas)
 
     def condition_at(eta: float):
         return float((yield from condition(eta)))
@@ -256,11 +260,11 @@ def _pair_search(beta_g, a0, eta_guess, policy, coarse=_PAIR_GRID):
         grid = np.linspace((1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess,
                            coarse).tolist()
         values = yield from condition(grid)
-        for i in _sign_changes(values):
-            eta = yield from _nearest_root(condition_at, grid[i], grid[i + 1],
-                                           values[i], values[i + 1])
-            if _one_order(point):
-                return eta
+        changes = _sign_changes(values)
+        if changes:
+            i = changes[0]
+            return (yield from _nearest_root(condition_at, grid[i], grid[i + 1],
+                                             values[i], values[i + 1]))
     raise NoUnityTransmittance(
         f"no root of the pair condition at beta_g = {beta_g:.9g} with eta within "
         f"20% of the guess {eta_guess:.6g} gives unit transmittance"
@@ -367,20 +371,20 @@ def _run(search):
     return outcome
 
 
-def _built(alpha0, beta, d: float, pins: tuple, policy: TruncationPolicy):
-    """_interaction_matrices(alpha0, beta, d, pins, policy), as a search step."""
-    return (yield _Request(("build", d, pins, policy),
-                           lambda a, b: _interaction_matrices(a, b, d, pins, policy),
+def _built(alpha0, beta, pins: tuple, policy: TruncationPolicy):
+    """_interaction_matrices(alpha0, beta, pins, policy), as a search step."""
+    return (yield _Request(("build", pins, policy),
+                           lambda a, b: _interaction_matrices(a, b, pins, policy),
                            (alpha0, beta),
                            lambda: (np.asarray(alpha0, dtype=float), np.asarray(beta, dtype=float))))
 
 
-def _summed(alpha0, beta, d: float, x, y, policy: TruncationPolicy):
-    """_lattice_sums(alpha0, beta, d, x, y, policy), as a search step."""
+def _summed(alpha0, beta, x, y, policy: TruncationPolicy):
+    """_lattice_sums(alpha0, beta, x, y, policy), as a search step."""
     shape = np.broadcast(alpha0, beta, x, y).shape
     dtype = np.result_type(alpha0, beta, 1.0)     # real sums are guarded, complex not
-    values, near = yield _Request(("sums", dtype, d, policy),
-                                  lambda a, b, xs, ys: _lattice_sums(a, b, d, xs, ys, policy),
+    values, near = yield _Request(("sums", dtype, policy),
+                                  lambda a, b, xs, ys: _lattice_sums(a, b, xs, ys, policy),
                                   (alpha0, beta, x, y),
                                   lambda: (_flat(alpha0, shape, dtype), _flat(beta, shape, dtype),
                                            _flat(x, shape, float), _flat(y, shape, float)))
@@ -447,17 +451,19 @@ def _nearest_root(f, a: float, b: float, fa: float, fb: float):
     """The float nearest the root of f in [a, b], where f changes sign.
 
     f(x) is a search step, and so is this (see _lockstep).  fa and fb are
-    f(a) and f(b) from the bracketing grid; f is never evaluated at a or b.
-    _brent_steps narrows the bracket to a few ulp; stepping float by float
-    from its answer to the sign change then returns whichever of the two
-    straddling floats has the smaller |f|, so the result does not depend on
-    where Brent's method stopped, and hence on neither the bracket nor the
-    grid.
+    f(a) and f(b) from the bracketing grid; f is never evaluated at a or b,
+    nor twice anywhere.  _brent_steps narrows the bracket to a few ulp;
+    stepping float by float from its answer to the sign change then returns
+    whichever of the two straddling floats has the smaller |f|, so the
+    result does not depend on where Brent's method stopped, and hence on
+    neither the bracket nor the grid.
     """
     known = {a: fa, b: fb}
 
     def g(x: float):
-        return known[x] if x in known else (yield from f(x))
+        if x not in known:
+            known[x] = yield from f(x)
+        return known[x]
 
     x = yield from _brent_steps(g, a, b, 1e-15)
     fx = yield from g(x)
@@ -512,7 +518,7 @@ def _window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse=241):
     geometry = StackGeometry(eta=eta, xi=xi)
     lo, hi = beta_window
     betas = np.linspace(lo, hi, coarse).tolist()
-    entries, errors = yield from _built([alpha0_at(b) for b in betas], betas, geometry.d,
+    entries, errors = yield from _built([alpha0_at(b) for b in betas], betas,
                                         _triplet_pins(geometry), policy)
     for error in filter(None, errors):   # the first failure in grid order
         raise error
@@ -543,7 +549,7 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
 
     def f(beta: complex):
         """The factor continued to complex beta (no light-line guard), one kernel call."""
-        values, _ = yield from _summed(alpha0_at(beta), beta, geometry.d, xs, ys, policy)
+        values, _ = yield from _summed(alpha0_at(beta), beta, xs, ys, policy)
         return _factor_from(kind, values)
 
     seed = complex(beta0)
@@ -597,10 +603,11 @@ def find_xi_edit(
     step and wherever the continued secant is rejected (the track then
     restarts from the zero that search polished).  A sign change of the gap
     beta_even - beta_odd is closed by Brent's method (xtol 1e-9) on window
-    searches.  The window searches span beta +- 0.05, around beta_g for the
-    odd resonance and around beta_odd for the even one.  Returns (xi_edit,
-    beta_edit) with |beta_even(xi_edit) - beta_odd| <= 1e-7.  The search is
-    _edit_search, run alone (steer runs it in lockstep with other angles').
+    searches, whose gap at xi_edit is also the residual checked.  The window
+    searches span beta +- 0.05, around beta_g for the odd resonance and
+    around beta_odd for the even one.  Returns (xi_edit, beta_edit) with
+    |beta_even(xi_edit) - beta_odd| <= 1e-7.  The search is _edit_search,
+    run alone (steer runs it in lockstep with other angles').
 
     Raises ModesDidNotMerge (reporting the closest approach) when the gap
     never changes sign over the bracket.
@@ -617,10 +624,14 @@ def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30), x
     even_window = (beta_odd - _BETA_WINDOW_HALFWIDTH,
                    beta_odd + _BETA_WINDOW_HALFWIDTH)
     track: list[tuple[float, complex]] = []   # (xi, even pole) of the scan steps
+    gaps: dict[float, float] = {}             # gap at each xi of the bisection
 
     def gap(xi: float):
-        pole = yield from _window_search("even", eta_star, xi, even_window, alpha0_at, policy)
-        return pole.real - beta_odd
+        if xi not in gaps:
+            pole = yield from _window_search("even", eta_star, xi, even_window, alpha0_at,
+                                             policy)
+            gaps[xi] = pole.real - beta_odd
+        return gaps[xi]
 
     def scan_gap(xi: float):
         """gap(xi) at a scan step, from the even pole continued along the track."""

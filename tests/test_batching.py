@@ -93,7 +93,7 @@ def test_dispersion_grid_equals_assemble_cell_by_cell(chunk):
     geometry = StackGeometry(eta=1.0, xi=0.25)
     alpha0s = np.array([0.0, 0.3, 0.7])
     betas = np.concatenate([np.linspace(5.9, 8.6, 90), [TWO_PI]])
-    windows = {DEFAULT_POLICY.window(0.3, b, 1.0, 0.0, 0.0) for b in betas}
+    windows = {DEFAULT_POLICY.window(0.3, b, 0.0, 0.0) for b in betas}
     assert len(windows) > 1
     rows = dispersion_grid(alpha0s, betas, geometry)
     assert [(r["alpha0"], r["beta"]) for r in rows] == [
@@ -135,7 +135,7 @@ def test_mode_matrix_is_the_triplet_interaction_matrix():
     point = SpectralPoint(1.808735, 3.61747)
     geometry = StackGeometry(eta=1.0, xi=0.252)
     matrices, errors = greens_module._interaction_matrices(
-        [point.alpha0], [point.beta], 1.0, TRIPLET.pins, DEFAULT_POLICY)
+        [point.alpha0], [point.beta], TRIPLET.pins, DEFAULT_POLICY)
     assert errors == [None]
     assert np.array_equal(assemble(point, geometry).entries, matrices[0])
 
@@ -148,16 +148,16 @@ def test_points_without_a_window_fail_per_point():
     theta = math.radians(30.0)
     records = scan(TRIPLET, [3.0, inf, nan, 3.1], theta_i=theta)
     assert [r.error for r in records] == [
-        None, "OverflowError: no window at alpha0=inf, beta=inf, d=1.0",
+        None, "OverflowError: no window at alpha0=inf, beta=inf",
         "ValueError: beta must be positive, got nan", None]
     assert records[3] == scatter(TRIPLET, IncidentWave.from_angle(theta, 3.1))
     # alpha0 = inf * sin(0) is NaN; the empty stack never calls the kernel
     empty = scan(PinStack(pins=()), [3.0, inf], theta_i=0.0)
     assert [r.error for r in empty] == [
-        None, "ValueError: no window at alpha0=nan, beta=inf, d=1.0"]
+        None, "ValueError: no window at alpha0=nan, beta=inf"]
     fixed = scan(TRIPLET, [inf, 3.0], alpha0=0.3)
     assert [r.error for r in fixed] == [
-        "OverflowError: no window at alpha0=0.3, beta=inf, d=1.0", None]
+        "OverflowError: no window at alpha0=0.3, beta=inf", None]
     rows = dispersion_grid([0.3, inf], [3.0, nan], StackGeometry(eta=1.0, xi=0.25))
     assert [r["status"] for r in rows] == ["ok", "ValueError", "OverflowError", "ValueError"]
     with pytest.raises(OverflowError):
@@ -171,7 +171,7 @@ def test_self_term_is_the_same_beside_a_damped_tail():
     # tail, c q < 40) in one kernel block; greens sums each alone
     point = SpectralPoint(1.808735, 3.61747)
     matrices, errors = greens_module._interaction_matrices(
-        [point.alpha0], [point.beta], 1.0, PinStack.pair(0.05).pins, DEFAULT_POLICY)
+        [point.alpha0], [point.beta], PinStack.pair(0.05).pins, DEFAULT_POLICY)
     assert errors == [None]
     assert matrices[0, 0, 0] == greens(point, 0.0, 0.0)
     assert matrices[0, 0, 1] == greens(point, 0.0, 0.05)

@@ -277,6 +277,15 @@ class TestSteer:
         assert code == 0
         assert out == (DATA / "steer_q.json").read_text()
 
+    def test_with_edit_bytes_are_pinned(self, capsys):
+        # steer --table1 --with-edit as written before the period left the
+        # package; row 0 deg carries "EDIT unsupported at normal incidence"
+        # by design
+        code, out = _run(capsys, ["steer", "--table1", "--with-edit", "--format", "json",
+                                  "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "steer_edit.json").read_text()
+
     def test_results_dir_writes_the_notch_scan_steer_measured(self, tmp_path, capsys,
                                                              monkeypatch):
         # the notch zoom runs once per angle, inside steer; the CSV holds

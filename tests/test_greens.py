@@ -84,8 +84,6 @@ def test_propagating_orders_enumeration():
 def test_spectral_point_validation():
     with pytest.raises(ValueError):
         SpectralPoint(0.0, -1.0)
-    with pytest.raises(ValueError):
-        SpectralPoint(0.0, 2.0, d=0.0)
 
 
 def test_truncation_policy_validation():
@@ -119,8 +117,8 @@ def test_quasi_periodicity():
         x = float(rng.uniform(-0.5, 0.5))
         y = float(rng.uniform(-1.0, 1.0))
         g0 = greens(p, x, y)
-        g1 = greens(p, x + p.d, y)
-        bloch = np.exp(1j * p.alpha0 * p.d)
+        g1 = greens(p, x + 1.0, y)        # one period on
+        bloch = np.exp(1j * p.alpha0)
         assert abs(g1 - bloch * g0) < 1e-12 * abs(g0)
 
 
@@ -151,7 +149,7 @@ def test_biharmonic_pde_off_the_line():
     # (Lap^2 - beta^4) G = 0 away from the source row; nested 5-point
     # Laplacians approximate Lap^2 at step h.
     p = SpectralPoint(1.2, 2.7)
-    h = 1e-3 * p.d
+    h = 1e-3
 
     def g(x: float, y: float) -> complex:
         return greens(p, x, y, n_terms=60)
@@ -178,9 +176,9 @@ def test_kernel_guards_real_input_only():
     # the kernel applies the policy's guard itself; the pole searches'
     # complex points follow the factors across the light lines unguarded
     ys = np.array([0.0, 0.7])
-    _, near = _lattice_sums(0.0, TWO_PI, 1.0, 0.0, ys, DEFAULT_POLICY)
+    _, near = _lattice_sums(0.0, TWO_PI, 0.0, ys, DEFAULT_POLICY)
     assert near.tolist() == [True, True]
-    values, near = _lattice_sums(0.0, complex(TWO_PI, -1e-3), 1.0, 0.0, ys, DEFAULT_POLICY)
+    values, near = _lattice_sums(0.0, complex(TWO_PI, -1e-3), 0.0, ys, DEFAULT_POLICY)
     assert near.tolist() == [False, False] and np.isfinite(values).all()
 
 
@@ -199,13 +197,13 @@ def test_off_column_window_converges_near_the_line(y):
     point = SpectralPoint(1.2, 2.7)
     reference = greens(point, 0.3, y, n_terms=40000)
     assert abs(greens(point, 0.3, y) - reference) <= 1e-13 * abs(reference)
-    assert DEFAULT_POLICY.window(1.2, 2.7, 1.0, 0.3, y) > DEFAULT_POLICY.n_far
+    assert DEFAULT_POLICY.window(1.2, 2.7, 0.3, y) > DEFAULT_POLICY.n_far
 
 
 def test_off_column_window_tends_to_the_line_window():
-    windows = DEFAULT_POLICY.window(1.2, 2.7, 1.0, 0.3, np.array([1e-3, 1e-9, 0.0]))
+    windows = DEFAULT_POLICY.window(1.2, 2.7, 0.3, np.array([1e-3, 1e-9, 0.0]))
     assert windows.tolist() == [DEFAULT_POLICY.n_self] * 3
-    assert DEFAULT_POLICY.window(1.2, 2.7, 1.0, 0.3, 0.69) == DEFAULT_POLICY.n_far
+    assert DEFAULT_POLICY.window(1.2, 2.7, 0.3, 0.69) == DEFAULT_POLICY.n_far
 
 
 # Converged references for the closed-form tail at x = 0.
@@ -239,7 +237,7 @@ def _plain_self_term(alpha0: complex, beta: complex) -> complex:
 
 
 def _self_term(alpha0: complex, beta: complex) -> complex:
-    values, _ = _lattice_sums(alpha0, beta, 1.0, 0.0, 0.0, DEFAULT_POLICY)
+    values, _ = _lattice_sums(alpha0, beta, 0.0, 0.0, DEFAULT_POLICY)
     return complex(values)
 
 
@@ -250,7 +248,7 @@ def test_default_self_term_matches_mpmath():
 
 def test_default_self_term_window_is_short():
     # the closed-form tail replaces the long on-line window at x = 0
-    window = DEFAULT_POLICY.window(1.808735, 3.61747, 1.0, 0.0, 0.0)
+    window = DEFAULT_POLICY.window(1.808735, 3.61747, 0.0, 0.0)
     assert window == DEFAULT_POLICY.n_far
 
 
@@ -267,7 +265,7 @@ def test_self_term_for_large_beta_matches_plain_sum():
     # tail's expansion in beta / alpha_n holds
     a0, beta = 0.7, 25.0
     assert len(propagating_orders(SpectralPoint(a0, beta))) == 8
-    n = DEFAULT_POLICY.window(a0, beta, 1.0, 0.0, 0.0)
+    n = DEFAULT_POLICY.window(a0, beta, 0.0, 0.0)
     assert TWO_PI * (n + 1) >= 4.0 * beta
     assert n > DEFAULT_POLICY.n_far
     ref = _plain_self_term(a0, beta)
@@ -298,10 +296,12 @@ def test_light_line_guard_covers_orders_past_the_window():
     (-0.7, 1.3, 1.0), (0.4, 5.5, 1.0), (0.3, 2.0, 2.0), (1.0, 1.2, 0.5)])
 def test_imaginary_self_term_is_the_zero_order_alone(alpha0, beta, d):
     # every term but the propagating zero order's is real at x = 0, so
-    # Im G(0, 0) = 1 / (4 d beta^2 chi_0) and R = 1 exactly where Re G(0, 0) = 0
-    point = SpectralPoint(alpha0, beta, d)
+    # Im G(0, 0) = 1 / (4 beta^2 chi_0) and R = 1 exactly where Re G(0, 0) = 0.
+    # A grating of period d enters in units of its period: (alpha0 d, beta d)
+    alpha0, beta = alpha0 * d, beta * d
+    point = SpectralPoint(alpha0, beta)
     assert propagating_orders(point) == [0]
-    expected = 1.0 / (4.0 * d * beta * beta * math.sqrt(beta * beta - alpha0 * alpha0))
+    expected = 1.0 / (4.0 * beta * beta * math.sqrt(beta * beta - alpha0 * alpha0))
     assert abs(greens(point, 0.0, 0.0).imag - expected) <= 2 * math.ulp(expected)
 
 
@@ -311,7 +311,7 @@ def test_real_self_term_changes_sign_once_on_the_mirror_grid():
     for theta, alpha0 in cases:
         betas = np.linspace(*default_bracket(theta, alpha0), 241)
         alpha0s = betas * math.sin(theta) if alpha0 is None else np.full_like(betas, alpha0)
-        matrices, errors = _interaction_matrices(alpha0s, betas, 1.0, [(0.0, 0.0)],
+        matrices, errors = _interaction_matrices(alpha0s, betas, [(0.0, 0.0)],
                                                  DEFAULT_POLICY)
         assert errors == [None] * len(betas)
         positive = matrices[:, 0, 0].real > 0

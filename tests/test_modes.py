@@ -60,22 +60,15 @@ def test_stack_geometry_validation():
         StackGeometry(eta=0.0)
 
 
-def test_assemble_refuses_mixed_periods():
-    # the sums and the pin layout must share one period
-    with pytest.raises(ValueError, match="period"):
-        assemble(SpectralPoint(1.2, 3.0, d=2.0), StackGeometry(eta=1.0, xi=0.25, d=1.0))
-
-
-@pytest.mark.parametrize("d", [1.0, 2.0])
-def test_factor_complex_is_the_assembled_factor(d):
+def test_factor_complex_is_the_assembled_factor():
     # the pole searches' factors use the mode matrix's entries bit for bit
-    point = SpectralPoint(1.808735, 3.61747, d=d)
-    geometry = StackGeometry(eta=1.0, xi=0.252, d=d)
+    point = SpectralPoint(1.808735, 3.61747)
+    geometry = StackGeometry(eta=1.0, xi=0.252)
     m = assemble(point, geometry)
     m11, m12, m13, m21 = (complex(v) for v in (m.m11, m.m12, m.m13, m.m21))
 
     def factor(kind):
-        values, _ = _lattice_sums(point.alpha0, point.beta, d,
+        values, _ = _lattice_sums(point.alpha0, point.beta,
                                   *_factor_offsets(kind, geometry), DEFAULT_POLICY)
         return _factor_from(kind, values)
 

@@ -94,7 +94,7 @@ class TestSingularSystem:
 
     @pytest.fixture(autouse=True)
     def zero_matrices(self, monkeypatch):
-        def zeros(alpha0, beta, d, pins, policy):
+        def zeros(alpha0, beta, pins, policy):
             n = len(pins)
             return np.zeros((len(beta), n, n), dtype=complex), [None] * len(beta)
 

@@ -357,12 +357,13 @@ def test_edit60_result_bits_are_pinned(inputs_60):
 
 
 def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
-    # the first scan step, the bisection and its residual check; the scan
-    # itself continues the pole (a search at every step would make 106)
+    # the odd resonance, the first scan step and the bisection, whose value
+    # at xi_edit is the residual check's; the scan itself continues the pole
+    # (a search at every step would make 106)
     searches = _counted(monkeypatch, "_window_search")
     public = _counted(monkeypatch, "resonance_beta")
     find_xi_edit(*inputs_60)
-    assert len(public) <= len(searches) <= 10
+    assert len(public) <= len(searches) <= 7
 
 
 class TestQFactor:
@@ -446,6 +447,7 @@ _NO_INCIDENCE_CALLS = {
     "resonance_beta": lambda **inc: resonance_beta("odd", 1.0, 0.0, (3.5, 3.7),
                                                    **inc),
     "find_eta_star": lambda **inc: find_eta_star(3.599363, 0.98624, **inc),
+    "default_bracket": lambda **inc: default_bracket(**inc),
 }
 
 
@@ -454,16 +456,10 @@ _NO_INCIDENCE_CALLS = {
 @pytest.mark.parametrize("name", sorted(_NO_INCIDENCE_CALLS))
 def test_exactly_one_incidence_is_required(name, incidence, monkeypatch):
     # refused up front: no point is evaluated, so no failure is recorded on one
-    evaluated = []
-
-    def counting_scatter(*args, **kwargs):
-        evaluated.append(args)
-        return scatter(*args, **kwargs)
-
-    monkeypatch.setattr(scattering, "scatter", counting_scatter)
+    calls = _counted_kernel(monkeypatch)
     with pytest.raises(ValueError, match="exactly one of theta_i, alpha0"):
         _NO_INCIDENCE_CALLS[name](**incidence)
-    assert evaluated == []
+    assert calls == []
 
 
 class TestSteer:
@@ -522,9 +518,9 @@ class TestSteer:
         monkeypatch.setattr(modes, "_mode_matrices", counted_build)
         stacks, builder = [], steering._interaction_matrices
 
-        def counted_builder(alpha0, beta, d, pins, policy):
+        def counted_builder(alpha0, beta, pins, policy):
             stacks.append(len(pins))
-            return builder(alpha0, beta, d, pins, policy)
+            return builder(alpha0, beta, pins, policy)
 
         monkeypatch.setattr(steering, "_interaction_matrices", counted_builder)
         results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
@@ -604,10 +600,10 @@ def test_a_failed_request_fails_its_own_angle(table1_alone, monkeypatch):
     bad_alpha0 = table1_alone[bad].alpha0_g
     kernel = steering._lattice_sums
 
-    def failing(alpha0, beta, d, x, y, policy):
+    def failing(alpha0, beta, x, y, policy):
         if np.isrealobj(alpha0) and np.any(np.asarray(alpha0) == bad_alpha0):
             raise ArithmeticError("injected failure")
-        return kernel(alpha0, beta, d, x, y, policy)
+        return kernel(alpha0, beta, x, y, policy)
 
     monkeypatch.setattr(steering, "_lattice_sums", failing)
     together = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
@@ -631,6 +627,15 @@ def _counted_kernel(monkeypatch) -> list:
         if hasattr(module, "_lattice_sums"):
             monkeypatch.setattr(module, "_lattice_sums", counted)
     return calls
+
+
+def test_two_propagating_orders_are_refused_before_the_pair_grid(monkeypatch):
+    # the one-order rule depends on (alpha0, beta_g) alone, so no root of the
+    # pair condition is refined only to be refused
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(NoUnityTransmittance):
+        find_eta_star(5.0, 1.0, theta_i=THETA_30)
+    assert len(calls) <= 1
 
 
 def test_table1_makes_few_kernel_calls(monkeypatch):
