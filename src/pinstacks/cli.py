@@ -97,14 +97,8 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     _emit(json.dumps(payload, indent=2) + "\n", args)
 
 
-def _emit_rows(rows: list[dict], columns: list[str], args: argparse.Namespace,
-               trailer: str | None = None) -> None:
-    if args.format == "json":
-        payload = {"rows": rows}
-        if trailer:
-            payload["note"] = trailer
-        _emit_json(payload, args)
-        return
+def _csv_text(rows: list[dict], columns: list[str], args: argparse.Namespace,
+              trailer: str | None = None) -> str:
     buf = io.StringIO()
     if not args.no_timestamp:
         buf.write(f"# generated {_timestamp()}\n")
@@ -115,7 +109,18 @@ def _emit_rows(rows: list[dict], columns: list[str], args: argparse.Namespace,
         writer.writerow(row)
     if trailer:
         buf.write(f"# {trailer}\n")
-    _emit(buf.getvalue(), args)
+    return buf.getvalue()
+
+
+def _emit_rows(rows: list[dict], columns: list[str], args: argparse.Namespace,
+               trailer: str | None = None) -> None:
+    if args.format == "json":
+        payload = {"rows": rows}
+        if trailer:
+            payload["note"] = trailer
+        _emit_json(payload, args)
+        return
+    _emit(_csv_text(rows, columns, args, trailer), args)
 
 
 def _emit_table(rows: list[dict], columns: list[str],
@@ -138,10 +143,9 @@ def _emit_table(rows: list[dict], columns: list[str],
 
 
 def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
-                required_incidence: bool = True,
                 formats: tuple[str, ...] = ("csv", "json")) -> None:
     if incidence:
-        g = p.add_mutually_exclusive_group(required=required_incidence)
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--alpha0", type=float,
                        help="Bloch parameter alpha0 (fixed along scans)")
         g.add_argument("--theta", type=float,
@@ -278,18 +282,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dump_angle_scans(res, results_dir: Path, args: argparse.Namespace) -> None:
-    """The notch zoom's final window that steer measured q_notch on, next to the table."""
-    if res.notch_records is None:
-        return
-    sub = argparse.Namespace(**{**vars(args),
-                                "out": str(results_dir / f"theta{res.theta_i:g}_notch.csv"),
-                                "format": "csv"})
-    rows = [{"beta": r.beta, "alpha0": r.alpha0, "T": r.T, "R": r.R}
-            for r in res.notch_records]
-    _emit_rows(rows, ["beta", "alpha0", "T", "R"], sub)
-
-
 def cmd_steer(args: argparse.Namespace) -> int:
     policy = _policy(args)
     if args.table1:
@@ -299,27 +291,21 @@ def cmd_steer(args: argparse.Namespace) -> int:
     else:
         raise DomainError("give at least one --theta angle or --table1")
     radians = [math.radians(t) for t in degrees]
-    results = steer(radians, policy, m=args.m,
-                    with_modes=not args.no_modes,
-                    with_edit=args.with_edit or args.with_q,
-                    with_q=args.with_q)
-    rows = []
-    for deg, res in zip(degrees, results):
-        res.theta_i = deg          # report angles in degrees
-        rows.append({
-            "theta_deg": deg, "beta_g": res.beta_g, "alpha0_g": res.alpha0_g,
-            "eta_star": res.eta_star, "m_eff": res.m_eff,
-            "beta_odd": res.beta_odd, "beta_even": res.beta_even,
-            "eta_edit": res.eta_edit, "xi_edit": res.xi_edit,
-            "beta_edit": res.beta_edit,
-            "q_notch": res.q_notch, "q_pair": res.q_pair,
-            "error": res.error or "",
-        })
+    results = steer(radians, policy, m=args.m, with_modes=not args.no_modes,
+                    with_edit=args.with_edit, with_q=args.with_q)
+    rows = [{"theta_deg": deg, **{c: getattr(res, c) for c in _STEER_COLUMNS[1:-1]},
+             "error": res.error or ""} for deg, res in zip(degrees, results)]
     if args.results_dir is not None:
+        # the notch zoom's final window that steer measured q_notch on; the
+        # table's own config echo re-creates these files
         results_dir = Path(args.results_dir)
         results_dir.mkdir(parents=True, exist_ok=True)
-        for res in results:
-            _dump_angle_scans(res, results_dir, args)
+        for deg, res in zip(degrees, results):
+            if res.notch_records is not None:
+                notch = [{"beta": r.beta, "alpha0": r.alpha0, "T": r.T, "R": r.R}
+                         for r in res.notch_records]
+                (results_dir / f"theta{deg:g}_notch.csv").write_text(
+                    _csv_text(notch, ["beta", "alpha0", "T", "R"], args))
     if args.format == "table":
         _emit_table(rows, _STEER_COLUMNS, args)
     else:

@@ -39,7 +39,8 @@ Every search (stages 1-3, the window search and the pole polish) is a
 generator that yields each kernel evaluation it needs (a _Request for the
 builder or the lattice sums) and is sent its value.  _lockstep advances
 many of them together, one kernel call per kind of request and round;
-steer runs each angle's whole chain of searches that way, and each public
+steer runs each angle's whole chain (_angle_search, from beta_g to the FWHM
+scans of the Q factors, which make no request) that way, and each public
 function runs its one search alone through the same driver (_run).
 """
 
@@ -127,15 +128,22 @@ def default_bracket(theta_i: float | None = None,
     n = +1 for theta < 0) turns propagating at beta = 2 pi / (1 + |sin theta|);
     for fixed alpha0 at beta = 2 pi - |alpha0|.  The bracket spans
     (0.55, 0.99) of that limit, clipped above |alpha0|.  Exactly one of
-    theta_i and alpha0 is given.
+    theta_i and alpha0 is given.  Raises DomainError, before any evaluation,
+    when there is no bracket: |theta_i| >= pi/2 (no incident wave), or
+    |alpha0| so large (above ~3.0947) that the clipped bracket is empty.
     """
     _alpha0_rule(theta_i, alpha0)  # exactly one incidence
     if theta_i is not None:
+        if not abs(theta_i) < math.pi / 2:
+            raise DomainError(f"theta_i must be in (-pi/2, pi/2), got {theta_i}")
         limit = TWO_PI / (1.0 + abs(math.sin(theta_i)))
         return 0.55 * limit, 0.99 * limit
     limit = TWO_PI - abs(alpha0)
-    lo = max(0.55 * limit, 1.02 * abs(alpha0))
-    return lo, 0.99 * limit
+    lo, hi = max(0.55 * limit, 1.02 * abs(alpha0)), 0.99 * limit
+    if not lo < hi:
+        raise DomainError(f"|alpha0| = {abs(alpha0):g} leaves no beta bracket below the "
+                          f"first light line: ({lo:g}, {hi:g}) is empty")
+    return lo, hi
 
 
 def find_beta_g(
@@ -210,7 +218,6 @@ def find_eta_star(
     *,
     theta_i: float | None = None,
     alpha0: float | None = None,
-    coarse: int = _PAIR_GRID,
 ) -> float:
     """Stage 2: pair separation at which the pair transmittance returns to 1.
 
@@ -228,13 +235,17 @@ def find_eta_star(
     widening once to [0.8, 1.2], and its first sign change in grid order is
     refined to the nearest float (_nearest_root), where 1 - T vanishes to
     rounding; NoUnityTransmittance when there is none.  The guess is
-    expected within 10% of the optimum (the slab model lands within ~2.5%).
+    expected within 10% of the optimum (the slab model lands within ~2.5%);
+    a guess that is not positive raises ValueError (G(0, -eta) = G(0, eta),
+    so it would only find the mirror image of a root).
     """
+    if not eta_guess > 0:
+        raise ValueError(f"eta_guess must be positive, got {eta_guess}")
     a0 = _alpha0_rule(theta_i, alpha0)(beta_g)
-    return _run(_pair_search(beta_g, a0, eta_guess, policy, coarse))
+    return _run(_pair_search(beta_g, a0, eta_guess, policy))
 
 
-def _pair_search(beta_g, a0, eta_guess, policy, coarse=_PAIR_GRID):
+def _pair_search(beta_g, a0, eta_guess, policy):
     """find_eta_star's search at alpha0 = a0, as lockstep steps (see _lockstep)."""
     if not _one_order(SpectralPoint(a0, beta_g)):
         raise NoUnityTransmittance(
@@ -258,7 +269,7 @@ def _pair_search(beta_g, a0, eta_guess, policy, coarse=_PAIR_GRID):
 
     for spread in (0.1, 0.2):
         grid = np.linspace((1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess,
-                           coarse).tolist()
+                           _PAIR_GRID).tolist()
         values = yield from condition(grid)
         changes = _sign_changes(values)
         if changes:
@@ -610,8 +621,11 @@ def find_xi_edit(
     run alone (steer runs it in lockstep with other angles').
 
     Raises ModesDidNotMerge (reporting the closest approach) when the gap
-    never changes sign over the bracket.
+    never changes sign over the bracket, and ValueError when xi_step is not
+    positive.
     """
+    if not xi_step > 0:
+        raise ValueError(f"xi_step must be positive, got {xi_step}")
     return _run(_edit_search(_alpha0_rule(theta_i, None), beta_g, eta_star, policy,
                              xi_bracket, xi_step))
 
@@ -818,52 +832,32 @@ def steer(
     sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
     without a symmetry-breaking lateral shift relative to an oblique wave).
 
-    Each angle's searches (beta_g, eta_star, the unshifted pair, xi_edit and
-    the two poles at beta_edit) are one search, and all angles' run in
-    lockstep (_lockstep): each round evaluates every angle's pending step in
-    one kernel call per kind, with the same floats as one angle alone.  Only
-    the FWHM scans of the Q factors then run angle by angle.
+    Each angle's whole chain, its FWHM scans included, is one search
+    (_angle_search) that fills its result, and all angles' run in lockstep
+    (_lockstep): each round evaluates every angle's pending step in one
+    kernel call per kind, with the same floats as one angle alone.  An
+    exception a search raises becomes its angle's error, "Class: message".
     """
     with_edit = with_edit or with_q
     results = [SteeringResult(theta_i=theta) for theta in theta_list]
-    searches = [_angle_search(res, m, with_modes or with_edit, with_edit, with_q, policy)
-                for res in results]
-    for res, poles in zip(results, _lockstep(searches)):
-        try:
-            if isinstance(poles, Exception):
-                raise poles
-            if with_edit and res.theta_i == 0.0:
-                res.error = "EDIT unsupported at normal incidence"
-                continue
-            if not with_q:
-                continue
-            dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
-            triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
-            res.notch_records = feature_scan(triplet, res.beta_edit, 1e-7, "notch",
-                                             policy, theta_i=res.theta_i)
-            res.q_notch = q_factor(res.notch_records, "notch", kind=dark).q
-            # The broad envelope the notch splits is the outer-pair cavity
-            # mode; its half-linewidth comes from the bright pole.  An even
-            # point count keeps the needle at the window centre from
-            # puncturing the envelope samples.
-            hw = 12.0 * abs(poles[bright].imag)
-            env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
-                                theta_i=res.theta_i, resolution=2000, policy=policy)
-            res.q_pair = q_factor(env, "peak", kind=bright).q
-        except Exception as exc:  # noqa: BLE001 - per-angle failures recorded
-            res.error = f"{type(exc).__name__}: {exc}"
+    searches = [_angle_search(res, m, with_modes, with_edit, with_q, policy) for res in results]
+    for res, outcome in zip(results, _lockstep(searches)):
+        if isinstance(outcome, Exception):
+            res.error = f"{type(outcome).__name__}: {outcome}"
     return results
 
 
 def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool,
                   with_q: bool, policy: TruncationPolicy):
-    """steer's searches at one angle, filling res as each lands.
+    """steer's search at one angle, filling every field of res as each lands.
 
     beta_g, eta_star and, with_modes, the unshifted pair's poles polished
-    from beta_g; with_edit and off normal incidence, xi_edit at the slab
-    separation; with_q, the odd and even poles polished from beta_edit,
-    returned by kind (the merged resonance is the notch centre, labelled by
-    the darker pole, the one of smaller |Im|).
+    from beta_g; with_edit, xi_edit at the slab separation, or at normal
+    incidence the note that EDIT is unsupported there; with_q, the odd and
+    even poles polished from beta_edit, then the notch zoom and the envelope
+    scan (plain scans, run where the search stands: they make no request).
+    The merged resonance is the notch centre, labelled by the darker pole,
+    the one of smaller |Im|.
     """
     alpha0_at = _alpha0_rule(res.theta_i, None)
     res.beta_g = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i), policy)
@@ -877,14 +871,29 @@ def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool
             pole = yield from _resolved_pole(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
                                              policy, _POLE_REACH, f"beta_g = {res.beta_g:.9g}")
             setattr(res, f"beta_{kind}", pole.real)
-    poles: dict[str, complex] = {}
-    if not with_edit or res.theta_i == 0.0:
-        return poles
+    if not with_edit:
+        return
+    if res.theta_i == 0.0:
+        res.error = "EDIT unsupported at normal incidence"
+        return
     res.eta_edit = guess
     res.xi_edit, res.beta_edit = yield from _edit_search(alpha0_at, res.beta_g, guess, policy)
-    if with_q:
-        for kind in ("odd", "even"):
-            poles[kind] = yield from _resolved_pole(kind, res.beta_edit, alpha0_at, res.eta_edit,
-                                                    res.xi_edit, policy, _POLE_REACH,
-                                                    f"beta_edit = {res.beta_edit:.9g}")
-    return poles
+    if not with_q:
+        return
+    poles = {}
+    for kind in ("odd", "even"):
+        poles[kind] = yield from _resolved_pole(kind, res.beta_edit, alpha0_at, res.eta_edit,
+                                                res.xi_edit, policy, _POLE_REACH,
+                                                f"beta_edit = {res.beta_edit:.9g}")
+    dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
+    triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
+    res.notch_records = feature_scan(triplet, res.beta_edit, 1e-7, "notch", policy,
+                                     theta_i=res.theta_i)
+    res.q_notch = q_factor(res.notch_records, "notch", kind=dark).q
+    # The broad envelope the notch splits is the outer-pair cavity mode; its
+    # half-linewidth comes from the bright pole.  An even point count keeps
+    # the needle at the window centre from puncturing the envelope samples.
+    hw = 12.0 * abs(poles[bright].imag)
+    env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
+                        theta_i=res.theta_i, resolution=2000, policy=policy)
+    res.q_pair = q_factor(env, "peak", kind=bright).q

@@ -312,6 +312,29 @@ class TestSteer:
         writer.writerows([r.beta, r.alpha0, r.T, r.R] for r in records)
         assert (tmp_path / "theta60_notch.csv").read_text() == expected.getvalue()
 
+    def test_results_dir_holds_the_notch_scans_alone(self, tmp_path, capsys):
+        # only --out echoes a config: an echo beside a notch scan would
+        # replay the table's command onto the notch file
+        code, _ = _run(capsys, ["steer", "--theta", "60", "--with-q", "--no-timestamp",
+                                "--results-dir", str(tmp_path)])
+        assert code == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["theta60_notch.csv"]
+
+    def test_table_echo_replays_the_notch_scans(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        code, _ = _run(capsys, ["steer", "--theta", "30", "60", "--with-q", "--no-timestamp",
+                                "--results-dir", str(tmp_path), "--out", str(table)])
+        assert code == 0
+        names = ["table.csv", "theta30_notch.csv", "theta60_notch.csv"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            names + ["table.csv.config.json"])
+        written = {name: (tmp_path / name).read_bytes() for name in names}
+        for name in names:
+            (tmp_path / name).unlink()
+        code, _ = _run(capsys, ["--config", str(table) + ".config.json"])
+        assert code == 0
+        assert {name: (tmp_path / name).read_bytes() for name in names} == written
+
     def test_eta_edit_column_follows_beta_even(self, capsys):
         code, out = _run(capsys, ["steer", "--theta", "0", "--no-modes",
                                   "--with-edit", "--no-timestamp"])

@@ -67,6 +67,29 @@ def test_default_bracket_contains_mirror_condition():
         default_bracket()
 
 
+@pytest.mark.parametrize("incidence", [
+    {"theta_i": 2.0}, {"theta_i": -math.pi / 2},
+    {"alpha0": 3.1}, {"alpha0": 3.2}, {"alpha0": -7.0},
+], ids=["past-grazing", "grazing", "alpha0-3.1", "alpha0-3.2", "alpha0-minus-7"])
+def test_no_bracket_is_refused_before_any_evaluation(incidence, monkeypatch):
+    # past grazing there is no incident wave; for |alpha0| above ~3.0947 the
+    # bracket clipped above 1.02 |alpha0| is empty
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(DomainError):
+        default_bracket(**incidence)
+    with pytest.raises(DomainError):
+        find_beta_g(**incidence)
+    assert calls == []
+
+
+def test_steer_records_an_angle_past_grazing(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    res, = steer([2.0])
+    assert res.error == "DomainError: theta_i must be in (-pi/2, pi/2), got 2.0"
+    assert res.beta_g is None
+    assert calls == []
+
+
 def test_mirror_point_at_negative_bloch_parameter():
     assert find_beta_g(alpha0=-2.1) == pytest.approx(find_beta_g(alpha0=2.1), rel=1e-14)
 
@@ -131,6 +154,15 @@ class TestFindEtaStar:
     def test_guess_far_from_any_resonance_raises(self):
         with pytest.raises(NoUnityTransmittance):
             find_eta_star(3.599363, 0.5, theta_i=THETA_30)
+
+    def test_guess_that_is_not_positive_is_refused(self, monkeypatch):
+        # G(0, -eta) = G(0, eta): a negative guess would find the mirror
+        # image -0.98624 of the root
+        calls = _counted_kernel(monkeypatch)
+        for guess in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="eta_guess must be positive"):
+                find_eta_star(3.599363, guess, theta_i=THETA_30)
+        assert calls == []
 
     def test_roots_with_two_propagating_orders_are_refused(self):
         # at beta = 5 and 30 degrees order -1 propagates too: the pair
@@ -231,6 +263,13 @@ def test_find_xi_edit_reports_no_merge():
     with pytest.raises(ModesDidNotMerge, match="closest approach"):
         find_xi_edit(THETA_30, 3.599363, 1.0, xi_bracket=(0.27, 0.30),
                      xi_step=5e-3)
+
+
+def test_find_xi_edit_refuses_a_step_that_is_not_positive(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="xi_step must be positive"):
+        find_xi_edit(THETA_30, 3.599363, 1.0, xi_step=0)
+    assert calls == []
 
 
 def _edit_inputs(degrees):
@@ -680,3 +719,33 @@ def test_edit_makes_few_kernel_calls(oblique_edit):
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
     assert 0 < len(calls) <= 1000
+
+
+def test_edit_without_modes_polishes_no_pair(oblique_edit):
+    # EDIT tuning runs at the slab eta with its own odd window search and
+    # never reads the unshifted pair
+    res, = steer([math.radians(60.0)], with_modes=False, with_edit=True)
+    full = oblique_edit[0][TABLE1_ANGLES_DEG[1:].index(60.0)]
+    assert res.error is None
+    assert res.beta_odd is None and res.beta_even is None
+    assert (res.xi_edit, res.beta_edit) == (full.xi_edit, full.beta_edit)
+
+
+def test_a_failed_q_scan_fails_its_own_angle(monkeypatch):
+    # the FWHM scans run inside each angle's search: an exception there is
+    # that angle's error, and the other angle's result is its lone run's
+    thirty, sixty = math.radians(30.0), math.radians(60.0)
+    alone, = steer([sixty], with_q=True)
+    zoom = steering.feature_scan
+
+    def failing(*args, **kwargs):
+        if kwargs["theta_i"] == thirty:
+            raise ArithmeticError("injected failure")
+        return zoom(*args, **kwargs)
+
+    monkeypatch.setattr(steering, "feature_scan", failing)
+    bad, good = steer([thirty, sixty], with_q=True)
+    assert bad.error == "ArithmeticError: injected failure"
+    assert bad.beta_edit is not None
+    assert bad.q_notch is None and bad.q_pair is None and bad.notch_records is None
+    assert good == alone
