@@ -18,8 +18,9 @@ goes to that file and the exact parsed parameters are echoed alongside it as
 output.  Outputs are deterministic; the timestamp header is suppressed by
 ``--no-timestamp``.
 
-Exit codes: 0 success, 2 numeric-domain error (light lines, invalid
-geometry), 3 search failure (optimization or refinement did not converge).
+Exit codes: 0 success, 2 numeric-domain error or invalid parameter (light
+lines, invalid geometry, any ValueError), 3 search failure (optimization or
+refinement did not converge).
 """
 
 from __future__ import annotations
@@ -422,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a subcommand is required unless --config is given")
     try:
         return args.func(args)
-    except DomainError as exc:
+    except ValueError as exc:      # DomainError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except SearchError as exc:

@@ -21,8 +21,9 @@ and those at the EDIT point from beta_edit.  The window search (a batched
 grid of the factor's modulus over a beta window, the zero polished from its
 deepest point) serves only resonance_beta and stage 3: find_xi_edit runs it
 to seed the even zero, where continuing it fails, and for the final
-bisection; between scan steps of xi it continues the zero itself, from a
-seed extrapolated in xi.
+bisection; elsewhere it continues the zero itself along a coarse scan of xi,
+from a seed extrapolated in xi, and bisects the scan's grid steps within the
+coarse cell where the resonances cross.
 Quality factors are measured on transmission spectra by FWHM, swept with
 scattering.scan (feature_scan zooms with it; steer's envelope is a
 spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
@@ -74,6 +75,7 @@ from .scattering import PinStack, SpectrumRecord, _alpha0_rule, scan, spectrum_s
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 _BETA_WINDOW_HALFWIDTH = 0.05   # find_xi_edit's window searches, beta +- this
+_XI_STRIDE = 10   # find_xi_edit continues the even pole at every 10th step of its xi grid
 # How far a pole polished from a nearby real seed (beta_g, beta_edit) may
 # move: the farthest a window search over beta_g +- 0.05 can return.
 _POLE_REACH = 0.06
@@ -551,8 +553,10 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
     modulus, or from a complex seed such as a pole continued from a nearby
     geometry.
     Returns None when the iteration fails to converge, does not halve the
-    seed's residual, or moves Re beta or |Im beta| past max_shift from the
-    seed's real part; the caller decides what a rejection means.
+    seed's residual (a seed already on the zero passes when the residual is
+    no more than a step of the secant's tolerance leaves at the seed's
+    slope), or moves Re beta or |Im beta| past max_shift from the seed's
+    real part; the caller decides what a rejection means.
     alpha0_at is the incidence's _alpha0_rule.
     """
     geometry = StackGeometry(eta=eta, xi=xi)
@@ -568,6 +572,9 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
     f0 = yield from f(z0)
     f1 = yield from f(z1)
     start = abs(f0)
+    # the residual a zero found to the secant's tolerance leaves at the seed's
+    # slope: a seed already on the zero cannot halve a residual this small
+    rounding = abs(f1 - f0) / 1e-7 * 1e-14 * abs(seed)
     for _ in range(60):
         denom = f1 - f0
         if denom == 0:
@@ -580,7 +587,7 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
             break
     else:
         return None
-    if not (abs(f1) < 0.5 * start and abs(z1.real - seed.real) <= max_shift
+    if not (abs(f1) < max(0.5 * start, rounding) and abs(z1.real - seed.real) <= max_shift
             and abs(z1.imag) <= max_shift and z1.real > 0):
         return None
     return complex(z1)
@@ -607,22 +614,25 @@ def find_xi_edit(
 
     The odd resonance beta_odd is shift-invariant (the odd factor involves
     only M11 and M13, neither of which depends on xi).  The even resonance
-    beta_even(xi) is tracked while xi steps across the bracket: the even
-    factor's complex zero is continued from step to step, its seed
-    extrapolated linearly in xi from the two nearest tracked poles and
-    polished by _pole_search.  The window search runs only at the first
-    step and wherever the continued secant is rejected (the track then
-    restarts from the zero that search polished).  A sign change of the gap
-    beta_even - beta_odd is closed by Brent's method (xtol 1e-9) on window
-    searches, whose gap at xi_edit is also the residual checked.  The window
-    searches span beta +- 0.05, around beta_g for the odd resonance and
-    around beta_odd for the even one.  Returns (xi_edit, beta_edit) with
+    beta_even(xi) is tracked over a grid of xi_step across the bracket: its
+    complex zero is continued at every 10th grid step until the gap
+    beta_even - beta_odd changes sign over such a coarse cell, whose grid
+    steps are then bisected down to the one step where it does.  Each seed
+    is linear in xi through the two tracked poles nearest it, polished by
+    _pole_search.  The window search runs only at the first step and
+    wherever the continued secant is rejected (the track then takes the zero
+    that search polished).  A coarse cell is assumed to hold at most one
+    sign change (two would cancel unseen), so the step found is the grid's
+    first, as a scan of every step finds.  Brent's method (xtol 1e-9) on
+    window searches closes it, and their gap at xi_edit is the residual
+    checked.  The window searches span beta +- 0.05, around beta_g for the
+    odd resonance and around beta_odd for the even one.  Returns (xi_edit, beta_edit) with
     |beta_even(xi_edit) - beta_odd| <= 1e-7.  The search is _edit_search,
     run alone (steer runs it in lockstep with other angles').
 
-    Raises ModesDidNotMerge (reporting the closest approach) when the gap
-    never changes sign over the bracket, and ValueError when xi_step is not
-    positive.
+    Raises ModesDidNotMerge (reporting the closest approach over the steps
+    evaluated) when the gap never changes sign over the bracket, and
+    ValueError when xi_step is not positive.
     """
     if not xi_step > 0:
         raise ValueError(f"xi_step must be positive, got {xi_step}")
@@ -637,7 +647,6 @@ def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30), x
                                           policy)).real
     even_window = (beta_odd - _BETA_WINDOW_HALFWIDTH,
                    beta_odd + _BETA_WINDOW_HALFWIDTH)
-    track: list[tuple[float, complex]] = []   # (xi, even pole) of the scan steps
     gaps: dict[float, float] = {}             # gap at each xi of the bisection
 
     def gap(xi: float):
@@ -647,44 +656,49 @@ def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30), x
             gaps[xi] = pole.real - beta_odd
         return gaps[xi]
 
-    def scan_gap(xi: float):
-        """gap(xi) at a scan step, from the even pole continued along the track."""
+    lo, hi = xi_bracket
+    n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
+    xs = np.linspace(lo, hi, n_steps).tolist()
+    track: dict[float, complex] = {}          # the even pole at each scan step evaluated
+
+    def scan_pole(xi: float):
+        """The even pole at a scan step, continued from the track."""
         if track:
-            x1, seed = track[-1]
-            if len(track) > 1:        # linear in xi through the two nearest poles
-                x0, z0 = track[-2]
+            # linear in xi through the two tracked poles nearest xi
+            (x1, seed), *rest = sorted(track.items(), key=lambda step: abs(step[0] - xi))[:2]
+            if rest:
+                x0, z0 = rest[0]
                 seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
             pole = yield from _pole_search("even", seed, alpha0_at, eta_star, xi, policy,
                                            _polish_reach(even_window))
             if pole is not None and even_window[0] < pole.real < even_window[1]:
-                track.append((xi, pole))
-                return pole.real - beta_odd
-        pole = yield from _window_search("even", eta_star, xi, even_window, alpha0_at, policy)
-        track.append((xi, pole))
-        return pole.real - beta_odd
+                return pole
+        return (yield from _window_search("even", eta_star, xi, even_window, alpha0_at, policy))
 
-    lo, hi = xi_bracket
-    n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
-    xs = np.linspace(lo, hi, n_steps)
-    g_prev = yield from scan_gap(float(xs[0]))
-    best = (abs(g_prev), float(xs[0]))
-    for x in xs[1:]:
-        g_here = yield from scan_gap(float(x))
-        if abs(g_here) < best[0]:
-            best = (abs(g_here), float(x))
-        if np.sign(g_here) != np.sign(g_prev):
-            xi_edit = yield from _brent_steps(gap, float(x) - (hi - lo) / (n_steps - 1),
-                                              float(x), 1e-9)
-            residual_gap = abs((yield from gap(xi_edit)))
-            if residual_gap > _MERGE_TOL:
-                raise ModesDidNotMerge(
-                    f"bisection left |beta_even - beta_odd| = {residual_gap:.3e}"
-                )
-            return float(xi_edit), float(beta_odd)
-        g_prev = g_here
+    def sign(i: int):
+        """The sign of the gap beta_even - beta_odd at grid step i."""
+        if xs[i] not in track:
+            track[xs[i]] = yield from scan_pole(xs[i])
+        return np.sign(track[xs[i]].real - beta_odd)
+
+    coarse = list(range(0, n_steps - 1, _XI_STRIDE)) + [n_steps - 1]
+    for a, b in zip(coarse, coarse[1:]):
+        if (yield from sign(a)) == (yield from sign(b)):
+            continue
+        while b - a > 1:              # bisect the cell's one sign change to one step
+            mid = (a + b) // 2
+            a, b = (mid, b) if (yield from sign(mid)) == (yield from sign(a)) else (a, mid)
+        xi_edit = yield from _brent_steps(gap, xs[b] - (hi - lo) / (n_steps - 1), xs[b], 1e-9)
+        residual_gap = abs((yield from gap(xi_edit)))
+        if residual_gap > _MERGE_TOL:
+            raise ModesDidNotMerge(
+                f"bisection left |beta_even - beta_odd| = {residual_gap:.3e}"
+            )
+        return float(xi_edit), float(beta_odd)
+    closest, at = min((abs(pole.real - beta_odd), xi) for xi, pole in track.items())
     raise ModesDidNotMerge(
         f"no sign change of beta_even - beta_odd over xi in ({lo:g}, {hi:g}); "
-        f"closest approach {best[0]:.3e} at xi = {best[1]:.6g}"
+        f"closest approach {closest:.3e} at xi = {at:.6g}"
     )
 
 
@@ -837,7 +851,10 @@ def steer(
     (_lockstep): each round evaluates every angle's pending step in one
     kernel call per kind, with the same floats as one angle alone.  An
     exception a search raises becomes its angle's error, "Class: message".
+    A mode order m < 1 raises ValueError before any evaluation.
     """
+    if m < 1:   # every angle's slab guess would refuse it
+        raise ValueError(f"mode order m must be >= 1, got {m}")
     with_edit = with_edit or with_q
     results = [SteeringResult(theta_i=theta) for theta in theta_list]
     searches = [_angle_search(res, m, with_modes, with_edit, with_q, policy) for res in results]

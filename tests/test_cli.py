@@ -252,6 +252,14 @@ class TestSteer:
         assert code == 2
         assert "--theta" in err or "--table1" in err
 
+    def test_refuses_a_mode_order_below_one(self, capsys):
+        # refused up front (steer raises before any search), not row by row
+        code = main(["steer", "--theta", "30", "60", "--m", "0", "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "mode order m must be >= 1, got 0" in captured.err
+
     def test_table_format_header(self, capsys):
         code, out = _run(capsys, ["steer", "--theta", "0", "--no-modes",
                                   "--format", "table", "--no-timestamp"])

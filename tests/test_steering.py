@@ -17,7 +17,7 @@ from pinstacks.errors import (
     NoUnityTransmittance,
     Unresolved,
 )
-from pinstacks.greens import SpectralPoint
+from pinstacks.greens import DEFAULT_POLICY, SpectralPoint
 from pinstacks.scattering import (
     IncidentWave,
     PinStack,
@@ -87,6 +87,14 @@ def test_steer_records_an_angle_past_grazing(monkeypatch):
     res, = steer([2.0])
     assert res.error == "DomainError: theta_i must be in (-pi/2, pi/2), got 2.0"
     assert res.beta_g is None
+    assert calls == []
+
+
+def test_steer_refuses_a_mode_order_below_one_before_any_evaluation(monkeypatch):
+    # every angle's slab guess would refuse it, after its mirror search
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="mode order m must be >= 1, got 0"):
+        steer([THETA_30, math.radians(60.0)], m=0)
     assert calls == []
 
 
@@ -306,7 +314,7 @@ def _counted(monkeypatch, name, module=steering):
 
 
 def _continued_secants(monkeypatch, reject=False):
-    """Record (xi, pole) of every continued secant, or reject them all.
+    """Record (xi, pole) of every continued secant, or reject them all as (xi, None).
 
     The continuation starts _pole_search from a complex seed; the window
     search's polish starts from a real one.  The spy is a search itself.
@@ -319,7 +327,7 @@ def _continued_secants(monkeypatch, reject=False):
             return (yield from search(kind, beta0, alpha0_at, eta, xi, *args, **kwargs))
         pole = None if reject else (
             yield from search(kind, beta0, alpha0_at, eta, xi, *args, **kwargs))
-        if pole is not None:
+        if pole is not None or reject:
             tracked.append((xi, pole))
         return pole
 
@@ -327,11 +335,32 @@ def _continued_secants(monkeypatch, reject=False):
     return tracked
 
 
+def _scan_steps(xi_edit, lo=0.15, hi=0.30, xi_step=1e-3, stride=10):
+    """The xi find_xi_edit continues the even pole at, in order, for a merge at xi_edit.
+
+    Every stride-th step of the grid from the second coarse step to the end
+    of the coarse cell holding xi_edit, then the bisection of that cell's
+    steps down to the one step (xs[k - 1], xs[k]] that holds xi_edit.
+    """
+    n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
+    xs = np.linspace(lo, hi, n_steps).tolist()
+    k = next(i for i, x in enumerate(xs) if x >= xi_edit)
+    a = (k - 1) // stride * stride
+    b = min(a + stride, n_steps - 1)
+    steps = xs[stride:b + 1:stride]
+    while b - a > 1:
+        mid = (a + b) // 2
+        steps.append(xs[mid])
+        a, b = (mid, b) if mid < k else (a, mid)
+    return steps
+
+
 def test_continued_pole_is_resonance_beta_at_every_step(edit_inputs, monkeypatch):
     theta, beta_g, eta = edit_inputs
     tracked = _continued_secants(monkeypatch)
-    find_xi_edit(theta, beta_g, eta)
-    assert len(tracked) >= 50      # every scan step up to the merge at xi ~ 0.23-0.25
+    xi_edit, _ = find_xi_edit(theta, beta_g, eta)
+    # every coarse step up to the merge and every bisection probe is tracked
+    assert [xi for xi, _ in tracked] == _scan_steps(xi_edit)
     monkeypatch.undo()
     beta_odd = resonance_beta("odd", eta, 0.0, (beta_g - 0.05, beta_g + 0.05),
                               theta_i=theta)
@@ -369,10 +398,15 @@ def test_find_xi_edit_equals_the_window_search(edit_inputs):
 
 def test_rejected_continuation_falls_back_to_the_same_result(inputs_60, monkeypatch):
     continued = find_xi_edit(*inputs_60)
-    _continued_secants(monkeypatch, reject=True)
+    rejected = _continued_secants(monkeypatch, reject=True)
     searches = _counted(monkeypatch, "_window_search")
     assert find_xi_edit(*inputs_60) == continued
-    assert len(searches) > 50          # every scan step fell back
+    # every evaluated step fell back: a window search at each rejected
+    # secant's xi, right after the first step's, and at the same steps
+    steps = [xi for xi, _ in rejected]
+    even = [args[2] for args in searches if args[0] == "even"]
+    assert steps == _scan_steps(continued[0])
+    assert even[1:len(steps) + 1] == steps
 
 
 def test_edit60_result_bits_are_pinned(inputs_60):
@@ -403,6 +437,29 @@ def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
     public = _counted(monkeypatch, "resonance_beta")
     find_xi_edit(*inputs_60)
     assert len(public) <= len(searches) <= 7
+
+
+def test_find_xi_edit_makes_few_kernel_calls(inputs_60, monkeypatch):
+    # the even pole is continued at every 10th step of the 1e-3 grid and
+    # the merge's step bisected out of its coarse cell: 14 secants.  Every
+    # step continued, the search made 436 calls (429 of them lattice sums)
+    calls = _counted_kernel(monkeypatch)
+    find_xi_edit(*inputs_60)
+    assert 0 < len(calls) <= 130
+
+
+def test_polishing_a_polished_pole_returns_it():
+    # a seed already on the zero cannot halve its rounding-level residual;
+    # the secant still converges there and is accepted
+    for deg in (9.0, 30.0, 60.0):
+        res, = steer([math.radians(deg)], with_modes=False)
+        alpha0_at = steering._alpha0_rule(res.theta_i, None)
+        for kind in ("odd", "even"):
+            pole = steering._run(steering._pole_search(kind, res.beta_g, alpha0_at, res.eta_star,
+                                                       0.0, DEFAULT_POLICY, 0.06))
+            again = steering._run(steering._pole_search(kind, pole, alpha0_at, res.eta_star,
+                                                        0.0, DEFAULT_POLICY, 0.06))
+            assert again is not None and abs(again - pole) <= 1e-13 * abs(pole)
 
 
 class TestQFactor:
@@ -715,10 +772,11 @@ def test_q_lockstep_equals_one_angle_at_a_time():
 
 def test_edit_makes_few_kernel_calls(oblique_edit):
     # each round's window grids and continued secants share their calls;
-    # run angle by angle, the 14 EDIT searches made 5,333
+    # run angle by angle, the 14 EDIT searches made 5,333, and with the even
+    # pole continued at every step of the xi grid, 629 in lockstep
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 1000
+    assert 0 < len(calls) <= 300
 
 
 def test_edit_without_modes_polishes_no_pair(oblique_edit):
