@@ -136,18 +136,6 @@ class CoincidenceReport:
     defective_basis: np.ndarray | None
 
 
-def _mode_matrices(alpha0, beta, geometry: StackGeometry,
-                   policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
-    """Triplet mode matrices at every (alpha0, beta).
-
-    The pin-interaction matrix of the pins in (top, centre, bottom) order
-    is the mode matrix: M11, M13 sit on the column x = 0, where the kernel
-    adds the closed-form tail, and M12, M21 off the source line.  Returns
-    (B, 3, 3) entries and per-point errors, as _interaction_matrices.
-    """
-    return _interaction_matrices(alpha0, beta, _triplet_pins(geometry), policy)
-
-
 def _triplet_pins(geometry: StackGeometry) -> tuple:
     """The triplet's pins in (top, centre, bottom) order, the mode matrix's."""
     eta, xi = geometry.eta, geometry.xi
@@ -181,7 +169,8 @@ def assemble(
     column x = 0, where the kernel adds the closed-form tail; M12 and M21
     sit off the source line.
     """
-    entries, (error,) = _mode_matrices([point.alpha0], [point.beta], geometry, policy)
+    entries, (error,) = _interaction_matrices([point.alpha0], [point.beta],
+                                             _triplet_pins(geometry), policy)
     if error is not None:
         raise error
     return ModeMatrix(entries=entries[0], point=point, geometry=geometry)
@@ -360,7 +349,8 @@ def dispersion_grid(
     betas = [float(b) for b in beta_values]
     rows = []
     for a0 in map(float, alpha0_values):
-        entries, errors = _mode_matrices([a0] * len(betas), betas, geometry, policy)
+        entries, errors = _interaction_matrices([a0] * len(betas), betas,
+                                                _triplet_pins(geometry), policy)
         log_odd, log_even = (_log10(m).tolist() for m in _factor_moduli(entries))
         for b, error, log_odd, log_even in zip(betas, errors, log_odd, log_even):
             row = {"alpha0": a0, "beta": b}

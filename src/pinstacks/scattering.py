@@ -416,11 +416,17 @@ def spectrum_scan(
     with the incidence as there.  With refine=True, intervals where
     |Delta T| > refine_jump are bisected until the jump falls below the
     threshold or the beta step reaches 1e-12, up to 200,000 points.
+    Raises ValueError, before any evaluation, unless hi > lo, resolution
+    >= 2 and, with refine, refine_jump > 0.
     """
     opts = {"theta_i": theta_i, "alpha0": alpha0, "policy": policy}
     lo, hi = beta_range
     if not (hi > lo):
         raise ValueError("beta_range must satisfy hi > lo")
+    if not resolution >= 2:   # one point would drop beta_max
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if refine and not refine_jump > 0:   # NaN included; 0 bisects to the point cap
+        raise ValueError(f"refine_jump must be positive, got {refine_jump}")
     betas = np.linspace(lo, hi, resolution)
     records = {r.beta: r for r in scan(stack, betas, **opts)}
     if refine:

@@ -37,12 +37,13 @@ Every other grid (the window search's, each scan) is likewise evaluated in
 one batched call.
 
 Every search (stages 1-3, the window search and the pole polish) is a
-generator that yields each kernel evaluation it needs (a _Request for the
-builder or the lattice sums) and is sent its value.  _lockstep advances
-many of them together, one kernel call per kind of request and round;
-steer runs each angle's whole chain (_angle_search, from beta_g to the FWHM
-scans of the Q factors, which make no request) that way, and each public
-function runs its one search alone through the same driver (_run).
+generator that yields each kernel evaluation it needs (a _Request: the
+builder or the lattice sums, and its inputs as flat columns) and is sent its
+value.  _lockstep advances many of them together, one kernel call per kind
+of request and round on their columns joined, so a lone request is a join
+of one; steer runs each angle's whole chain (_angle_search, from beta_g to
+the FWHM scans of the Q factors, which make no request) that way, and each
+public function runs its one search alone through the same driver (_run).
 """
 
 from __future__ import annotations
@@ -303,38 +304,30 @@ def _sign_changes(values: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True)
 class _Request:
-    """One evaluation a search waits for: call(*args).
-
-    Requests with equal keys are answered together, by one call on their
-    columns joined (see _lockstep); columns() gives args as flat arrays of
-    one length, a row per evaluation.
-    """
+    """An evaluation a search waits for: call(*columns), columns flat and of one length."""
 
     key: tuple
     call: Callable[..., tuple]
-    args: tuple
-    columns: Callable[[], tuple]
+    columns: tuple
 
 
 def _lockstep(searches: list) -> list:
     """Run searches together: each one's return value, or the exception it raised.
 
     A search is a generator that yields a _Request for every evaluation it
-    needs and is sent the answer.  Each round answers every pending request,
-    one call per key on the requests' columns joined, each search getting
-    its own rows back.  The kernel's values depend only on their own inputs
-    (see greens), so a search gets the same floats whatever runs beside it.
-    A request alone in its round is answered by its own call; a joined call
-    that raises is answered request by request, so a request that raises
-    fails its own search alone, with the exception its own call raises.
+    needs and is sent the answer, or thrown the exception its call raised.  Each
+    round answers every pending request, each key's requests by _answers.
+    The kernel's values depend only on their own inputs (see greens), so a
+    search gets the same floats whatever runs beside it, and a request that
+    raises fails its own search alone.
     """
     outcomes: list = [None] * len(searches)
     pending: dict[int, _Request] = {}
 
-    def resume(i: int, answer=None, error: Exception | None = None) -> None:
+    def resume(i: int, answer=None) -> None:
         try:
-            pending[i] = (searches[i].send(answer) if error is None
-                          else searches[i].throw(error))
+            pending[i] = (searches[i].throw(answer) if isinstance(answer, Exception)
+                          else searches[i].send(answer))
         except StopIteration as stop:
             outcomes[i] = stop.value
         except Exception as exc:  # noqa: BLE001 - a failed search fails alone
@@ -343,36 +336,30 @@ def _lockstep(searches: list) -> list:
     for i in range(len(searches)):
         resume(i)
     while pending:
-        requests = dict(pending)
+        groups: dict[tuple, dict[int, _Request]] = {}
+        for i, request in pending.items():
+            groups.setdefault(request.key, {})[i] = request
         pending.clear()
-        groups: dict[tuple, list[int]] = {}
-        for i, request in requests.items():
-            groups.setdefault(request.key, []).append(i)
         for members in groups.values():
-            answers = None
-            if len(members) > 1:
-                try:
-                    answers = _joined([requests[i] for i in members])
-                except Exception:  # noqa: BLE001 - answered one by one below
-                    pass
-            for k, i in enumerate(members):
-                if answers is not None:
-                    resume(i, answers[k])
-                    continue
-                try:
-                    answer = requests[i].call(*requests[i].args)
-                except Exception as exc:  # noqa: BLE001 - fails its own search
-                    resume(i, error=exc)
-                else:
-                    resume(i, answer)
+            for i, answer in zip(members, _answers(list(members.values()))):
+                resume(i, answer)
     return outcomes
 
 
-def _joined(requests: list[_Request]) -> list[tuple]:
-    """Each request's rows of every output of one call on all their columns."""
-    columns = [request.columns() for request in requests]
-    outputs = requests[0].call(*(np.concatenate(parts) for parts in zip(*columns)))
-    ends = np.cumsum([len(c[0]) for c in columns]).tolist()
+def _answers(requests: list[_Request]) -> list:
+    """Each request's rows of every output of one call on all their columns joined.
+
+    When that call raises, each request is answered as a group of one, so a
+    request that fails gets the exception its own call raises.
+    """
+    try:
+        outputs = requests[0].call(*map(np.concatenate,
+                                        zip(*(request.columns for request in requests))))
+    except Exception as exc:  # noqa: BLE001 - answered one by one
+        if len(requests) == 1:
+            return [exc]
+        return [answer for request in requests for answer in _answers([request])]
+    ends = np.cumsum([len(request.columns[0]) for request in requests]).tolist()
     return [tuple(out[lo:hi] for out in outputs) for lo, hi in zip([0] + ends, ends)]
 
 
@@ -388,8 +375,7 @@ def _built(alpha0, beta, pins: tuple, policy: TruncationPolicy):
     """_interaction_matrices(alpha0, beta, pins, policy), as a search step."""
     return (yield _Request(("build", pins, policy),
                            lambda a, b: _interaction_matrices(a, b, pins, policy),
-                           (alpha0, beta),
-                           lambda: (np.asarray(alpha0, dtype=float), np.asarray(beta, dtype=float))))
+                           (np.asarray(alpha0, dtype=float), np.asarray(beta, dtype=float))))
 
 
 def _summed(alpha0, beta, x, y, policy: TruncationPolicy):
@@ -398,9 +384,8 @@ def _summed(alpha0, beta, x, y, policy: TruncationPolicy):
     dtype = np.result_type(alpha0, beta, 1.0)     # real sums are guarded, complex not
     values, near = yield _Request(("sums", dtype, policy),
                                   lambda a, b, xs, ys: _lattice_sums(a, b, xs, ys, policy),
-                                  (alpha0, beta, x, y),
-                                  lambda: (_flat(alpha0, shape, dtype), _flat(beta, shape, dtype),
-                                           _flat(x, shape, float), _flat(y, shape, float)))
+                                  (_flat(alpha0, shape, dtype), _flat(beta, shape, dtype),
+                                   _flat(x, shape, float), _flat(y, shape, float)))
     return values.reshape(shape), near.reshape(shape)
 
 
@@ -783,8 +768,11 @@ def feature_scan(
     40 points fall inside the half-width interval.  Used for Q measurement
     of features narrower than any practical uniform scan (EDIT notches reach
     Q ~ 1e9..1e10).  Returns the last window's scan records; a point of a
-    window that fails to evaluate raises Unresolved.
+    window that fails to evaluate raises Unresolved.  A halfwidth that is
+    not a positive finite number raises ValueError before any scan.
     """
+    if not 0.0 < halfwidth < math.inf:   # NaN included; 0 rescans one point
+        raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
     center0 = center
     for _ in range(_MAX_ZOOM):
         # anchor the give-up test to the starting point so neither a boundary

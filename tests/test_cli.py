@@ -20,6 +20,7 @@ LIGHT_LINE_BETA = "6.283185307179586"   # 2 pi: order n = -1 on its light line
 DATA = Path(__file__).resolve().parent / "data"
 cli = importlib.import_module("pinstacks.cli")
 steering = importlib.import_module("pinstacks.steering")
+scattering = importlib.import_module("pinstacks.scattering")
 
 
 def _run(capsys, argv):
@@ -179,6 +180,19 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert code == 2
         assert "--eta" in err
+
+    @pytest.mark.parametrize("options", [["--resolution", "1"],
+                                         ["--refine", "--refine-jump", "0"]])
+    def test_refuses_a_bad_scan_option_before_any_evaluation(self, capsys, monkeypatch,
+                                                             options):
+        calls = []
+        monkeypatch.setattr(scattering, "scan", lambda *args, **kwargs: calls.append(args))
+        code = main(["spectrum", "--stack", "single", "--alpha0", "0.5",
+                     "--beta-min", "3.0", "--beta-max", "3.1", "--no-timestamp", *options])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "must be" in captured.err
+        assert calls == []
 
     def test_incidence_flags_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

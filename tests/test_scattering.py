@@ -288,6 +288,22 @@ class TestSpectrumScan:
         t = np.array([r.T for r in refined])
         assert np.max(np.abs(np.diff(t))) <= 0.1
 
+    @pytest.mark.parametrize("options", [
+        {"resolution": 1},
+        {"resolution": 0},
+        {"refine": True, "refine_jump": 0.0},
+        {"refine": True, "refine_jump": -0.1},
+        {"refine": True, "refine_jump": float("nan")},
+    ])
+    def test_refuses_bad_options_before_any_evaluation(self, monkeypatch, options):
+        # one point would drop beta_max, no point returns nothing, and a jump
+        # that is not positive bisects every interval up to the point cap
+        calls = []
+        monkeypatch.setattr(scattering, "scan", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError):
+            spectrum_scan(PinStack.single(), (3.0, 3.1), alpha0=0.5, **options)
+        assert calls == []
+
     def test_requires_exactly_one_incidence(self):
         with pytest.raises(ValueError):
             spectrum_scan(PinStack.single(), (3.0, 3.1))

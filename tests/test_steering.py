@@ -533,6 +533,16 @@ def test_feature_scan_reports_a_failed_point():
         feature_scan(PinStack.single(), 2.1, 0.01, "peak", alpha0=2.1, points=11)
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -0.01, math.nan, math.inf])
+def test_feature_scan_refuses_a_bad_halfwidth_before_any_scan(halfwidth, monkeypatch):
+    # a zero halfwidth would rescan one point at every zoom step, then give up
+    windows = []
+    monkeypatch.setattr(steering, "scan", lambda stack, betas, **kw: windows.append(betas))
+    with pytest.raises(ValueError, match="halfwidth must be positive and finite"):
+        feature_scan(PinStack.triplet(1.0, 0.0), 3.646, halfwidth, "peak", alpha0=2.1)
+    assert windows == []
+
+
 _NO_INCIDENCE_CALLS = {
     "scan": lambda **inc: scan(PinStack.single(), [3.0, 3.1], **inc),
     "spectrum_scan": lambda **inc: spectrum_scan(PinStack.single(), (3.0, 3.1),
@@ -605,13 +615,13 @@ class TestSteer:
         # without EDIT the pipeline evaluates no 241-point mode-matrix grid:
         # no builder call, lockstep or not, builds a triplet's matrices
         searches = _counted(monkeypatch, "_window_search")
-        grids, build = [], modes._mode_matrices
+        grids, build = [], modes._interaction_matrices
 
         def counted_build(*args, **kwargs):
             grids.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(modes, "_mode_matrices", counted_build)
+        monkeypatch.setattr(modes, "_interaction_matrices", counted_build)
         stacks, builder = [], steering._interaction_matrices
 
         def counted_builder(alpha0, beta, pins, policy):
@@ -708,6 +718,57 @@ def test_a_failed_request_fails_its_own_angle(table1_alone, monkeypatch):
     assert alone.error == "ArithmeticError: injected failure"
     assert alone.beta_g == table1_alone[bad].beta_g and alone.eta_star is None
     assert together[:bad] + together[bad + 1:] == table1_alone[:bad] + table1_alone[bad + 1:]
+
+
+_EVEN_OFFSETS = modes._factor_offsets("even", modes.StackGeometry(eta=1.0, xi=0.2))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_lone_sums_request_gets_exactly_the_kernel_value():
+    # a lone request is a join of one: one kernel call on its flat columns
+    beta = 3.6 - 1e-3j
+    alpha0 = beta * 0.5
+    (values, near), = steering._lockstep([steering._summed(alpha0, beta, *_EVEN_OFFSETS,
+                                                           DEFAULT_POLICY)])
+    expected, expected_near = steering._lattice_sums(alpha0, beta, *_EVEN_OFFSETS,
+                                                     DEFAULT_POLICY)
+    assert _same_bits(values, expected) and _same_bits(near, expected_near)
+
+
+def test_a_lone_build_request_gets_exactly_the_builder_value():
+    betas = [3.5, 3.6, -1.0, 3.7]       # beta < 0 is a per-point error
+    alphas = [0.5 * b for b in betas]
+    pins = modes._triplet_pins(modes.StackGeometry(eta=1.0, xi=0.2))
+    (matrices, errors), = steering._lockstep([steering._built(alphas, betas, pins,
+                                                              DEFAULT_POLICY)])
+    expected, expected_errors = steering._interaction_matrices(alphas, betas, pins,
+                                                               DEFAULT_POLICY)
+    assert _same_bits(matrices, expected)
+    assert list(map(repr, errors)) == list(map(repr, expected_errors))
+    assert errors[2] is not None and errors.count(None) == 3
+
+
+def test_a_failing_request_in_a_group_fails_alone(monkeypatch):
+    # three requests of one key join; a NaN beta makes the joined call raise,
+    # so each is answered as a group of one: the others get their lone
+    # answers, the NaN one the exception its own call raises
+    betas = [3.6 - 1e-3j, complex(math.nan, 0.0), 3.65 - 2e-3j]
+
+    def step(beta):
+        return steering._summed(0.5 * beta, beta, *_EVEN_OFFSETS, DEFAULT_POLICY)
+
+    alone = [steering._lockstep([step(beta)])[0] for beta in betas]
+    with pytest.raises(Exception) as raised:
+        steering._lattice_sums(0.5 * betas[1], betas[1], *_EVEN_OFFSETS, DEFAULT_POLICY)
+    calls = _counted_kernel(monkeypatch)
+    together = steering._lockstep([step(beta) for beta in betas])
+    assert len(calls) == 1 + len(betas)     # the joined call, then each alone
+    assert type(together[1]) is raised.type and type(alone[1]) is raised.type
+    for k in (0, 2):
+        assert all(map(_same_bits, together[k], alone[k]))
 
 
 def _counted_kernel(monkeypatch) -> list:
