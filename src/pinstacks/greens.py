@@ -38,19 +38,24 @@ reaches the order exp(-|alpha_n| |y|) damps below exp(-40): 20 orders at
 
 One array kernel, _lattice_sums, evaluates the sum for a vector of
 (alpha0, beta) points against a vector of offsets (x, y), real or complex,
-in numpy passes of at most _CHUNK terms, and returns the (points, offsets)
-values with a light-line mask.  It sizes every window itself from its
-TruncationPolicy (policy.window, the one window rule) and guards every real
-input with policy.lightline_tol, so no caller computes a window or can pass
-one that breaks the rule.  greens is its one-point, one-offset case;
+and returns the (points, offsets) values with a light-line mask.  It sizes
+every window itself from its TruncationPolicy (policy.window, the one
+window rule) and guards every real input with policy.lightline_tol, so no
+caller computes a window or can pass one that breaks the rule.  Each
+point's order quantities (alpha_n, the chi_n branch, tau_n, the light-line
+mask) are computed once per window and shared by all its offsets, which
+add only their exponentials: none at the pin (0, 0), where both are 1, and
+no phase product on the column x = 0.  Every pass holds at most _CHUNK
+terms per temporary.  greens, and flat columns of pairs such as the
+steering searches join, are the one-offset case;
 _interaction_matrices builds every pin-interaction matrix of the package
 (scattering systems and the triplet mode matrix), one stack at a whole
 vector of points, from one kernel call.  A value depends only on its own
-(alpha0, beta, x, y, window): pairs are grouped by window, and every
-complex product keeps its operand order
+(alpha0, beta, x, y, window): the shortcuts give the general formula's bits,
+zero signs included, and every complex product keeps its operand order
 (numpy may turn ``a * temporary`` into an in-place product with swapped
 operands on large arrays, which rounds differently), so a point's value is
-the same whatever its batch-mates, batch size or pass.
+the same whatever its batch-mates, batch size, layout or pass.
 
 All functions here are pure and reentrant: they keep no state besides a
 read-only cache of order offsets and the read-only tail table, and every
@@ -63,6 +68,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -321,7 +327,7 @@ def _kummer_tail(alpha0: np.ndarray, b2: np.ndarray,
     _tail_polynomial, analytic in (alpha0, beta) (b2 = beta^2; _exp1
     takes complex arguments), so the pole search's complex points take the
     same path.  Only points with c min(Re q) <= 40 come here; past that the
-    tail is exactly 0 (see _block_sum).
+    tail is exactly 0 (see _offset_sums).
 
     On the line (c = 0) only the c^0 coefficients survive and A_k = 0, so
     a block without damped points skips the c powers, E_1 and exp(-c q)
@@ -354,15 +360,21 @@ def _order_offsets(n_terms: int) -> np.ndarray:
     return offsets
 
 
-def _block_sum(alpha0: np.ndarray, beta: np.ndarray, x: np.ndarray,
-               y: np.ndarray, n_terms: int,
-               lightline_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """The sum at M (alpha0, beta, x, y) elements sharing the window n_terms.
+class _Orders(NamedTuple):
+    """Points' order quantities in one window: (points, orders), then per point."""
 
-    Returns the values and the light-line mask (all False without
-    lightline_tol).  One formula serves every element: at x = 0 the phase
-    is exp(0) = 1 and at y = 0 the decay factors are exp(0) = 1, exactly.
-    """
+    alpha: np.ndarray       # alpha_n
+    ichi: np.ndarray        # i chi_n on either branch
+    tau: np.ndarray         # tau_n
+    b2: np.ndarray          # beta^2
+    scale: np.ndarray       # -4 beta^2
+    near: np.ndarray        # the light-line mask (all False unguarded)
+    q_min: np.ndarray       # the least Hurwitz argument of the Kummer tail
+
+
+def _orders(alpha0: np.ndarray, beta: np.ndarray, n_terms: int,
+            lightline_tol: float | None) -> _Orders:
+    """Each point's order quantities in the window n_terms, guarded by lightline_tol."""
     alpha = alpha0[:, None] + _order_offsets(n_terms)
     b2 = beta * beta
     a2 = alpha * alpha
@@ -376,19 +388,71 @@ def _block_sum(alpha0: np.ndarray, beta: np.ndarray, x: np.ndarray,
         # |chi_n|^2 = |beta^2 - alpha_n^2| on either branch
         near = np.minimum.reduce(np.abs(w), axis=1) <= (lightline_tol * beta.real) ** 2
     tau = np.sqrt(b2[:, None] + a2)
-    ay = np.abs(y)
-    # combine the two sums per order before accumulating: joint cubic decay
-    phase = 1j * x[:, None] * alpha
-    terms = (np.exp(phase - ay[:, None] * tau) / tau
-             + np.exp(phase + ay[:, None] * ichi) / ichi)
-    value = np.add.reduce(terms, axis=1) / (-4.0 * b2)
-    # the closed-form tail at x = 0, exactly 0 where exp(-40) damps the
-    # first omitted order on both sides: c min(Re q) > 40 in _kummer_tail
     q_min = (n_terms + 1) - np.abs((alpha0 * (1.0 / TWO_PI)).real)
-    column = np.nonzero((x == 0.0) & (ay * TWO_PI * q_min <= _DAMPING_CUTOFF))[0]
-    if len(column):
-        value[column] += _kummer_tail(alpha0[column], b2[column], ay[column], n_terms)
-    return value, near
+    return _Orders(alpha, ichi, tau, b2, -4.0 * b2, near, q_min)
+
+
+# kinds of offset column: all at the pin (0, 0), all on x = 0, and any other
+_PIN, _COLUMN, _OFF = range(3)
+
+
+def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
+                 x: np.ndarray, y: np.ndarray, n_terms: int) -> np.ndarray:
+    """The sums at points of shape (B,) against offset columns of one kind, (B, C).
+
+    orders are the points' _orders in the window n_terms.  One formula,
+    exp(i alpha_n x - tau_n |y|) / tau_n + exp(i alpha_n x + i chi_n |y|) / (i chi_n)
+    per order, combined before accumulating (joint cubic decay), plus the
+    closed-form tail at x = 0, exactly 0 where exp(-40) damps the first
+    omitted order on both sides (c min(Re q) > 40 in _kummer_tail).  On
+    columns at x = 0 the phase product is left out (the phase is exactly 0
+    there), and at the pin both exponentials (exactly 1 there); zero signs
+    included, every kind gives the general formula's bits.  A column at the
+    pin is (B, 1): every pin column of a point has its one value.
+    """
+    alpha, ichi, tau, b2, scale, _, q_min = orders
+    if kind == _PIN:
+        value = np.add.reduce(np.divide(1.0, tau) + np.divide(1.0, ichi), axis=1) / scale
+        return (value + _kummer_tail(alpha0, b2, np.abs(y[:, 0]), n_terms))[:, None]
+    ay = np.abs(y)
+    decay = np.multiply(ay[..., None], tau[:, None])
+    wave = np.multiply(ay[..., None], ichi[:, None])
+    if kind == _COLUMN:
+        # 0 - decay and 0 + wave give the zero signs the phase would
+        decay, wave = np.exp(0j - decay), np.exp(0j + wave)
+    else:
+        phase = np.multiply(1j * x[..., None], alpha[:, None])
+        decay, wave = np.exp(phase - decay), np.exp(phase + wave)
+    value = np.add.reduce(decay / tau[:, None] + wave / ichi[:, None], axis=2) / scale[:, None]
+    tail = ay * TWO_PI * q_min[:, None] <= _DAMPING_CUTOFF
+    if kind == _OFF:
+        tail &= x == 0.0
+    rows, cols = np.nonzero(tail)
+    if len(rows):
+        value[rows, cols] += _kummer_tail(alpha0[rows], b2[rows], ay[rows, cols], n_terms)
+    return value
+
+
+def _columns(cols: list[int]) -> slice | list[int]:
+    """The ascending columns cols as a slice when they are a run, else as they are."""
+    return slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
+
+
+def _row_groups(keys: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int, list]]]:
+    """The rows of keys grouped by their content, as runs of rows.
+
+    Returns an order of the rows that makes each group a run (None when the
+    rows are already in one) and each run's (start, stop, row content).
+    """
+    if not keys.size:
+        return None, []
+    if (keys == keys[0]).all():
+        return None, [(0, len(keys), keys[0].tolist())]
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    starts = (np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1).tolist()
+    return order, [(lo, hi, keys[lo].tolist())
+                   for lo, hi in zip([0] + starts, starts + [len(keys)])]
 
 
 def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
@@ -413,25 +477,56 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
     physical branch exactly.  At x = 0 the orders past the window are added
     in closed form by _kummer_tail, so the value is converged at any y.
 
-    The pairs of one window are summed together, _CHUNK terms (pairs times
-    orders) per pass.
+    Points the same along the last axis (alpha0 and beta of shape (..., 1),
+    or scalars) are rows whose offsets are the columns along it; otherwise
+    each pair is a row with one column (flat columns, greens).  Rows with
+    the same windows are summed together: each row's order quantities
+    (_orders) once per window, then only what the offsets change, per kind
+    of column (_offset_sums), in passes whose every (points, orders) and
+    (points, columns, orders) temporary holds at most _CHUNK terms.
     """
     windows = policy.window(alpha0, beta, x, y, n_terms)
     shape = np.broadcast(alpha0, beta, x, y, windows).shape
     dtype = np.result_type(alpha0, beta, 1.0)
     lightline_tol = None if dtype.kind == "c" else policy.lightline_tol
-    alpha0, beta, x, y, windows = (_flat(a, shape, t) for a, t in (
-        (alpha0, dtype), (beta, dtype), (x, float), (y, float), (windows, int)))
-    values = np.empty(len(windows), dtype=complex)
-    near = np.empty(len(windows), dtype=bool)
+    cols = shape[-1] if shape and all(
+        np.ndim(a) == 0 or np.shape(a)[-1] == 1 for a in (alpha0, beta)) else 1
+    alpha0, beta = (_flat(a, shape[:-1] + (1,) if cols != 1 else shape, dtype)
+                    for a in (alpha0, beta))
+    x, y, windows = (_flat(a, shape, t).reshape(len(alpha0), cols)
+                     for a, t in ((x, float), (y, float), (windows, int)))
+    order, groups = _row_groups(windows)
+    if order is not None:          # the groups' rows made runs
+        alpha0, beta, x, y = alpha0[order], beta[order], x[order], y[order]
+    on_column = x == 0.0
+    at_pin = on_column & (y == 0.0)
+    values = np.empty(x.shape, dtype=complex)
+    near = np.empty(x.shape, dtype=bool)
     with np.errstate(all="ignore"):   # a refused point may divide by chi_n = 0
-        for n_terms in np.unique(windows).tolist():
-            pairs = np.nonzero(windows == n_terms)[0]
-            step = max(1, _CHUNK // (2 * n_terms + 1))
-            for start in range(0, len(pairs), step):
-                idx = pairs[start:start + step]
-                values[idx], near[idx] = _block_sum(alpha0[idx], beta[idx], x[idx],
-                                                    y[idx], n_terms, lightline_tol)
+        for lo, hi, keys in groups:
+            by_window: dict[int, dict[int, list[int]]] = {}
+            for col, (n_terms, pin, column) in enumerate(zip(
+                    keys, at_pin[lo:hi].all(axis=0).tolist(),
+                    on_column[lo:hi].all(axis=0).tolist())):
+                kind = _PIN if pin else _COLUMN if column else _OFF
+                by_window.setdefault(n_terms, {}).setdefault(kind, []).append(col)
+            for n_terms, by_kind in by_window.items():
+                width = 2 * n_terms + 1
+                col_step = max(1, _CHUNK // width)
+                step = max(1, _CHUNK // (width * min(col_step, max(map(len, by_kind.values())))))
+                in_window = _columns(sorted(col for cols in by_kind.values() for col in cols))
+                for start in range(lo, hi, step):
+                    rows = slice(start, min(start + step, hi))
+                    points = alpha0[rows]
+                    orders = _orders(points, beta[rows], n_terms, lightline_tol)
+                    near[rows, in_window] = orders.near[:, None]
+                    for kind, cols in by_kind.items():
+                        for first in range(0, len(cols), col_step):
+                            block = rows, _columns(cols[first:first + col_step])
+                            values[block] = _offset_sums(kind, points, orders,
+                                                         x[block], y[block], n_terms)
+    if order is not None:
+        values[order], near[order] = values.copy(), near.copy()
     return values.reshape(shape), near.reshape(shape)
 
 

@@ -19,15 +19,21 @@ Energies are flux-normalized per order by chi_n / chi_0, so that the balance
 sum_n (R_n + T_n) = 1 holds for the lossless pins; its residual is carried on
 every spectrum record as a built-in accuracy check.
 
-The batching contract is one stack, many waves.  The pin-interaction
-matrices of every wave come from one call of greens._interaction_matrices
-(each distinct pin offset summed once), whose per-wave errors are the one
-validation pass; every system, 1x1 included, faces the same condition test
-(SingularSystem past 1e14), the rest solve as one (B, n, n) stack, and the
-amplitudes are vectorised over waves and orders.  scan sweeps beta at a
-fixed angle or Bloch parameter this way in one call; spectrum_scan and the
-steering stages build on it.  scatter is the one-wave case of the same
-path, so a scan record equals scatter's record at its beta exactly.
+The batching contract is one stack, many waves, as columns.  A scan builds
+its waves' columns from beta in one step (IncidentWave's checks and
+messages applied per point).  The pin-interaction matrices of every wave
+come from one call of greens._interaction_matrices (each distinct pin
+offset summed once), whose per-wave errors are the one validation pass;
+every system, 1x1 included, faces the same condition test (SingularSystem
+past 1e14), the rest solve as one (B, n, n) stack, and the amplitudes are
+vectorised over waves and orders, in passes whose (waves, orders, pins)
+temporaries stay under 64 KiB.  _scatter_all returns columns (R, T, the
+residual, per-order energies and per-wave errors); SpectrumRecords are
+built from them only where the public API returns them.  scan sweeps beta
+at a fixed angle or Bloch parameter this way in one call; spectrum_scan
+and the steering stages build on it (steering's feature_scan reads each
+zoom window's T from the columns).  scatter is the one-wave case of the
+same path, so a scan record equals scatter's record at its beta exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import numpy as np
 
 from .errors import DomainError, SingularSystem
 from .greens import (
+    _CHUNK,
     DEFAULT_POLICY,
     TWO_PI,
     SpectralPoint,
@@ -51,6 +58,21 @@ from .greens import (
 _COND_LIMIT = 1e14
 _MIN_STEP = 1e-12        # spectrum_scan refines no beta step below this
 _MAX_POINTS = 200_000    # spectrum_scan's refinement stops at this many points
+
+
+def _angle_error(theta_i: float) -> DomainError | None:
+    """The DomainError of an incidence angle outside (-pi/2, pi/2), or None."""
+    if not abs(theta_i) < math.pi / 2:
+        return DomainError(f"theta_i must be in (-pi/2, pi/2), got {theta_i}")
+    return None
+
+
+def _bloch_error(alpha0: float, beta: float) -> DomainError | None:
+    """The DomainError of a Bloch parameter no propagating wave at beta has, or None."""
+    if not abs(alpha0) < beta:
+        return DomainError(f"|alpha0| = {abs(alpha0)} must be < beta = {beta} for a "
+                           "propagating incident wave")
+    return None
 
 
 @dataclass(frozen=True)
@@ -70,8 +92,9 @@ class IncidentWave:
     direction: str = "down"
 
     def __post_init__(self) -> None:
-        if not abs(self.theta_i) < math.pi / 2:
-            raise DomainError(f"theta_i must be in (-pi/2, pi/2), got {self.theta_i}")
+        error = _angle_error(self.theta_i)
+        if error is not None:
+            raise error
         if self.direction not in ("down", "up"):
             raise ValueError(f"direction must be 'down' or 'up', got {self.direction!r}")
 
@@ -87,11 +110,9 @@ class IncidentWave:
     def from_alpha0(cls, alpha0: float, beta: float,
                     amplitude: complex = 1.0 + 0.0j,
                     direction: str = "down") -> "IncidentWave":
-        if not abs(alpha0) < beta:
-            raise DomainError(
-                f"|alpha0| = {abs(alpha0)} must be < beta = {beta} for a "
-                "propagating incident wave"
-            )
+        error = _bloch_error(alpha0, beta)
+        if error is not None:
+            raise error
         return cls(theta_i=math.asin(alpha0 / beta), beta=beta, alpha0=alpha0,
                    chi0=math.sqrt(beta * beta - alpha0 * alpha0),
                    amplitude=amplitude, direction=direction)
@@ -209,54 +230,81 @@ def solve_coefficients(
     return coeffs[0]
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """Scattering results at many waves as columns, one entry per wave.
+
+    alpha0, beta; R, T and energy_residual (NaN where the wave failed);
+    the flux-normalized energies R_n, T_n of the orders n of the union of
+    the waves' propagating orders, (waves, orders), 0 where an order does
+    not propagate; each wave's propagating orders as the run lo:hi of
+    that union; and per wave None or the exception its evaluation raised.
+    """
+
+    alpha0: np.ndarray
+    beta: np.ndarray
+    R: np.ndarray
+    T: np.ndarray
+    energy_residual: np.ndarray
+    orders: np.ndarray
+    R_orders: np.ndarray
+    T_orders: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    errors: list[Exception | None]
+
+
 def _amplitudes(coeffs: np.ndarray, pins: np.ndarray,
                 waves: tuple[np.ndarray, ...], policy: TruncationPolicy,
-                energies: bool) -> list:
+                energies: bool) -> tuple:
     """Amplitudes or energies of every propagating order of every wave.
 
     Vectorised over waves and orders (see plane_wave_amplitudes and
-    SpectrumRecord); per wave the dicts (r, t), or (R_n, T_n) with
-    energies, or the DomainError plane_wave_amplitudes raises when an order
-    grazes its light line.
-    Arguments as for _coefficients; the waves must have passed
-    greens._point_errors (plane_wave_amplitudes) or _coefficients.
+    SpectrumRecord), in passes of waves whose (waves, orders, pins)
+    temporaries hold at most _CHUNK terms.  Returns the union's orders,
+    the (waves, orders) r and t, or R_n and T_n with energies (0 where an
+    order does not propagate), each wave's run lo:hi of propagating orders
+    and per wave None or the DomainError plane_wave_amplitudes raises when
+    an order grazes its light line.  Arguments as for _coefficients; the
+    waves must have passed greens._point_errors (plane_wave_amplitudes) or
+    _coefficients.
     """
     alpha0, beta, chi0, amplitude, side = waves
     # alpha0 + 2 pi n in (-beta, beta) needs |n| <= reach
-    reach = math.ceil(float(np.maximum.reduce(beta + np.abs(alpha0))) / TWO_PI)
+    reach = math.ceil(float(np.max(beta + np.abs(alpha0), initial=0.0)) / TWO_PI)
     orders = np.arange(-reach, reach + 1)
-    alpha_n = alpha0[:, None] + TWO_PI * orders
-    b2 = (beta * beta)[:, None]
-    propagating = alpha_n**2 < b2
-    chi = np.sqrt(np.where(propagating, b2 - alpha_n * alpha_n, 1.0))
-    grazing = propagating & (chi <= policy.lightline_tol * beta[:, None])
-    # sum over pins j of A_j exp(-i alpha_n x_j) exp(-+i chi_n y_j), pins last
-    lateral = np.multiply(coeffs[:, None, :],
-                          np.exp(-1j * alpha_n[:, :, None] * pins[:, 0]))
-    vertical = np.exp(-1j * chi[:, :, None] * pins[:, 1])
-    pref = 1j / (4.0 * b2 * chi)
-    above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
-    below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
-    down = (side < 0.0)[:, None]
-    r = np.where(down, above, below)
-    t = np.where(down, below, above)
-    t[:, reach] += amplitude           # order 0
-    # flux-normalized energies
-    if energies:
-        scale = chi / (chi0 * np.abs(amplitude) ** 2)[:, None]
-        r, t = np.abs(r) ** 2 * scale, np.abs(t) ** 2 * scale
-    rows = [r.tolist(), t.tolist()]
-    # each wave's propagating orders are one run of the union
-    first = propagating.argmax(axis=1)
-    grazes = grazing.any(axis=1).tolist()
-    out: list = []
-    for i, (lo, hi) in enumerate(zip(first.tolist(), (first + propagating.sum(axis=1)).tolist())):
-        if grazes[i]:
-            out.append(DomainError(f"order {orders[grazing[i]][0]} grazes its light line"))
-        else:
-            ns = range(lo - reach, hi - reach)
-            out.append(tuple(dict(zip(ns, row[i][lo:hi])) for row in rows))
-    return out
+    r = np.empty((len(beta), len(orders)), dtype=float if energies else complex)
+    t = np.empty_like(r)
+    lo, hi = np.empty((2, len(beta)), dtype=int)
+    errors: list[DomainError | None] = [None] * len(beta)
+    step = max(1, _CHUNK // (len(orders) * max(1, len(pins))))
+    for start in range(0, len(beta), step):
+        w = slice(start, start + step)
+        alpha_n = alpha0[w, None] + TWO_PI * orders
+        b2 = (beta[w] * beta[w])[:, None]
+        propagating = alpha_n**2 < b2
+        chi = np.sqrt(np.where(propagating, b2 - alpha_n * alpha_n, 1.0))
+        # sum over pins j of A_j exp(-i alpha_n x_j) exp(-+i chi_n y_j), pins last
+        lateral = np.multiply(coeffs[w, None, :], np.exp(-1j * alpha_n[:, :, None] * pins[:, 0]))
+        vertical = np.exp(-1j * chi[:, :, None] * pins[:, 1])
+        pref = 1j / (4.0 * b2 * chi)
+        above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
+        below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
+        down = (side[w] < 0.0)[:, None]
+        r_w = np.where(down, above, below)
+        t_w = np.where(down, below, above)
+        t_w[:, reach] += amplitude[w]           # order 0
+        if energies:   # flux-normalized
+            scale = chi / (chi0[w] * np.abs(amplitude[w]) ** 2)[:, None]
+            r_w, t_w = np.abs(r_w) ** 2 * scale, np.abs(t_w) ** 2 * scale
+        r[w], t[w] = np.where(propagating, r_w, 0.0), np.where(propagating, t_w, 0.0)
+        # each wave's propagating orders are one run of the union
+        lo[w] = propagating.argmax(axis=1)
+        hi[w] = lo[w] + propagating.sum(axis=1)
+        grazing = propagating & (chi <= policy.lightline_tol * beta[w, None])
+        for i in np.flatnonzero(grazing.any(axis=1)).tolist():
+            errors[start + i] = DomainError(f"order {orders[grazing[i]][0]} grazes its light line")
+    return orders, r, t, lo, hi, errors
 
 
 def plane_wave_amplitudes(
@@ -271,49 +319,73 @@ def plane_wave_amplitudes(
     the wave comes from; the transmitted amplitude includes the incident
     delta_n0 contribution.
     """
-    (out,) = _point_errors([inc.alpha0], [inc.beta])
-    if out is None:
-        (out,) = _amplitudes(np.asarray(coeffs)[None, :], _pins(stack),
-                             _wave_arrays([inc]), policy, energies=False)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    (error,) = _point_errors([inc.alpha0], [inc.beta])
+    if error is None:
+        orders, r, t, lo, hi, (error,) = _amplitudes(
+            np.asarray(coeffs)[None, :], _pins(stack), _wave_arrays([inc]), policy,
+            energies=False)
+    if error is not None:
+        raise error
+    run = slice(int(lo[0]), int(hi[0]))
+    ns = orders[run].tolist()
+    return dict(zip(ns, r[0, run].tolist())), dict(zip(ns, t[0, run].tolist()))
 
 
-def _scatter_all(stack: PinStack, waves: list[IncidentWave | Exception],
-                 policy: TruncationPolicy) -> list[SpectrumRecord | Exception]:
-    """scatter at every wave on one stack, batched: the record or the exception.
+def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
+                 errors: list[Exception | None], policy: TruncationPolicy) -> _Columns:
+    """scatter at every wave on one stack, batched, as _Columns.
 
-    An exception in waves (an incidence that could not be built) passes
-    through in its place; _coefficients validates the others in one pass,
-    and no failure stops the rest.
+    pins are the stack's (_pins); waves are _wave_arrays, and errors per
+    wave None or the exception building it raised: such a wave passes
+    through with its exception.  _coefficients validates the others in one
+    pass, and no failure stops the rest.
     """
-    out: list = list(waves)
-    index = [i for i, w in enumerate(waves) if not isinstance(w, Exception)]
-    pins = _pins(stack)
-    arrays = _wave_arrays([waves[i] for i in index])
-    coeffs, errors = _coefficients(pins, arrays, policy)
-    for i, e in zip(index, errors):
-        out[i] = e or out[i]
-    keep = [k for k, e in enumerate(errors) if e is None]
-    if keep:
-        arrays = tuple(a[keep] for a in arrays)
-        for i, res in zip([index[k] for k in keep],
-                          _amplitudes(coeffs[keep], pins, arrays, policy, energies=True)):
-            out[i] = res if isinstance(res, Exception) else _record(waves[i], *res)
+    errors = list(errors)
+    index = [i for i, e in enumerate(errors) if e is None]
+    coeffs, failed = _coefficients(pins, tuple(a[index] for a in waves), policy)
+    solved = [k for k, e in enumerate(failed) if e is None]
+    keep = [index[k] for k in solved]
+    for i, e in zip(index, failed):
+        errors[i] = e
+    orders, r, t, lo, hi, failed = _amplitudes(coeffs[solved], pins,
+                                               tuple(a[keep] for a in waves), policy,
+                                               energies=True)
+    for i, e in zip(keep, failed):
+        errors[i] = e
+    r_orders, t_orders = np.zeros((2, len(errors), len(orders)))
+    r_orders[keep], t_orders[keep] = r, t
+    runs = np.zeros((2, len(errors)), dtype=int)
+    runs[:, keep] = lo, hi
+    big_r, big_t = np.zeros((2, len(errors)))
+    for k in range(len(orders)):   # order by order, as sum() adds up a record's dict
+        big_r, big_t = big_r + r_orders[:, k], big_t + t_orders[:, k]
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    big_r[failed] = big_t[failed] = np.nan
+    return _Columns(alpha0=waves[0], beta=waves[1], R=big_r, T=big_t,
+                    energy_residual=np.abs(big_r + big_t - 1.0), orders=orders,
+                    R_orders=r_orders, T_orders=t_orders, lo=runs[0], hi=runs[1],
+                    errors=errors)
+
+
+def _records(columns: _Columns) -> list[SpectrumRecord]:
+    """Each wave's SpectrumRecord from the columns; "Class: message" where it failed."""
+    out = []
+    orders = columns.orders.tolist()
+    for alpha0, beta, big_r, big_t, residual, r_n, t_n, lo, hi, error in zip(
+            columns.alpha0.tolist(), columns.beta.tolist(), columns.R.tolist(),
+            columns.T.tolist(), columns.energy_residual.tolist(),
+            columns.R_orders.tolist(), columns.T_orders.tolist(),
+            columns.lo.tolist(), columns.hi.tolist(), columns.errors):
+        if error is not None:
+            out.append(SpectrumRecord(alpha0=alpha0, beta=beta,
+                                      error=f"{type(error).__name__}: {error}"))
+            continue
+        ns = orders[lo:hi]
+        out.append(SpectrumRecord(alpha0=alpha0, beta=beta,
+                                  R_orders=dict(zip(ns, r_n[lo:hi])),
+                                  T_orders=dict(zip(ns, t_n[lo:hi])),
+                                  R=big_r, T=big_t, energy_residual=residual))
     return out
-
-
-def _record(inc: IncidentWave, r_orders: dict[int, float],
-            t_orders: dict[int, float]) -> SpectrumRecord:
-    """One wave's SpectrumRecord from its order energies."""
-    big_r = float(sum(r_orders.values()))
-    big_t = float(sum(t_orders.values()))
-    return SpectrumRecord(
-        alpha0=inc.alpha0, beta=inc.beta,
-        R_orders=r_orders, T_orders=t_orders,
-        R=big_r, T=big_t, energy_residual=abs(big_r + big_t - 1.0),
-    )
 
 
 def scatter(
@@ -322,10 +394,12 @@ def scatter(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SpectrumRecord:
     """Solve one scattering problem and fold it into a SpectrumRecord."""
-    (out,) = _scatter_all(stack, [inc], policy)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    columns = _scatter_all(_pins(stack), _wave_arrays([inc]), [None], policy)
+    (error,) = columns.errors
+    if error is not None:
+        raise error
+    (record,) = _records(columns)
+    return record
 
 
 def _alpha0_rule(theta_i: float | None,
@@ -349,6 +423,35 @@ def _incident(beta: float, theta_i: float | None,
     if theta_i is not None:
         return IncidentWave.from_angle(theta_i, beta)
     return IncidentWave.from_alpha0(alpha0, beta)
+
+
+def _scan_columns(stack: PinStack, betas: np.ndarray, theta_i: float | None,
+                  alpha0: float | None, policy: TruncationPolicy) -> _Columns:
+    """scan's results as _Columns: scatter at each of the float array betas.
+
+    Exactly one of theta_i and alpha0 (_alpha0_rule).  The waves are built
+    in one step: from above with unit amplitude, with the alpha0 and chi0
+    IncidentWave.from_angle or from_alpha0 gives, and per beta the
+    DomainError their checks raise there.
+    """
+    _alpha0_rule(theta_i, alpha0)     # exactly one incidence
+    with np.errstate(all="ignore"):
+        if theta_i is not None:
+            a0 = betas * math.sin(theta_i)
+            chi0 = betas * math.cos(theta_i)
+            refused = np.full(len(betas), _angle_error(theta_i) is not None)
+        else:
+            a0 = np.full(len(betas), alpha0, dtype=float)
+            chi0 = np.sqrt(betas * betas - a0 * a0)
+            # |alpha0| < beta, then asin(alpha0 / beta) in (-pi/2, pi/2)
+            refused = ~(abs(alpha0) < betas) | ~(np.abs(a0 / betas) < 1.0)
+    errors: list[Exception | None] = [None] * len(betas)
+    for i in np.flatnonzero(refused).tolist():
+        beta = float(betas[i])
+        errors[i] = (_angle_error(theta_i) if theta_i is not None else
+                     _bloch_error(alpha0, beta) or _angle_error(math.asin(alpha0 / beta)))
+    waves = (a0, betas, chi0, np.ones(len(betas), dtype=complex), np.full(len(betas), -1.0))
+    return _scatter_all(_pins(stack), waves, errors, policy)
 
 
 def transmittance(
@@ -376,27 +479,12 @@ def scan(
 
     Exactly one of theta_i (fixed angle, alpha0 = beta sin theta_i) or alpha0
     (fixed Bloch parameter), checked before any point is evaluated.  All
-    points are evaluated together; per-point failures are recorded on the
-    record, never raised, and never affect the other points.
+    points are evaluated together, as columns (_scan_columns); per-point
+    failures are recorded on the record, never raised, and never affect
+    the other points.
     """
-    alpha0_at = _alpha0_rule(theta_i, alpha0)
-    betas = [float(beta) for beta in betas]
-    waves = _attempt_each(lambda beta: _incident(beta, theta_i, alpha0), betas)
-    return [out if isinstance(out, SpectrumRecord)
-            else SpectrumRecord(alpha0=alpha0_at(beta), beta=beta,
-                                error=f"{type(out).__name__}: {out}")
-            for beta, out in zip(betas, _scatter_all(stack, waves, policy))]
-
-
-def _attempt_each(build: Callable, args: Iterable) -> list:
-    """build(arg) for each arg, with the exception in place of a failed one."""
-    out = []
-    for arg in args:
-        try:
-            out.append(build(arg))
-        except Exception as exc:  # noqa: BLE001 - recorded per point
-            out.append(exc)
-    return out
+    betas = np.array([float(beta) for beta in betas], dtype=float)
+    return _records(_scan_columns(stack, betas, theta_i, alpha0, policy))
 
 
 def spectrum_scan(

@@ -25,9 +25,10 @@ bisection; elsewhere it continues the zero itself along a coarse scan of xi,
 from a seed extrapolated in xi, and bisects the scan's grid steps within the
 coarse cell where the resonances cross.
 Quality factors are measured on transmission spectra by FWHM, swept with
-scattering.scan (feature_scan zooms with it; steer's envelope is a
-spectrum_scan).  Stages 1 and 2 are roots of real lattice-sum conditions:
-one batched grid brackets each sign change, and Brent's method
+scattering's scans (feature_scan zooms on scan columns and makes records of
+its last window only; steer's envelope is a spectrum_scan).  Stages 1 and
+2 are roots of real lattice-sum conditions: one batched grid brackets each
+sign change, and Brent's method
 (_brent_steps, a port of scipy's brentq) refines it to the nearest float on
 the single-point function, whose values equal the batched ones exactly (the
 grid's values serve the bracket's two ends).  With one propagating order
@@ -72,7 +73,14 @@ from .greens import (
     propagating_orders,
 )
 from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _triplet_pins
-from .scattering import PinStack, SpectrumRecord, _alpha0_rule, scan, spectrum_scan
+from .scattering import (
+    PinStack,
+    SpectrumRecord,
+    _alpha0_rule,
+    _records,
+    _scan_columns,
+    spectrum_scan,
+)
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 _BETA_WINDOW_HALFWIDTH = 0.05   # find_xi_edit's window searches, beta +- this
@@ -765,14 +773,19 @@ def feature_scan(
 
     Repeatedly scans a uniform beta window, re-centers on the extremum of T
     and shrinks (or grows) the window toward ~12 half-widths until at least
-    40 points fall inside the half-width interval.  Used for Q measurement
-    of features narrower than any practical uniform scan (EDIT notches reach
-    Q ~ 1e9..1e10).  Returns the last window's scan records; a point of a
-    window that fails to evaluate raises Unresolved.  A halfwidth that is
-    not a positive finite number raises ValueError before any scan.
+    40 points fall inside the half-width interval, at most half the window.
+    Used for Q measurement of features narrower than any practical uniform
+    scan (EDIT notches reach Q ~ 1e9..1e10).  Each window is a scan read as
+    columns (scattering._scan_columns); returns the last window's scan
+    records.  A point of a window that fails to evaluate raises Unresolved.
+    A halfwidth that is not a positive finite number, or fewer than 80
+    points (which can never hold 40 inside half the window), raises
+    ValueError before any scan.
     """
     if not 0.0 < halfwidth < math.inf:   # NaN included; 0 rescans one point
         raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
+    if not points >= 80:
+        raise ValueError(f"points must be at least 80, got {points}")
     center0 = center
     for _ in range(_MAX_ZOOM):
         # anchor the give-up test to the starting point so neither a boundary
@@ -784,16 +797,16 @@ def feature_scan(
                 f"to +-{halfwidth:.3g} without bracketing an extremum"
             )
         window = np.linspace(center - halfwidth, center + halfwidth, points)
-        records = scan(stack, window, theta_i=theta_i, alpha0=alpha0,
-                       policy=policy)
-        bad = next((r for r in records if r.error is not None), None)
+        columns = _scan_columns(stack, window, theta_i, alpha0, policy)
+        bad = next((i for i, e in enumerate(columns.errors) if e is not None), None)
         if bad is not None:
+            error = columns.errors[bad]
             raise Unresolved(f"{feature} scan failed at beta = "
-                             f"{bad.beta:.9g}: {bad.error}")
-        ts = np.array([r.T for r in records])
+                             f"{window[bad]:.9g}: {type(error).__name__}: {error}")
+        ts = columns.T
         i0, _, inside = _half_level(ts, feature)
         across = int(np.sum(inside))
-        center = records[i0].beta
+        center = float(window[i0])
         if i0 in (0, len(ts) - 1):
             halfwidth *= 3.0          # feature fell off the edge; widen
             continue
@@ -802,7 +815,7 @@ def feature_scan(
             continue
         frac = across / len(ts)
         if across >= 40 and 0.05 <= frac <= 0.5:
-            return records
+            return _records(columns)
         # aim for the half-width spanning ~1/8 of the window
         est_width = max(frac, 2.0 / len(ts)) * 2.0 * halfwidth
         halfwidth = min(max(4.0 * est_width, 20.0 * 2.0 * halfwidth / points),

@@ -177,27 +177,108 @@ def test_self_term_is_the_same_beside_a_damped_tail():
     assert matrices[0, 0, 1] == greens(point, 0.0, 0.05)
 
 
-# 20 repeats of a 401-point triplet scan, in a process of its own: what the
-# heap does on free() depends on what the process allocated before
+def _bits(values) -> bytes:
+    """Both words of every complex value, sign bits and NaN payloads included."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _one_pair_sums(alpha0s, betas, pins, policy):
+    """Every entry of the pins' interaction matrices, one _lattice_sums pair each."""
+    return np.array([[[greens_module._lattice_sums(a, b, xm - xj, ym - yj, policy)[0]
+                       for xj, yj in pins] for xm, ym in pins]
+                     for a, b in zip(alpha0s, betas)])
+
+
+@pytest.mark.parametrize("stack", [PinStack.triplet(0.05, 0.3), TRIPLET],
+                         ids=["close triplet", "triplet"])
+def test_builder_entries_are_the_one_pair_sums(chunk, stack):
+    # at eta = 0.05 the off-column windows exceed n_far and the column
+    # entries G(0, 0.05), G(0, 0.1) take the damped Kummer tail; the point
+    # at beta = 2 pi + 1e-12 is within the wider guard of the light line
+    betas = np.concatenate([np.linspace(2.5, 9.0, 120), [TWO_PI + 1e-12]])
+    alpha0s = np.concatenate([betas[:-1] * np.linspace(-0.9, 0.9, 120), [0.0]])
+    assert POLICY.window(alpha0s[0], betas[0], 0.3, 0.05) > POLICY.n_far
+    matrices, errors = greens_module._interaction_matrices(alpha0s, betas, stack.pins, POLICY)
+    assert [type(e).__name__ for e in errors if e is not None] == ["LightLineProximity"]
+    assert _bits(matrices) == _bits(_one_pair_sums(alpha0s, betas, stack.pins, POLICY))
+    # as flat columns, one offset per point, every kind of offset in one column
+    pins = np.array(stack.pins)
+    dx, dy = (np.subtract.outer(pins[:, k], pins[:, k]).ravel() for k in (0, 1))
+    flat, _ = greens_module._lattice_sums(np.repeat(alpha0s, len(dx)), np.repeat(betas, len(dx)),
+                                          np.tile(dx, len(betas)), np.tile(dy, len(betas)), POLICY)
+    assert _bits(matrices) == _bits(flat)
+
+
+def test_complex_sums_are_the_one_pair_sums(chunk):
+    # complex (alpha0, beta), some with a zero imaginary part as a real seed
+    # of the pole search has, against the offsets of every kind: the grid,
+    # its flat columns (one offset per point, as joined search requests
+    # are) and each pair alone give the same bits
+    betas = np.linspace(2.5, 9.0, 90) - 1j * np.linspace(0.0, 0.05, 90)
+    betas[::9] = betas[::9].real
+    alpha0s = betas * np.linspace(-0.9, 0.9, 90)
+    xs = np.array([0.0, 0.0, 0.0, 0.3, -0.3, 0.25])
+    ys = np.array([0.0, 0.05, 2.0, 0.05, 1.0, 0.0])
+    grid, near = greens_module._lattice_sums(alpha0s[:, None], betas[:, None], xs, ys, POLICY)
+    assert not near.any()
+    flat, _ = greens_module._lattice_sums(np.repeat(alpha0s, len(xs)), np.repeat(betas, len(xs)),
+                                          np.tile(xs, len(betas)), np.tile(ys, len(betas)), POLICY)
+    pairs = [[greens_module._lattice_sums(a, b, x, y, POLICY)[0] for x, y in zip(xs, ys)]
+             for a, b in zip(alpha0s, betas)]
+    assert _bits(grid) == _bits(flat) == _bits(pairs)
+
+
+# 20 repeats of a 401-point triplet scan, then of a 2,000-point scan of
+# edit60's stack (slab eta and xi_edit at 60 degrees, its envelope window),
+# in a process of its own: what the heap does on free() depends on what the
+# process allocated before.  The first count is the whole scan's, the second
+# the scattering amplitude pass's alone: the builder's and the solver's
+# (points, pins) arrays of a 2,000-point scan fault erratically with the
+# heap's state, 4 to ~4,200 here
 _FAULT_PROBE = """
 import math, resource
 import numpy as np
+from pinstacks import scattering
 from pinstacks.scattering import PinStack, scan
-stack, theta, betas = PinStack.triplet(1.0, 0.252), math.radians(30.0), np.linspace(3.3, 3.9, 401)
-scan(stack, betas, theta_i=theta)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+amplitudes, inside = scattering._amplitudes, [0]
+
+def counted(*args, **kwargs):
+    before = faults()
+    try:
+        return amplitudes(*args, **kwargs)
+    finally:
+        inside[0] += faults() - before
+
+scattering._amplitudes = counted
+
+def repeated(stack, theta, betas):
     scan(stack, betas, theta_i=theta)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    before, inside[0] = faults(), 0
+    for _ in range(20):
+        scan(stack, betas, theta_i=theta)
+    return faults() - before, inside[0]
+
+print(repeated(PinStack.triplet(1.0, 0.252), math.radians(30.0), np.linspace(3.3, 3.9, 401))[0])
+print(repeated(PinStack.triplet(2.1319459999781842, 0.247771426660849), math.radians(60.0),
+               np.linspace(2.94717 - 1.2e-4, 2.94717 + 1.2e-4, 2000))[1])
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
 def test_repeated_scans_fault_in_no_new_memory():
-    # the kernel's (points, orders) temporaries stay under the size whose
-    # free() trims the C heap, so a repeated scan reuses its pages instead
-    # of faulting them in again (with 128 KiB temporaries: ~1,400 per scan)
+    # the kernel's (points, orders) temporaries and the amplitude pass's
+    # (points, orders, pins) ones stay under the size whose free() trims
+    # the C heap, so a repeated scan reuses their pages instead of faulting
+    # them in again (with 128 KiB kernel temporaries: ~1,400 per 401-point
+    # scan; with whole-scan amplitude arrays, ~290 KB at 2,000 points: 5,300
+    # to 8,900 in the amplitude pass over the 20 scans)
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
                           text=True, timeout=300, check=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert int(done.stdout) < 400
+    whole_short, amplitude_pass = map(int, done.stdout.split())
+    assert whole_short < 400
+    assert amplitude_pass < 1000

@@ -208,6 +208,20 @@ class TestSpectrum:
         _, second = _run(capsys, argv)
         assert first == second
 
+    def test_failed_points_bytes_are_pinned(self, capsys):
+        # a fixed-alpha0 spectrum whose first 11 points have no incident
+        # wave (DomainError rows) and whose band ends with two propagating
+        # orders, as written before scans became columns
+        code, out = _run(capsys, ["spectrum", "--stack", "triplet", "--eta", "1.0", "--xi",
+                                  "0.252", "--alpha0", "2.1", "--beta-min", "2.0",
+                                  "--beta-max", "4.3", "--resolution", "231", "--per-order",
+                                  "--format", "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "spectrum_alpha0.json").read_text()
+        rows = json.loads(out)["rows"]
+        assert sum(row["status"].startswith("DomainError") for row in rows) == 11
+        assert sum(row["R_-1"] != "" for row in rows) > 0
+
     def test_timestamp_header_line(self, capsys):
         argv = ["spectrum", "--stack", "empty", "--alpha0", "0.5",
                 "--beta-min", "2.0", "--beta-max", "2.1", "--resolution", "3"]

@@ -530,17 +530,50 @@ def test_feature_scan_records_are_computed_not_made_up(peak_records):
 def test_feature_scan_reports_a_failed_point():
     # the window reaches below beta = alpha0, where no incident wave propagates
     with pytest.raises(Unresolved, match="failed at beta = 2.09.*DomainError"):
-        feature_scan(PinStack.single(), 2.1, 0.01, "peak", alpha0=2.1, points=11)
+        feature_scan(PinStack.single(), 2.1, 0.01, "peak", alpha0=2.1, points=101)
+
+
+class _Scanned(Exception):
+    """Raised by the spy on feature_scan's window scans at the first window."""
+
+
+def _spied_windows(monkeypatch) -> list:
+    """The beta windows feature_scan hands its scan path, which stops at the first."""
+    windows = []
+
+    def spy(stack, betas, *args):
+        windows.append(betas)
+        raise _Scanned
+
+    monkeypatch.setattr(steering, "_scan_columns", spy)
+    return windows
 
 
 @pytest.mark.parametrize("halfwidth", [0.0, -0.01, math.nan, math.inf])
 def test_feature_scan_refuses_a_bad_halfwidth_before_any_scan(halfwidth, monkeypatch):
     # a zero halfwidth would rescan one point at every zoom step, then give up
-    windows = []
-    monkeypatch.setattr(steering, "scan", lambda stack, betas, **kw: windows.append(betas))
+    windows = _spied_windows(monkeypatch)
     with pytest.raises(ValueError, match="halfwidth must be positive and finite"):
         feature_scan(PinStack.triplet(1.0, 0.0), 3.646, halfwidth, "peak", alpha0=2.1)
     assert windows == []
+    # the spy sits on the scan path: a good halfwidth reaches it at once
+    with pytest.raises(_Scanned):
+        feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak", alpha0=2.1)
+    assert len(windows) == 1
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 79])
+def test_feature_scan_refuses_too_few_points_before_any_scan(points, monkeypatch):
+    # success needs 40 points inside the half-width and at most half the
+    # window, so fewer than 80 can never succeed; 3 used to run all 60 zooms
+    windows = _spied_windows(monkeypatch)
+    with pytest.raises(ValueError, match="points must be at least 80"):
+        feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak", alpha0=2.1,
+                     points=points)
+    assert windows == []
+    with pytest.raises(_Scanned):
+        feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak", alpha0=2.1, points=80)
+    assert [len(w) for w in windows] == [80]
 
 
 _NO_INCIDENCE_CALLS = {
@@ -805,6 +838,10 @@ def test_table1_makes_few_kernel_calls(monkeypatch):
     assert all(res.error is None for res in results)
     assert 0 < len(calls) <= 40
     assert solves == []
+    # the spy sits on the one scattering path: a scatter and a scan reach it
+    scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
+    scan(PinStack.single(), [3.5, 3.6], theta_i=THETA_30)
+    assert len(solves) == 2
 
 
 @pytest.fixture(scope="module")
