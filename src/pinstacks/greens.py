@@ -45,9 +45,17 @@ caller computes a window or can pass one that breaks the rule.  Each
 point's order quantities (alpha_n, the chi_n branch, tau_n, the light-line
 mask) are computed once per window and shared by all its offsets, which
 add only their exponentials: none at the pin (0, 0), where both are 1, and
-no phase product on the column x = 0.  Every pass holds at most _CHUNK
-terms per temporary.  greens, and flat columns of pairs such as the
-steering searches join, are the one-offset case;
+no phase product on the column x = 0.  At real points an offset (-x, |y|)
+beside (x, |y|), as the shifted triplet's G(-xi, eta) beside G(xi, eta),
+takes no exponentials of its own at the evanescent orders: there each of
+its arguments is the exact conjugate of the other's, C99 (Annex G.6.3.1)
+makes exp(conj z) = conj(exp z), and dividing by the real tau_n or
+i chi_n keeps the symmetry, so each term is the other's conjugate
+(_mirror_terms; the propagating orders and any term with a part that
+underflows take the general formula).  Complex points, whose arguments
+are not conjugates, take the general formula at every offset.  Every pass
+holds at most _CHUNK terms per temporary.  greens, and flat columns of
+pairs such as the steering searches join, are the one-offset case;
 _interaction_matrices builds every pin-interaction matrix of the package
 (scattering systems and the triplet mode matrix), one stack at a whole
 vector of points, from one kernel call.  A value depends only on its own
@@ -392,8 +400,60 @@ def _orders(alpha0: np.ndarray, beta: np.ndarray, n_terms: int,
     return _Orders(alpha, ichi, tau, b2, -4.0 * b2, near, q_min)
 
 
-# kinds of offset column: all at the pin (0, 0), all on x = 0, and any other
-_PIN, _COLUMN, _OFF = range(3)
+# kinds of offset column: all at the pin (0, 0), all on x = 0, any other, and
+# pairs of other columns mirrored in x (real points only; see _mirror_pairs)
+_PIN, _COLUMN, _OFF, _MIRROR = range(4)
+
+
+def _terms(phase, ay: np.ndarray, tau: np.ndarray, ichi: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The general formula's terms at offset columns against orders: (B, C, W).
+
+    exp(phase - tau_n |y|) / tau_n + exp(phase + i chi_n |y|) / (i chi_n), with
+    phase i alpha_n x as (B, C, W), or 0j on the column x = 0; ay is |y|, (B, C),
+    and tau and ichi are the orders', (B, W).  Written to out if given.
+    """
+    decay = np.multiply(ay[..., None], tau[:, None])
+    wave = np.multiply(ay[..., None], ichi[:, None])
+    return np.add(np.exp(phase - decay) / tau[:, None], np.exp(phase + wave) / ichi[:, None],
+                  out=out)
+
+
+def _phase(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """i alpha_n x at offset columns x (B, C) against orders alpha (B, W): (B, C, W)."""
+    return np.multiply(1j * x[..., None], alpha[:, None])
+
+
+def _mirror_terms(x: np.ndarray, ay: np.ndarray, orders: _Orders) -> np.ndarray:
+    """The terms at pairs of columns, each a lead and its mirror (-x, the same |y|): (B, 2h, W).
+
+    Real points only.  Where the order is evanescent (i chi_n real and
+    negative) and the phase alpha_n x is not zero, each exponential's
+    argument at a mirror is the exact conjugate of its lead's (a zero real
+    part may differ in sign, and exp(-0) = exp(0) = 1), C99 (Annex G.6.3.1)
+    makes exp(conj z) = conj(exp z), and dividing by the real-valued tau_n
+    and i chi_n is symmetric in the sign of the imaginary part: the term is
+    the lead's conjugate, to the bit.  Only a part that underflows to zero
+    may take the other zero sign, so the conjugate is taken where both
+    parts of the lead's term are nonzero (a zero phase leaves a zero
+    imaginary part) and the order is evanescent; every other order, the
+    propagating ones and those on a light line among them, takes the
+    general formula.
+    """
+    alpha, ichi, tau = orders.alpha, orders.ichi, orders.tau
+    terms = np.empty(x.shape + alpha.shape[1:], dtype=complex)
+    lead = _terms(_phase(x[:, ::2], alpha), ay[:, ::2], tau, ichi, out=terms[:, ::2])
+    np.conjugate(lead, out=terms[:, 1::2])
+    # a product that underflows leaves the order to the general formula too
+    conjugate = (lead.real * lead.imag != 0.0) & (ichi.real < 0.0)[:, None]
+    at = np.flatnonzero(~conjugate.all(axis=(0, 1)))
+    if len(at):         # the orders from the first to the last that need it
+        span = slice(at[0], at[-1] + 1)
+        alpha, ichi, tau = alpha[:, span], ichi[:, span], tau[:, span]
+        np.copyto(terms[:, 1::2, span],
+                  _terms(_phase(x[:, 1::2], alpha), ay[:, 1::2], tau, ichi),
+                  where=~conjugate[..., span])
+    return terms
 
 
 def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
@@ -406,26 +466,29 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
     closed-form tail at x = 0, exactly 0 where exp(-40) damps the first
     omitted order on both sides (c min(Re q) > 40 in _kummer_tail).  On
     columns at x = 0 the phase product is left out (the phase is exactly 0
-    there), and at the pin both exponentials (exactly 1 there); zero signs
-    included, every kind gives the general formula's bits.  A column at the
-    pin is (B, 1): every pin column of a point has its one value.
+    there), and at the pin both exponentials (exactly 1 there).  _MIRROR
+    columns come in pairs, a lead and then its mirror, whose evanescent
+    terms are the lead's conjugates (_mirror_terms): one set of
+    exponentials serves both.  Zero signs included, every kind gives the general formula's
+    bits, since the (points, columns, orders) terms are reduced over the
+    orders as the general formula's are.  A column at the pin is (B, 1):
+    every pin column of a point has its one value.
     """
     alpha, ichi, tau, b2, scale, _, q_min = orders
     if kind == _PIN:
         value = np.add.reduce(np.divide(1.0, tau) + np.divide(1.0, ichi), axis=1) / scale
         return (value + _kummer_tail(alpha0, b2, np.abs(y[:, 0]), n_terms))[:, None]
     ay = np.abs(y)
-    decay = np.multiply(ay[..., None], tau[:, None])
-    wave = np.multiply(ay[..., None], ichi[:, None])
     if kind == _COLUMN:
-        # 0 - decay and 0 + wave give the zero signs the phase would
-        decay, wave = np.exp(0j - decay), np.exp(0j + wave)
+        # 0j - decay and 0j + wave give the zero signs the phase would
+        terms = _terms(0j, ay, tau, ichi)
+    elif kind == _OFF:
+        terms = _terms(_phase(x, alpha), ay, tau, ichi)
     else:
-        phase = np.multiply(1j * x[..., None], alpha[:, None])
-        decay, wave = np.exp(phase - decay), np.exp(phase + wave)
-    value = np.add.reduce(decay / tau[:, None] + wave / ichi[:, None], axis=2) / scale[:, None]
+        terms = _mirror_terms(x, ay, orders)
+    value = np.add.reduce(terms, axis=2) / scale[:, None]
     tail = ay * TWO_PI * q_min[:, None] <= _DAMPING_CUTOFF
-    if kind == _OFF:
+    if kind != _COLUMN:
         tail &= x == 0.0
     rows, cols = np.nonzero(tail)
     if len(rows):
@@ -433,9 +496,34 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
     return value
 
 
+def _mirror_pairs(by_kind: dict[int, list[int]], x: np.ndarray, y: np.ndarray) -> None:
+    """Move the _OFF columns that pair with a mirror (-x, the same |y|) to _MIRROR.
+
+    x and y are the row group's (rows, columns); pairs are found from the
+    first row and checked on every row.  _MIRROR lists each pair as its
+    lead (the first in column order) and then its mirror.
+    """
+    ay = np.abs(y)
+    first = list(zip(x[0].tolist(), ay[0].tolist()))
+    unpaired: dict[tuple[float, float], int] = {}
+    pairs: list[int] = []
+    for col in by_kind[_OFF]:
+        lead = unpaired.pop((-first[col][0], first[col][1]), None)
+        if lead is None:
+            unpaired[first[col]] = col
+        else:
+            pairs += [lead, col]
+    leads, mirrors = pairs[::2], pairs[1::2]
+    held = ((x[:, leads] == -x[:, mirrors]) & (ay[:, leads] == ay[:, mirrors])).all(axis=0)
+    pairs = np.reshape(pairs, (-1, 2))[held].ravel().tolist()
+    if pairs:
+        by_kind[_OFF] = [col for col in by_kind[_OFF] if col not in pairs]
+        by_kind[_MIRROR] = pairs
+
+
 def _columns(cols: list[int]) -> slice | list[int]:
-    """The ascending columns cols as a slice when they are a run, else as they are."""
-    return slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
+    """The columns cols as a slice when they are an ascending run, else as they are."""
+    return slice(cols[0], cols[-1] + 1) if cols == list(range(cols[0], cols[-1] + 1)) else cols
 
 
 def _row_groups(keys: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int, list]]]:
@@ -483,7 +571,11 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
     the same windows are summed together: each row's order quantities
     (_orders) once per window, then only what the offsets change, per kind
     of column (_offset_sums), in passes whose every (points, orders) and
-    (points, columns, orders) temporary holds at most _CHUNK terms.
+    (points, columns, orders) temporary holds at most _CHUNK terms.  At
+    real points the off-column columns that come as x-mirrored pairs in a
+    row group (_mirror_pairs) share one set of exponentials, each pair in
+    one block; where a pass holds only one column, both take the general
+    formula.
     """
     windows = policy.window(alpha0, beta, x, y, n_terms)
     shape = np.broadcast(alpha0, beta, x, y, windows).shape
@@ -513,6 +605,8 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
             for n_terms, by_kind in by_window.items():
                 width = 2 * n_terms + 1
                 col_step = max(1, _CHUNK // width)
+                if lightline_tol is not None and col_step > 1 and len(by_kind.get(_OFF, ())) > 1:
+                    _mirror_pairs(by_kind, x[lo:hi], y[lo:hi])
                 step = max(1, _CHUNK // (width * min(col_step, max(map(len, by_kind.values())))))
                 in_window = _columns(sorted(col for cols in by_kind.values() for col in cols))
                 for start in range(lo, hi, step):
@@ -521,8 +615,9 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
                     orders = _orders(points, beta[rows], n_terms, lightline_tol)
                     near[rows, in_window] = orders.near[:, None]
                     for kind, cols in by_kind.items():
-                        for first in range(0, len(cols), col_step):
-                            block = rows, _columns(cols[first:first + col_step])
+                        per_block = col_step - col_step % 2 if kind == _MIRROR else col_step
+                        for first in range(0, len(cols), per_block):   # whole pairs
+                            block = rows, _columns(cols[first:first + per_block])
                             values[block] = _offset_sums(kind, points, orders,
                                                          x[block], y[block], n_terms)
     if order is not None:

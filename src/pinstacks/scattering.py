@@ -202,15 +202,18 @@ def _coefficients(pins: np.ndarray, waves: tuple[np.ndarray, ...],
         return coeffs, _point_errors(alpha0, beta)
     g, errors = _interaction_matrices(alpha0, beta, pins, policy)
     ok = [i for i, e in enumerate(errors) if e is None]
-    for i, cond in zip(ok, np.linalg.cond(g[ok]).tolist()):
+    g = g[ok]
+    for i, cond in zip(ok, np.linalg.cond(g).tolist()):
         if cond > _COND_LIMIT:
             errors[i] = SingularSystem(
                 f"pin interaction matrix condition exceeds {_COND_LIMIT:g}")
-    ok = [i for i in ok if errors[i] is None]
+    kept = [k for k, i in enumerate(ok) if errors[i] is None]
+    if len(kept) < len(ok):          # only a failed condition test indexes again
+        g, ok = g[kept], [ok[k] for k in kept]
     u = np.multiply(amplitude[ok, None],
                     np.exp(1j * (alpha0[ok, None] * pins[:, 0]
                                  + (side * chi0)[ok, None] * pins[:, 1])))
-    coeffs[ok] = np.linalg.solve(g[ok], -u[:, :, None])[:, :, 0]
+    coeffs[ok] = np.linalg.solve(g, -u[:, :, None])[:, :, 0]
     return coeffs, errors
 
 

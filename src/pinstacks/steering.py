@@ -562,8 +562,10 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
 
     seed = complex(beta0)
     z0, z1 = seed, seed + 1e-7
-    f0 = yield from f(z0)
-    f1 = yield from f(z1)
+    # both starting values from one request, as a 2 x k grid
+    starts, _ = yield from _summed(np.array([[alpha0_at(z0)], [alpha0_at(z1)]]),
+                                   np.array([[z0], [z1]]), xs, ys, policy)
+    f0, f1 = (_factor_from(kind, values) for values in starts)
     start = abs(f0)
     # the residual a zero found to the secant's tolerance leaves at the seed's
     # slope: a seed already on the zero cannot halve a residual this small

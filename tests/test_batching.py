@@ -189,20 +189,33 @@ def _one_pair_sums(alpha0s, betas, pins, policy):
                      for a, b in zip(alpha0s, betas)])
 
 
-@pytest.mark.parametrize("stack", [PinStack.triplet(0.05, 0.3), TRIPLET],
-                         ids=["close triplet", "triplet"])
-def test_builder_entries_are_the_one_pair_sums(chunk, stack):
+@pytest.mark.parametrize("pins", [PinStack.triplet(0.05, 0.3).pins, TRIPLET.pins,
+                                  ((0.0, 0.0), (0.3, 0.0), (0.0, 0.7))],
+                         ids=["close triplet", "triplet", "mirrored on the source line"])
+def test_builder_entries_are_the_one_pair_sums(chunk, pins):
     # at eta = 0.05 the off-column windows exceed n_far and the column
     # entries G(0, 0.05), G(0, 0.1) take the damped Kummer tail; the point
-    # at beta = 2 pi + 1e-12 is within the wider guard of the light line
-    betas = np.concatenate([np.linspace(2.5, 9.0, 120), [TWO_PI + 1e-12]])
-    alpha0s = np.concatenate([betas[:-1] * np.linspace(-0.9, 0.9, 120), [0.0]])
+    # at beta = 2 pi + 1e-12 is within the wider guard of the light line.
+    # Every stack has an offset and its mirror (-x, the same |y|), the last
+    # one on the source line y = 0 too, where the window is n_self; the
+    # points below the light cone (|alpha_n| > beta at every order) have no
+    # propagating order, so every mirrored term there is a conjugate
+    main = np.linspace(2.5, 9.0, 120)
+    below = np.linspace(0.5, 3.0, 20)
+    betas = np.concatenate([main, below, [TWO_PI + 1e-12]])
+    alpha0s = np.concatenate([main * np.linspace(-0.9, 0.9, 120),
+                              np.resize([1.0, -1.0], 20) * (below + (TWO_PI - 2.0 * below)
+                                                            * np.linspace(0.1, 0.9, 20)),
+                              [0.0]])
+    assert (np.abs(alpha0s[120:140]) > betas[120:140]).all()
+    assert all(greens_module.propagating_orders(SpectralPoint(a, b)) == []
+               for a, b in zip(alpha0s[120:140], betas[120:140]))
     assert POLICY.window(alpha0s[0], betas[0], 0.3, 0.05) > POLICY.n_far
-    matrices, errors = greens_module._interaction_matrices(alpha0s, betas, stack.pins, POLICY)
+    matrices, errors = greens_module._interaction_matrices(alpha0s, betas, pins, POLICY)
     assert [type(e).__name__ for e in errors if e is not None] == ["LightLineProximity"]
-    assert _bits(matrices) == _bits(_one_pair_sums(alpha0s, betas, stack.pins, POLICY))
+    assert _bits(matrices) == _bits(_one_pair_sums(alpha0s, betas, pins, POLICY))
     # as flat columns, one offset per point, every kind of offset in one column
-    pins = np.array(stack.pins)
+    pins = np.array(pins)
     dx, dy = (np.subtract.outer(pins[:, k], pins[:, k]).ravel() for k in (0, 1))
     flat, _ = greens_module._lattice_sums(np.repeat(alpha0s, len(dx)), np.repeat(betas, len(dx)),
                                           np.tile(dx, len(betas)), np.tile(dy, len(betas)), POLICY)
@@ -217,8 +230,10 @@ def test_complex_sums_are_the_one_pair_sums(chunk):
     betas = np.linspace(2.5, 9.0, 90) - 1j * np.linspace(0.0, 0.05, 90)
     betas[::9] = betas[::9].real
     alpha0s = betas * np.linspace(-0.9, 0.9, 90)
-    xs = np.array([0.0, 0.0, 0.0, 0.3, -0.3, 0.25])
-    ys = np.array([0.0, 0.05, 2.0, 0.05, 1.0, 0.0])
+    # (0.3, 0.05) and its mirror (-0.3, 0.05): complex points take the
+    # general formula at both
+    xs = np.array([0.0, 0.0, 0.0, 0.3, -0.3, 0.25, -0.3])
+    ys = np.array([0.0, 0.05, 2.0, 0.05, 1.0, 0.0, 0.05])
     grid, near = greens_module._lattice_sums(alpha0s[:, None], betas[:, None], xs, ys, POLICY)
     assert not near.any()
     flat, _ = greens_module._lattice_sums(np.repeat(alpha0s, len(xs)), np.repeat(betas, len(xs)),
@@ -226,6 +241,38 @@ def test_complex_sums_are_the_one_pair_sums(chunk):
     pairs = [[greens_module._lattice_sums(a, b, x, y, POLICY)[0] for x, y in zip(xs, ys)]
              for a, b in zip(alpha0s, betas)]
     assert _bits(grid) == _bits(flat) == _bits(pairs)
+
+
+def test_mirror_terms_are_the_general_formula_terms():
+    # term by term, zero signs included: the leads' terms, their mirrors'
+    # conjugates at evanescent orders, and the general formula wherever a
+    # part of a lead's term underflows (|y| = 12 damps the far orders past
+    # the least double) or an order propagates
+    rng = np.random.default_rng(7)
+    betas = rng.uniform(0.5, 25.0, 200)
+    alpha0s = betas * rng.uniform(-1.2, 1.2, 200)
+    orders = greens_module._orders(alpha0s, betas, 60, POLICY.lightline_tol)
+    for lead, ay in [(0.252, 1.0), (-0.3, 0.0), (1e-9, 2.0), (3.7, 12.0)]:
+        x = np.tile([lead, -lead], (len(betas), 1))
+        y = np.full(x.shape, ay)
+        general = greens_module._terms(greens_module._phase(x, orders.alpha), y,
+                                       orders.tau, orders.ichi)
+        assert _bits(greens_module._mirror_terms(x, y, orders)) == _bits(general)
+
+
+def test_exp_of_a_conjugate_is_the_conjugate_of_exp():
+    # the kernel sums a mirrored offset's evanescent terms as the conjugates
+    # of its lead's (greens._mirror_terms), which needs exp(conj z) ==
+    # conj(exp z) to the bit (C99 Annex G.6.3.1).  Arguments as the kernel
+    # makes them: real part -tau_n |y| or -|chi_n| |y|, from 0 to past
+    # underflow; imaginary part alpha_n x, from 0 to n_self windows' orders
+    rng = np.random.default_rng(19)
+    size = 200_000
+    real = -rng.uniform(0.0, 800.0, size) * (rng.random(size) < 0.9)
+    imag = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-12.0, 4.5, size)
+    z = real + 1j * imag
+    z[:8] = [0.0, -0.0, 1j, -1j, 1e-300j, -745.0 + 2.0j, -1e-310 + 3.0j, 1e4j]
+    assert _bits(np.exp(np.conj(z))) == _bits(np.conj(np.exp(z)))
 
 
 # 20 repeats of a 401-point triplet scan, then of a 2,000-point scan of

@@ -222,6 +222,21 @@ class TestSpectrum:
         assert sum(row["status"].startswith("DomainError") for row in rows) == 11
         assert sum(row["R_-1"] != "" for row in rows) > 0
 
+    def test_mirrored_pair_spectrum_bytes_are_pinned(self, capsys):
+        # the shifted triplet's entries G(xi, eta) and G(-xi, eta) at
+        # negative alpha0, over a band where up to three orders propagate,
+        # as written before the kernel summed one as the other's conjugate
+        code, out = _run(capsys, ["spectrum", "--stack", "triplet", "--eta", "1.0", "--xi",
+                                  "0.252", "--alpha0", "-1.8", "--beta-min", "3.3",
+                                  "--beta-max", "9.0", "--resolution", "401", "--per-order",
+                                  "--format", "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "spectrum_mirror.json").read_text()
+        rows = json.loads(out)["rows"]
+        assert all(row["status"] == "ok" for row in rows)
+        counts = {sum(row[key] != "" for key in ("R_-1", "R_0", "R_1")) for row in rows}
+        assert counts == {1, 2, 3}
+
     def test_timestamp_header_line(self, capsys):
         argv = ["spectrum", "--stack", "empty", "--alpha0", "0.5",
                 "--beta-min", "2.0", "--beta-max", "2.1", "--resolution", "3"]

@@ -112,6 +112,24 @@ class TestSingularSystem:
         assert [r.error for r in records] == [
             "SingularSystem: pin interaction matrix condition exceeds 1e+14"] * 2
 
+    def test_a_singular_system_fails_only_its_own_wave(self, monkeypatch):
+        # every other wave's matrix is the identity, so its reactions are -u
+        def alternate(alpha0, beta, pins, policy):
+            matrices = np.zeros((len(beta), len(pins), len(pins)), dtype=complex)
+            matrices[1::2] = np.eye(len(pins))
+            return matrices, [None] * len(beta)
+
+        monkeypatch.setattr(scattering, "_interaction_matrices", alternate)
+        stack = PinStack.pair(1.0)
+        waves = [IncidentWave.from_angle(0.3, beta) for beta in (3.0, 3.1, 3.2, 3.3)]
+        coeffs, errors = scattering._coefficients(scattering._pins(stack),
+                                                  scattering._wave_arrays(waves), DEFAULT_POLICY)
+        assert [type(error).__name__ for error in errors] == ["SingularSystem", "NoneType"] * 2
+        assert (coeffs[::2] == 0.0).all()
+        for k in (1, 3):
+            np.testing.assert_allclose(coeffs[k], [-waves[k].field(x, y) for x, y in stack.pins],
+                                       rtol=1e-15)
+
 
 def test_pin_stack_geometry():
     t = PinStack.triplet(0.9, 0.25)

@@ -441,11 +441,13 @@ def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
 
 def test_find_xi_edit_makes_few_kernel_calls(inputs_60, monkeypatch):
     # the even pole is continued at every 10th step of the 1e-3 grid and
-    # the merge's step bisected out of its coarse cell: 14 secants.  Every
-    # step continued, the search made 436 calls (429 of them lattice sums)
+    # the merge's step bisected out of its coarse cell: 14 secants, each
+    # asking for its two starting values in one request, plus 7 builder
+    # calls.  Every step continued, the search made 436 calls (429 of them
+    # lattice sums); with one request per starting value, 107
     calls = _counted_kernel(monkeypatch)
     find_xi_edit(*inputs_60)
-    assert 0 < len(calls) <= 130
+    assert 0 < len(calls) <= 87
 
 
 def test_polishing_a_polished_pole_returns_it():
@@ -830,13 +832,14 @@ def test_two_propagating_orders_are_refused_before_the_pair_grid(monkeypatch):
 
 def test_table1_makes_few_kernel_calls(monkeypatch):
     # each lockstep round makes one kernel call per kind of pending step; one
-    # angle at a time, the 15 angles made 486 one-point calls.  No root is
+    # angle at a time, the 15 angles made 486 one-point calls, and with one
+    # request per starting value of a pole polish, 32.  No root is
     # confirmed by a scattering solve: the one-order rule needs none
     calls = _counted_kernel(monkeypatch)
     solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 40
+    assert 0 < len(calls) <= 30
     assert solves == []
     # the spy sits on the one scattering path: a scatter and a scan reach it
     scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
