@@ -469,10 +469,10 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
     there), and at the pin both exponentials (exactly 1 there).  _MIRROR
     columns come in pairs, a lead and then its mirror, whose evanescent
     terms are the lead's conjugates (_mirror_terms): one set of
-    exponentials serves both.  Zero signs included, every kind gives the general formula's
-    bits, since the (points, columns, orders) terms are reduced over the
-    orders as the general formula's are.  A column at the pin is (B, 1):
-    every pin column of a point has its one value.
+    exponentials serves both.  Zero signs included, every kind gives the
+    general formula's bits, since the (points, columns, orders) terms are
+    reduced over the orders as the general formula's are.  A column at the
+    pin is (B, 1): every pin column of a point has its one value.
     """
     alpha, ichi, tau, b2, scale, _, q_min = orders
     if kind == _PIN:
@@ -616,7 +616,7 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
                     near[rows, in_window] = orders.near[:, None]
                     for kind, cols in by_kind.items():
                         per_block = col_step - col_step % 2 if kind == _MIRROR else col_step
-                        for first in range(0, len(cols), per_block):   # whole pairs
+                        for first in range(0, len(cols), per_block):   # pairs whole
                             block = rows, _columns(cols[first:first + per_block])
                             values[block] = _offset_sums(kind, points, orders,
                                                          x[block], y[block], n_terms)
