@@ -17,13 +17,12 @@ Resonances are the complex zeros (poles of the response) of the two
 dispersion factors of the mode matrix (the factors of det M, continued to
 complex beta from the lattice sums at modes._factor_offsets).  steer
 polishes the unshifted triplet's even and odd zeros directly from beta_g,
-and those at the EDIT point from beta_edit.  The window search (a batched
-grid of the factor's modulus over a beta window, the zero polished from its
-deepest point) serves only resonance_beta and stage 3: find_xi_edit runs it
-to seed the even zero, where continuing it fails, and for the final
-bisection; elsewhere it continues the zero itself along a coarse scan of xi,
-from a seed extrapolated in xi, and bisects the scan's grid steps within the
-coarse cell where the resonances cross.
+and those at the EDIT point from beta_edit.  Stage 3 polishes the odd zero
+from beta_g too and continues the even zero in xi, each seed extrapolated
+from the zeros already found; xi_edit is the root, by Brent's method, of
+the gap in their real parts.  The window search (a batched grid of the
+factor's modulus over a beta window, the zero polished from its deepest
+point) serves resonance_beta alone.
 Quality factors are measured on transmission spectra by FWHM, swept with
 scattering's scans (feature_scan zooms on scan columns and makes records of
 its last window only; steer's envelope is a spectrum_scan).  Stages 1 and
@@ -83,10 +82,9 @@ from .scattering import (
 )
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
-_BETA_WINDOW_HALFWIDTH = 0.05   # find_xi_edit's window searches, beta +- this
-_XI_STRIDE = 10   # find_xi_edit continues the even pole at every 10th step of its xi grid
-# How far a pole polished from a nearby real seed (beta_g, beta_edit) may
-# move: the farthest a window search over beta_g +- 0.05 can return.
+# How far a pole polished from a nearby seed (beta_g, beta_edit, or a pole
+# continued in xi) may move: the farthest a window search over beta_g +- 0.05
+# can return.
 _POLE_REACH = 0.06
 _MAX_ZOOM = 60    # feature_scan's window rescans before it gives up
 _MIRROR_GRID = 241   # find_beta_g's bracketing grid
@@ -508,11 +506,6 @@ def resonance_beta(
     return _run(_window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse)).real
 
 
-def _polish_reach(beta_window: tuple[float, float]) -> float:
-    """How far a polished pole may move from its seed in a window search."""
-    return 0.1 * (beta_window[1] - beta_window[0])
-
-
 def _window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse=241):
     """The factor's complex zero, polished from the deepest point of a window grid.
 
@@ -529,8 +522,7 @@ def _window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse=241):
     for error in filter(None, errors):   # the first failure in grid order
         raise error
     seed = betas[int(np.argmin(_factor_moduli(entries)[0 if kind == "odd" else 1]))]
-    return (yield from _resolved_pole(kind, seed, alpha0_at, eta, xi, policy,
-                                      _polish_reach(beta_window),
+    return (yield from _resolved_pole(kind, seed, alpha0_at, eta, xi, policy, 0.1 * (hi - lo),
                                       f"beta = {seed:.9g} in ({lo:g}, {hi:g})"))
 
 
@@ -602,92 +594,67 @@ def find_xi_edit(
     eta_star: float,
     xi_bracket: tuple[float, float] = (0.15, 0.30),
     policy: TruncationPolicy = DEFAULT_POLICY,
-    *,
-    xi_step: float = 1e-3,
 ) -> tuple[float, float]:
     """Stage 3: central-grating shift merging the even resonance into the odd.
 
-    The odd resonance beta_odd is shift-invariant (the odd factor involves
-    only M11 and M13, neither of which depends on xi).  The even resonance
-    beta_even(xi) is tracked over a grid of xi_step across the bracket: its
-    complex zero is continued at every 10th grid step until the gap
-    beta_even - beta_odd changes sign over such a coarse cell, whose grid
-    steps are then bisected down to the one step where it does.  Each seed
-    is linear in xi through the two tracked poles nearest it, polished by
-    _pole_search.  The window search runs only at the first step and
-    wherever the continued secant is rejected (the track then takes the zero
-    that search polished).  A coarse cell is assumed to hold at most one
-    sign change (two would cancel unseen), so the step found is the grid's
-    first, as a scan of every step finds.  Brent's method (xtol 1e-9) on
-    window searches closes it, and their gap at xi_edit is the residual
-    checked.  The window searches span beta +- 0.05, around beta_g for the
-    odd resonance and around beta_odd for the even one.  Returns (xi_edit, beta_edit) with
-    |beta_even(xi_edit) - beta_odd| <= 1e-7.  The search is _edit_search,
-    run alone (steer runs it in lockstep with other angles').
+    The odd resonance is shift-invariant (the odd factor involves only M11
+    and M13, neither of which depends on xi): its pole is polished from
+    beta_g, and beta_odd is its real part.  xi_edit is the root of the gap
+    Re beta_even(xi) - beta_odd, the even factor's complex zero continued in
+    xi: each seed is linear in xi through the two tracked poles nearest it
+    (the one tracked pole, or the odd pole when none is), polished by
+    _pole_search.  The gap is evaluated over the bracket in steps of about
+    0.01 up to the first step where it changes sign (a step is assumed to
+    hold at most one sign change, as two would cancel unseen), and Brent's
+    method (xtol 1e-9) closes that step.  Returns (xi_edit, beta_edit),
+    where beta_edit = beta_odd and |beta_even(xi_edit) - beta_odd| <= 1e-7.
+    The search is _edit_search, run alone (steer runs it in lockstep with
+    other angles').
 
-    Raises ModesDidNotMerge (reporting the closest approach over the steps
-    evaluated) when the gap never changes sign over the bracket, and
-    ValueError when xi_step is not positive.
+    Raises ValueError, before any evaluation, unless the bracket's ends are
+    finite and ascending; Unresolved, naming the parity and where the seed
+    is, when a polish is rejected; and ModesDidNotMerge (reporting the
+    closest approach over the tracked poles) when the gap never changes
+    sign over the bracket.
     """
-    if not xi_step > 0:
-        raise ValueError(f"xi_step must be positive, got {xi_step}")
+    lo, hi = xi_bracket
+    if not -math.inf < lo < hi < math.inf:   # NaN included
+        raise ValueError(f"xi_bracket must be finite and ascending, got {xi_bracket}")
     return _run(_edit_search(_alpha0_rule(theta_i, None), beta_g, eta_star, policy,
-                             xi_bracket, xi_step))
+                             xi_bracket))
 
 
-def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30), xi_step=1e-3):
+def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30)):
     """find_xi_edit's search, as lockstep steps (see _lockstep)."""
-    window = (beta_g - _BETA_WINDOW_HALFWIDTH, beta_g + _BETA_WINDOW_HALFWIDTH)
-    beta_odd = (yield from _window_search("odd", eta_star, 0.0, window, alpha0_at,
-                                          policy)).real
-    even_window = (beta_odd - _BETA_WINDOW_HALFWIDTH,
-                   beta_odd + _BETA_WINDOW_HALFWIDTH)
-    gaps: dict[float, float] = {}             # gap at each xi of the bisection
+    odd = yield from _resolved_pole("odd", beta_g, alpha0_at, eta_star, 0.0, policy,
+                                    _POLE_REACH, f"beta_g = {beta_g:.9g}")
+    beta_odd = odd.real
+    track: dict[float, complex] = {}          # the even pole at each xi evaluated
 
     def gap(xi: float):
-        if xi not in gaps:
-            pole = yield from _window_search("even", eta_star, xi, even_window, alpha0_at,
-                                             policy)
-            gaps[xi] = pole.real - beta_odd
-        return gaps[xi]
+        """Re beta_even(xi) - beta_odd, the even pole continued from the track."""
+        if xi not in track:
+            seed = odd
+            if track:
+                # linear in xi through the two tracked poles nearest xi
+                (x1, seed), *rest = sorted(track.items(), key=lambda step: abs(step[0] - xi))[:2]
+                if rest:
+                    x0, z0 = rest[0]
+                    seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
+            track[xi] = yield from _resolved_pole("even", seed, alpha0_at, eta_star, xi, policy,
+                                                  _POLE_REACH, f"xi = {xi:.9g}")
+        return track[xi].real - beta_odd
 
     lo, hi = xi_bracket
-    n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
-    xs = np.linspace(lo, hi, n_steps).tolist()
-    track: dict[float, complex] = {}          # the even pole at each scan step evaluated
-
-    def scan_pole(xi: float):
-        """The even pole at a scan step, continued from the track."""
-        if track:
-            # linear in xi through the two tracked poles nearest xi
-            (x1, seed), *rest = sorted(track.items(), key=lambda step: abs(step[0] - xi))[:2]
-            if rest:
-                x0, z0 = rest[0]
-                seed = seed + (seed - z0) * ((xi - x1) / (x1 - x0))
-            pole = yield from _pole_search("even", seed, alpha0_at, eta_star, xi, policy,
-                                           _polish_reach(even_window))
-            if pole is not None and even_window[0] < pole.real < even_window[1]:
-                return pole
-        return (yield from _window_search("even", eta_star, xi, even_window, alpha0_at, policy))
-
-    def sign(i: int):
-        """The sign of the gap beta_even - beta_odd at grid step i."""
-        if xs[i] not in track:
-            track[xs[i]] = yield from scan_pole(xs[i])
-        return np.sign(track[xs[i]].real - beta_odd)
-
-    coarse = list(range(0, n_steps - 1, _XI_STRIDE)) + [n_steps - 1]
-    for a, b in zip(coarse, coarse[1:]):
-        if (yield from sign(a)) == (yield from sign(b)):
+    xs = np.linspace(lo, hi, math.ceil((hi - lo) / 0.01) + 1).tolist()
+    for a, b in zip(xs, xs[1:]):
+        if ((yield from gap(a)) > 0) == ((yield from gap(b)) > 0):
             continue
-        while b - a > 1:              # bisect the cell's one sign change to one step
-            mid = (a + b) // 2
-            a, b = (mid, b) if (yield from sign(mid)) == (yield from sign(a)) else (a, mid)
-        xi_edit = yield from _brent_steps(gap, xs[b] - (hi - lo) / (n_steps - 1), xs[b], 1e-9)
+        xi_edit = yield from _brent_steps(gap, a, b, 1e-9)
         residual_gap = abs((yield from gap(xi_edit)))
         if residual_gap > _MERGE_TOL:
             raise ModesDidNotMerge(
-                f"bisection left |beta_even - beta_odd| = {residual_gap:.3e}"
+                f"Brent's method left |beta_even - beta_odd| = {residual_gap:.3e}"
             )
         return float(xi_edit), float(beta_odd)
     closest, at = min((abs(pole.real - beta_odd), xi) for xi, pole in track.items())
@@ -839,7 +806,8 @@ def steer(
     Stages: beta_g and eta_star always; the unshifted triplet's even/odd
     resonance pair (at eta_star) when with_modes, each pole polished
     directly from beta_g (no window search; Unresolved when rejected); EDIT
-    shift tuning when with_edit; notch and outer-pair Q factors when with_q
+    shift tuning when with_edit (find_xi_edit's root on the continued even
+    pole, no window search either); notch and outer-pair Q factors when with_q
     (implies with_edit), from both poles polished from beta_edit: the darker
     labels the notch (its zoom's final window is kept as notch_records), 12
     half-linewidths of the brighter size the envelope scan (Unresolved when

@@ -337,6 +337,14 @@ class TestSteer:
         assert code == 0
         assert out == (DATA / "steer_edit.json").read_text()
 
+    def test_with_edit_m2_bytes_are_pinned(self, capsys):
+        # steer --table1 --with-edit --m 2: EDIT tuning at the second slab
+        # separation, pinned as the m = 1 run is
+        code, out = _run(capsys, ["steer", "--table1", "--with-edit", "--m", "2", "--format",
+                                  "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "steer_edit_m2.json").read_text()
+
     def test_results_dir_writes_the_notch_scan_steer_measured(self, tmp_path, capsys,
                                                              monkeypatch):
         # the notch zoom runs once per angle, inside steer; the CSV holds

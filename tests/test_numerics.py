@@ -82,8 +82,9 @@ def test_brent_root_raises():
 
 @pytest.mark.parametrize("xtol", [1e-15, 1e-9])
 def test_brent_root_is_brentq_on_the_edit60_gap(xtol):
-    # find_xi_edit's gap at 60 degrees (stage 1-2 results as pinned in
-    # test_steering), over the scan step that holds its sign change
+    # the window searches' gap of the 60-degree EDIT merge (stage 1-2
+    # results as pinned in test_steering), over the 1e-3 step that holds its
+    # sign change
     brentq = pytest.importorskip("scipy.optimize").brentq
     theta, beta_g, eta = math.radians(60.0), 2.9471596875548824, 2.1319459999781842
     beta_odd = resonance_beta("odd", eta, 0.0, (beta_g - 0.05, beta_g + 0.05),

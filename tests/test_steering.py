@@ -269,14 +269,17 @@ def test_find_xi_edit_merges_the_resonances():
 def test_find_xi_edit_reports_no_merge():
     # a bracket entirely above the crossing: the gap keeps one sign
     with pytest.raises(ModesDidNotMerge, match="closest approach"):
-        find_xi_edit(THETA_30, 3.599363, 1.0, xi_bracket=(0.27, 0.30),
-                     xi_step=5e-3)
+        find_xi_edit(THETA_30, 3.599363, 1.0, xi_bracket=(0.27, 0.30))
 
 
-def test_find_xi_edit_refuses_a_step_that_is_not_positive(monkeypatch):
+def test_find_xi_edit_refuses_a_bracket_that_is_not_finite_and_ascending(monkeypatch):
+    # a NaN end would reach the scan's step count, a reversed or empty
+    # bracket would scan nothing useful: each is refused before any call
     calls = _counted_kernel(monkeypatch)
-    with pytest.raises(ValueError, match="xi_step must be positive"):
-        find_xi_edit(THETA_30, 3.599363, 1.0, xi_step=0)
+    for bracket in [(math.nan, 0.30), (0.15, math.nan), (0.30, 0.15), (0.2, 0.2),
+                    (-math.inf, 0.30), (0.15, math.inf)]:
+        with pytest.raises(ValueError, match="xi_bracket must be finite and ascending"):
+            find_xi_edit(THETA_30, 3.599363, 1.0, xi_bracket=bracket)
     assert calls == []
 
 
@@ -300,8 +303,7 @@ def inputs_60():
 def _counted(monkeypatch, name, module=steering):
     """The argument tuples of every call of module's function name.
 
-    resonance_beta and the scan's seeds and fallbacks all run the window
-    search steering._window_search.
+    resonance_beta runs the window search steering._window_search.
     """
     calls, function = [], getattr(module, name)
 
@@ -316,8 +318,10 @@ def _counted(monkeypatch, name, module=steering):
 def _continued_secants(monkeypatch, reject=False):
     """Record (xi, pole) of every continued secant, or reject them all as (xi, None).
 
-    The continuation starts _pole_search from a complex seed; the window
-    search's polish starts from a real one.  The spy is a search itself.
+    The continuation starts _pole_search from a complex seed (a tracked
+    pole, or the odd pole); the odd pole's polish from beta_g, the window
+    search's and the Q stage's start from a real one.  The spy is a search
+    itself.
     """
     search = steering._pole_search
     tracked = []
@@ -335,32 +339,13 @@ def _continued_secants(monkeypatch, reject=False):
     return tracked
 
 
-def _scan_steps(xi_edit, lo=0.15, hi=0.30, xi_step=1e-3, stride=10):
-    """The xi find_xi_edit continues the even pole at, in order, for a merge at xi_edit.
-
-    Every stride-th step of the grid from the second coarse step to the end
-    of the coarse cell holding xi_edit, then the bisection of that cell's
-    steps down to the one step (xs[k - 1], xs[k]] that holds xi_edit.
-    """
-    n_steps = max(2, int(math.ceil((hi - lo) / xi_step)) + 1)
-    xs = np.linspace(lo, hi, n_steps).tolist()
-    k = next(i for i, x in enumerate(xs) if x >= xi_edit)
-    a = (k - 1) // stride * stride
-    b = min(a + stride, n_steps - 1)
-    steps = xs[stride:b + 1:stride]
-    while b - a > 1:
-        mid = (a + b) // 2
-        steps.append(xs[mid])
-        a, b = (mid, b) if mid < k else (a, mid)
-    return steps
-
-
 def test_continued_pole_is_resonance_beta_at_every_step(edit_inputs, monkeypatch):
     theta, beta_g, eta = edit_inputs
     tracked = _continued_secants(monkeypatch)
     xi_edit, _ = find_xi_edit(theta, beta_g, eta)
-    # every coarse step up to the merge and every bisection probe is tracked
-    assert [xi for xi, _ in tracked] == _scan_steps(xi_edit)
+    # the scan's steps up to the merge, then Brent's probes, each polished once
+    xis = [xi for xi, _ in tracked]
+    assert xis[:2] == [0.15, 0.16] and xi_edit in xis and len(set(xis)) == len(xis)
     monkeypatch.undo()
     beta_odd = resonance_beta("odd", eta, 0.0, (beta_g - 0.05, beta_g + 0.05),
                               theta_i=theta)
@@ -393,20 +378,22 @@ def _xi_edit_by_window_search(theta, beta_g, eta, lo=0.15, hi=0.30, xi_step=1e-3
 
 
 def test_find_xi_edit_equals_the_window_search(edit_inputs):
-    assert find_xi_edit(*edit_inputs) == _xi_edit_by_window_search(*edit_inputs)
+    # the root on the continued pole and brentq's on window searches share
+    # xtol 1e-9; beta_edit is the odd pole's real part either way
+    xi_edit, beta_edit = find_xi_edit(*edit_inputs)
+    xi_ref, beta_ref = _xi_edit_by_window_search(*edit_inputs)
+    assert abs(xi_edit - xi_ref) <= 1e-9
+    assert abs(beta_edit - beta_ref) <= 2 * math.ulp(beta_ref)
 
 
-def test_rejected_continuation_falls_back_to_the_same_result(inputs_60, monkeypatch):
-    continued = find_xi_edit(*inputs_60)
+def test_rejected_continuation_raises_unresolved(inputs_60, monkeypatch):
+    # no window search stands in for a continued pole the polish missed
     rejected = _continued_secants(monkeypatch, reject=True)
     searches = _counted(monkeypatch, "_window_search")
-    assert find_xi_edit(*inputs_60) == continued
-    # every evaluated step fell back: a window search at each rejected
-    # secant's xi, right after the first step's, and at the same steps
-    steps = [xi for xi, _ in rejected]
-    even = [args[2] for args in searches if args[0] == "even"]
-    assert steps == _scan_steps(continued[0])
-    assert even[1:len(steps) + 1] == steps
+    with pytest.raises(Unresolved, match="no zero of the even factor within reach of "
+                                         "xi = 0.15$"):
+        find_xi_edit(*inputs_60)
+    assert rejected == [(0.15, None)] and searches == []
 
 
 def test_edit60_result_bits_are_pinned(inputs_60):
@@ -424,30 +411,31 @@ def test_edit60_result_bits_are_pinned(inputs_60):
                              theta_i=theta, resolution=2000)
     residual = max(r.energy_residual for r in envelope if r.error is None)
     assert (beta_g, eta, xi_edit, beta_edit, q_notch, q_factor(envelope, "peak").q,
-            residual) == (2.9471596875548824, 2.1319459999781842, 0.247771426660849,
-                          2.947171960007326, 13316347097.81303, 150857.24852839397,
-                          2.6968649535774603e-11)
+            residual) == (2.9471596875548824, 2.1319459999781842, 0.24777142666253502,
+                          2.947171960007326, 13316347097.81303, 150857.24853868166,
+                          2.773781204723491e-11)
 
 
 def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
-    # the odd resonance, the first scan step and the bisection, whose value
-    # at xi_edit is the residual check's; the scan itself continues the pole
-    # (a search at every step would make 106)
+    # the odd pole is polished from beta_g and the even one continued from
+    # it, so no window grid is built (a search at every step of the old
+    # 1e-3 scan made 106, the coarse scan 7)
     searches = _counted(monkeypatch, "_window_search")
     public = _counted(monkeypatch, "resonance_beta")
+    builds = _counted(monkeypatch, "_interaction_matrices")
     find_xi_edit(*inputs_60)
-    assert len(public) <= len(searches) <= 7
+    assert searches == [] and public == [] and builds == []
 
 
 def test_find_xi_edit_makes_few_kernel_calls(inputs_60, monkeypatch):
-    # the even pole is continued at every 10th step of the 1e-3 grid and
-    # the merge's step bisected out of its coarse cell: 14 secants, each
-    # asking for its two starting values in one request, plus 7 builder
-    # calls.  Every step continued, the search made 436 calls (429 of them
-    # lattice sums); with one request per starting value, 107
+    # the odd pole, the even pole at each 0.01 step up to the merge and at
+    # each of Brent's probes, every secant asking for its two starting
+    # values in one request.  Continued at every step of a 1e-3 grid, the
+    # search made 436 calls; on a coarse scan of that grid with window
+    # searches beside it, 87 (7 of them builder calls)
     calls = _counted_kernel(monkeypatch)
     find_xi_edit(*inputs_60)
-    assert 0 < len(calls) <= 87
+    assert 0 < len(calls) <= 60
 
 
 def test_polishing_a_polished_pole_returns_it():
@@ -692,7 +680,9 @@ class TestSteer:
         search = steering._pole_search
 
         def reject_at_edit(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
-            if xi != 0.0 and max_shift == steering._POLE_REACH and kind == "even":
+            # the Q stage seeds from the real beta_edit; EDIT tuning continues
+            # the even pole from complex ones
+            if kind == "even" and xi != 0.0 and not isinstance(beta0, complex):
                 return None
             return (yield from search(kind, beta0, alpha0_at, eta, xi, policy, max_shift))
 
@@ -872,17 +862,30 @@ def test_q_lockstep_equals_one_angle_at_a_time():
 
 
 def test_edit_makes_few_kernel_calls(oblique_edit):
-    # each round's window grids and continued secants share their calls;
-    # run angle by angle, the 14 EDIT searches made 5,333, and with the even
-    # pole continued at every step of the xi grid, 629 in lockstep
+    # each round's continued secants share their calls; run angle by angle,
+    # the 14 EDIT searches made 5,333, in lockstep with the even pole
+    # continued at every step of a 1e-3 grid 629, and on a coarse scan of
+    # that grid with window searches beside it 229
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 97
+
+
+def test_edit_merges_the_window_search_poles(oblique_edit):
+    # both poles from the independent window search of resonance_beta: at
+    # xi_edit they coincide far inside the 1e-7 gate (a root found on the
+    # window searches' own gap, to xtol 1e-9, left up to 9.8e-11)
+    for deg, res in zip(TABLE1_ANGLES_DEG[1:], oblique_edit[0]):
+        beta_odd = resonance_beta("odd", res.eta_edit, 0.0, (res.beta_g - 0.05, res.beta_g + 0.05),
+                                  theta_i=res.theta_i)
+        beta_even = resonance_beta("even", res.eta_edit, res.xi_edit,
+                                   (beta_odd - 0.05, beta_odd + 0.05), theta_i=res.theta_i)
+        assert abs(beta_even - beta_odd) <= 1e-11, f"{deg} deg"
 
 
 def test_edit_without_modes_polishes_no_pair(oblique_edit):
-    # EDIT tuning runs at the slab eta with its own odd window search and
-    # never reads the unshifted pair
+    # EDIT tuning runs at the slab eta with its own odd pole and never
+    # reads the unshifted pair
     res, = steer([math.radians(60.0)], with_modes=False, with_edit=True)
     full = oblique_edit[0][TABLE1_ANGLES_DEG[1:].index(60.0)]
     assert res.error is None
