@@ -24,10 +24,12 @@ its waves' columns from beta in one step (IncidentWave's checks and
 messages applied per point).  The pin-interaction matrices of every wave
 come from one call of greens._interaction_matrices (each distinct pin
 offset summed once), whose per-wave errors are the one validation pass;
-every system, 1x1 included, faces the same condition test (SingularSystem
-past 1e14), the rest solve as one (B, n, n) stack, and the amplitudes are
-vectorised over waves and orders, in passes whose (waves, orders, pins)
-temporaries stay under 64 KiB.  _scatter_all returns columns (R, T, the
+the systems solve as one (B, n, n) stack for the reactions and the inverse
+together, every system, 1x1 included, faces the same condition test
+(SingularSystem past 1e14), judged from that inverse's kappa_1 with the SVD
+run only where kappa_1 cannot clear it, and the amplitudes are vectorised
+over waves and orders, in passes whose (waves, orders, pins) temporaries
+stay under 64 KiB.  _scatter_all returns columns (R, T, the
 residual, per-order energies and per-wave errors); SpectrumRecords are
 built from them only where the public API returns them.  scan sweeps beta
 at a fixed angle or Bloch parameter this way in one call; spectrum_scan
@@ -191,9 +193,15 @@ def _coefficients(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     pins are the stack's, (n, 2); waves are _wave_arrays.  The
     one validation pass is the interaction-matrix build, for all waves at
     once (the empty stack, which never reaches it, takes _point_errors').
-    Every system of the waves that passed, 1x1 included, then faces the
-    condition test (SingularSystem past 1e14, an exactly singular matrix
-    among them), and the rest solve as one (B, n, n) stack.
+    The systems of the waves that passed solve as one (B, n, n) stack on
+    the right-hand sides [-u | I]: one factorisation gives the reactions
+    and the inverse.  Every system, 1x1 included, faces the condition
+    test, SingularSystem where the 2-norm condition exceeds 1e14.  Since
+    kappa_2 <= n kappa_1, a finite kappa_1 = |A|_1 |A^-1|_1 of at most
+    1e14 / 2n passes it (the 2 covers the computed inverse's rounding),
+    and np.linalg.cond's SVD runs only on the systems kappa_1 cannot
+    clear.  A stack with an exactly singular member cannot be factorised:
+    then every system takes the SVD, and the ones that pass solve again.
     """
     alpha0, beta, chi0, amplitude, side = waves
     n = len(pins)
@@ -201,19 +209,33 @@ def _coefficients(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     if not n:
         return coeffs, _point_errors(alpha0, beta)
     g, errors = _interaction_matrices(alpha0, beta, pins, policy)
-    ok = [i for i, e in enumerate(errors) if e is None]
+    ok = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
     g = g[ok]
-    for i, cond in zip(ok, np.linalg.cond(g).tolist()):
-        if cond > _COND_LIMIT:
-            errors[i] = SingularSystem(
+    rhs = np.zeros((len(ok), n, n + 1), dtype=complex)
+    u = rhs[:, :, 0]
+    np.multiply(amplitude[ok, None],
+                np.exp(1j * (alpha0[ok, None] * pins[:, 0]
+                             + (side * chi0)[ok, None] * pins[:, 1])), out=u)
+    np.negative(u, out=u)
+    rhs[:, :, 1:] = np.eye(n)
+    try:
+        solved = np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError:    # an exactly singular member refuses the whole stack
+        solved, doubtful = None, np.arange(len(ok))
+    else:
+        kappa1 = (np.abs(g).sum(axis=1).max(axis=1)
+                  * np.abs(solved[:, :, 1:]).sum(axis=1).max(axis=1))
+        doubtful = np.flatnonzero(~(kappa1 <= _COND_LIMIT / (2 * n)))   # NaN and inf too
+    if len(doubtful):
+        singular = doubtful[np.linalg.cond(g[doubtful]) > _COND_LIMIT]
+        for k in singular.tolist():
+            errors[ok[k]] = SingularSystem(
                 f"pin interaction matrix condition exceeds {_COND_LIMIT:g}")
-    kept = [k for k, i in enumerate(ok) if errors[i] is None]
-    if len(kept) < len(ok):          # only a failed condition test indexes again
-        g, ok = g[kept], [ok[k] for k in kept]
-    u = np.multiply(amplitude[ok, None],
-                    np.exp(1j * (alpha0[ok, None] * pins[:, 0]
-                                 + (side * chi0)[ok, None] * pins[:, 1])))
-    coeffs[ok] = np.linalg.solve(g, -u[:, :, None])[:, :, 0]
+        kept = np.ones(len(ok), dtype=bool)
+        kept[singular] = False
+        solved = np.linalg.solve(g[kept], rhs[kept]) if solved is None else solved[kept]
+        ok = ok[kept]
+    coeffs[ok] = solved[:, :, 0]
     return coeffs, errors
 
 
@@ -371,23 +393,28 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
 
 
 def _records(columns: _Columns) -> list[SpectrumRecord]:
-    """Each wave's SpectrumRecord from the columns; "Class: message" where it failed."""
+    """Each wave's SpectrumRecord from the columns; "Class: message" where it failed.
+
+    Each record is built from its wave's row of alpha0, beta, R, T, the
+    residual and then the per-order R_n and T_n.
+    """
     out = []
     orders = columns.orders.tolist()
-    for alpha0, beta, big_r, big_t, residual, r_n, t_n, lo, hi, error in zip(
-            columns.alpha0.tolist(), columns.beta.tolist(), columns.R.tolist(),
-            columns.T.tolist(), columns.energy_residual.tolist(),
-            columns.R_orders.tolist(), columns.T_orders.tolist(),
-            columns.lo.tolist(), columns.hi.tolist(), columns.errors):
+    t0 = 5 + len(orders)      # where T_n starts in a row
+    rows = np.column_stack((columns.alpha0, columns.beta, columns.R, columns.T,
+                            columns.energy_residual, columns.R_orders, columns.T_orders)).tolist()
+    for row, lo, hi, error in zip(rows, columns.lo.tolist(), columns.hi.tolist(),
+                                  columns.errors):
         if error is not None:
-            out.append(SpectrumRecord(alpha0=alpha0, beta=beta,
-                                      error=f"{type(error).__name__}: {error}"))
-            continue
-        ns = orders[lo:hi]
-        out.append(SpectrumRecord(alpha0=alpha0, beta=beta,
-                                  R_orders=dict(zip(ns, r_n[lo:hi])),
-                                  T_orders=dict(zip(ns, t_n[lo:hi])),
-                                  R=big_r, T=big_t, energy_residual=residual))
+            out.append(SpectrumRecord(row[0], row[1], error=f"{type(error).__name__}: {error}"))
+        elif hi - lo == 1:
+            out.append(SpectrumRecord(row[0], row[1], {orders[lo]: row[5 + lo]},
+                                      {orders[lo]: row[t0 + lo]}, row[2], row[3], row[4]))
+        else:
+            ns = orders[lo:hi]
+            out.append(SpectrumRecord(row[0], row[1], dict(zip(ns, row[5 + lo:5 + hi])),
+                                      dict(zip(ns, row[t0 + lo:t0 + hi])),
+                                      row[2], row[3], row[4]))
     return out
 
 

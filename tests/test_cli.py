@@ -237,6 +237,21 @@ class TestSpectrum:
         counts = {sum(row[key] != "" for key in ("R_-1", "R_0", "R_1")) for row in rows}
         assert counts == {1, 2, 3}
 
+    def test_singular_point_spectrum_bytes_are_pinned(self, capsys):
+        # +-1e-9 around the 60-degree, m = 2 EDIT point: only the point at
+        # its centre fails the condition test
+        code, out = _run(capsys, ["spectrum", "--stack", "triplet", "--eta",
+                                  "4.2638919999563685", "--xi", "0.24989750370889235",
+                                  "--theta", "60", "--beta-min", "2.9471596869739156",
+                                  "--beta-max", "2.947159688973916", "--resolution", "1001",
+                                  "--format", "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "spectrum_singular.json").read_text()
+        rows = json.loads(out)["rows"]
+        assert [i for i, row in enumerate(rows) if row["status"] != "ok"] == [500]
+        assert rows[500]["status"] == ("SingularSystem: pin interaction matrix condition "
+                                       "exceeds 1e+14")
+
     def test_timestamp_header_line(self, capsys):
         argv = ["spectrum", "--stack", "empty", "--alpha0", "0.5",
                 "--beta-min", "2.0", "--beta-max", "2.1", "--resolution", "3"]

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from pinstacks.errors import LightLineProximity
+from pinstacks.errors import LightLineProximity, NonFiniteValue
 from pinstacks.greens import (
     DEFAULT_POLICY,
     SpectralPoint,
@@ -18,9 +19,11 @@ from pinstacks.greens import (
     order_quantities,
     propagating_orders,
 )
+from pinstacks.scattering import PinStack, scan
 from pinstacks.steering import default_bracket
 
 TWO_PI = 2.0 * math.pi
+greens_module = importlib.import_module("pinstacks.greens")
 
 
 def _random_point(rng: np.random.Generator) -> SpectralPoint:
@@ -180,6 +183,30 @@ def test_kernel_guards_real_input_only():
     assert near.tolist() == [True, True]
     values, near = _lattice_sums(0.0, complex(TWO_PI, -1e-3), 0.0, ys, DEFAULT_POLICY)
     assert near.tolist() == [False, False] and np.isfinite(values).all()
+
+
+def test_a_non_finite_sum_fails_only_its_own_point(monkeypatch):
+    # the kernel returns NaN at one beta, for the offsets off the source line
+    bad_beta = 3.2
+    kernel = greens_module._lattice_sums
+
+    def poisoned(alpha0, beta, x, y, policy, n_terms=None):
+        values, near = kernel(alpha0, beta, x, y, policy, n_terms)
+        poison = (np.asarray(beta) == bad_beta) & (np.asarray(y) != 0.0)
+        return np.where(poison, complex(math.nan, 0.0), values), near
+
+    monkeypatch.setattr(greens_module, "_lattice_sums", poisoned)
+    message = "Green's function accumulation not finite at (x=0.0, y=1.0)"
+    betas = [3.0, 3.1, bad_beta, 3.3]
+    pins = np.array(PinStack.pair(1.0).pins)
+    _, errors = _interaction_matrices(np.full(4, 0.5), np.array(betas), pins, DEFAULT_POLICY)
+    assert [type(error).__name__ for error in errors] == [
+        "NoneType", "NoneType", "NonFiniteValue", "NoneType"]
+    assert str(errors[2]) == message
+    records = scan(PinStack.pair(1.0), betas, alpha0=0.5)
+    assert [r.error for r in records] == [None, None, f"NonFiniteValue: {message}", None]
+    with pytest.raises(NonFiniteValue, match=r"not finite at \(x=0\.0, y=1\.0\)"):
+        greens(SpectralPoint(0.5, bad_beta), 0.0, 1.0)
 
 
 def test_window_defaults_follow_evaluation_site():

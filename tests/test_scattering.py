@@ -131,6 +131,73 @@ class TestSingularSystem:
                                        rtol=1e-15)
 
 
+def _conditioned(rng: np.random.Generator, n: int, kappa: float) -> np.ndarray:
+    """A random complex n x n matrix whose 2-norm condition is about kappa (1 at n = 1)."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    return scale * (unitary() * np.geomspace(1.0, 1.0 / kappa, n)) @ unitary()
+
+
+class TestConditionGate:
+    """The condition test fails exactly the systems np.linalg.cond(g) > 1e14 fails."""
+
+    @staticmethod
+    def _coefficients(monkeypatch, matrices, n):
+        # pins and waves of no consequence but the right-hand sides
+        monkeypatch.setattr(scattering, "_interaction_matrices",
+                            lambda alpha0, beta, pins, policy: (matrices, [None] * len(beta)))
+        rng = np.random.default_rng(5)
+        pins = rng.uniform(-1.0, 1.0, size=(n, 2))
+        b = len(matrices)
+        waves = (rng.uniform(-1.0, 1.0, b), np.full(b, 3.0), rng.uniform(1.0, 2.0, b),
+                 rng.normal(size=b) + 1j * rng.normal(size=b), np.full(b, -1.0))
+        alpha0, _, chi0, amplitude, side = waves
+        u = amplitude[:, None] * np.exp(1j * (alpha0[:, None] * pins[:, 0]
+                                              + (side * chi0)[:, None] * pins[:, 1]))
+        coeffs, errors = scattering._coefficients(pins, waves, DEFAULT_POLICY)
+        return coeffs, errors, u
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fails_exactly_the_svd_test_and_keeps_the_solve_bits(self, monkeypatch, n):
+        # kappa_2 spread over 1e12-1e16 covers the band (1e14 / n^2, n 1e14)
+        # where kappa_1 alone cannot decide
+        rng = np.random.default_rng(n)
+        matrices = np.array([_conditioned(rng, n, 10.0 ** rng.uniform(12.0, 16.0))
+                             for _ in range(400)])
+        coeffs, errors, u = self._coefficients(monkeypatch, matrices, n)
+        cond = np.linalg.cond(matrices)
+        failed = np.array([isinstance(e, SingularSystem) for e in errors])
+        assert all(e is None or isinstance(e, SingularSystem) for e in errors)
+        np.testing.assert_array_equal(failed, cond > 1e14)
+        if n > 1:   # both fates, and systems only the SVD could clear
+            assert 0 < failed.sum() < len(failed)
+            assert np.any((np.linalg.cond(matrices, 1) > 1e14 / (2 * n)) & ~failed)
+        kept = ~failed
+        solo = np.linalg.solve(matrices[kept], -u[kept, :, None])[:, :, 0]
+        assert np.array_equal(coeffs[kept], solo)
+        assert (coeffs[failed] == 0.0).all()
+
+    def test_an_exactly_singular_member_fails_alone(self, monkeypatch):
+        # a zero row makes one matrix exactly singular: the stacked solve
+        # refuses the whole stack, and the SVD path decides every system
+        rng = np.random.default_rng(11)
+        kappas = [1.0, 1e3, 2e13, 9e13, 1e8, 5e13]
+        matrices = np.array([_conditioned(rng, 3, kappa) for kappa in kappas])
+        matrices[3, 1] = 0.0
+        clean = np.delete(matrices, 3, axis=0)
+        assert (np.linalg.cond(clean) < 1e14).all()
+        coeffs, errors, u = self._coefficients(monkeypatch, matrices, 3)
+        assert [type(e).__name__ for e in errors] == ["NoneType"] * 3 + ["SingularSystem"] + [
+            "NoneType"] * 2
+        assert (coeffs[3] == 0.0).all()
+        kept = np.delete(np.arange(6), 3)
+        solo = np.linalg.solve(clean, -u[kept, :, None])[:, :, 0]
+        assert np.array_equal(coeffs[kept], solo)
+
+
 def test_pin_stack_geometry():
     t = PinStack.triplet(0.9, 0.25)
     assert t.pins == ((0.0, 0.9), (0.25, 0.0), (0.0, -0.9))
