@@ -184,14 +184,14 @@ class TestConditionGate:
         # a zero row makes one matrix exactly singular: the stacked solve
         # refuses the whole stack, and the SVD path decides every system
         rng = np.random.default_rng(11)
-        kappas = [1.0, 1e3, 2e13, 9e13, 1e8, 5e13]
+        kappas = [1.0, 1e3, 2e13, 1.0, 1e8, 9e13]
         matrices = np.array([_conditioned(rng, 3, kappa) for kappa in kappas])
         matrices[3, 1] = 0.0
         clean = np.delete(matrices, 3, axis=0)
         assert (np.linalg.cond(clean) < 1e14).all()
         coeffs, errors, u = self._coefficients(monkeypatch, matrices, 3)
-        assert [type(e).__name__ for e in errors] == ["NoneType"] * 3 + ["SingularSystem"] + [
-            "NoneType"] * 2
+        names = [type(e).__name__ for e in errors]
+        assert names == ["NoneType"] * 3 + ["SingularSystem"] + ["NoneType"] * 2
         assert (coeffs[3] == 0.0).all()
         kept = np.delete(np.arange(6), 3)
         solo = np.linalg.solve(clean, -u[kept, :, None])[:, :, 0]
