@@ -46,7 +46,7 @@ from .modes import (
     eigensystem,
     locate_crossing,
 )
-from .scattering import PinStack, _alpha0_rule, spectrum_scan
+from .scattering import PinStack, _alpha0_rule, scan, spectrum_scan
 from .steering import steer
 
 TABLE1_ANGLES_DEG = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
@@ -55,6 +55,7 @@ TABLE1_ANGLES_DEG = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
 _STEER_COLUMNS = ["theta_deg", "beta_g", "alpha0_g", "eta_star", "m_eff",
                   "beta_odd", "beta_even", "eta_edit", "xi_edit", "beta_edit",
                   "q_notch", "q_pair", "error"]
+_SPECTRUM_COLUMNS = ["beta", "alpha0", "T", "R", "energy_residual", "status"]
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
@@ -255,6 +256,19 @@ def _build_stack(args: argparse.Namespace) -> PinStack:
     return PinStack.triplet(args.eta, args.xi)
 
 
+def _spectrum_rows(records: list, per_order: bool = False) -> tuple[list[dict], list[str]]:
+    """A scan's rows and columns as spectrum writes them (R_n / T_n with per_order)."""
+    orders = sorted({n for rec in records for n in rec.R_orders}) if per_order else []
+    rows = []
+    for rec in records:
+        row = dict(zip(_SPECTRUM_COLUMNS, (rec.beta, rec.alpha0, rec.T, rec.R,
+                                           rec.energy_residual, rec.error or "ok")))
+        for n in orders:
+            row[f"R_{n}"], row[f"T_{n}"] = rec.R_orders.get(n, ""), rec.T_orders.get(n, "")
+        rows.append(row)
+    return rows, _SPECTRUM_COLUMNS + [f"{side}_{n}" for n in orders for side in ("R", "T")]
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     policy = _policy(args)
     stack = _build_stack(args)
@@ -264,22 +278,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         resolution=args.resolution, policy=policy,
         refine=args.refine, refine_jump=args.refine_jump,
     )
-    orders: set[int] = set()
-    if args.per_order:
-        for rec in records:
-            orders.update(rec.R_orders)
-    order_cols = [f"{side}_{n}" for n in sorted(orders) for side in ("R", "T")]
-    columns = ["beta", "alpha0", "T", "R", "energy_residual", "status"] + order_cols
-    rows = []
-    for rec in records:
-        row = {"beta": rec.beta, "alpha0": rec.alpha0, "T": rec.T, "R": rec.R,
-               "energy_residual": rec.energy_residual,
-               "status": rec.error or "ok"}
-        for n in sorted(orders):
-            row[f"R_{n}"] = rec.R_orders.get(n, "")
-            row[f"T_{n}"] = rec.T_orders.get(n, "")
-        rows.append(row)
-    _emit_rows(rows, columns, args)
+    _emit_rows(*_spectrum_rows(records, args.per_order), args)
     return 0
 
 
@@ -297,16 +296,22 @@ def cmd_steer(args: argparse.Namespace) -> int:
     rows = [{"theta_deg": deg, **{c: getattr(res, c) for c in _STEER_COLUMNS[1:-1]},
              "error": res.error or ""} for deg, res in zip(degrees, results)]
     if args.results_dir is not None:
-        # the notch zoom's final window that steer measured q_notch on; the
-        # table's own config echo re-creates these files
+        # a plain scan of beta_edit +- 12 |Im beta_dark| = 6 beta_edit / q_notch;
+        # the table's own config echo re-creates these files
         results_dir = Path(args.results_dir)
         results_dir.mkdir(parents=True, exist_ok=True)
         for deg, res in zip(degrees, results):
-            if res.notch_records is not None:
-                notch = [{"beta": r.beta, "alpha0": r.alpha0, "T": r.T, "R": r.R}
-                         for r in res.notch_records]
-                (results_dir / f"theta{deg:g}_notch.csv").write_text(
-                    _csv_text(notch, ["beta", "alpha0", "T", "R"], args))
+            if res.q_notch is None:
+                continue
+            name, hw = f"theta{deg:g}_notch.csv", 6.0 * res.beta_edit / res.q_notch
+            betas = np.linspace(res.beta_edit - hw, res.beta_edit + hw, 1001)
+            if np.unique(betas).size < betas.size:
+                print(f"{name} not written: beta_edit +- {hw:.3g} holds fewer than "
+                      f"{betas.size} doubles", file=sys.stderr)
+                continue
+            records = scan(PinStack.triplet(res.eta_edit, res.xi_edit), betas,
+                           theta_i=res.theta_i, policy=policy)
+            (results_dir / name).write_text(_csv_text(*_spectrum_rows(records), args))
     if args.format == "table":
         _emit_table(rows, _STEER_COLUMNS, args)
     else:
@@ -385,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-edit", action="store_true",
                    help="tune the central-grating shift to the EDIT point")
     p.add_argument("--with-q", action="store_true",
-                   help="measure notch and envelope Q factors (implies "
-                        "--with-edit)")
+                   help="read the notch and envelope Q factors off the dark and "
+                        "bright poles (implies --with-edit)")
     p.add_argument("--results-dir",
-                   help="dump each angle's notch scan (--with-q) into this "
-                        "directory")
+                   help="write each angle's 1001-point notch scan (--with-q) "
+                        "into this directory where its points are distinct")
     _add_shared(p, incidence=False, formats=("csv", "json", "table"))
     p.set_defaults(func=cmd_steer)
 

@@ -17,24 +17,23 @@ Resonances are the complex zeros (poles of the response) of the two
 dispersion factors of the mode matrix (the factors of det M, continued to
 complex beta from the lattice sums at modes._factor_offsets).  steer
 polishes the unshifted triplet's even and odd zeros directly from beta_g,
-and those at the EDIT point from beta_edit.  Stage 3 polishes the odd zero
-from beta_g too and continues the even zero in xi, each seed extrapolated
-from the zeros already found; xi_edit is the root, by Brent's method, of
-the gap in their real parts.  The window search (a batched grid of the
-factor's modulus over a beta window, the zero polished from its deepest
-point) serves resonance_beta alone.
-Quality factors are measured on transmission spectra by FWHM, swept with
-scattering's scans (feature_scan zooms on scan columns and makes records of
-its last window only; steer's envelope is a spectrum_scan).  Stages 1 and
-2 are roots of real lattice-sum conditions: one batched grid brackets each
-sign change, and Brent's method
-(_brent_steps, a port of scipy's brentq) refines it to the nearest float on
-the single-point function, whose values equal the batched ones exactly (the
-grid's values serve the bracket's two ends).  With one propagating order
-those roots give R = 1 and T_pair = 1 to rounding, so a root is accepted
-when order 0 alone propagates there (_one_order), with no scattering solve.
-Every other grid (the window search's, each scan) is likewise evaluated in
-one batched call.
+and the even one at the EDIT point from beta_edit.  Stage 3 polishes the
+odd zero from beta_g too and continues the even zero in xi, each seed
+extrapolated from the zeros already found; xi_edit is the root, by Brent's
+method, of the gap in their real parts.  The window search (a batched grid
+of the factor's modulus over a beta window, the zero polished from its
+deepest point) serves resonance_beta alone.  steer reads both Q factors,
+Re beta / 2 |Im beta|, off the poles at the EDIT point (_dark_q); q_factor
+and feature_scan measure Q by FWHM on transmission spectra.  Stages 1 and 2
+are roots of real lattice-sum conditions: one batched grid brackets each
+sign change, and Brent's method (_brent_steps, a port of scipy's brentq)
+refines it to the nearest float on the single-point function, whose values
+equal the batched ones exactly (the grid's values serve the bracket's two
+ends).  With one propagating order those roots give R = 1 and T_pair = 1
+to rounding, so a root is accepted when order 0 alone propagates there
+(_one_order), with no scattering solve.  Every other grid (the window
+search's, each of feature_scan's windows) is likewise evaluated in one
+batched call.
 
 Every search (stages 1-3, the window search and the pole polish) is a
 generator that yields each kernel evaluation it needs (a _Request: the
@@ -42,15 +41,15 @@ builder or the lattice sums, and its inputs as flat columns) and is sent its
 value.  _lockstep advances many of them together, one kernel call per kind
 of request and round on their columns joined, so a lone request is a join
 of one; steer runs each angle's whole chain (_angle_search, from beta_g to
-the FWHM scans of the Q factors, which make no request) that way, and each
-public function runs its one search alone through the same driver (_run).
+the Q factors) that way, and each public function runs its one search alone
+through the same driver (_run).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +68,11 @@ from .greens import (
     _flat,
     _interaction_matrices,
     _lattice_sums,
+    order_quantities,
     propagating_orders,
 )
 from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _triplet_pins
-from .scattering import (
-    PinStack,
-    SpectrumRecord,
-    _alpha0_rule,
-    _records,
-    _scan_columns,
-    spectrum_scan,
-)
+from .scattering import PinStack, SpectrumRecord, _alpha0_rule, _records, _scan_columns
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 # How far a pole polished from a nearby seed (beta_g, beta_edit, or a pole
@@ -111,11 +104,9 @@ class SteeringResult:
     eta_edit: float | None = None    # outer separation of EDIT tuning (slab eta)
     xi_edit: float | None = None
     beta_edit: float | None = None
-    q_notch: float | None = None
-    q_pair: float | None = None
+    q_notch: float | None = None     # Re beta / 2 |Im beta| of the dark (odd) pole at EDIT
+    q_pair: float | None = None      # and of the bright (even) pole
     error: str | None = None
-    # the final window of the notch zoom behind q_notch
-    notch_records: list[SpectrumRecord] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -807,17 +798,15 @@ def steer(
     resonance pair (at eta_star) when with_modes, each pole polished
     directly from beta_g (no window search; Unresolved when rejected); EDIT
     shift tuning when with_edit (find_xi_edit's root on the continued even
-    pole, no window search either); notch and outer-pair Q factors when with_q
-    (implies with_edit), from both poles polished from beta_edit: the darker
-    labels the notch (its zoom's final window is kept as notch_records), 12
-    half-linewidths of the brighter size the envelope scan (Unresolved when
-    either is rejected).  EDIT tuning and its Q factors run at the slab
-    separation eta_edit = slab_guess(beta_g, alpha0_g, m), as in the paper's
-    EDIT construction.  Failures are recorded per angle and do not stop the
-    sweep.  EDIT tuning is skipped at normal incidence (no even/odd merging
-    without a symmetry-breaking lateral shift relative to an oblique wave).
+    pole, no window search either); notch and outer-pair Q factors off the
+    poles, with no scan, when with_q (implies with_edit; Unresolved when the
+    even pole polished from beta_edit is rejected).  EDIT tuning and its Q
+    factors run at the slab separation eta_edit = slab_guess(beta_g,
+    alpha0_g, m), as in the paper's EDIT construction.  Failures are
+    recorded per angle and do not stop the sweep; EDIT tuning is skipped at
+    normal incidence (no even/odd merging without a lateral shift).
 
-    Each angle's whole chain, its FWHM scans included, is one search
+    Each angle's whole chain, its Q factors included, is one search
     (_angle_search) that fills its result, and all angles' run in lockstep
     (_lockstep): each round evaluates every angle's pending step in one
     kernel call per kind, with the same floats as one angle alone.  An
@@ -841,11 +830,9 @@ def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool
 
     beta_g, eta_star and, with_modes, the unshifted pair's poles polished
     from beta_g; with_edit, xi_edit at the slab separation, or at normal
-    incidence the note that EDIT is unsupported there; with_q, the odd and
-    even poles polished from beta_edit, then the notch zoom and the envelope
-    scan (plain scans, run where the search stands: they make no request).
-    The merged resonance is the notch centre, labelled by the darker pole,
-    the one of smaller |Im|.
+    incidence the note that EDIT is unsupported there; with_q, q_pair off the
+    even pole polished from beta_edit, and q_notch off the odd (dark) pole
+    EDIT tuning polished, which xi does not move (_dark_q).
     """
     alpha0_at = _alpha0_rule(res.theta_i, None)
     res.beta_g = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i), policy)
@@ -868,20 +855,27 @@ def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool
     res.xi_edit, res.beta_edit = yield from _edit_search(alpha0_at, res.beta_g, guess, policy)
     if not with_q:
         return
-    poles = {}
-    for kind in ("odd", "even"):
-        poles[kind] = yield from _resolved_pole(kind, res.beta_edit, alpha0_at, res.eta_edit,
-                                                res.xi_edit, policy, _POLE_REACH,
-                                                f"beta_edit = {res.beta_edit:.9g}")
-    dark, bright = sorted(poles, key=lambda k: abs(poles[k].imag))
-    triplet = PinStack.triplet(res.eta_edit, res.xi_edit)
-    res.notch_records = feature_scan(triplet, res.beta_edit, 1e-7, "notch", policy,
-                                     theta_i=res.theta_i)
-    res.q_notch = q_factor(res.notch_records, "notch", kind=dark).q
-    # The broad envelope the notch splits is the outer-pair cavity mode; its
-    # half-linewidth comes from the bright pole.  An even point count keeps
-    # the needle at the window centre from puncturing the envelope samples.
-    hw = 12.0 * abs(poles[bright].imag)
-    env = spectrum_scan(triplet, (res.beta_edit - hw, res.beta_edit + hw),
-                        theta_i=res.theta_i, resolution=2000, policy=policy)
-    res.q_pair = q_factor(env, "peak", kind=bright).q
+    even = yield from _resolved_pole("even", res.beta_edit, alpha0_at, res.eta_edit, res.xi_edit,
+                                     policy, _POLE_REACH, f"beta_edit = {res.beta_edit:.9g}")
+    res.q_notch = yield from _dark_q(res.beta_edit, alpha0_at, res.eta_edit, policy)
+    res.q_pair = even.real / (2.0 * abs(even.imag))
+
+
+def _dark_q(beta, alpha0_at, eta, policy):
+    """beta / 2 |Im beta| of the odd pole at Re beta, as lockstep steps.
+
+    To first order Im beta = -Im f / (d/dbeta) Re f at beta, for the odd
+    factor f = M11 - M13 = G(0, 0) - G(0, 2 eta).  Only the propagating
+    orders' terms of G(0, y) are complex (see _one_order), so Im f = sum
+    sin^2(chi_n eta) / (2 beta^2 chi_n) over them exactly, with no
+    cancellation however near the real axis the pole sits.  The slope is a
+    central difference over beta +- 1e-6 beta, one request.
+    """
+    point, h = SpectralPoint(alpha0_at(beta), beta), 1e-6 * beta
+    chis = [order_quantities(point, n).chi_n.real for n in propagating_orders(point)]
+    im_f = sum(math.sin(chi * eta) ** 2 / (2.0 * beta * beta * chi) for chi in chis)
+    xs, ys = _factor_offsets("odd", StackGeometry(eta=eta, xi=0.0))
+    values, _ = yield from _summed(np.array([[alpha0_at(beta - h)], [alpha0_at(beta + h)]]),
+                                   np.array([[beta - h], [beta + h]]), xs, ys, policy)
+    below, above = (_factor_from("odd", row).real for row in values)
+    return beta * abs(above - below) / (4.0 * h * im_f)

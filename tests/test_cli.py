@@ -9,12 +9,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pinstacks.cli import main
+from pinstacks.cli import TABLE1_ANGLES_DEG, main
 from pinstacks.greens import SpectralPoint, greens
 from pinstacks.modes import StackGeometry, assemble, dispersion_residual
-from pinstacks.scattering import PinStack
+from pinstacks.scattering import PinStack, scan
 
 LIGHT_LINE_BETA = "6.283185307179586"   # 2 pi: order n = -1 on its light line
 DATA = Path(__file__).resolve().parent / "data"
@@ -33,6 +34,18 @@ def _csv_rows(text):
     data = "\n".join(line for line in text.splitlines()
                      if not line.startswith("#"))
     return list(csv.DictReader(io.StringIO(data)))
+
+
+def _counted_scans(monkeypatch) -> list:
+    """The beta windows of every scan the CLI runs."""
+    windows, columns = [], scattering._scan_columns
+
+    def counted(stack, betas, *args):
+        windows.append(betas)
+        return columns(stack, betas, *args)
+
+    monkeypatch.setattr(scattering, "_scan_columns", counted)
+    return windows
 
 
 def _cx(d):
@@ -343,6 +356,18 @@ class TestSteer:
         assert code == 0
         assert out == (DATA / "steer_q.json").read_text()
 
+    def test_with_q_m2_bytes_are_pinned(self, capsys):
+        # steer --table1 --with-q --m 2: both Q factors off the poles at the
+        # second slab separation, where the dark pole's Q reaches ~5e18;
+        # only 0 deg fails, by design
+        code, out = _run(capsys, ["steer", "--table1", "--with-q", "--m", "2", "--format",
+                                  "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "steer_q_m2.json").read_text()
+        errors = {row["theta_deg"]: row["error"] for row in json.loads(out)["rows"]}
+        assert errors == {deg: "EDIT unsupported at normal incidence" if deg == 0.0 else ""
+                          for deg in TABLE1_ANGLES_DEG}
+
     def test_with_edit_bytes_are_pinned(self, capsys):
         # steer --table1 --with-edit as written before the period left the
         # package; row 0 deg carries "EDIT unsupported at normal incidence"
@@ -362,29 +387,40 @@ class TestSteer:
 
     def test_results_dir_writes_the_notch_scan_steer_measured(self, tmp_path, capsys,
                                                              monkeypatch):
-        # the notch zoom runs once per angle, inside steer; the CSV holds
-        # the records of its final window
-        zooms, zoom = [], steering.feature_scan
-
-        def counted(*args, **kwargs):
-            zooms.append(args)
-            return zoom(*args, **kwargs)
-
-        for module in (steering, cli):
-            if hasattr(module, "feature_scan"):
-                monkeypatch.setattr(module, "feature_scan", counted)
+        # one plain 1001-point scan per angle of beta_edit +- 12 |Im beta_dark|,
+        # with |Im beta_dark| = beta_edit / 2 q_notch, written as spectrum
+        # writes a scan
+        windows = _counted_scans(monkeypatch)
         code, out = _run(capsys, ["steer", "--theta", "60", "--with-q", "--format", "json",
                                   "--no-timestamp", "--results-dir", str(tmp_path)])
-        assert code == 0 and len(zooms) == 1
+        assert code == 0 and len(windows) == 1
         row, = json.loads(out)["rows"]
         monkeypatch.undo()
-        records = zoom(PinStack.triplet(row["eta_edit"], row["xi_edit"]), row["beta_edit"],
-                       1e-7, "notch", theta_i=math.radians(60.0))
+        hw = 6.0 * row["beta_edit"] / row["q_notch"]
+        records = scan(PinStack.triplet(row["eta_edit"], row["xi_edit"]),
+                       np.linspace(row["beta_edit"] - hw, row["beta_edit"] + hw, 1001),
+                       theta_i=math.radians(60.0))
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["beta", "alpha0", "T", "R"])
-        writer.writerows([r.beta, r.alpha0, r.T, r.R] for r in records)
+        writer.writerow(["beta", "alpha0", "T", "R", "energy_residual", "status"])
+        writer.writerows([r.beta, r.alpha0, r.T, r.R, r.energy_residual, r.error or "ok"]
+                         for r in records)
         assert (tmp_path / "theta60_notch.csv").read_text() == expected.getvalue()
+        assert len({r.beta for r in records}) == 1001
+
+    def test_results_dir_skips_a_notch_narrower_than_doubles(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # m = 2 at 60 deg: |Im beta_dark| ~ 3e-19, far below the spacing of
+        # doubles near beta (~4e-16), so no scan is run and no file written
+        windows = _counted_scans(monkeypatch)
+        code = main(["steer", "--theta", "60", "--with-q", "--m", "2", "--format", "json",
+                     "--no-timestamp", "--results-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and windows == []
+        row, = json.loads(captured.out)["rows"]
+        assert row["error"] == "" and row["q_notch"] > 1e18
+        assert list(tmp_path.iterdir()) == []
+        assert captured.err.startswith("theta60_notch.csv not written: beta_edit +- ")
 
     def test_results_dir_holds_the_notch_scans_alone(self, tmp_path, capsys):
         # only --out echoes a config: an echo beside a notch scan would

@@ -17,7 +17,7 @@ from pinstacks.errors import (
     NoUnityTransmittance,
     Unresolved,
 )
-from pinstacks.greens import DEFAULT_POLICY, SpectralPoint
+from pinstacks.greens import DEFAULT_POLICY, SpectralPoint, greens, propagating_orders
 from pinstacks.scattering import (
     IncidentWave,
     PinStack,
@@ -854,7 +854,7 @@ def test_edit_lockstep_equals_one_angle_at_a_time(oblique_edit):
 
 
 def test_q_lockstep_equals_one_angle_at_a_time():
-    # the poles at beta_edit join the lockstep; the Q scans run per angle
+    # the even pole at beta_edit and the dark pole's slope join the lockstep
     thetas = [math.radians(30.0), math.radians(60.0)]
     together = steer(thetas, with_q=True)
     assert all(res.error is None and res.q_notch is not None for res in together)
@@ -893,21 +893,107 @@ def test_edit_without_modes_polishes_no_pair(oblique_edit):
     assert (res.xi_edit, res.beta_edit) == (full.xi_edit, full.beta_edit)
 
 
-def test_a_failed_q_scan_fails_its_own_angle(monkeypatch):
-    # the FWHM scans run inside each angle's search: an exception there is
-    # that angle's error, and the other angle's result is its lone run's
+def test_a_failed_q_pole_fails_its_own_angle(monkeypatch):
+    # the Q stage polishes the even pole from beta_edit inside each angle's
+    # search: an exception there is that angle's error, and the other
+    # angle's result is its lone run's
     thirty, sixty = math.radians(30.0), math.radians(60.0)
     alone, = steer([sixty], with_q=True)
-    zoom = steering.feature_scan
+    search = steering._pole_search
 
-    def failing(*args, **kwargs):
-        if kwargs["theta_i"] == thirty:
+    def failing(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
+        # EDIT tuning seeds its even polishes from complex poles, the Q
+        # stage from the real beta_edit
+        if (kind == "even" and xi != 0.0 and not isinstance(beta0, complex)
+                and alpha0_at(1.0) == math.sin(thirty)):
             raise ArithmeticError("injected failure")
-        return zoom(*args, **kwargs)
+        return (yield from search(kind, beta0, alpha0_at, eta, xi, policy, max_shift))
 
-    monkeypatch.setattr(steering, "feature_scan", failing)
+    monkeypatch.setattr(steering, "_pole_search", failing)
     bad, good = steer([thirty, sixty], with_q=True)
     assert bad.error == "ArithmeticError: injected failure"
     assert bad.beta_edit is not None
-    assert bad.q_notch is None and bad.q_pair is None and bad.notch_records is None
+    assert bad.q_notch is None and bad.q_pair is None
     assert good == alone
+
+
+def test_steer_runs_no_scan(monkeypatch):
+    # both Q factors come off the poles: no scattering solve, and no scan
+    columns = _counted(monkeypatch, "_scan_columns", scattering)
+    monkeypatch.setattr(steering, "_scan_columns", scattering._scan_columns)
+    solves = _counted(monkeypatch, "_scatter_all", scattering)
+    res, = steer([math.radians(60.0)], with_q=True)
+    assert res.error is None and res.q_notch is not None
+    assert columns == [] and solves == []
+
+
+_DEGREES = range(1, 61)
+
+
+@pytest.fixture(scope="module")
+def q_sweep():
+    """steer with_q at every integer degree 1-60 for m = 1 and 2, and beside each row
+    its odd pole polished from beta_g (EDIT tuning's) and even pole from beta_edit."""
+    sweep = {}
+    for m in (1, 2):
+        results = steer([math.radians(d) for d in _DEGREES], m=m, with_q=True)
+        assert all(res.error is None for res in results), m
+        polishes = [steering._resolved_pole(kind, seed, scattering._alpha0_rule(res.theta_i, None),
+                                            res.eta_edit, xi, DEFAULT_POLICY,
+                                            steering._POLE_REACH, kind)
+                    for res in results for kind, seed, xi in (("odd", res.beta_g, 0.0),
+                                                              ("even", res.beta_edit, res.xi_edit))]
+        poles = steering._lockstep(polishes)
+        sweep[m] = list(zip(_DEGREES, results, poles[0::2], poles[1::2]))
+    return sweep
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_q_stage_reads_both_poles_at_every_integer_degree(q_sweep, m):
+    # the odd pole EDIT tuning polished is the one at beta_edit, and the dark
+    # one; q_pair is the stage's even pole's Re beta / 2 |Im beta|
+    for deg, res, odd, even in q_sweep[m]:
+        assert odd.real == res.beta_edit, f"{deg} deg"
+        assert abs(odd.imag) < abs(even.imag), f"{deg} deg"
+        assert res.q_pair == even.real / (2.0 * abs(even.imag)), f"{deg} deg"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_q_matches_the_polished_dark_pole(q_sweep, m):
+    # wherever |Im beta| >= 1e-12 (every angle at m = 1, 1-40 deg at m = 2;
+    # past 48 deg at m = 2 it sinks to the rounding of beta), the closed
+    # form agrees with the polished pole to 1e-4 (measured 2.5e-5)
+    checked = 0
+    for deg, res, odd, _ in q_sweep[m]:
+        if abs(odd.imag) >= 1e-12:
+            checked += 1
+            q_pole = odd.real / (2.0 * abs(odd.imag))
+            assert res.q_notch == pytest.approx(q_pole, rel=1e-4), f"{deg} deg"
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_notch_q_follows_the_high_reflectance_law(q_sweep, m):
+    # EDIT runs where sin(chi_0 eta) vanishes at beta_g, so the dark pole's Q
+    # grows like (beta_edit - beta_g)^-2: the paper's high-reflectance
+    # strategy, and the quasi-bound-state law (measured 0.84-5.01)
+    for deg, res, _, _ in q_sweep[m]:
+        assert 0.5 <= res.q_notch * (res.beta_edit - res.beta_g) ** 2 <= 10.0, f"{deg} deg"
+
+
+def test_dark_q_sums_every_propagating_order():
+    # at (alpha0, beta) = (2.5, 4.0) orders 0 and -1 propagate; the closed
+    # form's Im f must then equal Im (G(0, 0) - G(0, 2 eta)) itself, which
+    # at eta = 0.37 suffers no cancellation
+    beta, eta, h = 4.0, 0.37, 4e-6
+    rule = scattering._alpha0_rule(None, 2.5)
+    assert len(propagating_orders(SpectralPoint(2.5, beta))) == 2
+
+    def f(b):
+        point = SpectralPoint(2.5, b)
+        return greens(point, 0.0, 0.0) - greens(point, 0.0, 2.0 * eta)
+
+    slope = (f(beta + h).real - f(beta - h).real) / (2.0 * h)
+    expected = beta / (2.0 * abs(f(beta).imag / slope))
+    assert steering._run(steering._dark_q(beta, rule, eta, DEFAULT_POLICY)) == pytest.approx(
+        expected, rel=1e-9)
