@@ -804,7 +804,7 @@ def steer(
     factors run at the slab separation eta_edit = slab_guess(beta_g,
     alpha0_g, m), as in the paper's EDIT construction.  Failures are
     recorded per angle and do not stop the sweep; EDIT tuning is skipped at
-    normal incidence (no even/odd merging without a lateral shift).
+    normal incidence (the merge needs a lateral shift under an oblique wave).
 
     Each angle's whole chain, its Q factors included, is one search
     (_angle_search) that fills its result, and all angles' run in lockstep
