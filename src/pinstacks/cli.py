@@ -290,6 +290,8 @@ def cmd_steer(args: argparse.Namespace) -> int:
         degrees = args.theta
     else:
         raise DomainError("give at least one --theta angle or --table1")
+    if args.results_dir is not None and not args.with_q:
+        raise DomainError("--results-dir holds the --with-q notch scans: give --with-q")
     radians = [math.radians(t) for t in degrees]
     results = steer(radians, policy, m=args.m, with_modes=not args.no_modes,
                     with_edit=args.with_edit, with_q=args.with_q)
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read the notch and envelope Q factors off the dark and "
                         "bright poles (implies --with-edit)")
     p.add_argument("--results-dir",
-                   help="write each angle's 1001-point notch scan (--with-q) "
+                   help="write each angle's 1001-point notch scan (needs --with-q) "
                         "into this directory where its points are distinct")
     _add_shared(p, incidence=False, formats=("csv", "json", "table"))
     p.set_defaults(func=cmd_steer)

@@ -533,7 +533,8 @@ def spectrum_scan(
     A uniform grid of resolution points over beta_range goes through scan,
     with the incidence as there.  With refine=True, intervals where
     |Delta T| > refine_jump are bisected until the jump falls below the
-    threshold or the beta step reaches 1e-12, up to 200,000 points.
+    threshold or the beta step reaches 1e-12, up to 200,000 points: in
+    rounds, one scan per round, the last round keeping its lowest midpoints.
     Raises ValueError, before any evaluation, unless hi > lo, resolution
     >= 2 and, with refine, refine_jump > 0.
     """
@@ -547,23 +548,15 @@ def spectrum_scan(
         raise ValueError(f"refine_jump must be positive, got {refine_jump}")
     betas = np.linspace(lo, hi, resolution)
     records = {r.beta: r for r in scan(stack, betas, **opts)}
-    if refine:
-        work = [(float(betas[i]), float(betas[i + 1]))
-                for i in range(len(betas) - 1)]
-        while work and len(records) < _MAX_POINTS:
-            b_lo, b_hi = work.pop()
-            if b_hi - b_lo <= 2.0 * _MIN_STEP:
-                continue
-            t_lo, t_hi = records[b_lo].T, records[b_hi].T
-            if math.isnan(t_lo) or math.isnan(t_hi):
-                continue
-            if abs(t_hi - t_lo) <= refine_jump:
-                continue
-            mid = 0.5 * (b_lo + b_hi)
-            if mid not in records:
-                records[mid], = scan(stack, [mid], **opts)
-            work.append((b_lo, mid))
-            work.append((mid, b_hi))
+    while refine:
+        done = sorted(records)
+        mids = [0.5 * (b_lo + b_hi) for b_lo, b_hi in zip(done, done[1:])
+                if b_hi - b_lo > 2.0 * _MIN_STEP
+                and abs(records[b_hi].T - records[b_lo].T) > refine_jump]   # NaN fails
+        mids = mids[:_MAX_POINTS - len(records)]
+        if not mids:
+            break
+        records.update((r.beta, r) for r in scan(stack, mids, **opts))
     return [records[b] for b in sorted(records)]
 
 

@@ -72,7 +72,8 @@ from .greens import (
     propagating_orders,
 )
 from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _triplet_pins
-from .scattering import PinStack, SpectrumRecord, _alpha0_rule, _records, _scan_columns
+from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, _angle_error, _records,
+                         _scan_columns)
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 # How far a pole polished from a nearby seed (beta_g, beta_edit, or a pole
@@ -134,8 +135,9 @@ def default_bracket(theta_i: float | None = None,
     """
     _alpha0_rule(theta_i, alpha0)  # exactly one incidence
     if theta_i is not None:
-        if not abs(theta_i) < math.pi / 2:
-            raise DomainError(f"theta_i must be in (-pi/2, pi/2), got {theta_i}")
+        error = _angle_error(theta_i)
+        if error is not None:
+            raise error
         limit = TWO_PI / (1.0 + abs(math.sin(theta_i)))
         return 0.55 * limit, 0.99 * limit
     limit = TWO_PI - abs(alpha0)

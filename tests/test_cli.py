@@ -235,6 +235,27 @@ class TestSpectrum:
         assert sum(row["status"].startswith("DomainError") for row in rows) == 11
         assert sum(row["R_-1"] != "" for row in rows) > 0
 
+    def test_refined_spectrum_bytes_are_pinned(self, capsys):
+        # the 30-degree triplet refined by bisection: 13 midpoints beside the
+        # 401 grid points, as written when each midpoint had a scan of its own
+        code, out = _run(capsys, ["spectrum", "--stack", "triplet", "--eta", "1.0", "--xi",
+                                  "0.252", "--theta", "30", "--beta-min", "3.3",
+                                  "--beta-max", "3.9", "--resolution", "401", "--refine",
+                                  "--format", "json", "--no-timestamp"])
+        assert code == 0
+        assert out == (DATA / "spectrum_refine.json").read_text()
+        assert len(json.loads(out)["rows"]) == 414
+
+    def test_pair_stack_rows_are_its_scan(self, capsys):
+        code, out = _run(capsys, ["spectrum", "--stack", "pair", "--eta", "1.0", "--theta", "30",
+                                  "--beta-min", "3.3", "--beta-max", "3.9", "--resolution", "7",
+                                  "--format", "json", "--no-timestamp"])
+        assert code == 0
+        records = scan(PinStack.pair(1.0), np.linspace(3.3, 3.9, 7), theta_i=math.radians(30.0))
+        assert json.loads(out)["rows"] == [
+            {"beta": r.beta, "alpha0": r.alpha0, "T": r.T, "R": r.R,
+             "energy_residual": r.energy_residual, "status": r.error or "ok"} for r in records]
+
     def test_mirrored_pair_spectrum_bytes_are_pinned(self, capsys):
         # the shifted triplet's entries G(xi, eta) and G(-xi, eta) at
         # negative alpha0, over a band where up to three orders propagate,
@@ -421,6 +442,19 @@ class TestSteer:
         assert row["error"] == "" and row["q_notch"] > 1e18
         assert list(tmp_path.iterdir()) == []
         assert captured.err.startswith("theta60_notch.csv not written: beta_edit +- ")
+
+    def test_results_dir_without_q_is_refused_before_any_evaluation(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # the notch scans need the Q factors: without --with-q the directory
+        # would stay empty
+        calls = []
+        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: calls.append(args))
+        code = main(["steer", "--theta", "30", "--no-timestamp",
+                     "--results-dir", str(tmp_path / "rd")])
+        captured = capsys.readouterr()
+        assert code == 2 and calls == []
+        assert captured.out == "" and "--with-q" in captured.err
+        assert not (tmp_path / "rd").exists()
 
     def test_results_dir_holds_the_notch_scans_alone(self, tmp_path, capsys):
         # only --out echoes a config: an echo beside a notch scan would

@@ -25,6 +25,8 @@ from pinstacks.scattering import (
 )
 
 TWO_PI = 2.0 * math.pi
+THETA_30 = math.radians(30.0)
+SCAN30 = PinStack.triplet(1.0, 0.252)   # the 30-degree triplet of the CLI scans
 
 
 def _random_incidence(rng: np.random.Generator) -> IncidentWave:
@@ -335,6 +337,47 @@ def test_scan_records_scatter_at_each_beta_in_order():
         assert rec == scatter(stack, IncidentWave.from_alpha0(2.1, rec.beta))
 
 
+def _bisect_point_by_point(stack, beta_range, resolution, refine_jump, **opts):
+    """spectrum_scan's refinement as a depth-first work list, one scan per midpoint."""
+    betas = np.linspace(*beta_range, resolution)
+    records = {r.beta: r for r in scan(stack, betas, **opts)}
+    work = list(zip(betas.tolist(), betas[1:].tolist()))
+    while work and len(records) < scattering._MAX_POINTS:
+        b_lo, b_hi = work.pop()
+        t_lo, t_hi = records[b_lo].T, records[b_hi].T
+        if (b_hi - b_lo <= 2.0 * scattering._MIN_STEP or math.isnan(t_lo)
+                or math.isnan(t_hi) or abs(t_hi - t_lo) <= refine_jump):
+            continue
+        mid = 0.5 * (b_lo + b_hi)
+        if mid not in records:
+            records[mid], = scan(stack, [mid], **opts)
+        work += [(b_lo, mid), (mid, b_hi)]
+    return [records[b] for b in sorted(records)]
+
+
+def _scanned_rounds(monkeypatch) -> list:
+    """The betas of each scan spectrum_scan runs: the grid, then one round each."""
+    rounds, real_scan = [], scattering.scan
+
+    def counted(stack, betas, **opts):
+        rounds.append(list(betas))
+        return real_scan(stack, betas, **opts)
+
+    monkeypatch.setattr(scattering, "scan", counted)
+    return rounds
+
+
+def _split_intervals(rounds: list) -> list:
+    """Each midpoint's interval: its neighbours among the points of earlier rounds."""
+    seen, intervals = sorted(rounds[0]), []
+    for mids in rounds[1:]:
+        for mid in mids:
+            i = int(np.searchsorted(seen, mid))
+            intervals.append((seen[i - 1], seen[i]))
+        seen = sorted(seen + mids)
+    return intervals
+
+
 class TestSpectrumScan:
     def test_single_grating_matches_reflectance(self):
         records = spectrum_scan(PinStack.single(), (3.0, 3.2), alpha0=0.9,
@@ -372,6 +415,63 @@ class TestSpectrumScan:
         assert len(refined) > len(coarse)
         t = np.array([r.T for r in refined])
         assert np.max(np.abs(np.diff(t))) <= 0.1
+
+    def test_refinement_agrees_with_point_by_point_bisection(self):
+        # each split depends only on the T values at its two ends, and a
+        # record does not depend on its batch: rounds give the same records
+        expected = _bisect_point_by_point(SCAN30, (3.6, 3.63), 21, 0.01, theta_i=THETA_30)
+        records = spectrum_scan(SCAN30, (3.6, 3.63), theta_i=THETA_30, resolution=21,
+                                refine=True, refine_jump=0.01)
+        assert len(records) == 269
+        assert records == expected
+
+    def test_refinement_inserts_no_point_beside_a_failed_point(self):
+        # the range of spectrum_alpha0.json: below beta = 2.1 the first 11
+        # grid points have no incident wave, and a NaN T splits nothing
+        grid = np.linspace(2.0, 4.3, 231).tolist()
+        records = spectrum_scan(SCAN30, (2.0, 4.3), alpha0=2.1, resolution=231, refine=True)
+        betas = [r.beta for r in records]
+        assert betas == [r.beta for r in _bisect_point_by_point(SCAN30, (2.0, 4.3), 231, 0.1,
+                                                                 alpha0=2.1)]
+        failed = [i for i, r in enumerate(records) if r.error is not None]
+        assert failed == list(range(11)) and len(records) > len(grid)
+        assert betas[:12] == grid[:12]
+
+    def test_refinement_splits_no_interval_of_two_min_steps(self, monkeypatch):
+        # with _MIN_STEP = 1e-3 the 2.5e-3 intervals still split, their
+        # 1.25e-3 halves no longer, though T still jumps across some
+        monkeypatch.setattr(scattering, "_MIN_STEP", 1e-3)
+        rounds = _scanned_rounds(monkeypatch)
+        records = spectrum_scan(SCAN30, (3.6, 3.63), theta_i=THETA_30, resolution=4,
+                                refine=True, refine_jump=0.01)
+        widths = [b_hi - b_lo for b_lo, b_hi in _split_intervals(rounds)]
+        assert len(records) == 4 + len(widths)
+        assert min(widths) == pytest.approx(2.5e-3) and min(widths) > 2e-3
+        assert np.max(np.abs(np.diff([r.T for r in records]))) > 0.01
+
+    def test_refinement_fills_the_point_cap_breadth_first(self, monkeypatch):
+        # the cap takes the lowest midpoints of the first round, each
+        # halfway between two neighbouring grid points
+        monkeypatch.setattr(scattering, "_MAX_POINTS", 405)
+        grid = set(np.linspace(3.3, 3.9, 401).tolist())
+        records = spectrum_scan(SCAN30, (3.3, 3.9), theta_i=THETA_30, refine=True)
+        betas = [r.beta for r in records]
+        assert len(betas) == 405 and betas == sorted(betas)
+        assert grid <= set(betas)
+        inserted = [i for i, beta in enumerate(betas) if beta not in grid]
+        assert all(betas[i - 1] in grid and betas[i + 1] in grid for i in inserted)
+
+    def test_refinement_scans_once_per_round(self, monkeypatch):
+        # the 401-point grid, then the 6 and 7 midpoints of two rounds
+        calls, columns = [], scattering._scan_columns
+
+        def counted(stack, betas, *args):
+            calls.append(len(betas))
+            return columns(stack, betas, *args)
+
+        monkeypatch.setattr(scattering, "_scan_columns", counted)
+        records = spectrum_scan(SCAN30, (3.3, 3.9), theta_i=THETA_30, refine=True)
+        assert calls == [401, 6, 7] and len(records) == 414
 
     @pytest.mark.parametrize("options", [
         {"resolution": 1},
