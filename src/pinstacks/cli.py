@@ -15,8 +15,9 @@ line are in degrees.  Single-point diagnostics print JSON; scans print CSV
 (``--format json`` switches to a JSON row list).  With ``--out`` the result
 goes to that file and the exact parsed parameters are echoed alongside it as
 ``<out>.config.json``; ``--config`` re-runs such an echo, reproducing the
-output.  Outputs are deterministic; the timestamp header is suppressed by
-``--no-timestamp``.
+output (an option the echo lacks takes its default).  Outputs are
+deterministic; the timestamp header is suppressed by ``--no-timestamp``.
+JSON outputs are byte for byte ``json.dumps(payload, indent=2)``.
 
 Exit codes: 0 success, 2 numeric-domain error or invalid parameter (light
 lines, invalid geometry, any ValueError), 3 search failure (optimization or
@@ -114,13 +115,34 @@ def _csv_text(rows: list[dict], columns: list[str], args: argparse.Namespace,
     return buf.getvalue()
 
 
+def _json_text(rows: list[dict], args: argparse.Namespace,
+               trailer: str | None = None) -> str:
+    """``json.dumps(payload, indent=2)`` of {"generated", "rows", "note"}, byte for byte.
+
+    ``indent`` selects the pure-Python encoder.  Rows that are non-empty
+    dicts of scalars go through the C one in a single call instead: its item
+    separator carries the newline and indent of depth 3, and since no JSON
+    string holds a raw newline, ``"},\\n      {"`` occurs only between two
+    rows, where the indented close and open replace it.  Any other rows take
+    ``json.dumps`` and are re-indented by one level.  One join builds the
+    text: chained concatenation would hold more copies of it at once.
+    """
+    types = {type(v) for row in rows for v in row.values()}
+    if rows and all(rows) and not any(issubclass(t, (dict, list, tuple)) for t in types):
+        text = json.JSONEncoder(separators=(",\n      ", ": ")).encode(rows).replace(
+            "},\n      {", "\n    },\n    {\n      ")
+        pieces = ["[\n    {\n      ", text[2:-2], "\n    }\n  ]"]
+    else:
+        pieces = [json.dumps(rows, indent=2).replace("\n", "\n  ")]
+    head = "{\n" if args.no_timestamp else f'{{\n  "generated": {json.dumps(_timestamp())},\n'
+    tail = f',\n  "note": {json.dumps(trailer)}\n}}\n' if trailer else "\n}\n"
+    return "".join([head, '  "rows": ', *pieces, tail])
+
+
 def _emit_rows(rows: list[dict], columns: list[str], args: argparse.Namespace,
                trailer: str | None = None) -> None:
     if args.format == "json":
-        payload = {"rows": rows}
-        if trailer:
-            payload["note"] = trailer
-        _emit_json(payload, args)
+        _emit(_json_text(rows, args, trailer), args)
         return
     _emit(_csv_text(rows, columns, args, trailer), args)
 
@@ -412,13 +434,23 @@ def _namespace_from_config(path: str,
         params = saved["args"]
     except (KeyError, TypeError):
         parser.error(f"{path} is not a config echo")
-    funcs = {"greens": cmd_greens, "matrix": cmd_matrix,
-             "dispersion-grid": cmd_dispersion_grid,
-             "spectrum": cmd_spectrum, "steer": cmd_steer}
-    if subcommand not in funcs:
+    if not isinstance(params, dict):
+        parser.error(f"{path} is not a config echo")
+    subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+    if subcommand not in subparsers:
         parser.error(f"unknown subcommand {subcommand!r} in {path}")
+    # an echo written before an option existed replays with its default
+    sub = subparsers[subcommand]
+    options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+    for key in params:
+        if key not in options:
+            parser.error(f"unknown option {key!r} for {subcommand} in {path}")
+    for dest, action in options.items():
+        if action.required and dest not in params:
+            parser.error(f"{path} gives no {'/'.join(action.option_strings)}")
+    values = {dest: sub.get_default(dest) for dest in options} | params
     return argparse.Namespace(config=None, subcommand=subcommand,
-                              func=funcs[subcommand], **params)
+                              func=sub.get_default("func"), **values)
 
 
 def main(argv: list[str] | None = None) -> int:

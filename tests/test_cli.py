@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import io
@@ -152,6 +153,18 @@ class TestDispersionGrid:
         assert 1.55 < float(fields["alpha0"]) < 1.75
         assert 3.55 < float(fields["beta"]) < 3.65
 
+    def test_crossing_note_is_json_dumps_byte_for_byte(self, capsys):
+        code, out = _run(capsys, [
+            "dispersion-grid", "--alpha0-min", "1.55", "--alpha0-max", "1.75",
+            "--alpha0-steps", "9", "--beta-min", "3.55", "--beta-max", "3.65",
+            "--beta-steps", "9", "--eta", "1.0", "--crossing", "--format", "json",
+            "--no-timestamp"])
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["rows", "note"] and len(payload["rows"]) == 81
+        assert payload["note"].startswith("crossing alpha0=")
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 class TestSpectrum:
     def test_empty_stack_rows(self, capsys):
@@ -292,6 +305,16 @@ class TestSpectrum:
         _, out = _run(capsys, argv)
         assert out.splitlines()[0].startswith("# generated ")
 
+    def test_timestamped_json_is_json_dumps_byte_for_byte(self, capsys):
+        code, out = _run(capsys, ["spectrum", "--stack", "triplet", "--eta", "1.0", "--xi",
+                                  "0.252", "--theta", "30", "--beta-min", "3.3",
+                                  "--beta-max", "3.9", "--resolution", "21", "--per-order",
+                                  "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["generated", "rows"] and len(payload["rows"]) == 21
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 class TestConfigEcho:
     def test_out_writes_data_and_config(self, tmp_path, capsys):
@@ -326,6 +349,93 @@ class TestConfigEcho:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(bogus)])
         assert exc.value.code == 2
+
+    @staticmethod
+    def _echo(tmp_path, capsys) -> tuple[Path, bytes, dict]:
+        out_file = tmp_path / "scan.json"
+        code, _ = _run(capsys, [
+            "spectrum", "--stack", "single", "--alpha0", "0.5",
+            "--beta-min", "3.0", "--beta-max", "3.1", "--resolution", "3",
+            "--format", "json", "--no-timestamp", "--out", str(out_file)])
+        assert code == 0
+        snapshot = out_file.read_bytes()
+        out_file.unlink()
+        echo_file = Path(str(out_file) + ".config.json")
+        return out_file, snapshot, json.loads(echo_file.read_text())
+
+    def test_echo_without_a_later_option_replays_with_its_default(self, tmp_path, capsys):
+        # an echo written before --per-order existed
+        out_file, snapshot, echo = self._echo(tmp_path, capsys)
+        assert echo["args"].pop("per_order") is False
+        old = tmp_path / "old.config.json"
+        old.write_text(json.dumps(echo))
+        code, _ = _run(capsys, ["--config", str(old)])
+        assert code == 0
+        assert out_file.read_bytes() == snapshot
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("func", "cmd_spectrum", "unknown option 'func'"),
+        ("config", None, "unknown option 'config'"),
+        ("per_orders", True, "unknown option 'per_orders'"),
+        ("beta_min", None, "gives no --beta-min"),
+    ], ids=["func", "config", "unknown", "required"])
+    def test_refuses_an_echo_it_cannot_replay_before_any_evaluation(
+            self, tmp_path, capsys, monkeypatch, key, value, message):
+        _, _, echo = self._echo(tmp_path, capsys)
+        if key in echo["args"]:
+            del echo["args"][key]       # a required option gone
+        else:
+            echo["args"][key] = value
+        bad = tmp_path / "bad.config.json"
+        bad.write_text(json.dumps(echo))
+        windows = _counted_scans(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert windows == []
+
+
+# rows as the CLI writes them, and the values a JSON writer can get wrong
+_JSON_ROWS = {
+    "scan": [
+        {"beta": 3.3, "alpha0": -0.0, "T": float("nan"), "R": float("inf"),
+         "energy_residual": 1e-300, "status": "ok"},
+        {"beta": 3.4, "alpha0": 1.7, "T": -float("inf"), "R": 5e-324,
+         "energy_residual": 0.0, "status": 'SingularSystem: "cond" \\ 1e+14'},
+        {"beta": 3.5, "}, {": "}", "status": "},\n      {"},
+    ],
+    "per-order": [
+        {"beta": 2.0, "status": "DomainError: no incident wave", "R_-1": "", "T_-1": "",
+         "R_0": 0.25, "T_0": 0.75},
+        {"beta": 4.3, "status": "ok", "R_-1": 1e-17, "T_-1": -2.5e-300, "R_0": 1.0, "T_0": 0},
+    ],
+    "steer": [
+        {"theta_deg": 0.0, "m_eff": 1, "beta_edit": None, "q_notch": 10**20,
+         "flag": True, "other": False, "error": "tab\there, bell \x07, nul \x00, del \x7f"},
+        {"theta_deg": -30.0, "m_eff": -2, "beta_edit": 2.9471596869739156,
+         "error": "non-ASCII: \u03b2 \u2248 \u221e \U0001f600 \u00e9"},
+    ],
+    "no rows": [],
+    "an empty row": [{}, {"beta": 1.0}],
+    "a row holding a list": [{"beta": 1.0, "orders": [1, 2.5, None, {"n": -1}], "status": "ok"},
+                             {"beta": 2.0, "orders": [], "status": "ok"}],
+}
+
+
+@pytest.mark.parametrize("note", [None, "crossing alpha0=1.55 \"\u03b2\" \\ \x07"],
+                         ids=["no note", "note"])
+@pytest.mark.parametrize("generated", [False, True], ids=["untimed", "generated"])
+@pytest.mark.parametrize("case", list(_JSON_ROWS))
+def test_json_rows_are_json_dumps_byte_for_byte(monkeypatch, case, generated, note):
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2026-01-02T03:04:05Z")
+    rows = _JSON_ROWS[case]
+    payload = {"generated": "2026-01-02T03:04:05Z"} if generated else {}
+    payload["rows"] = rows
+    if note:
+        payload["note"] = note
+    text = cli._json_text(rows, argparse.Namespace(no_timestamp=not generated), note)
+    assert text == json.dumps(payload, indent=2) + "\n"
 
 
 class TestSteer:
