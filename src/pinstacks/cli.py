@@ -15,7 +15,9 @@ line are in degrees.  Single-point diagnostics print JSON; scans print CSV
 (``--format json`` switches to a JSON row list).  With ``--out`` the result
 goes to that file and the exact parsed parameters are echoed alongside it as
 ``<out>.config.json``; ``--config`` re-runs such an echo, reproducing the
-output (an option the echo lacks takes its default).  Outputs are
+output (an option the echo lacks takes its default; a value that no command
+line gives, such as a string for an int or a stack not among the choices, is
+refused with exit 2 before any evaluation).  Outputs are
 deterministic; the timestamp header is suppressed by ``--no-timestamp``.
 JSON outputs are byte for byte ``json.dumps(payload, indent=2)``.
 
@@ -425,6 +427,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replayed(value, action: argparse.Action):
+    """value as its option parses it; ValueError if no command line gives it."""
+    if value is None and action.default is None and not action.required:
+        return None
+    if action.nargs == 0:                       # a flag
+        if isinstance(value, bool):
+            return value
+        raise ValueError
+    items = value if action.nargs == "+" else [value]
+    if not isinstance(items, list) or not items:
+        raise ValueError
+    kind = action.type or str
+    parsed = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (int, float) if kind is float else kind):
+            raise ValueError
+        parsed.append(kind(item))
+        if action.choices is not None and parsed[-1] not in action.choices:
+            raise ValueError
+    return parsed if action.nargs == "+" else parsed[0]
+
+
 def _namespace_from_config(path: str,
                            parser: argparse.ArgumentParser) -> argparse.Namespace:
     with open(path) as f:
@@ -442,9 +466,13 @@ def _namespace_from_config(path: str,
     # an echo written before an option existed replays with its default
     sub = subparsers[subcommand]
     options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
-    for key in params:
+    for key, value in params.items():
         if key not in options:
             parser.error(f"unknown option {key!r} for {subcommand} in {path}")
+        try:
+            params[key] = _replayed(value, options[key])
+        except (ValueError, OverflowError):      # float(10**400) overflows
+            parser.error(f"invalid value {value!r} for {key!r} in {path}")
     for dest, action in options.items():
         if action.required and dest not in params:
             parser.error(f"{path} gives no {'/'.join(action.option_strings)}")

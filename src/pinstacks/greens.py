@@ -45,25 +45,33 @@ caller computes a window or can pass one that breaks the rule.  Each
 point's order quantities (alpha_n, the chi_n branch, tau_n, the light-line
 mask) are computed once per window and shared by all its offsets, which
 add only their exponentials: none at the pin (0, 0), where both are 1, and
-no phase product on the column x = 0.  At real points an offset (-x, |y|)
+no phase product on the column x = 0.  At real points the terms multiply
+their exponentials by 1 / tau_n and 1 / (i chi_n), taken once per point and
+order (the pin sums just these): numpy divides by a divisor whose imaginary
+part is zero as the product with its reciprocal, so each term has the
+division's value.  Complex points divide, since numpy's division by a
+complex divisor is scaled otherwise.  At real points an offset (-x, |y|)
 beside (x, |y|), as the shifted triplet's G(-xi, eta) beside G(xi, eta),
 takes no exponentials of its own at the evanescent orders: there each of
 its arguments is the exact conjugate of the other's, C99 (Annex G.6.3.1)
-makes exp(conj z) = conj(exp z), and dividing by the real tau_n or
-i chi_n keeps the symmetry, so each term is the other's conjugate
-(_mirror_terms; the propagating orders and any term with a part that
-underflows take the general formula).  Complex points, whose arguments
-are not conjugates, take the general formula at every offset.  Every pass
-holds at most _CHUNK terms per temporary.  greens, and flat columns of
-pairs such as the steering searches join, are the one-offset case;
-_interaction_matrices builds every pin-interaction matrix of the package
-(scattering systems and the triplet mode matrix), one stack at a whole
-vector of points, from one kernel call.  A value depends only on its own
-(alpha0, beta, x, y, window): the shortcuts give the general formula's bits,
-zero signs included, and every complex product keeps its operand order
-(numpy may turn ``a * temporary`` into an in-place product with swapped
-operands on large arrays, which rounds differently), so a point's value is
-the same whatever its batch-mates, batch size, layout or pass.
+makes exp(conj z) = conj(exp z), and the products with the reciprocals keep
+the symmetry, so each term is the other's conjugate (_mirror_terms; the
+propagating orders and any term with a part that underflows take the
+general formula).  Such a pair is summed lead first: the lead's terms are
+reduced, turned into the mirror's in place and reduced again, so the pair
+takes one column of a pass.  Complex points, whose arguments are not
+conjugates, take the general formula at every offset.  Every pass holds at
+most _CHUNK terms per temporary.  greens, and flat columns of pairs such as
+the steering searches join, are the one-offset case; _interaction_matrices
+builds every pin-interaction matrix of the package (scattering systems and
+the triplet mode matrix), one stack at a whole vector of points, from one
+kernel call.  A value depends only on its own (alpha0, beta, x, y, window):
+the shortcuts give the general formula's term values (only the sign of a
+zero term may differ) and its sums to the bit, and every complex product
+keeps its operand order (numpy may turn ``a * temporary`` into an in-place
+product with swapped operands on large arrays, which rounds differently),
+so a point's value is the same whatever its batch-mates, batch size, layout
+or pass.
 
 All functions here are pure and reentrant: they keep no state besides a
 read-only cache of order offsets and the read-only tail table, and every
@@ -83,9 +91,10 @@ import numpy as np
 from .errors import LightLineProximity, NonFiniteValue
 
 TWO_PI = 2.0 * np.pi
-# Lattice-sum terms per kernel pass.  Its (points, orders) temporaries stay
-# under 64 KiB (62.5 KiB complex): glibc's free() of a larger block trims the
-# heap top back to the system, and the next pass page-faults it in again.
+# Lattice-sum terms per kernel pass (points x columns x orders, a mirrored
+# pair counting as one column).  Its temporaries stay under 64 KiB (62.5 KiB
+# complex): glibc's free() of a larger block trims the heap top back to the
+# system, and the next pass page-faults it in again.
 _CHUNK = 4000
 
 
@@ -374,6 +383,8 @@ class _Orders(NamedTuple):
     alpha: np.ndarray       # alpha_n
     ichi: np.ndarray        # i chi_n on either branch
     tau: np.ndarray         # tau_n
+    inv_ichi: np.ndarray | None     # 1 / (i chi_n) at real points, else None
+    inv_tau: np.ndarray | None      # 1 / tau_n at real points, else None
     b2: np.ndarray          # beta^2
     scale: np.ndarray       # -4 beta^2
     near: np.ndarray        # the light-line mask (all False unguarded)
@@ -382,7 +393,11 @@ class _Orders(NamedTuple):
 
 def _orders(alpha0: np.ndarray, beta: np.ndarray, n_terms: int,
             lightline_tol: float | None) -> _Orders:
-    """Each point's order quantities in the window n_terms, guarded by lightline_tol."""
+    """Each point's order quantities in the window n_terms, guarded by lightline_tol.
+
+    Real points (lightline_tol given) also get the reciprocals of i chi_n
+    and tau_n, which the pin sums and _terms multiplies by.
+    """
     alpha = alpha0[:, None] + _order_offsets(n_terms)
     b2 = beta * beta
     a2 = alpha * alpha
@@ -390,33 +405,45 @@ def _orders(alpha0: np.ndarray, beta: np.ndarray, n_terms: int,
     propagating = np.abs(alpha.real) < beta.real[:, None]
     root = np.sqrt(np.where(propagating, w, -w))
     ichi = root * np.where(propagating, 1j, -1.0)      # i chi_n on either branch
+    tau = np.sqrt(b2[:, None] + a2)
     if lightline_tol is None:
         near = np.zeros(len(beta), dtype=bool)
+        inv_ichi = inv_tau = None
     else:
         # |chi_n|^2 = |beta^2 - alpha_n^2| on either branch
         near = np.minimum.reduce(np.abs(w), axis=1) <= (lightline_tol * beta.real) ** 2
-    tau = np.sqrt(b2[:, None] + a2)
+        inv_ichi, inv_tau = np.divide(1.0, ichi), np.divide(1.0, tau)
     q_min = (n_terms + 1) - np.abs((alpha0 * (1.0 / TWO_PI)).real)
-    return _Orders(alpha, ichi, tau, b2, -4.0 * b2, near, q_min)
+    return _Orders(alpha, ichi, tau, inv_ichi, inv_tau, b2, -4.0 * b2, near, q_min)
 
 
 # kinds of offset column: all at the pin (0, 0), all on x = 0, any other, and
 # pairs of other columns mirrored in x (real points only; see _mirror_pairs)
 _PIN, _COLUMN, _OFF, _MIRROR = range(4)
+# offset columns per column of terms, by kind: a mirrored pair takes its
+# lead's one (_offset_sums)
+_COLUMNS_PER_TERMS = (1, 1, 1, 2)
 
 
-def _terms(phase, ay: np.ndarray, tau: np.ndarray, ichi: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
+def _terms(phase, ay: np.ndarray, orders: _Orders, span: slice = slice(None)) -> np.ndarray:
     """The general formula's terms at offset columns against orders: (B, C, W).
 
     exp(phase - tau_n |y|) / tau_n + exp(phase + i chi_n |y|) / (i chi_n), with
     phase i alpha_n x as (B, C, W), or 0j on the column x = 0; ay is |y|, (B, C),
-    and tau and ichi are the orders', (B, W).  Written to out if given.
+    against the orders of span.  At real points the exponentials are
+    multiplied by _orders' reciprocals: numpy divides by a divisor with a
+    zero imaginary part (tau_n, or i chi_n on either branch) as the product
+    with its reciprocal, so each term has the division's value (a zero term
+    may take the other sign).  Complex points divide, since numpy's scaled
+    division by a complex divisor is not that product.
     """
-    decay = np.multiply(ay[..., None], tau[:, None])
-    wave = np.multiply(ay[..., None], ichi[:, None])
-    return np.add(np.exp(phase - decay) / tau[:, None], np.exp(phase + wave) / ichi[:, None],
-                  out=out)
+    tau, ichi = orders.tau[:, None, span], orders.ichi[:, None, span]
+    decay = np.multiply(ay[..., None], tau)
+    wave = np.multiply(ay[..., None], ichi)
+    if orders.inv_tau is None:
+        return np.add(np.exp(phase - decay) / tau, np.exp(phase + wave) / ichi)
+    return np.add(np.multiply(np.exp(phase - decay), orders.inv_tau[:, None, span]),
+                  np.multiply(np.exp(phase + wave), orders.inv_ichi[:, None, span]))
 
 
 def _phase(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -424,34 +451,30 @@ def _phase(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.multiply(1j * x[..., None], alpha[:, None])
 
 
-def _mirror_terms(x: np.ndarray, ay: np.ndarray, orders: _Orders) -> np.ndarray:
-    """The terms at pairs of columns, each a lead and its mirror (-x, the same |y|): (B, 2h, W).
+def _mirror_terms(terms: np.ndarray, x: np.ndarray, ay: np.ndarray,
+                  orders: _Orders) -> np.ndarray:
+    """The leads' terms (B, h, W) made their mirrors', in place; x and ay are the mirrors' (B, h).
 
     Real points only.  Where the order is evanescent (i chi_n real and
     negative) and the phase alpha_n x is not zero, each exponential's
     argument at a mirror is the exact conjugate of its lead's (a zero real
     part may differ in sign, and exp(-0) = exp(0) = 1), C99 (Annex G.6.3.1)
-    makes exp(conj z) = conj(exp z), and dividing by the real-valued tau_n
-    and i chi_n is symmetric in the sign of the imaginary part: the term is
-    the lead's conjugate, to the bit.  Only a part that underflows to zero
-    may take the other zero sign, so the conjugate is taken where both
-    parts of the lead's term are nonzero (a zero phase leaves a zero
-    imaginary part) and the order is evanescent; every other order, the
-    propagating ones and those on a light line among them, takes the
-    general formula.
+    makes exp(conj z) = conj(exp z), and the products with 1 / tau_n and
+    1 / (i chi_n), whose imaginary parts are zeros, are symmetric in the sign
+    of the imaginary part: the term is the lead's conjugate, to the bit.
+    Only a part that underflows to zero may take the other zero sign, so the
+    conjugate is kept where both parts of the lead's term are nonzero (a
+    zero phase leaves a zero imaginary part) and the order is evanescent;
+    every other order, the propagating ones and those on a light line among
+    them, takes the general formula.
     """
-    alpha, ichi, tau = orders.alpha, orders.ichi, orders.tau
-    terms = np.empty(x.shape + alpha.shape[1:], dtype=complex)
-    lead = _terms(_phase(x[:, ::2], alpha), ay[:, ::2], tau, ichi, out=terms[:, ::2])
-    np.conjugate(lead, out=terms[:, 1::2])
     # a product that underflows leaves the order to the general formula too
-    conjugate = (lead.real * lead.imag != 0.0) & (ichi.real < 0.0)[:, None]
+    conjugate = (terms.real * terms.imag != 0.0) & (orders.ichi.real < 0.0)[:, None]
+    np.conjugate(terms, out=terms)
     at = np.flatnonzero(~conjugate.all(axis=(0, 1)))
     if len(at):         # the orders from the first to the last that need it
         span = slice(at[0], at[-1] + 1)
-        alpha, ichi, tau = alpha[:, span], ichi[:, span], tau[:, span]
-        np.copyto(terms[:, 1::2, span],
-                  _terms(_phase(x[:, 1::2], alpha), ay[:, 1::2], tau, ichi),
+        np.copyto(terms[..., span], _terms(_phase(x, orders.alpha[:, span]), ay, orders, span),
                   where=~conjugate[..., span])
     return terms
 
@@ -467,26 +490,33 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
     omitted order on both sides (c min(Re q) > 40 in _kummer_tail).  On
     columns at x = 0 the phase product is left out (the phase is exactly 0
     there), and at the pin both exponentials (exactly 1 there).  _MIRROR
-    columns come in pairs, a lead and then its mirror, whose evanescent
-    terms are the lead's conjugates (_mirror_terms): one set of
-    exponentials serves both.  Zero signs included, every kind gives the
-    general formula's bits, since the (points, columns, orders) terms are
-    reduced over the orders as the general formula's are.  A column at the
-    pin is (B, 1): every pin column of a point has its one value.
+    columns come in pairs, a lead and then its mirror: the leads' terms are
+    reduced, made their mirrors' in place (_mirror_terms) and reduced again,
+    so one set of exponentials serves both.  Every kind gives the general
+    formula's term values and, since the (points, columns, orders) terms are
+    reduced over the orders as the general formula's are, its sums to the
+    bit.  A column at the pin is (B, 1): every pin column of a point has its
+    one value.
     """
-    alpha, ichi, tau, b2, scale, _, q_min = orders
+    alpha, ichi, tau, inv_ichi, inv_tau, b2, scale, _, q_min = orders
     if kind == _PIN:
-        value = np.add.reduce(np.divide(1.0, tau) + np.divide(1.0, ichi), axis=1) / scale
+        if inv_tau is None:     # complex points
+            inv_ichi, inv_tau = np.divide(1.0, ichi), np.divide(1.0, tau)
+        value = np.add.reduce(inv_tau + inv_ichi, axis=1) / scale
         return (value + _kummer_tail(alpha0, b2, np.abs(y[:, 0]), n_terms))[:, None]
     ay = np.abs(y)
     if kind == _COLUMN:
         # 0j - decay and 0j + wave give the zero signs the phase would
-        terms = _terms(0j, ay, tau, ichi)
+        sums = np.add.reduce(_terms(0j, ay, orders), axis=2)
     elif kind == _OFF:
-        terms = _terms(_phase(x, alpha), ay, tau, ichi)
+        sums = np.add.reduce(_terms(_phase(x, alpha), ay, orders), axis=2)
     else:
-        terms = _mirror_terms(x, ay, orders)
-    value = np.add.reduce(terms, axis=2) / scale[:, None]
+        sums = np.empty(x.shape, dtype=complex)
+        terms = _terms(_phase(x[:, ::2], alpha), ay[:, ::2], orders)
+        sums[:, ::2] = np.add.reduce(terms, axis=2)
+        sums[:, 1::2] = np.add.reduce(_mirror_terms(terms, x[:, 1::2], ay[:, 1::2], orders),
+                                      axis=2)
+    value = sums / scale[:, None]
     tail = ay * TWO_PI * q_min[:, None] <= _DAMPING_CUTOFF
     if kind != _COLUMN:
         tail &= x == 0.0
@@ -572,10 +602,10 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
     (_orders) once per window, then only what the offsets change, per kind
     of column (_offset_sums), in passes whose every (points, orders) and
     (points, columns, orders) temporary holds at most _CHUNK terms.  At
-    real points the off-column columns that come as x-mirrored pairs in a
-    row group (_mirror_pairs) share one set of exponentials, each pair in
-    one block; where a pass holds only one column, both take the general
-    formula.
+    real points the terms multiply by the reciprocals of tau_n and i chi_n,
+    and the off-column columns that come as x-mirrored pairs in a row group
+    (_mirror_pairs) share one set of exponentials: each pair is summed lead
+    first in one block, and counts as one column of a pass.
     """
     windows = policy.window(alpha0, beta, x, y, n_terms)
     shape = np.broadcast(alpha0, beta, x, y, windows).shape
@@ -605,9 +635,11 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
             for n_terms, by_kind in by_window.items():
                 width = 2 * n_terms + 1
                 col_step = max(1, _CHUNK // width)
-                if lightline_tol is not None and col_step > 1 and len(by_kind.get(_OFF, ())) > 1:
+                if lightline_tol is not None and len(by_kind.get(_OFF, ())) > 1:
                     _mirror_pairs(by_kind, x[lo:hi], y[lo:hi])
-                step = max(1, _CHUNK // (width * min(col_step, max(map(len, by_kind.values())))))
+                widest = max(len(cols) // _COLUMNS_PER_TERMS[kind]
+                             for kind, cols in by_kind.items())
+                step = max(1, _CHUNK // (width * min(col_step, widest)))
                 in_window = _columns(sorted(col for cols in by_kind.values() for col in cols))
                 for start in range(lo, hi, step):
                     rows = slice(start, min(start + step, hi))
@@ -615,8 +647,8 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
                     orders = _orders(points, beta[rows], n_terms, lightline_tol)
                     near[rows, in_window] = orders.near[:, None]
                     for kind, cols in by_kind.items():
-                        per_block = col_step - col_step % 2 if kind == _MIRROR else col_step
-                        for first in range(0, len(cols), per_block):   # pairs whole
+                        per_block = col_step * _COLUMNS_PER_TERMS[kind]    # pairs whole
+                        for first in range(0, len(cols), per_block):
                             block = rows, _columns(cols[first:first + per_block])
                             values[block] = _offset_sums(kind, points, orders,
                                                          x[block], y[block], n_terms)

@@ -243,21 +243,72 @@ def test_complex_sums_are_the_one_pair_sums(chunk):
     assert _bits(grid) == _bits(flat) == _bits(pairs)
 
 
-def test_mirror_terms_are_the_general_formula_terms():
-    # term by term, zero signs included: the leads' terms, their mirrors'
-    # conjugates at evanescent orders, and the general formula wherever a
-    # part of a lead's term underflows (|y| = 12 damps the far orders past
-    # the least double) or an order propagates
+def _random_points(size=200):
+    """The real points of the term-level tests: above and below the light cone."""
     rng = np.random.default_rng(7)
-    betas = rng.uniform(0.5, 25.0, 200)
-    alpha0s = betas * rng.uniform(-1.2, 1.2, 200)
-    orders = greens_module._orders(alpha0s, betas, 60, POLICY.lightline_tol)
-    for lead, ay in [(0.252, 1.0), (-0.3, 0.0), (1e-9, 2.0), (3.7, 12.0)]:
-        x = np.tile([lead, -lead], (len(betas), 1))
-        y = np.full(x.shape, ay)
-        general = greens_module._terms(greens_module._phase(x, orders.alpha), y,
-                                       orders.tau, orders.ichi)
-        assert _bits(greens_module._mirror_terms(x, y, orders)) == _bits(general)
+    betas = rng.uniform(0.5, 25.0, size)
+    return betas * rng.uniform(-1.2, 1.2, size), betas
+
+
+# (lead x, |y|): a shifted triplet's pair, the source line, a near-zero phase,
+# and |y| = 12 and 40, which damp the far orders past the least double
+_MIRROR_CASES = [(0.252, 1.0), (-0.3, 0.0), (1e-9, 2.0), (3.7, 12.0), (0.4, 40.0)]
+
+
+def test_mirror_terms_are_the_general_formula_terms():
+    # term by term, zero signs included: the leads' terms made their mirrors'
+    # in place (conjugates at evanescent orders, the general formula wherever
+    # a part of a lead's term underflows or an order propagates) are the
+    # general formula's terms at the mirrors, each lead alone and all in one
+    # block, in a 60-order and a 1000-order window
+    alpha0s, betas = _random_points()
+    for n_terms in (60, 1000):
+        orders = greens_module._orders(alpha0s, betas, n_terms, POLICY.lightline_tol)
+        for cases in [[case] for case in _MIRROR_CASES] + [_MIRROR_CASES]:
+            lead = np.tile([x for x, _ in cases], (len(betas), 1))
+            y = np.tile([ay for _, ay in cases], (len(betas), 1))
+            terms = greens_module._terms(greens_module._phase(lead, orders.alpha), y, orders)
+            general = greens_module._terms(greens_module._phase(-lead, orders.alpha), y, orders)
+            mirrored = greens_module._mirror_terms(terms, -lead, y, orders)
+            assert mirrored is terms
+            assert _bits(mirrored) == _bits(general)
+
+
+@pytest.mark.parametrize("n_terms", [60, 1000])
+def test_real_point_reciprocals_give_the_division_terms(n_terms):
+    # at real points _terms multiplies by 1 / tau_n and 1 / (i chi_n), which
+    # numpy's division by a divisor with a zero imaginary part does too: the
+    # terms equal the division's (only an underflowed term's zero sign may
+    # differ), and every sum over the orders keeps its bits
+    alpha0s, betas = _random_points()
+    orders = greens_module._orders(alpha0s, betas, n_terms, POLICY.lightline_tol)
+    divided = orders._replace(inv_ichi=None, inv_tau=None)
+    assert _bits(orders.inv_tau) == _bits(np.divide(1.0, orders.tau))
+    x = np.tile([0.0] + [x for x, _ in _MIRROR_CASES], (len(betas), 1))
+    y = np.tile([1.0] + [ay for _, ay in _MIRROR_CASES], (len(betas), 1))
+    for phase in (0j, greens_module._phase(x, orders.alpha)):
+        product = greens_module._terms(phase, y, orders)
+        division = greens_module._terms(phase, y, divided)
+        assert (product == division).all()
+        assert _bits(np.add.reduce(product, axis=2)) == _bits(np.add.reduce(division, axis=2))
+
+
+@pytest.mark.parametrize("points, passes", [(401, 5), (1001, 11), (2000, 21)])
+def test_a_mirrored_pair_is_one_column_of_a_pass(monkeypatch, points, passes):
+    # a shifted triplet's four sums (the pin, G(0, 2 eta) and the pair
+    # G(+-xi, eta)) share one 41-order window; the pair's mirror reuses its
+    # lead's temporaries, so a pass holds 97 points, not 48
+    sizes, orders = [], greens_module._orders
+
+    def counted(alpha0, *args):
+        sizes.append(len(alpha0))
+        return orders(alpha0, *args)
+
+    monkeypatch.setattr(greens_module, "_orders", counted)
+    betas = np.linspace(3.3, 3.9, points)
+    greens_module._interaction_matrices(0.5 * betas, betas, TRIPLET.pins, DEFAULT_POLICY)
+    assert len(sizes) == passes
+    assert max(sizes) * 41 <= MODULE_CHUNK
 
 
 def test_exp_of_a_conjugate_is_the_conjugate_of_exp():

@@ -395,6 +395,50 @@ class TestConfigEcho:
         assert message in capsys.readouterr().err
         assert windows == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", "abc"), ("resolution", 2.5), ("resolution", True),
+        ("stack", "quad"), ("format", "table"), ("per_order", "yes"),
+        ("beta_min", None), ("eta", [1.0]),
+    ], ids=["str for int", "float for int", "bool for int", "stack choice",
+            "format choice", "str for flag", "null for required", "list for float"])
+    def test_refuses_a_value_no_command_line_gives_before_any_evaluation(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        # "resolution": "abc" died with a TypeError traceback after parsing,
+        # and "stack": "quad" with --eta set ran a triplet scan
+        _, _, echo = self._echo(tmp_path, capsys)
+        echo["args"].update({"eta": 1.0, key: value})
+        bad = tmp_path / "bad.config.json"
+        bad.write_text(json.dumps(echo))
+        windows = _counted_scans(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad)])
+        assert exc.value.code == 2
+        assert f"invalid value {value!r} for {key!r}" in capsys.readouterr().err
+        assert windows == []
+
+    @pytest.mark.parametrize("theta", [30.0, [], ["30"]], ids=["scalar", "empty", "str"])
+    def test_refuses_a_theta_list_no_command_line_gives(self, tmp_path, capsys,
+                                                        monkeypatch, theta):
+        # steer's --theta takes one or more floats (nargs="+")
+        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
+        bad = tmp_path / "steer.config.json"
+        bad.write_text(json.dumps({"subcommand": "steer", "args": {"theta": theta}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad)])
+        assert exc.value.code == 2
+        assert f"invalid value {theta!r} for 'theta'" in capsys.readouterr().err
+
+    def test_replays_ints_where_a_float_option_parses_them(self, tmp_path, capsys):
+        # "beta_min": 3 is what --beta-min 3 gives: the float 3.0
+        out_file, snapshot, echo = self._echo(tmp_path, capsys)
+        assert echo["args"]["beta_min"] == 3.0
+        echo["args"]["beta_min"] = 3
+        replay = tmp_path / "int.config.json"
+        replay.write_text(json.dumps(echo))
+        code, _ = _run(capsys, ["--config", str(replay)])
+        assert code == 0
+        assert out_file.read_bytes() == snapshot
+
 
 # rows as the CLI writes them, and the values a JSON writer can get wrong
 _JSON_ROWS = {
