@@ -16,8 +16,9 @@ line are in degrees.  Single-point diagnostics print JSON; scans print CSV
 goes to that file and the exact parsed parameters are echoed alongside it as
 ``<out>.config.json``; ``--config`` re-runs such an echo, reproducing the
 output (an option the echo lacks takes its default; a value that no command
-line gives, such as a string for an int or a stack not among the choices, is
-refused with exit 2 before any evaluation).  Outputs are
+line gives, such as a string for an int or a stack not among the choices, or
+two options that exclude each other, such as steer's --theta and --table1,
+is refused with exit 2 before any evaluation).  Outputs are
 deterministic; the timestamp header is suppressed by ``--no-timestamp``.
 JSON outputs are byte for byte ``json.dumps(payload, indent=2)``.
 
@@ -477,6 +478,16 @@ def _namespace_from_config(path: str,
         if action.required and dest not in params:
             parser.error(f"{path} gives no {'/'.join(action.option_strings)}")
     values = {dest: sub.get_default(dest) for dest in options} | params
+    # a group's option counts as given where it differs from its default, as
+    # argparse counts it on a command line
+    for group in sub._mutually_exclusive_groups:
+        given = [a.option_strings[0] for a in group._group_actions
+                 if values[a.dest] != sub.get_default(a.dest)]
+        if len(given) > 1:
+            parser.error(f"{path} gives {' and '.join(given)}, which exclude each other")
+        if group.required and not given:
+            names = " or ".join(a.option_strings[0] for a in group._group_actions)
+            parser.error(f"{path} gives none of {names}")
     return argparse.Namespace(config=None, subcommand=subcommand,
                               func=sub.get_default("func"), **values)
 

@@ -19,23 +19,44 @@ Energies are flux-normalized per order by chi_n / chi_0, so that the balance
 sum_n (R_n + T_n) = 1 holds for the lossless pins; its residual is carried on
 every spectrum record as a built-in accuracy check.
 
+The solve is in reactance form.  At a real point every evanescent term of G
+is Hermitian under (x, y) -> (-x, -y), so the pin matrix is M = H + i W W^H
+with H Hermitian and W's columns the channel vectors
+exp(i alpha_n x_j +- i chi_n y_j) / sqrt(8 beta^2 chi_n) of the propagating
+orders.  H is taken as (M + M^H) / 2 and W in closed form, and
+S = (I - i K)(I + i K)^-1 with K = W^H H^-1 W made Hermitian (Woodbury; the
+K-matrix of Wigner & Eisenbud, Phys. Rev. 72, 29, 1947): S is unitary by
+construction, so every solved point conserves energy to rounding however
+close it sits to a high-Q pole.  R_n and T_n are read off S's incoming
+column and the reactions come from the same factors.  Near a pole of K (an
+entry past 100), H is shifted by c W W^H, c = +-1, which keeps S unitary and
+K bounded.  The solve refuses one case, SingularSystem where
+kappa_2(H) > 1e14 (no reactance matrix exists, as where two gratings
+coalesce); an ill-conditioned M with a well-conditioned H, such as at the
+centre of a dark notch, solves.
+
 The batching contract is one stack, many waves, as columns.  A scan builds
 its waves' columns from beta in one step (IncidentWave's checks and
 messages applied per point).  The pin-interaction matrices of every wave
 come from one call of greens._interaction_matrices (each distinct pin
-offset summed once), whose per-wave errors are the one validation pass;
-the systems solve as one (B, n, n) stack for the reactions and the inverse
-together, every system, 1x1 included, faces the same condition test
-(SingularSystem past 1e14), judged from that inverse's kappa_1 with the SVD
-run only where kappa_1 cannot clear it, and the amplitudes are vectorised
-over waves and orders, in passes whose (waves, orders, pins) temporaries
-stay under 64 KiB.  _scatter_all returns columns (R, T, the
-residual, per-order energies and per-wave errors); SpectrumRecords are
-built from them only where the public API returns them.  scan sweeps beta
-at a fixed angle or Bloch parameter this way in one call; spectrum_scan
-and the steering stages build on it (steering's feature_scan reads each
-zoom window's T from the columns).  scatter is the one-wave case of the
-same path, so a scan record equals scatter's record at its beta exactly.
+offset summed once), whose per-wave errors are the one validation pass,
+except on a narrow window: where a scan's beta half-width is at most 1/200
+of min_n |c - |alpha_n(c)|| at its centre c (at least half the distance to
+the nearest light line, so the entries are analytic well past the window)
+and it has more than 36 points, H comes from one
+builder call at 7 Chebyshev nodes and 2 check points and is interpolated
+to every beta, unless a check point misses by more than 64 ulp of max |M|
+or a node fails, when the full build runs.  The waves solve in passes
+whose temporaries stay under 64 KiB, waves with the same propagating orders
+together.  _scatter_all returns columns (R, T, the residual, per-order
+energies, reactions and per-wave errors); SpectrumRecords are built from
+them only where the public API returns them.  scan sweeps beta at a fixed
+angle or Bloch parameter this way in one call; spectrum_scan and the
+steering stages build on it (steering's feature_scan reads each zoom
+window's T from the columns).  scatter is the one-wave case of the same
+path, so a scan record equals scatter's record at its beta exactly on a
+kernel-built window, and within the interpolant's check bound on H on an
+interpolated one.
 """
 
 from __future__ import annotations
@@ -57,7 +78,12 @@ from .greens import (
     _point_errors,
 )
 
-_COND_LIMIT = 1e14
+_COND_LIMIT = 1e14        # SingularSystem past this 2-norm condition of H
+_K_LIMIT = 100.0         # a reactance matrix with a larger entry is shifted off its pole
+_NODES = 7               # Chebyshev nodes of an interpolated scan window
+_NARROW = 100            # a window interpolates where this times its width is at most
+                         # min_n |c - |alpha_n(c)|| at its centre c
+_CHECK_ULPS = 64         # an interpolant's largest miss at its check points, in ulp of max |M|
 _MIN_STEP = 1e-12        # spectrum_scan refines no beta step below this
 _MAX_POINTS = 200_000    # spectrum_scan's refinement stops at this many points
 
@@ -178,65 +204,157 @@ def _pins(stack: PinStack) -> np.ndarray:
 
 
 def _wave_arrays(waves: list[IncidentWave]) -> tuple[np.ndarray, ...]:
-    """alpha0, beta, chi0, amplitude and side (-1 from above, +1 from below) per wave."""
+    """alpha0, beta, amplitude and side (-1 from above, +1 from below) per wave."""
     return (np.array([w.alpha0 for w in waves], dtype=float),
             np.array([w.beta for w in waves], dtype=float),
-            np.array([w.chi0 for w in waves], dtype=float),
             np.array([w.amplitude for w in waves], dtype=complex),
             np.array([-1.0 if w.direction == "down" else 1.0 for w in waves]))
 
 
-def _coefficients(pins: np.ndarray, waves: tuple[np.ndarray, ...],
-                  policy: TruncationPolicy) -> tuple[np.ndarray, list[Exception | None]]:
-    """Pin reactions at every wave: (B, n) and per-wave errors.
+def _hermitian(matrices: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of each (..., n, n) matrix: exactly Hermitian, its diagonal real."""
+    return 0.5 * (matrices + np.conj(np.swapaxes(matrices, -1, -2)))
 
-    pins are the stack's, (n, 2); waves are _wave_arrays.  The
-    one validation pass is the interaction-matrix build, for all waves at
-    once (the empty stack, which never reaches it, takes _point_errors').
-    The systems of the waves that passed solve as one (B, n, n) stack on
-    the right-hand sides [-u | I]: one factorisation gives the reactions
-    and the inverse.  Every system, 1x1 included, faces the condition
-    test, SingularSystem where the 2-norm condition exceeds 1e14.  Since
-    kappa_2 <= n kappa_1, a finite kappa_1 = |A|_1 |A^-1|_1 of at most
-    1e14 / 2n passes it (the 2 covers the computed inverse's rounding),
-    and np.linalg.cond's SVD runs only on the systems kappa_1 cannot
-    clear.  A stack with an exactly singular member cannot be factorised:
-    then every system takes the SVD, and the ones that pass solve again.
+
+def _channels(pins: np.ndarray, waves: tuple[np.ndarray, ...], orders: np.ndarray,
+              policy: TruncationPolicy) -> tuple:
+    """The flux-normalised channel vectors of every wave, for the orders given.
+
+    Channel (n, s), s = +1 travelling up and -1 down, has at pin j the entry
+    exp(i alpha_n x_j + s i chi_n y_j) / sqrt(8 beta^2 chi_n), 0 where order
+    n does not propagate.  Returns the (waves, pins, 2 orders) vectors, the
+    up channels first; the (waves, orders) factors 1 / sqrt(8 beta^2 chi_n)
+    and propagation mask; and per wave None or the DomainError of an order
+    that grazes its light line.
     """
-    alpha0, beta, chi0, amplitude, side = waves
+    alpha0, beta = waves[0], waves[1]
+    alpha_n = alpha0[:, None] + TWO_PI * orders
+    b2 = (beta * beta)[:, None]
+    propagating = alpha_n * alpha_n < b2
+    chi = np.sqrt(np.where(propagating, b2 - alpha_n * alpha_n, 1.0))
+    norm = np.where(propagating, 1.0 / np.sqrt(8.0 * b2 * chi), 0.0)
+    lateral = np.multiply(np.exp(1j * alpha_n[:, None, :] * pins[:, 0, None]), norm[:, None, :])
+    vertical = np.exp(1j * chi[:, None, :] * pins[:, 1, None])
+    vectors = np.concatenate((lateral * vertical, lateral * np.conj(vertical)), axis=2)
+    errors: list[Exception | None] = [None] * len(beta)
+    grazing = propagating & (chi <= policy.lightline_tol * beta[:, None])
+    for i in np.flatnonzero(grazing.any(axis=1)).tolist():
+        errors[i] = DomainError(f"order {orders[grazing[i]][0]} grazes its light line")
+    return vectors, norm, propagating, errors
+
+
+def _union_orders(waves: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The orders n from the lowest to the highest any wave propagates (0 at least)."""
+    alpha0, beta = waves[0], waves[1]
+    lo = np.min(np.ceil((-beta - alpha0) / TWO_PI), initial=0.0)
+    hi = np.max(np.floor((beta - alpha0) / TWO_PI), initial=0.0)
+    return np.arange(int(lo), int(hi) + 1)
+
+
+def _reactance(hermitian: np.ndarray, pins: np.ndarray, waves: tuple[np.ndarray, ...],
+               policy: TruncationPolicy) -> tuple:
+    """The one scattering solve, in reactance form, at every wave: the pass.
+
+    hermitian holds each wave's H, the Hermitian part of its pin matrix
+    M = H + i W W^H, whose anti-Hermitian part is the closed form over the
+    wave's channels W (_channels).  With K = W^H H^-1 W, made Hermitian,
+    the flux-normalised scattering matrix is S = (I - i K)(I + i K)^-1
+    (Woodbury: S = I - 2 i W^H M^-1 W), unitary for any Hermitian K.  Where
+    an entry of K passes _K_LIMIT (near a pole of K, where rounding in its
+    large entries would swamp the small ones), H is shifted to
+    H_c = H + c W W^H, so that M = H_c + (i - c) W W^H and
+    S = (I - (i + c) K_c)(I + (i - c) K_c)^-1 with K_c = W^H H_c^-1 W,
+    still unitary for any real c; c = +1 or -1, whichever keeps 1 + c kappa
+    further from 0 over K's eigenvalues kappa, bounds K_c's eigenvalues
+    kappa / (1 + c kappa).  S's incoming column is s = delta y + gamma e,
+    y = (I + (i - c) K_c)^-1 e, delta = 2 i / (i - c),
+    gamma = -(i + c) / (i - c) (2 y - e at c = 0); R_n = |s_n|^2 on the
+    side the wave comes from, T_n on the other, and the reactions are
+    A = -amplitude sqrt(8 beta^2 chi_0) H_c^-1 W y.  One LU of H solves
+    [W | I] (H^-1 W from the solve, not as the inverse times W, which on
+    the centre of a dark notch, kappa_2(H) ~ 6e9, moves K by 1e-2 and T by
+    1e-3); the condition test reads kappa_1 = |H|_1 |H^-1|_1 from it and
+    fails a wave as SingularSystem where kappa_2(H) > 1e14: a finite
+    kappa_1 of at most 1e14 / 2n passes (kappa_2 <= n kappa_1, the 2
+    covering the computed inverse's rounding), and np.linalg.cond's SVD
+    runs only on the waves kappa_1 cannot clear.  A pass with an exactly
+    singular H cannot be factorised: then each of its waves takes the SVD,
+    and the ones that pass solve again.  Waves with the same propagating
+    orders go together, in passes whose temporaries hold at most _CHUNK
+    terms, so a wave's results do not depend on its batch.  Returns the
+    reactions (waves, pins), the orders (_union_orders), the (waves,
+    orders) R_n and T_n (0 where an order does not propagate), each wave's
+    run lo:hi of propagating orders and per wave None or its exception.
+    """
+    alpha0, beta, amplitude, side = waves
     n = len(pins)
+    orders = _union_orders(waves)
+    alpha_n = alpha0[:, None] + TWO_PI * orders
+    propagating = alpha_n * alpha_n < (beta * beta)[:, None]
+    lo = propagating.argmax(axis=1)
+    hi = lo + propagating.sum(axis=1)
     coeffs = np.zeros((len(beta), n), dtype=complex)
-    if not n:
-        return coeffs, _point_errors(alpha0, beta)
-    g, errors = _interaction_matrices(alpha0, beta, pins, policy)
-    ok = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
-    g = g[ok]
-    rhs = np.zeros((len(ok), n, n + 1), dtype=complex)
-    u = rhs[:, :, 0]
-    np.multiply(amplitude[ok, None],
-                np.exp(1j * (alpha0[ok, None] * pins[:, 0]
-                             + (side * chi0)[ok, None] * pins[:, 1])), out=u)
-    np.negative(u, out=u)
-    rhs[:, :, 1:] = np.eye(n)
-    try:
-        solved = np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError:    # an exactly singular member refuses the whole stack
-        solved, doubtful = None, np.arange(len(ok))
-    else:
-        kappa1 = (np.abs(g).sum(axis=1).max(axis=1)
-                  * np.abs(solved[:, :, 1:]).sum(axis=1).max(axis=1))
-        doubtful = np.flatnonzero(~(kappa1 <= _COND_LIMIT / (2 * n)))   # NaN and inf too
-    if len(doubtful):
-        singular = doubtful[np.linalg.cond(g[doubtful]) > _COND_LIMIT]
-        for k in singular.tolist():
-            errors[ok[k]] = SingularSystem(
-                f"pin interaction matrix condition exceeds {_COND_LIMIT:g}")
-        kept = np.ones(len(ok), dtype=bool)
-        kept[singular] = False
-        solved = np.linalg.solve(g[kept], rhs[kept]) if solved is None else solved[kept]
-        ok = ok[kept]
-    coeffs[ok] = solved[:, :, 0]
-    return coeffs, errors
+    r, t = np.zeros((2, len(beta), len(orders)))
+    errors: list[Exception | None] = [None] * len(beta)
+    for first, last in sorted(set(zip(lo.tolist(), hi.tolist()))):
+        own = orders[first:last]
+        width = 2 * len(own)
+        members = np.flatnonzero((lo == first) & (hi == last))
+        step = max(1, _CHUNK // max(n * (width + n), width * width))
+        for start in range(0, len(members), step):
+            w = members[start:start + step]
+            vectors, norm, _, failed = _channels(pins, tuple(a[w] for a in waves), own, policy)
+            h = hermitian[w]
+            rhs = np.concatenate((vectors, np.broadcast_to(np.eye(n), h.shape)), axis=2)
+            kept = np.ones(len(w), dtype=bool)
+            try:
+                solved = np.linalg.solve(h, rhs)
+            except np.linalg.LinAlgError:   # an exactly singular member refuses the pass
+                solved, doubtful = None, np.arange(len(w))
+            else:
+                inverse = solved[:, :, width:]
+                kappa1 = (np.einsum("bij->bj", np.abs(h)).max(axis=1, initial=0.0)
+                          * np.einsum("bij->bj", np.abs(inverse)).max(axis=1, initial=0.0))
+                # NaN and inf fail too
+                doubtful = np.flatnonzero(~(kappa1 <= _COND_LIMIT / (2 * max(n, 1))))
+            if len(doubtful):
+                singular = doubtful[np.linalg.cond(h[doubtful]) > _COND_LIMIT]
+                for i in singular.tolist():
+                    failed[i] = SingularSystem("Hermitian part of the pin interaction matrix: "
+                                               f"condition exceeds {_COND_LIMIT:g}")
+                kept[singular] = False
+                h, vectors = h[kept], vectors[kept]
+                solved = np.linalg.solve(h, rhs[kept]) if solved is None else solved[kept]
+            x = solved[:, :, :width]                       # H^-1 W
+            k = _hermitian(np.einsum("bjp,bjq->bpq", np.conj(vectors), x))
+            # near a pole of K, H_c = H + c W W^H with c = +-1
+            shift = np.zeros(len(k))
+            big = np.flatnonzero(~(np.abs(k).max(axis=(1, 2), initial=0.0) <= _K_LIMIT))
+            if len(big):
+                kappa = np.linalg.eigvalsh(k[big])
+                shift[big] = np.where(np.abs(1.0 + kappa).min(axis=1)
+                                      >= np.abs(1.0 - kappa).min(axis=1), 1.0, -1.0)
+                v = vectors[big]
+                gram = np.einsum("bip,bjp->bij", v, np.conj(v))
+                x[big] = np.linalg.solve(h[big] + shift[big, None, None] * gram, v)
+                k[big] = _hermitian(np.einsum("bjp,bjq->bpq", np.conj(v), x[big]))
+            # the incoming channel: order 0, travelling down from above, up from below
+            down = side[w][kept] < 0.0
+            incoming = np.zeros((len(k), width, 1))
+            incoming[np.arange(len(k)), np.where(down, len(own), 0) - own[0]] = 1.0
+            ratio = (1j - shift)[:, None, None]
+            y = np.linalg.solve(np.eye(width) + ratio * k, incoming)
+            column = 2j / ratio * y - (1j + shift[:, None, None]) / ratio * incoming
+            energy = np.abs(column[:, :, 0]) ** 2
+            up_e, down_e = energy[:, :len(own)], energy[:, len(own):]
+            rows = w[kept]
+            r[rows, first:last] = np.where(down[:, None], up_e, down_e)
+            t[rows, first:last] = np.where(down[:, None], down_e, up_e)
+            scale = -amplitude[rows] / norm[kept, -own[0]]
+            coeffs[rows] = scale[:, None] * np.einsum("bip,bp->bi", x, y[:, :, 0])
+            for i, e in zip(w.tolist(), failed):
+                errors[i] = e
+    return coeffs, orders, r, t, lo, hi, errors
 
 
 def solve_coefficients(
@@ -246,13 +364,14 @@ def solve_coefficients(
 ) -> np.ndarray:
     """Pin reaction coefficients A_j solving the pinned-plate conditions.
 
-    Raises SingularSystem when the interaction matrix condition number
-    exceeds 1e14.
+    Solved in reactance form (see scatter).  Raises SingularSystem when the
+    condition number of the pin matrix's Hermitian part exceeds 1e14.
     """
-    coeffs, (error,) = _coefficients(_pins(stack), _wave_arrays([inc]), policy)
+    columns = _scatter_all(_pins(stack), _wave_arrays([inc]), [None], policy)
+    (error,) = columns.errors
     if error is not None:
         raise error
-    return coeffs[0]
+    return columns.coeffs[0]
 
 
 @dataclass(frozen=True)
@@ -263,7 +382,8 @@ class _Columns:
     the flux-normalized energies R_n, T_n of the orders n of the union of
     the waves' propagating orders, (waves, orders), 0 where an order does
     not propagate; each wave's propagating orders as the run lo:hi of
-    that union; and per wave None or the exception its evaluation raised.
+    that union; the (waves, pins) reactions (0 where the solve failed);
+    and per wave None or the exception its evaluation raised.
     """
 
     alpha0: np.ndarray
@@ -276,60 +396,8 @@ class _Columns:
     T_orders: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    coeffs: np.ndarray
     errors: list[Exception | None]
-
-
-def _amplitudes(coeffs: np.ndarray, pins: np.ndarray,
-                waves: tuple[np.ndarray, ...], policy: TruncationPolicy,
-                energies: bool) -> tuple:
-    """Amplitudes or energies of every propagating order of every wave.
-
-    Vectorised over waves and orders (see plane_wave_amplitudes and
-    SpectrumRecord), in passes of waves whose (waves, orders, pins)
-    temporaries hold at most _CHUNK terms.  Returns the union's orders,
-    the (waves, orders) r and t, or R_n and T_n with energies (0 where an
-    order does not propagate), each wave's run lo:hi of propagating orders
-    and per wave None or the DomainError plane_wave_amplitudes raises when
-    an order grazes its light line.  Arguments as for _coefficients; the
-    waves must have passed greens._point_errors (plane_wave_amplitudes) or
-    _coefficients.
-    """
-    alpha0, beta, chi0, amplitude, side = waves
-    # alpha0 + 2 pi n in (-beta, beta) needs |n| <= reach
-    reach = math.ceil(float(np.max(beta + np.abs(alpha0), initial=0.0)) / TWO_PI)
-    orders = np.arange(-reach, reach + 1)
-    r = np.empty((len(beta), len(orders)), dtype=float if energies else complex)
-    t = np.empty_like(r)
-    lo, hi = np.empty((2, len(beta)), dtype=int)
-    errors: list[DomainError | None] = [None] * len(beta)
-    step = max(1, _CHUNK // (len(orders) * max(1, len(pins))))
-    for start in range(0, len(beta), step):
-        w = slice(start, start + step)
-        alpha_n = alpha0[w, None] + TWO_PI * orders
-        b2 = (beta[w] * beta[w])[:, None]
-        propagating = alpha_n**2 < b2
-        chi = np.sqrt(np.where(propagating, b2 - alpha_n * alpha_n, 1.0))
-        # sum over pins j of A_j exp(-i alpha_n x_j) exp(-+i chi_n y_j), pins last
-        lateral = np.multiply(coeffs[w, None, :], np.exp(-1j * alpha_n[:, :, None] * pins[:, 0]))
-        vertical = np.exp(-1j * chi[:, :, None] * pins[:, 1])
-        pref = 1j / (4.0 * b2 * chi)
-        above = np.multiply(pref, np.multiply(lateral, vertical).sum(axis=2))
-        below = np.multiply(pref, np.multiply(lateral, np.conj(vertical)).sum(axis=2))
-        down = (side[w] < 0.0)[:, None]
-        r_w = np.where(down, above, below)
-        t_w = np.where(down, below, above)
-        t_w[:, reach] += amplitude[w]           # order 0
-        if energies:   # flux-normalized
-            scale = chi / (chi0[w] * np.abs(amplitude[w]) ** 2)[:, None]
-            r_w, t_w = np.abs(r_w) ** 2 * scale, np.abs(t_w) ** 2 * scale
-        r[w], t[w] = np.where(propagating, r_w, 0.0), np.where(propagating, t_w, 0.0)
-        # each wave's propagating orders are one run of the union
-        lo[w] = propagating.argmax(axis=1)
-        hi[w] = lo[w] + propagating.sum(axis=1)
-        grazing = propagating & (chi <= policy.lightline_tol * beta[w, None])
-        for i in np.flatnonzero(grazing.any(axis=1)).tolist():
-            errors[start + i] = DomainError(f"order {orders[grazing[i]][0]} grazes its light line")
-    return orders, r, t, lo, hi, errors
 
 
 def plane_wave_amplitudes(
@@ -342,45 +410,67 @@ def plane_wave_amplitudes(
 
     Returns (r, t) keyed by order index n.  The reflected side is the side
     the wave comes from; the transmitted amplitude includes the incident
-    delta_n0 contribution.
+    delta_n0 contribution.  The amplitude of order n is
+    i / (4 beta^2 chi_n) sum_j A_j exp(-i alpha_n x_j -+ i chi_n y_j),
+    2 i / sqrt(8 beta^2 chi_n) times A's product with the conjugate of the
+    channel (n, +-1) (_channels).
     """
+    waves = _wave_arrays([inc])
     (error,) = _point_errors([inc.alpha0], [inc.beta])
     if error is None:
-        orders, r, t, lo, hi, (error,) = _amplitudes(
-            np.asarray(coeffs)[None, :], _pins(stack), _wave_arrays([inc]), policy,
-            energies=False)
+        orders = _union_orders(waves)
+        vectors, norm, propagating, (error,) = _channels(_pins(stack), waves, orders, policy)
     if error is not None:
         raise error
-    run = slice(int(lo[0]), int(hi[0]))
-    ns = orders[run].tolist()
-    return dict(zip(ns, r[0, run].tolist())), dict(zip(ns, t[0, run].tolist()))
+    amplitudes = 2j * np.tile(norm[0], 2) * (np.asarray(coeffs, dtype=complex)
+                                             @ np.conj(vectors[0]))
+    up, down = np.split(amplitudes, 2)
+    r, t = (up, down) if inc.direction == "down" else (down, up)
+    t[-orders[0]] += inc.amplitude       # order 0
+    ns = orders[propagating[0]].tolist()
+    run = propagating[0]
+    return dict(zip(ns, r[run].tolist())), dict(zip(ns, t[run].tolist()))
 
 
 def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
-                 errors: list[Exception | None], policy: TruncationPolicy) -> _Columns:
-    """scatter at every wave on one stack, batched, as _Columns.
+                 errors: list[Exception | None], policy: TruncationPolicy,
+                 hermitian: np.ndarray | None = None) -> _Columns:
+    """scatter at every wave on one stack, batched, as _Columns: the one path.
 
     pins are the stack's (_pins); waves are _wave_arrays, and errors per
     wave None or the exception building it raised: such a wave passes
-    through with its exception.  _coefficients validates the others in one
-    pass, and no failure stops the rest.
+    through with its exception.  hermitian, if given, holds every wave's
+    H (see _reactance); else the builder (greens._interaction_matrices)
+    makes each other wave's pin matrix M, its per-wave errors the one
+    validation pass, and H is (M + M^H) / 2 (the empty stack, which never
+    reaches it, takes _point_errors').  _reactance solves the waves that
+    passed, and no failure stops the rest.
     """
     errors = list(errors)
     index = [i for i, e in enumerate(errors) if e is None]
-    coeffs, failed = _coefficients(pins, tuple(a[index] for a in waves), policy)
-    solved = [k for k, e in enumerate(failed) if e is None]
-    keep = [index[k] for k in solved]
+    sub = tuple(a[index] for a in waves)
+    n = len(pins)
+    if hermitian is not None:
+        hermitian, failed = hermitian[index], [None] * len(index)
+    elif n:
+        matrices, failed = _interaction_matrices(sub[0], sub[1], pins, policy)
+        hermitian = _hermitian(matrices)
+    else:
+        hermitian, failed = np.zeros((len(index), 0, 0), dtype=complex), _point_errors(*sub[:2])
+    built = [k for k, e in enumerate(failed) if e is None]
     for i, e in zip(index, failed):
         errors[i] = e
-    orders, r, t, lo, hi, failed = _amplitudes(coeffs[solved], pins,
-                                               tuple(a[keep] for a in waves), policy,
-                                               energies=True)
+    keep = [index[k] for k in built]
+    coeffs, orders, r, t, lo, hi, failed = _reactance(hermitian[built], pins,
+                                                      tuple(a[keep] for a in waves), policy)
     for i, e in zip(keep, failed):
         errors[i] = e
     r_orders, t_orders = np.zeros((2, len(errors), len(orders)))
     r_orders[keep], t_orders[keep] = r, t
     runs = np.zeros((2, len(errors)), dtype=int)
     runs[:, keep] = lo, hi
+    reactions = np.zeros((len(errors), n), dtype=complex)
+    reactions[keep] = coeffs
     big_r, big_t = np.zeros((2, len(errors)))
     for k in range(len(orders)):   # order by order, as sum() adds up a record's dict
         big_r, big_t = big_r + r_orders[:, k], big_t + t_orders[:, k]
@@ -389,7 +479,7 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     return _Columns(alpha0=waves[0], beta=waves[1], R=big_r, T=big_t,
                     energy_residual=np.abs(big_r + big_t - 1.0), orders=orders,
                     R_orders=r_orders, T_orders=t_orders, lo=runs[0], hi=runs[1],
-                    errors=errors)
+                    coeffs=reactions, errors=errors)
 
 
 def _records(columns: _Columns) -> list[SpectrumRecord]:
@@ -455,24 +545,104 @@ def _incident(beta: float, theta_i: float | None,
     return IncidentWave.from_alpha0(alpha0, beta)
 
 
+def _bloch(betas: np.ndarray, theta_i: float | None, alpha0: float | None) -> np.ndarray:
+    """alpha0 at each of the float array betas, for an incidence checked by _alpha0_rule."""
+    if theta_i is not None:
+        return betas * math.sin(theta_i)
+    return np.full(len(betas), alpha0, dtype=float)
+
+
+def _chebyshev(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_NODES Chebyshev points of [lo, hi] (second kind, lo and hi among them), ascending,
+    their barycentric weights, and two check points, halfway in angle between
+    the two outermost nodes at each end."""
+    angles = np.pi * np.arange(_NODES) / (_NODES - 1)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = centre - half * np.cos(angles)
+    nodes[0], nodes[-1] = lo, hi
+    weights = (-1.0) ** np.arange(_NODES)
+    weights[[0, -1]] *= 0.5
+    checks = centre - half * np.cos(0.5 * (angles[[0, -2]] + angles[[1, -1]]))
+    return nodes, weights, checks
+
+
+def _barycentric(nodes: np.ndarray, weights: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The (betas, nodes) matrix that takes values at the nodes to the interpolant's at betas.
+
+    The barycentric formula of the second kind (Berrut & Trefethen, SIAM
+    Rev. 46, 2004); a beta at a node takes that node's value.
+    """
+    gaps = betas[:, None] - nodes
+    at = gaps == 0.0
+    terms = weights / np.where(at, 1.0, gaps)
+    terms /= terms.sum(axis=1, keepdims=True)
+    on_node = at.any(axis=1)
+    terms[on_node] = at[on_node]
+    return terms
+
+
+def _interpolated(pins: np.ndarray, betas: np.ndarray, theta_i: float | None,
+                  alpha0: float | None, policy: TruncationPolicy) -> np.ndarray | None:
+    """Every beta's H from a Chebyshev interpolant, where the window allows it; else None.
+
+    The entries of M are analytic in beta between light lines, where the
+    channel roots chi_n branch; since beta - |alpha_n| changes at most
+    twice as fast as beta, the window's centre c is at least
+    min_n |c - |alpha_n(c)|| / 2 from the nearest one.  Where the window's
+    half-width is at most 1/_NARROW of that, and it holds more than four
+    times the builder's points below, one builder call makes M at _NODES
+    Chebyshev nodes and two check points (_chebyshev), and H = (M + M^H) / 2
+    is interpolated to every beta (_barycentric; its real and imaginary
+    parts alike, so it stays exactly Hermitian).  A node or check point
+    that fails to build, or a check point where the interpolant misses the
+    built H by more than _CHECK_ULPS ulp of max |M| (the kernel's own
+    point-to-point noise is up to about 30), gives None: the full build.
+    Every beta must be a point that _scan_columns refused nothing at.
+    """
+    if not len(pins) or len(betas) <= 4 * (_NODES + 2):
+        return None
+    lo, hi = float(betas.min()), float(betas.max())
+    centre = 0.5 * (lo + hi)
+    (bloch,) = _bloch(np.array([centre]), theta_i, alpha0)
+    with np.errstate(all="ignore"):
+        # the orders n nearest to alpha_n = +-c, and their neighbours
+        near = np.round((np.array([centre, -centre]) - bloch) / TWO_PI)[:, None] + [-1, 0, 1]
+        gap = np.min(np.abs(centre - np.abs(bloch + TWO_PI * near)))
+    if not 0.0 < (hi - lo) * _NARROW <= gap:     # NaN and inf fail
+        return None
+    nodes, weights, checks = _chebyshev(lo, hi)
+    points = np.concatenate((nodes, checks))
+    matrices, errors = _interaction_matrices(_bloch(points, theta_i, alpha0), points, pins,
+                                             policy)
+    if any(e is not None for e in errors):
+        return None
+    parts = _hermitian(matrices)
+    values = parts[:_NODES].view(float).reshape(_NODES, -1)
+    checked = (_barycentric(nodes, weights, checks) @ values).view(complex)
+    miss = np.abs(checked - parts[_NODES:].reshape(2, -1)).max()
+    if not miss <= _CHECK_ULPS * np.finfo(float).eps * np.abs(matrices).max():
+        return None
+    n = len(pins)
+    return (_barycentric(nodes, weights, betas) @ values).view(complex).reshape(len(betas), n, n)
+
+
 def _scan_columns(stack: PinStack, betas: np.ndarray, theta_i: float | None,
                   alpha0: float | None, policy: TruncationPolicy) -> _Columns:
     """scan's results as _Columns: scatter at each of the float array betas.
 
     Exactly one of theta_i and alpha0 (_alpha0_rule).  The waves are built
-    in one step: from above with unit amplitude, with the alpha0 and chi0
+    in one step: from above with unit amplitude, with the alpha0
     IncidentWave.from_angle or from_alpha0 gives, and per beta the
-    DomainError their checks raise there.
+    DomainError their checks raise there.  Where no beta is refused, a
+    narrow window takes every H from _interpolated; else, or where that
+    gives None, the builder makes every point's M.
     """
     _alpha0_rule(theta_i, alpha0)     # exactly one incidence
     with np.errstate(all="ignore"):
+        a0 = _bloch(betas, theta_i, alpha0)
         if theta_i is not None:
-            a0 = betas * math.sin(theta_i)
-            chi0 = betas * math.cos(theta_i)
             refused = np.full(len(betas), _angle_error(theta_i) is not None)
         else:
-            a0 = np.full(len(betas), alpha0, dtype=float)
-            chi0 = np.sqrt(betas * betas - a0 * a0)
             # |alpha0| < beta, then asin(alpha0 / beta) in (-pi/2, pi/2)
             refused = ~(abs(alpha0) < betas) | ~(np.abs(a0 / betas) < 1.0)
     errors: list[Exception | None] = [None] * len(betas)
@@ -480,8 +650,10 @@ def _scan_columns(stack: PinStack, betas: np.ndarray, theta_i: float | None,
         beta = float(betas[i])
         errors[i] = (_angle_error(theta_i) if theta_i is not None else
                      _bloch_error(alpha0, beta) or _angle_error(math.asin(alpha0 / beta)))
-    waves = (a0, betas, chi0, np.ones(len(betas), dtype=complex), np.full(len(betas), -1.0))
-    return _scatter_all(_pins(stack), waves, errors, policy)
+    waves = (a0, betas, np.ones(len(betas), dtype=complex), np.full(len(betas), -1.0))
+    pins = _pins(stack)
+    hermitian = None if refused.any() else _interpolated(pins, betas, theta_i, alpha0, policy)
+    return _scatter_all(pins, waves, errors, policy, hermitian)
 
 
 def transmittance(

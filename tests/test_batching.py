@@ -330,9 +330,10 @@ def test_exp_of_a_conjugate_is_the_conjugate_of_exp():
 # edit60's stack (slab eta and xi_edit at 60 degrees, its envelope window),
 # in a process of its own: what the heap does on free() depends on what the
 # process allocated before.  The first count is the whole scan's, the second
-# the scattering amplitude pass's alone: the builder's and the solver's
-# (points, pins) arrays of a 2,000-point scan fault erratically with the
-# heap's state, 4 to ~4,200 here
+# the reactance pass's alone (the solve, R_n and T_n and the reactions): the
+# builder's or interpolant's (points, pins, pins) arrays and the pass's
+# (points, pins) and (points, orders) results of a 2,000-point scan fault
+# erratically with the heap's state
 _FAULT_PROBE = """
 import math, resource
 import numpy as np
@@ -342,16 +343,16 @@ from pinstacks.scattering import PinStack, scan
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-amplitudes, inside = scattering._amplitudes, [0]
+reactance, inside = scattering._reactance, [0]
 
 def counted(*args, **kwargs):
     before = faults()
     try:
-        return amplitudes(*args, **kwargs)
+        return reactance(*args, **kwargs)
     finally:
         inside[0] += faults() - before
 
-scattering._amplitudes = counted
+scattering._reactance = counted
 
 def repeated(stack, theta, betas):
     scan(stack, betas, theta_i=theta)
@@ -368,8 +369,8 @@ print(repeated(PinStack.triplet(2.1319459999781842, 0.247771426660849), math.rad
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
 def test_repeated_scans_fault_in_no_new_memory():
-    # the kernel's (points, orders) temporaries and the amplitude pass's
-    # (points, orders, pins) ones stay under the size whose free() trims
+    # the kernel's (points, orders) temporaries and the reactance pass's
+    # (points, pins, channels) ones stay under the size whose free() trims
     # the C heap, so a repeated scan reuses their pages instead of faulting
     # them in again (with 128 KiB kernel temporaries: ~1,400 per 401-point
     # scan; with whole-scan amplitude arrays, ~290 KB at 2,000 points: 5,300
@@ -377,6 +378,6 @@ def test_repeated_scans_fault_in_no_new_memory():
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
                           text=True, timeout=300, check=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    whole_short, amplitude_pass = map(int, done.stdout.split())
+    whole_short, reactance_pass = map(int, done.stdout.split())
     assert whole_short < 400
-    assert amplitude_pass < 1000
+    assert reactance_pass < 1000

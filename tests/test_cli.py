@@ -285,8 +285,10 @@ class TestSpectrum:
         assert counts == {1, 2, 3}
 
     def test_singular_point_spectrum_bytes_are_pinned(self, capsys):
-        # +-1e-9 around the 60-degree, m = 2 EDIT point: only the point at
-        # its centre fails the condition test
+        # +-1e-9 around the 60-degree, m = 2 EDIT point, a window whose H is
+        # interpolated: the point at its centre, where kappa_2(M) is 3.5e14
+        # (it failed the condition test on M), has kappa_2(H) = 6.3e9 and
+        # T = 0.99999996, and every point conserves energy to rounding
         code, out = _run(capsys, ["spectrum", "--stack", "triplet", "--eta",
                                   "4.2638919999563685", "--xi", "0.24989750370889235",
                                   "--theta", "60", "--beta-min", "2.9471596869739156",
@@ -295,9 +297,9 @@ class TestSpectrum:
         assert code == 0
         assert out == (DATA / "spectrum_singular.json").read_text()
         rows = json.loads(out)["rows"]
-        assert [i for i, row in enumerate(rows) if row["status"] != "ok"] == [500]
-        assert rows[500]["status"] == ("SingularSystem: pin interaction matrix condition "
-                                       "exceeds 1e+14")
+        assert all(row["status"] == "ok" for row in rows)
+        assert max(row["energy_residual"] for row in rows) <= 1e-13
+        assert abs(rows[500]["T"] - 0.99999996) <= 1e-8
 
     def test_timestamp_header_line(self, capsys):
         argv = ["spectrum", "--stack", "empty", "--alpha0", "0.5",
@@ -415,6 +417,34 @@ class TestConfigEcho:
         assert exc.value.code == 2
         assert f"invalid value {value!r} for {key!r}" in capsys.readouterr().err
         assert windows == []
+
+    @pytest.mark.parametrize("subcommand, args, message", [
+        ("steer", {"theta": [30.0], "table1": True}, "gives --theta and --table1"),
+        ("spectrum", {"stack": "single", "alpha0": 0.5, "theta": 30.0, "beta_min": 3.0,
+                      "beta_max": 3.1}, "gives --alpha0 and --theta"),
+        ("spectrum", {"stack": "single", "beta_min": 3.0, "beta_max": 3.1},
+         "gives none of --alpha0 or --theta"),
+    ], ids=["steer theta and table1", "spectrum alpha0 and theta", "spectrum no incidence"])
+    def test_refuses_an_echo_a_group_of_options_refuses_before_any_evaluation(
+            self, tmp_path, capsys, monkeypatch, subcommand, args, message):
+        # a steer echo with "theta": [30.0] and "table1": true ran the 15
+        # Table-1 angles (exit 0), where the command line refuses
+        # --theta 30 --table1
+        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
+        windows = _counted_scans(monkeypatch)
+        bad = tmp_path / "bad.config.json"
+        bad.write_text(json.dumps({"subcommand": subcommand, "args": args}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert windows == []
+        with pytest.raises(SystemExit) as exc:   # as the command line refuses them
+            main([subcommand, *(["--theta", "30", "--table1"] if subcommand == "steer" else
+                                ["--stack", "single", "--beta-min", "3.0", "--beta-max", "3.1"]
+                                + (["--alpha0", "0.5", "--theta", "30"] if "alpha0" in args
+                                   else []))])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("theta", [30.0, [], ["30"]], ids=["scalar", "empty", "str"])
     def test_refuses_a_theta_list_no_command_line_gives(self, tmp_path, capsys,

@@ -91,8 +91,26 @@ def test_negative_incidence_mirrors_positive(stack, mirror):
     assert [r.error for r in records] == [None] * 41
 
 
+def _gram(stack: PinStack, inc: IncidentWave) -> np.ndarray:
+    """W W^H over the wave's propagating orders and both sides: the pin matrix's
+    anti-Hermitian part, sum_n cos(chi_n dy) exp(i alpha_n dx) / (4 beta^2 chi_n)."""
+    pins = np.array(stack.pins, dtype=float).reshape(-1, 2)
+    dx = pins[:, None, 0] - pins[None, :, 0]
+    dy = pins[:, None, 1] - pins[None, :, 1]
+    gram = np.zeros(dx.shape, dtype=complex)
+    for n in range(-5, 6):
+        alpha = inc.alpha0 + TWO_PI * n
+        if alpha * alpha < inc.beta * inc.beta:
+            chi = math.sqrt(inc.beta * inc.beta - alpha * alpha)
+            gram += np.cos(chi * dy) * np.exp(1j * alpha * dx) / (4.0 * inc.beta**2 * chi)
+    return gram
+
+
+SINGULAR = "SingularSystem: Hermitian part of the pin interaction matrix: condition exceeds 1e+14"
+
+
 class TestSingularSystem:
-    """Every system, 1x1 included, faces the one condition test."""
+    """Every system, 1x1 included, faces the one condition test, on H."""
 
     @pytest.fixture(autouse=True)
     def zero_matrices(self, monkeypatch):
@@ -105,17 +123,18 @@ class TestSingularSystem:
     @pytest.mark.parametrize("stack", [PinStack.single(), PinStack.pair(1.0)],
                              ids=["single", "pair"])
     def test_exactly_singular_system(self, stack):
+        # M = 0 has H = 0: no reactance matrix exists
         inc = IncidentWave.from_angle(0.3, 3.0)
         with pytest.raises(SingularSystem, match="condition exceeds 1e\\+14"):
             scatter(stack, inc)
         with pytest.raises(SingularSystem):
             solve_coefficients(stack, inc)
         records = scan(stack, [3.0, 3.1], theta_i=0.3)
-        assert [r.error for r in records] == [
-            "SingularSystem: pin interaction matrix condition exceeds 1e+14"] * 2
+        assert [r.error for r in records] == [SINGULAR] * 2
 
     def test_a_singular_system_fails_only_its_own_wave(self, monkeypatch):
-        # every other wave's matrix is the identity, so its reactions are -u
+        # every other wave's matrix is the identity: H = I, so its reactions
+        # solve (I + i W W^H) A = -u
         def alternate(alpha0, beta, pins, policy):
             matrices = np.zeros((len(beta), len(pins), len(pins)), dtype=complex)
             matrices[1::2] = np.eye(len(pins))
@@ -124,52 +143,62 @@ class TestSingularSystem:
         monkeypatch.setattr(scattering, "_interaction_matrices", alternate)
         stack = PinStack.pair(1.0)
         waves = [IncidentWave.from_angle(0.3, beta) for beta in (3.0, 3.1, 3.2, 3.3)]
-        coeffs, errors = scattering._coefficients(scattering._pins(stack),
-                                                  scattering._wave_arrays(waves), DEFAULT_POLICY)
-        assert [type(error).__name__ for error in errors] == ["SingularSystem", "NoneType"] * 2
-        assert (coeffs[::2] == 0.0).all()
+        columns = scattering._scatter_all(scattering._pins(stack), scattering._wave_arrays(waves),
+                                          [None] * 4, DEFAULT_POLICY)
+        assert [type(error).__name__ for error in columns.errors] == [
+            "SingularSystem", "NoneType"] * 2
+        assert (columns.coeffs[::2] == 0.0).all()
         for k in (1, 3):
-            np.testing.assert_allclose(coeffs[k], [-waves[k].field(x, y) for x, y in stack.pins],
-                                       rtol=1e-15)
+            u = [waves[k].field(x, y) for x, y in stack.pins]
+            expected = np.linalg.solve(np.eye(2) + 1j * _gram(stack, waves[k]), np.negative(u))
+            np.testing.assert_allclose(columns.coeffs[k], expected, rtol=1e-14)
+            assert columns.energy_residual[k] <= 1e-15
 
 
 def _conditioned(rng: np.random.Generator, n: int, kappa: float) -> np.ndarray:
-    """A random complex n x n matrix whose 2-norm condition is about kappa (1 at n = 1)."""
-    def unitary():
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        return q
-
+    """A random Hermitian n x n matrix whose 2-norm condition is about kappa (1 at n = 1)."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    return scale * (unitary() * np.geomspace(1.0, 1.0 / kappa, n)) @ unitary()
+    signs = rng.choice([-1.0, 1.0], size=n)
+    matrix = scale * (q * (signs * np.geomspace(1.0, 1.0 / kappa, n))) @ np.conj(q.T)
+    return 0.5 * (matrix + np.conj(matrix.T))
 
 
 class TestConditionGate:
-    """The condition test fails exactly the systems np.linalg.cond(g) > 1e14 fails."""
+    """The condition test fails exactly the systems np.linalg.cond(H) > 1e14 fails."""
 
     @staticmethod
     def _coefficients(monkeypatch, matrices, n):
-        # pins and waves of no consequence but the right-hand sides
+        # the builder returns the Hermitian matrices, so H is each of them
         monkeypatch.setattr(scattering, "_interaction_matrices",
                             lambda alpha0, beta, pins, policy: (matrices, [None] * len(beta)))
         rng = np.random.default_rng(5)
         pins = rng.uniform(-1.0, 1.0, size=(n, 2))
         b = len(matrices)
-        waves = (rng.uniform(-1.0, 1.0, b), np.full(b, 3.0), rng.uniform(1.0, 2.0, b),
-                 rng.normal(size=b) + 1j * rng.normal(size=b), np.full(b, -1.0))
-        alpha0, _, chi0, amplitude, side = waves
-        u = amplitude[:, None] * np.exp(1j * (alpha0[:, None] * pins[:, 0]
-                                              + (side * chi0)[:, None] * pins[:, 1]))
-        coeffs, errors = scattering._coefficients(pins, waves, DEFAULT_POLICY)
-        return coeffs, errors, u
+        alpha0 = rng.uniform(-1.0, 1.0, b)
+        waves = (alpha0, np.full(b, 3.0), rng.normal(size=b) + 1j * rng.normal(size=b),
+                 np.full(b, -1.0))
+        columns = scattering._scatter_all(pins, waves, [None] * b, DEFAULT_POLICY)
+        return columns.coeffs, columns.errors, waves, pins
+
+    @staticmethod
+    def _alone(monkeypatch, matrices, waves, pins, kept):
+        """The reactions of the kept waves, solved in a stack of their own."""
+        monkeypatch.setattr(scattering, "_interaction_matrices",
+                            lambda alpha0, beta, pins, policy: (matrices[kept],
+                                                                [None] * len(beta)))
+        return scattering._scatter_all(pins, tuple(a[kept] for a in waves), [None] * len(kept),
+                                       DEFAULT_POLICY).coeffs
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fails_exactly_the_svd_test_and_keeps_the_solve_bits(self, monkeypatch, n):
         # kappa_2 spread over 1e12-1e16 covers the band (1e14 / n^2, n 1e14)
-        # where kappa_1 alone cannot decide
+        # where kappa_1 alone cannot decide; a kept wave's reactions are the
+        # bits of a stack without the failed ones
         rng = np.random.default_rng(n)
         matrices = np.array([_conditioned(rng, n, 10.0 ** rng.uniform(12.0, 16.0))
                              for _ in range(400)])
-        coeffs, errors, u = self._coefficients(monkeypatch, matrices, n)
+        coeffs, errors, waves, pins = self._coefficients(monkeypatch, matrices, n)
         cond = np.linalg.cond(matrices)
         failed = np.array([isinstance(e, SingularSystem) for e in errors])
         assert all(e is None or isinstance(e, SingularSystem) for e in errors)
@@ -177,27 +206,24 @@ class TestConditionGate:
         if n > 1:   # both fates, and systems only the SVD could clear
             assert 0 < failed.sum() < len(failed)
             assert np.any((np.linalg.cond(matrices, 1) > 1e14 / (2 * n)) & ~failed)
-        kept = ~failed
-        solo = np.linalg.solve(matrices[kept], -u[kept, :, None])[:, :, 0]
-        assert np.array_equal(coeffs[kept], solo)
+        kept = np.flatnonzero(~failed)
+        assert np.array_equal(coeffs[kept], self._alone(monkeypatch, matrices, waves, pins, kept))
         assert (coeffs[failed] == 0.0).all()
 
     def test_an_exactly_singular_member_fails_alone(self, monkeypatch):
-        # a zero row makes one matrix exactly singular: the stacked solve
-        # refuses the whole stack, and the SVD path decides every system
+        # a zero row and column make one H exactly singular: the stacked
+        # solve refuses the whole pass, and the SVD path decides every system
         rng = np.random.default_rng(11)
         kappas = [1.0, 1e3, 2e13, 1.0, 1e8, 9e13]
         matrices = np.array([_conditioned(rng, 3, kappa) for kappa in kappas])
-        matrices[3, 1] = 0.0
-        clean = np.delete(matrices, 3, axis=0)
-        assert (np.linalg.cond(clean) < 1e14).all()
-        coeffs, errors, u = self._coefficients(monkeypatch, matrices, 3)
+        matrices[3, 1] = matrices[3, :, 1] = 0.0
+        kept = np.delete(np.arange(6), 3)
+        assert (np.linalg.cond(matrices[kept]) < 1e14).all()
+        coeffs, errors, waves, pins = self._coefficients(monkeypatch, matrices, 3)
         names = [type(e).__name__ for e in errors]
         assert names == ["NoneType"] * 3 + ["SingularSystem"] + ["NoneType"] * 2
         assert (coeffs[3] == 0.0).all()
-        kept = np.delete(np.arange(6), 3)
-        solo = np.linalg.solve(clean, -u[kept, :, None])[:, :, 0]
-        assert np.array_equal(coeffs[kept], solo)
+        assert np.array_equal(coeffs[kept], self._alone(monkeypatch, matrices, waves, pins, kept))
 
 
 def test_pin_stack_geometry():
@@ -418,12 +444,19 @@ class TestSpectrumScan:
 
     def test_refinement_agrees_with_point_by_point_bisection(self):
         # each split depends only on the T values at its two ends, and a
-        # record does not depend on its batch: rounds give the same records
+        # record depends on its batch only where the batch is a narrow window
+        # whose H is interpolated (here the last two rounds, 67 and 59
+        # midpoints within 0.0073 and 0.0044): rounds split the same
+        # intervals, and give the one-point scans' T to 1e-12
         expected = _bisect_point_by_point(SCAN30, (3.6, 3.63), 21, 0.01, theta_i=THETA_30)
         records = spectrum_scan(SCAN30, (3.6, 3.63), theta_i=THETA_30, resolution=21,
                                 refine=True, refine_jump=0.01)
         assert len(records) == 269
-        assert records == expected
+        assert [r.beta for r in records] == [r.beta for r in expected]
+        assert [r.error for r in records] == [None] * 269
+        for rec, one in zip(records, expected):
+            assert abs(rec.T - one.T) <= 1e-12 and abs(rec.R - one.R) <= 1e-12
+        assert sum(rec == one for rec, one in zip(records, expected)) >= 269 - 67 - 59
 
     def test_refinement_inserts_no_point_beside_a_failed_point(self):
         # the range of spectrum_alpha0.json: below beta = 2.1 the first 11

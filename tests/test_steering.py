@@ -412,8 +412,8 @@ def test_edit60_result_bits_are_pinned(inputs_60):
     residual = max(r.energy_residual for r in envelope if r.error is None)
     assert (beta_g, eta, xi_edit, beta_edit, q_notch, q_factor(envelope, "peak").q,
             residual) == (2.9471596875548824, 2.1319459999781842, 0.24777142666253502,
-                          2.947171960007326, 13316347097.81303, 150857.24853868166,
-                          2.773781204723491e-11)
+                          2.947171960007326, 13316266938.571634, 150857.2485421109,
+                          1.2212453270876722e-15)
 
 
 def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
