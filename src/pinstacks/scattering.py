@@ -364,8 +364,9 @@ def solve_coefficients(
 ) -> np.ndarray:
     """Pin reaction coefficients A_j solving the pinned-plate conditions.
 
-    Solved in reactance form (see scatter).  Raises SingularSystem when the
-    condition number of the pin matrix's Hermitian part exceeds 1e14.
+    Solved in reactance form (see the module docstring).  Raises
+    SingularSystem when the condition number of the pin matrix's Hermitian
+    part exceeds 1e14.
     """
     columns = _scatter_all(_pins(stack), _wave_arrays([inc]), [None], policy)
     (error,) = columns.errors
