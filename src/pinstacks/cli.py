@@ -180,7 +180,8 @@ def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
                             "theta re-derived per beta along scans)")
     p.add_argument("--n-self", type=int, default=DEFAULT_POLICY.n_self,
                    help="on-line window where no closed-form tail applies "
-                        "(y = 0, x != 0), the cap off x = 0 (default %(default)s)")
+                        "(y = 0, x != 0), the cap off x = 0; at most 2^20 "
+                        "(default %(default)s)")
     p.add_argument("--n-far", type=int, default=DEFAULT_POLICY.n_far,
                    help="window at x = 0 plus the closed-form tail, the least "
                         "off it (grown as |y| -> 0 until exp(-|alpha_n| |y|) "
@@ -362,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.0)
     p.add_argument("--n", type=int, default=None,
-                   help="override the truncation window for this evaluation")
+                   help="override the truncation window for this evaluation "
+                        "(at most 2^20)")
     _add_shared(p, formats=("json",))
     p.set_defaults(func=cmd_greens)
 

@@ -44,34 +44,30 @@ window rule) and guards every real input with policy.lightline_tol, so no
 caller computes a window or can pass one that breaks the rule.  Each
 point's order quantities (alpha_n, the chi_n branch, tau_n, the light-line
 mask) are computed once per window and shared by all its offsets, which
-add only their exponentials: none at the pin (0, 0), where both are 1, and
-no phase product on the column x = 0.  At real points the terms multiply
-their exponentials by 1 / tau_n and 1 / (i chi_n), taken once per point and
-order (the pin sums just these): numpy divides by a divisor whose imaginary
-part is zero as the product with its reciprocal, so each term has the
-division's value.  Complex points divide, since numpy's division by a
-complex divisor is scaled otherwise.  At real points an offset (-x, |y|)
-beside (x, |y|), as the shifted triplet's G(-xi, eta) beside G(xi, eta),
-takes no exponentials of its own at the evanescent orders: there each of
-its arguments is the exact conjugate of the other's, C99 (Annex G.6.3.1)
-makes exp(conj z) = conj(exp z), and the products with the reciprocals keep
-the symmetry, so each term is the other's conjugate (_mirror_terms; the
-propagating orders and any term with a part that underflows take the
-general formula).  Such a pair is summed lead first: the lead's terms are
-reduced, turned into the mirror's in place and reduced again, so the pair
-takes one column of a pass.  Complex points, whose arguments are not
-conjugates, take the general formula at every offset.  Every pass holds at
-most _CHUNK terms per temporary.  greens, and flat columns of pairs such as
+add only their exponentials (none at the pin (0, 0), where both are 1).
+Every term, at real and complex points alike, divides its exponentials by
+tau_n and i chi_n.  At real points an offset (-x, |y|) beside (x, |y|), as
+the shifted triplet's G(-xi, eta) beside G(xi, eta), takes no exponentials
+of its own at the evanescent orders: there each of its arguments is the
+exact conjugate of the other's, C99 (Annex G.6.3.1) makes
+exp(conj z) = conj(exp z), and the divisions keep the symmetry, so each
+term is the other's conjugate (_mirror_terms; the propagating orders and
+any term with a part that underflows take the general formula).  Such a
+pair is summed lead first: the lead's terms are reduced, turned into the
+mirror's in place and reduced again, so the pair takes one column of a
+pass.  Complex points, whose arguments are not conjugates, take the
+general formula at every offset.  Every pass holds at most _CHUNK terms
+per temporary.  greens, and flat columns of pairs such as
 the steering searches join, are the one-offset case; _interaction_matrices
 builds every pin-interaction matrix of the package (scattering systems and
 the triplet mode matrix), one stack at a whole vector of points, from one
 kernel call.  A value depends only on its own (alpha0, beta, x, y, window):
-the shortcuts give the general formula's term values (only the sign of a
-zero term may differ) and its sums to the bit, and every complex product
-keeps its operand order (numpy may turn ``a * temporary`` into an in-place
-product with swapped operands on large arrays, which rounds differently),
-so a point's value is the same whatever its batch-mates, batch size, layout
-or pass.
+the pin and the mirror give the general formula's term values (only the
+sign of a zero term may differ) and its sums to the bit, and every complex
+product keeps its operand order (numpy may turn ``a * temporary`` into an
+in-place product with swapped operands on large arrays, which rounds
+differently), so a point's value is the same whatever its batch-mates,
+batch size, layout or pass.
 
 All functions here are pure and reentrant: they keep no state besides a
 read-only cache of order offsets and the read-only tail table, and every
@@ -91,11 +87,17 @@ import numpy as np
 from .errors import LightLineProximity, NonFiniteValue
 
 TWO_PI = 2.0 * np.pi
-# Lattice-sum terms per kernel pass (points x columns x orders, a mirrored
-# pair counting as one column).  Its temporaries stay under 64 KiB (62.5 KiB
+# Lattice-sum terms per kernel pass: points x orders for the order
+# quantities, points x columns x orders for the terms, a mirrored pair
+# counting as one column.  Its temporaries stay under 64 KiB (62.5 KiB
 # complex): glibc's free() of a larger block trims the heap top back to the
 # system, and the next pass page-faults it in again.
 _CHUNK = 4000
+# The widest window N the kernel sums, 2 N + 1 = 2,097,153 orders (32 MiB
+# per complex row of a pass): policy.n_self, n_terms and the kernel's
+# minimum all stay within it, so no window asks for an order array that
+# cannot be allocated.
+_MAX_EXTENT = 2**20
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,8 @@ class TruncationPolicy:
     where orders die as exp(-|alpha_n| |y|) and the window grows as |y|
     shrinks up to n_self: the window on the source line at x != 0 (y = 0),
     where no closed form exists and the pairwise-combined terms decay
-    cubically.  No window falls below the kernel's minimum (see window).
+    cubically.  No window falls below the kernel's minimum (see window),
+    and n_self is at most 2^20, the widest window the kernel sums.
     Evaluation refuses any point where a retained order satisfies
     |chi_n| <= lightline_tol * beta.
     """
@@ -150,6 +153,8 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if self.n_far < 1 or self.n_self < self.n_far:
             raise ValueError("require n_self >= n_far >= 1")
+        if self.n_self > _MAX_EXTENT:
+            raise ValueError(f"n_self must be at most 2^20, got {self.n_self}")
         if not self.lightline_tol > 0.0:
             raise ValueError("lightline_tol must be positive")
 
@@ -163,9 +168,12 @@ class TruncationPolicy:
         every order is evanescent with |alpha_n| >= 4 |beta| (at x = 0, where
         the closed-form tail needs it, 16 |beta| and Hurwitz arguments of
         at least 10).  Scalars give an int; arrays broadcast together give
-        an integer array.
+        an integer array.  ValueError for an n_terms past 2^20, the widest
+        window the kernel sums, and as _min_window raises.
         """
         least = _min_window(alpha0, beta, x)          # raises on NaN input
+        if n_terms is not None and not (np.asarray(n_terms) <= _MAX_EXTENT).all():
+            raise ValueError(f"n_terms must be at most 2^20, got {n_terms}")
         if n_terms is None:
             # + 1e-300 leaves any |y| > 1e-284 as it is; y = 0 gets the cap, not 40 / 0
             damped = np.ceil((_DAMPING_CUTOFF / (abs(y) + 1e-300) + abs(alpha0)) * (1.0 / TWO_PI))
@@ -243,7 +251,6 @@ _GUARD_REACH = 4.0       # least |alpha_n| / |beta| past any window
 _TAIL_REACH = 16.0       # least |alpha_n| / |beta| past the window at x = 0
 _EM_START = 10.0         # least Hurwitz argument q at x = 0
 _DAMPING_CUTOFF = 40.0   # exp(-40) is below the rounding of any G
-_MAX_EXTENT = 2.0**62    # no order array of a wider window can be allocated
 
 
 def _window_extent(alpha0, beta, x):
@@ -265,13 +272,14 @@ def _min_window(alpha0, beta, x):
     arguments q >= 10, where five Euler-Maclaurin corrections are exact to
     rounding.  Scalars or arrays broadcast together.  Input that gives no
     window raises: OverflowError for infinity (as int() does), ValueError
-    for NaN and for a finite window past 2^62 orders, whose order array
-    numpy could not allocate.
+    for NaN and for a finite window past 2^20 orders, the widest the kernel
+    sums.
     """
     extent = _window_extent(alpha0, beta, x)
     if not (extent < _MAX_EXTENT).all():          # NaN compares False
+        wide = ": wider than 2^20 orders" if np.isfinite(extent).all() else ""
         raise (OverflowError if np.isinf(extent).any() else ValueError)(
-            f"no window at alpha0={alpha0}, beta={beta}")
+            f"no window at alpha0={alpha0}, beta={beta}{wide}")
     return np.maximum(np.ceil(extent).astype(int) - 1, 1)
 
 
@@ -383,8 +391,6 @@ class _Orders(NamedTuple):
     alpha: np.ndarray       # alpha_n
     ichi: np.ndarray        # i chi_n on either branch
     tau: np.ndarray         # tau_n
-    inv_ichi: np.ndarray | None     # 1 / (i chi_n) at real points, else None
-    inv_tau: np.ndarray | None      # 1 / tau_n at real points, else None
     b2: np.ndarray          # beta^2
     scale: np.ndarray       # -4 beta^2
     near: np.ndarray        # the light-line mask (all False unguarded)
@@ -393,11 +399,7 @@ class _Orders(NamedTuple):
 
 def _orders(alpha0: np.ndarray, beta: np.ndarray, n_terms: int,
             lightline_tol: float | None) -> _Orders:
-    """Each point's order quantities in the window n_terms, guarded by lightline_tol.
-
-    Real points (lightline_tol given) also get the reciprocals of i chi_n
-    and tau_n, which the pin sums and _terms multiplies by.
-    """
+    """Each point's order quantities in the window n_terms, guarded by lightline_tol."""
     alpha = alpha0[:, None] + _order_offsets(n_terms)
     b2 = beta * beta
     a2 = alpha * alpha
@@ -408,42 +410,32 @@ def _orders(alpha0: np.ndarray, beta: np.ndarray, n_terms: int,
     tau = np.sqrt(b2[:, None] + a2)
     if lightline_tol is None:
         near = np.zeros(len(beta), dtype=bool)
-        inv_ichi = inv_tau = None
     else:
         # |chi_n|^2 = |beta^2 - alpha_n^2| on either branch
         near = np.minimum.reduce(np.abs(w), axis=1) <= (lightline_tol * beta.real) ** 2
-        inv_ichi, inv_tau = np.divide(1.0, ichi), np.divide(1.0, tau)
     q_min = (n_terms + 1) - np.abs((alpha0 * (1.0 / TWO_PI)).real)
-    return _Orders(alpha, ichi, tau, inv_ichi, inv_tau, b2, -4.0 * b2, near, q_min)
+    return _Orders(alpha, ichi, tau, b2, -4.0 * b2, near, q_min)
 
 
-# kinds of offset column: all at the pin (0, 0), all on x = 0, any other, and
-# pairs of other columns mirrored in x (real points only; see _mirror_pairs)
-_PIN, _COLUMN, _OFF, _MIRROR = range(4)
+# kinds of offset column: all at the pin (0, 0), any other, and pairs of
+# other columns mirrored in x (real points only; see _mirror_pairs)
+_PIN, _OFF, _MIRROR = range(3)
 # offset columns per column of terms, by kind: a mirrored pair takes its
 # lead's one (_offset_sums)
-_COLUMNS_PER_TERMS = (1, 1, 1, 2)
+_COLUMNS_PER_TERMS = (1, 1, 2)
 
 
 def _terms(phase, ay: np.ndarray, orders: _Orders, span: slice = slice(None)) -> np.ndarray:
     """The general formula's terms at offset columns against orders: (B, C, W).
 
     exp(phase - tau_n |y|) / tau_n + exp(phase + i chi_n |y|) / (i chi_n), with
-    phase i alpha_n x as (B, C, W), or 0j on the column x = 0; ay is |y|, (B, C),
-    against the orders of span.  At real points the exponentials are
-    multiplied by _orders' reciprocals: numpy divides by a divisor with a
-    zero imaginary part (tau_n, or i chi_n on either branch) as the product
-    with its reciprocal, so each term has the division's value (a zero term
-    may take the other sign).  Complex points divide, since numpy's scaled
-    division by a complex divisor is not that product.
+    phase i alpha_n x as (B, C, W); ay is |y|, (B, C), against the orders of
+    span.  One formula at real and complex points alike.
     """
     tau, ichi = orders.tau[:, None, span], orders.ichi[:, None, span]
     decay = np.multiply(ay[..., None], tau)
     wave = np.multiply(ay[..., None], ichi)
-    if orders.inv_tau is None:
-        return np.add(np.exp(phase - decay) / tau, np.exp(phase + wave) / ichi)
-    return np.add(np.multiply(np.exp(phase - decay), orders.inv_tau[:, None, span]),
-                  np.multiply(np.exp(phase + wave), orders.inv_ichi[:, None, span]))
+    return np.add(np.exp(phase - decay) / tau, np.exp(phase + wave) / ichi)
 
 
 def _phase(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -459,9 +451,11 @@ def _mirror_terms(terms: np.ndarray, x: np.ndarray, ay: np.ndarray,
     negative) and the phase alpha_n x is not zero, each exponential's
     argument at a mirror is the exact conjugate of its lead's (a zero real
     part may differ in sign, and exp(-0) = exp(0) = 1), C99 (Annex G.6.3.1)
-    makes exp(conj z) = conj(exp z), and the products with 1 / tau_n and
-    1 / (i chi_n), whose imaginary parts are zeros, are symmetric in the sign
-    of the imaginary part: the term is the lead's conjugate, to the bit.
+    makes exp(conj z) = conj(exp z), and the divisions by tau_n and
+    i chi_n, whose imaginary parts are zeros, are symmetric in the sign of
+    the dividend's imaginary part (numpy's complex division by such a
+    divisor scales both parts by its reciprocal): the term is the lead's
+    conjugate, to the bit.
     Only a part that underflows to zero may take the other zero sign, so the
     conjugate is kept where both parts of the lead's term are nonzero (a
     zero phase leaves a zero imaginary part) and the order is evanescent;
@@ -487,10 +481,9 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
     exp(i alpha_n x - tau_n |y|) / tau_n + exp(i alpha_n x + i chi_n |y|) / (i chi_n)
     per order, combined before accumulating (joint cubic decay), plus the
     closed-form tail at x = 0, exactly 0 where exp(-40) damps the first
-    omitted order on both sides (c min(Re q) > 40 in _kummer_tail).  On
-    columns at x = 0 the phase product is left out (the phase is exactly 0
-    there), and at the pin both exponentials (exactly 1 there).  _MIRROR
-    columns come in pairs, a lead and then its mirror: the leads' terms are
+    omitted order on both sides (c min(Re q) > 40 in _kummer_tail).  At the
+    pin both exponentials are left out (exactly 1 there).  _MIRROR columns
+    come in pairs, a lead and then its mirror: the leads' terms are
     reduced, made their mirrors' in place (_mirror_terms) and reduced again,
     so one set of exponentials serves both.  Every kind gives the general
     formula's term values and, since the (points, columns, orders) terms are
@@ -498,17 +491,12 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
     bit.  A column at the pin is (B, 1): every pin column of a point has its
     one value.
     """
-    alpha, ichi, tau, inv_ichi, inv_tau, b2, scale, _, q_min = orders
+    alpha, ichi, tau, b2, scale, _, q_min = orders
     if kind == _PIN:
-        if inv_tau is None:     # complex points
-            inv_ichi, inv_tau = np.divide(1.0, ichi), np.divide(1.0, tau)
-        value = np.add.reduce(inv_tau + inv_ichi, axis=1) / scale
+        value = np.add.reduce(np.divide(1.0, tau) + np.divide(1.0, ichi), axis=1) / scale
         return (value + _kummer_tail(alpha0, b2, np.abs(y[:, 0]), n_terms))[:, None]
     ay = np.abs(y)
-    if kind == _COLUMN:
-        # 0j - decay and 0j + wave give the zero signs the phase would
-        sums = np.add.reduce(_terms(0j, ay, orders), axis=2)
-    elif kind == _OFF:
+    if kind == _OFF:
         sums = np.add.reduce(_terms(_phase(x, alpha), ay, orders), axis=2)
     else:
         sums = np.empty(x.shape, dtype=complex)
@@ -517,10 +505,7 @@ def _offset_sums(kind: int, alpha0: np.ndarray, orders: _Orders,
         sums[:, 1::2] = np.add.reduce(_mirror_terms(terms, x[:, 1::2], ay[:, 1::2], orders),
                                       axis=2)
     value = sums / scale[:, None]
-    tail = ay * TWO_PI * q_min[:, None] <= _DAMPING_CUTOFF
-    if kind != _COLUMN:
-        tail &= x == 0.0
-    rows, cols = np.nonzero(tail)
+    rows, cols = np.nonzero((x == 0.0) & (ay * TWO_PI * q_min[:, None] <= _DAMPING_CUTOFF))
     if len(rows):
         value[rows, cols] += _kummer_tail(alpha0[rows], b2[rows], ay[rows, cols], n_terms)
     return value
@@ -602,10 +587,9 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
     (_orders) once per window, then only what the offsets change, per kind
     of column (_offset_sums), in passes whose every (points, orders) and
     (points, columns, orders) temporary holds at most _CHUNK terms.  At
-    real points the terms multiply by the reciprocals of tau_n and i chi_n,
-    and the off-column columns that come as x-mirrored pairs in a row group
-    (_mirror_pairs) share one set of exponentials: each pair is summed lead
-    first in one block, and counts as one column of a pass.
+    real points the columns off the pin that come as x-mirrored pairs in a
+    row group (_mirror_pairs) share one set of exponentials: each pair is
+    summed lead first in one block, and counts as one column of a pass.
     """
     windows = policy.window(alpha0, beta, x, y, n_terms)
     shape = np.broadcast(alpha0, beta, x, y, windows).shape
@@ -620,17 +604,14 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
     order, groups = _row_groups(windows)
     if order is not None:          # the groups' rows made runs
         alpha0, beta, x, y = alpha0[order], beta[order], x[order], y[order]
-    on_column = x == 0.0
-    at_pin = on_column & (y == 0.0)
+    at_pin = (x == 0.0) & (y == 0.0)
     values = np.empty(x.shape, dtype=complex)
     near = np.empty(x.shape, dtype=bool)
     with np.errstate(all="ignore"):   # a refused point may divide by chi_n = 0
         for lo, hi, keys in groups:
             by_window: dict[int, dict[int, list[int]]] = {}
-            for col, (n_terms, pin, column) in enumerate(zip(
-                    keys, at_pin[lo:hi].all(axis=0).tolist(),
-                    on_column[lo:hi].all(axis=0).tolist())):
-                kind = _PIN if pin else _COLUMN if column else _OFF
+            for col, (n_terms, pin) in enumerate(zip(keys, at_pin[lo:hi].all(axis=0).tolist())):
+                kind = _PIN if pin else _OFF
                 by_window.setdefault(n_terms, {}).setdefault(kind, []).append(col)
             for n_terms, by_kind in by_window.items():
                 width = 2 * n_terms + 1

@@ -166,6 +166,29 @@ def test_points_without_a_window_fail_per_point():
         greens(SpectralPoint(nan, 3.0), 0.0, 0.0)
 
 
+def test_points_past_the_widest_window_fail_per_point():
+    # beta = 1e15 needs a window of about 2.5e15 orders at x = 0, past the
+    # widest the kernel sums (2^20): each such point records a ValueError,
+    # a whole window of them included, and the good points keep their bits
+    records = scan(TRIPLET, np.linspace(1e15, 1e15 + 1e3, 40), theta_i=0.3)
+    assert all(r.error.startswith("ValueError: no window at") and
+               r.error.endswith(": wider than 2^20 orders") for r in records)
+    good = [3.3, 3.61747, 3.9]
+    mixed = scan(TRIPLET, [3.3, 1e15, 3.61747, 1e15 + 1e3, 3.9], theta_i=0.3)
+    assert [r.error is None for r in mixed] == [True, False, True, False, True]
+    alone = scan(TRIPLET, good, theta_i=0.3)
+    for name in ("alpha0", "beta", "T", "R", "energy_residual"):
+        assert _bits([getattr(r, name) for r in mixed[::2]]) == _bits(
+            [getattr(r, name) for r in alone])
+    assert [r.T_orders for r in mixed[::2]] == [r.T_orders for r in alone]
+    # an explicit window or n_self past 2^20 is refused before any sum
+    with pytest.raises(ValueError, match="n_terms must be at most 2"):
+        greens(SpectralPoint(1.2, 2.7), 0.3, 0.4, n_terms=10**12)
+    with pytest.raises(ValueError, match="n_self must be at most 2"):
+        TruncationPolicy(n_self=2**20 + 1)
+    assert TruncationPolicy(n_self=2**20).window(1.2, 2.7, 0.3, 0.0) == 2**20
+
+
 def test_self_term_is_the_same_beside_a_damped_tail():
     # a close pair puts G(0, 0) (tail on the line) and G(0, 0.05) (damped
     # tail, c q < 40) in one kernel block; greens sums each alone
@@ -272,25 +295,6 @@ def test_mirror_terms_are_the_general_formula_terms():
             mirrored = greens_module._mirror_terms(terms, -lead, y, orders)
             assert mirrored is terms
             assert _bits(mirrored) == _bits(general)
-
-
-@pytest.mark.parametrize("n_terms", [60, 1000])
-def test_real_point_reciprocals_give_the_division_terms(n_terms):
-    # at real points _terms multiplies by 1 / tau_n and 1 / (i chi_n), which
-    # numpy's division by a divisor with a zero imaginary part does too: the
-    # terms equal the division's (only an underflowed term's zero sign may
-    # differ), and every sum over the orders keeps its bits
-    alpha0s, betas = _random_points()
-    orders = greens_module._orders(alpha0s, betas, n_terms, POLICY.lightline_tol)
-    divided = orders._replace(inv_ichi=None, inv_tau=None)
-    assert _bits(orders.inv_tau) == _bits(np.divide(1.0, orders.tau))
-    x = np.tile([0.0] + [x for x, _ in _MIRROR_CASES], (len(betas), 1))
-    y = np.tile([1.0] + [ay for _, ay in _MIRROR_CASES], (len(betas), 1))
-    for phase in (0j, greens_module._phase(x, orders.alpha)):
-        product = greens_module._terms(phase, y, orders)
-        division = greens_module._terms(phase, y, divided)
-        assert (product == division).all()
-        assert _bits(np.add.reduce(product, axis=2)) == _bits(np.add.reduce(division, axis=2))
 
 
 @pytest.mark.parametrize("points, passes", [(401, 5), (1001, 11), (2000, 21)])

@@ -106,6 +106,15 @@ class TestGreens:
         assert code == 2
         assert "LightLine" in err
 
+    @pytest.mark.parametrize("options, message", [
+        (["--y", "0.4", "--n", "1000000000000"], "n_terms must be at most 2^20"),
+        (["--y", "0", "--n-self", "1000000000000"], "n_self must be at most 2^20")])
+    def test_a_window_past_2_20_orders_exits_2(self, capsys, options, message):
+        code = main(["greens", "--beta", "2.7", "--alpha0", "1.2", "--x", "0.3", *options])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and f"ValueError: {message}" in captured.err
+
     def test_timestamp_header_present_by_default(self, capsys):
         _, out = _run(capsys, ["greens", "--beta", "2.7", "--alpha0", "1.2"])
         assert "generated" in json.loads(out)
@@ -199,6 +208,15 @@ class TestSpectrum:
         for row in rows:
             assert float(row["R_0"]) == pytest.approx(float(row["R"]),
                                                       rel=1e-12)
+
+    def test_points_past_the_widest_window_are_failed_rows(self, capsys):
+        code, out = _run(capsys, [
+            "spectrum", "--stack", "triplet", "--eta", "1.0", "--xi", "0.252",
+            "--theta", "30", "--beta-min", "1e15", "--beta-max", "1.0000000001e15",
+            "--resolution", "3", "--no-timestamp"])
+        assert code == 0
+        assert [row["status"].startswith("ValueError: no window at")
+                for row in _csv_rows(out)] == [True] * 3
 
     def test_stack_without_separation_fails_cleanly(self, capsys):
         code = main(["spectrum", "--stack", "pair", "--alpha0", "0.5",
