@@ -17,7 +17,7 @@ its light line.
 import numpy as np
 
 from pinstacks.errors import LightLineProximity
-from pinstacks.greens import SpectralPoint, TruncationPolicy, greens
+from pinstacks.greens import N_FAR, SpectralPoint, TruncationPolicy, greens
 
 POINT = SpectralPoint(alpha0=1.2, beta=2.7)
 WINDOWS = (100, 200, 400, 800, 1600, 3200)
@@ -38,7 +38,7 @@ def on_line_tail():
         print(f"  {n:>6}  {err_0:20.3e}  {err_x:23.3e}  {slope}")
         previous = err_x
     default = abs(greens(POINT, 0.0, 0.0) - ref_0)
-    print(f"  default window at x = 0 (n_far plus the tail): "
+    print(f"  default window at x = 0 (N_FAR plus the tail): "
           f"|G - G_ref| = {default:.3e}")
     print("  (x = 0 sits at the rounding floor for every N; at x = 0.37 "
           "doubling N divides\n   the error by ~8: cubic summand decay)\n")
@@ -66,9 +66,9 @@ def light_line_guard():
 
 if __name__ == "__main__":
     policy = TruncationPolicy()
-    print(f"default policy: n_far = {policy.n_far} (off the line, and at "
+    print(f"fixed window:   N_FAR = {N_FAR} (off the line, and at "
           f"x = 0 plus the closed-form tail),\n"
-          f"                n_self = {policy.n_self} (on the line at x != 0)\n")
+          f"default policy: n_self = {policy.n_self} (on the line at x != 0)\n")
     on_line_tail()
     off_line_windows()
     light_line_guard()

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .greens import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, greens
+from .greens import _MAX_EXTENT, DEFAULT_POLICY, N_FAR, SpectralPoint, TruncationPolicy, greens
 from .modes import (
     StackGeometry,
     assemble,
@@ -63,7 +63,7 @@ _SPECTRUM_COLUMNS = ["beta", "alpha0", "T", "R", "energy_residual", "status"]
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    return TruncationPolicy(n_self=args.n_self, n_far=args.n_far)
+    return TruncationPolicy(n_self=args.n_self)
 
 
 def _theta_i(args: argparse.Namespace) -> float | None:
@@ -180,12 +180,9 @@ def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
                             "theta re-derived per beta along scans)")
     p.add_argument("--n-self", type=int, default=DEFAULT_POLICY.n_self,
                    help="on-line window where no closed-form tail applies "
-                        "(y = 0, x != 0), the cap off x = 0; at most 2^20 "
-                        "(default %(default)s)")
-    p.add_argument("--n-far", type=int, default=DEFAULT_POLICY.n_far,
-                   help="window at x = 0 plus the closed-form tail, the least "
-                        "off it (grown as |y| -> 0 until exp(-|alpha_n| |y|) "
-                        "< exp(-40) past it; default %(default)s)")
+                        "(y = 0, x != 0): the cap of the windows off x = 0, "
+                        f"which grow from {N_FAR} as |y| -> 0; at least {N_FAR}, "
+                        "at most 2^20 (default %(default)s)")
     p.add_argument("--out", help="write output to this file (and echo the "
                                  "config to <out>.config.json)")
     p.add_argument("--format", choices=list(formats), default=formats[0],
@@ -202,10 +199,10 @@ def cmd_greens(args: argparse.Namespace) -> int:
     n_terms = policy.window(alpha0, args.beta, args.x, args.y, args.n)
     value = greens(point, args.x, args.y, policy, n_terms=n_terms)
     # compare with N/2; where the kernel's minimum raises N/2 back to N
-    # (the same sum), with 2N
+    # (the same sum), with 2N, at most the 2^20 orders the kernel sums
     compare = policy.window(alpha0, args.beta, args.x, args.y, max(n_terms // 2, 1))
     if compare == n_terms:
-        compare = 2 * n_terms
+        compare = min(2 * n_terms, _MAX_EXTENT)
     other = greens(point, args.x, args.y, policy, n_terms=compare)
     _emit_json({
         "alpha0": alpha0,
@@ -466,6 +463,11 @@ def _namespace_from_config(path: str,
     subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
     if subcommand not in subparsers:
         parser.error(f"unknown subcommand {subcommand!r} in {path}")
+    # an echo written with --n-far replays where it gave the now fixed window
+    if "n_far" in params:
+        n_far = params.pop("n_far")
+        if type(n_far) is not int or n_far != N_FAR:
+            parser.error(f"n_far is fixed at {N_FAR}; {path} gives {n_far!r}")
     # an echo written before an option existed replays with its default
     sub = subparsers[subcommand]
     options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}

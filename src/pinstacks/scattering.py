@@ -443,9 +443,9 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     through with its exception.  hermitian, if given, holds every wave's
     H (see _reactance); else the builder (greens._interaction_matrices)
     makes each other wave's pin matrix M, its per-wave errors the one
-    validation pass, and H is (M + M^H) / 2 (the empty stack, which never
-    reaches it, takes _point_errors').  _reactance solves the waves that
-    passed, and no failure stops the rest.
+    validation pass (for the empty stack (waves, 0, 0) matrices and
+    _point_errors' errors), and H is (M + M^H) / 2.  _reactance solves the
+    waves that passed, and no failure stops the rest.
     """
     errors = list(errors)
     index = [i for i, e in enumerate(errors) if e is None]
@@ -453,11 +453,9 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     n = len(pins)
     if hermitian is not None:
         hermitian, failed = hermitian[index], [None] * len(index)
-    elif n:
+    else:
         matrices, failed = _interaction_matrices(sub[0], sub[1], pins, policy)
         hermitian = _hermitian(matrices)
-    else:
-        hermitian, failed = np.zeros((len(index), 0, 0), dtype=complex), _point_errors(*sub[:2])
     built = [k for k, e in enumerate(failed) if e is None]
     for i, e in zip(index, failed):
         errors[i] = e
@@ -536,14 +534,6 @@ def _alpha0_rule(theta_i: float | None,
         return lambda beta: alpha0
     sin_theta = math.sin(theta_i)
     return lambda beta: beta * sin_theta
-
-
-def _incident(beta: float, theta_i: float | None,
-              alpha0: float | None) -> IncidentWave:
-    """The incident wave at beta of an incidence checked by _alpha0_rule."""
-    if theta_i is not None:
-        return IncidentWave.from_angle(theta_i, beta)
-    return IncidentWave.from_alpha0(alpha0, beta)
 
 
 def _bloch(betas: np.ndarray, theta_i: float | None, alpha0: float | None) -> np.ndarray:
@@ -665,9 +655,13 @@ def transmittance(
     alpha0: float | None = None,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Total flux-normalized transmittance at one spectral point."""
-    _alpha0_rule(theta_i, alpha0)  # exactly one incidence
-    return scatter(stack, _incident(beta, theta_i, alpha0), policy).T
+    """Total flux-normalized transmittance at one spectral point, a one-point
+    _scan_columns with its checks; raises the point's error where it fails."""
+    columns = _scan_columns(stack, np.array([float(beta)]), theta_i, alpha0, policy)
+    (error,) = columns.errors
+    if error is not None:
+        raise error
+    return float(columns.T[0])
 
 
 def scan(

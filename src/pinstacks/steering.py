@@ -530,11 +530,10 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
     resonance, such as beta_g or the deepest point of a grid of the factor's
     modulus, or from a complex seed such as a pole continued from a nearby
     geometry.
-    Returns None when the iteration fails to converge, does not halve the
-    seed's residual (a seed already on the zero passes when the residual is
-    no more than a step of the secant's tolerance leaves at the seed's
-    slope), or moves Re beta or |Im beta| past max_shift from the seed's
-    real part; the caller decides what a rejection means.
+    Returns None when the iteration fails to converge (60 steps, or a
+    secant with no slope) or moves Re beta or |Im beta| past max_shift from
+    the seed's real part; the caller decides what a rejection means.
+    Convergence bounds the residual: |f| ~ |dz| |f'| <= 1e-14 |z| |f'|.
     alpha0_at is the incidence's _alpha0_rule.
     """
     geometry = StackGeometry(eta=eta, xi=xi)
@@ -551,10 +550,6 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
     starts, _ = yield from _summed(np.array([[alpha0_at(z0)], [alpha0_at(z1)]]),
                                    np.array([[z0], [z1]]), xs, ys, policy)
     f0, f1 = (_factor_from(kind, values) for values in starts)
-    start = abs(f0)
-    # the residual a zero found to the secant's tolerance leaves at the seed's
-    # slope: a seed already on the zero cannot halve a residual this small
-    rounding = abs(f1 - f0) / 1e-7 * 1e-14 * abs(seed)
     for _ in range(60):
         denom = f1 - f0
         if denom == 0:
@@ -567,8 +562,7 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
             break
     else:
         return None
-    if not (abs(f1) < max(0.5 * start, rounding) and abs(z1.real - seed.real) <= max_shift
-            and abs(z1.imag) <= max_shift and z1.real > 0):
+    if not (abs(z1.real - seed.real) <= max_shift and abs(z1.imag) <= max_shift and z1.real > 0):
         return None
     return complex(z1)
 

@@ -216,7 +216,7 @@ def _one_pair_sums(alpha0s, betas, pins, policy):
                                   ((0.0, 0.0), (0.3, 0.0), (0.0, 0.7))],
                          ids=["close triplet", "triplet", "mirrored on the source line"])
 def test_builder_entries_are_the_one_pair_sums(chunk, pins):
-    # at eta = 0.05 the off-column windows exceed n_far and the column
+    # at eta = 0.05 the off-column windows exceed N_FAR and the column
     # entries G(0, 0.05), G(0, 0.1) take the damped Kummer tail; the point
     # at beta = 2 pi + 1e-12 is within the wider guard of the light line.
     # Every stack has an offset and its mirror (-x, the same |y|), the last
@@ -233,7 +233,7 @@ def test_builder_entries_are_the_one_pair_sums(chunk, pins):
     assert (np.abs(alpha0s[120:140]) > betas[120:140]).all()
     assert all(greens_module.propagating_orders(SpectralPoint(a, b)) == []
                for a, b in zip(alpha0s[120:140], betas[120:140]))
-    assert POLICY.window(alpha0s[0], betas[0], 0.3, 0.05) > POLICY.n_far
+    assert POLICY.window(alpha0s[0], betas[0], 0.3, 0.05) > greens_module.N_FAR
     matrices, errors = greens_module._interaction_matrices(alpha0s, betas, pins, POLICY)
     assert [type(e).__name__ for e in errors if e is not None] == ["LightLineProximity"]
     assert _bits(matrices) == _bits(_one_pair_sums(alpha0s, betas, pins, POLICY))

@@ -115,6 +115,16 @@ class TestGreens:
         assert code == 2
         assert captured.out == "" and f"ValueError: {message}" in captured.err
 
+    def test_convergence_estimate_at_huge_beta_compares_with_2_20_orders(self, capsys):
+        # the least window at x = 0 passes 2^19 orders: N/2 is raised back
+        # to N, and 2N would pass the 2^20 the kernel sums
+        code, out = _run(capsys, ["greens", "--beta", "3e5", "--alpha0", "0",
+                                  "--no-timestamp"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_terms"] == 763943
+        assert payload["comparison_terms"] == 2**20
+
     def test_timestamp_header_present_by_default(self, capsys):
         _, out = _run(capsys, ["greens", "--beta", "2.7", "--alpha0", "1.2"])
         assert "generated" in json.loads(out)
@@ -475,6 +485,40 @@ class TestConfigEcho:
             main(["--config", str(bad)])
         assert exc.value.code == 2
         assert f"invalid value {theta!r} for 'theta'" in capsys.readouterr().err
+
+    def test_echo_with_the_fixed_n_far_replays(self, tmp_path, capsys):
+        # echoes written while --n-far existed carry "n_far": 20, the window
+        # that is now fixed
+        out_file, snapshot, echo = self._echo(tmp_path, capsys)
+        assert "n_far" not in echo["args"]
+        echo["args"]["n_far"] = 20
+        old = tmp_path / "old.config.json"
+        old.write_text(json.dumps(echo))
+        code, _ = _run(capsys, ["--config", str(old)])
+        assert code == 0
+        assert out_file.read_bytes() == snapshot
+
+    @pytest.mark.parametrize("value", [21, 20.0, True, "20"])
+    def test_refuses_any_other_n_far_before_any_evaluation(self, tmp_path, capsys,
+                                                           monkeypatch, value):
+        _, _, echo = self._echo(tmp_path, capsys)
+        echo["args"]["n_far"] = value
+        bad = tmp_path / "bad.config.json"
+        bad.write_text(json.dumps(echo))
+        windows = _counted_scans(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad)])
+        assert exc.value.code == 2
+        assert f"n_far is fixed at 20; {bad} gives {value!r}" in capsys.readouterr().err
+        assert windows == []
+
+    def test_no_subcommand_takes_n_far(self, capsys):
+        for argv in (["greens", "--beta", "2.7", "--alpha0", "1.2"],
+                     ["steer", "--theta", "30"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--n-far", "20"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --n-far 20" in capsys.readouterr().err
 
     def test_replays_ints_where_a_float_option_parses_them(self, tmp_path, capsys):
         # "beta_min": 3 is what --beta-min 3 gives: the float 3.0

@@ -11,6 +11,7 @@ import pytest
 from pinstacks.errors import LightLineProximity, NonFiniteValue
 from pinstacks.greens import (
     DEFAULT_POLICY,
+    N_FAR,
     SpectralPoint,
     TruncationPolicy,
     _interaction_matrices,
@@ -54,6 +55,14 @@ class TestOrderQuantities:
         assert q.tau_n == pytest.approx(math.sqrt(4 * math.pi**2 + 4.0))
         assert not q.propagating
 
+    def test_an_order_on_its_light_line_does_not_propagate(self):
+        # alpha_n^2 < beta^2, as propagating_orders: chi_n = 0 on the line
+        point = SpectralPoint(0.0, TWO_PI)
+        q = order_quantities(point, 1)
+        assert q.chi_n == 0j and not q.propagating
+        assert [n for n in range(-2, 3) if order_quantities(point, n).propagating] == [0]
+        assert propagating_orders(point) == [0]
+
     def test_oblique_zero_order(self):
         q = order_quantities(SpectralPoint(1.79968, 3.599363), 0)
         oracle = math.sqrt(3.599363**2 - 1.79968**2)  # 3.1171406614666908
@@ -90,10 +99,8 @@ def test_spectral_point_validation():
 
 
 def test_truncation_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(n_self=10, n_far=20)
-    with pytest.raises(ValueError):
-        TruncationPolicy(n_far=0)
+    with pytest.raises(ValueError, match="n_self must be at least 20"):
+        TruncationPolicy(n_self=10)
     with pytest.raises(ValueError):
         TruncationPolicy(lightline_tol=0.0)
 
@@ -214,7 +221,7 @@ def test_window_defaults_follow_evaluation_site():
     on_line = greens(p, 0.2, 0.0)
     off_line = greens(p, 0.2, 0.6)
     assert on_line == greens(p, 0.2, 0.0, n_terms=DEFAULT_POLICY.n_self)
-    assert off_line == greens(p, 0.2, 0.6, n_terms=DEFAULT_POLICY.n_far)
+    assert off_line == greens(p, 0.2, 0.6, n_terms=N_FAR)
 
 
 @pytest.mark.parametrize("y", [0.1, 0.05, -0.01])
@@ -224,13 +231,13 @@ def test_off_column_window_converges_near_the_line(y):
     point = SpectralPoint(1.2, 2.7)
     reference = greens(point, 0.3, y, n_terms=40000)
     assert abs(greens(point, 0.3, y) - reference) <= 1e-13 * abs(reference)
-    assert DEFAULT_POLICY.window(1.2, 2.7, 0.3, y) > DEFAULT_POLICY.n_far
+    assert DEFAULT_POLICY.window(1.2, 2.7, 0.3, y) > N_FAR
 
 
 def test_off_column_window_tends_to_the_line_window():
     windows = DEFAULT_POLICY.window(1.2, 2.7, 0.3, np.array([1e-3, 1e-9, 0.0]))
     assert windows.tolist() == [DEFAULT_POLICY.n_self] * 3
-    assert DEFAULT_POLICY.window(1.2, 2.7, 0.3, 0.69) == DEFAULT_POLICY.n_far
+    assert DEFAULT_POLICY.window(1.2, 2.7, 0.3, 0.69) == N_FAR
 
 
 # Converged references for the closed-form tail at x = 0.
@@ -276,7 +283,7 @@ def test_default_self_term_matches_mpmath():
 def test_default_self_term_window_is_short():
     # the closed-form tail replaces the long on-line window at x = 0
     window = DEFAULT_POLICY.window(1.808735, 3.61747, 0.0, 0.0)
-    assert window == DEFAULT_POLICY.n_far
+    assert window == N_FAR
 
 
 def test_complex_self_term_matches_plain_sum():
@@ -288,13 +295,13 @@ def test_complex_self_term_matches_plain_sum():
 
 
 def test_self_term_for_large_beta_matches_plain_sum():
-    # eight propagating orders: the window grows past n_far so that the
+    # eight propagating orders: the window grows past N_FAR so that the
     # tail's expansion in beta / alpha_n holds
     a0, beta = 0.7, 25.0
     assert len(propagating_orders(SpectralPoint(a0, beta))) == 8
     n = DEFAULT_POLICY.window(a0, beta, 0.0, 0.0)
     assert TWO_PI * (n + 1) >= 4.0 * beta
-    assert n > DEFAULT_POLICY.n_far
+    assert n > N_FAR
     ref = _plain_self_term(a0, beta)
     assert abs(_self_term(a0, beta) - ref) <= 1e-12 * abs(ref)
 
@@ -310,7 +317,7 @@ def test_self_term_column_is_continuous_in_y():
 
 
 def test_light_line_guard_covers_orders_past_the_window():
-    # order n = 25 sits on its light line, beyond the default n_far = 20
+    # order n = 25 sits on its light line, beyond N_FAR = 20
     beta = TWO_PI * 25
     with pytest.raises(LightLineProximity):
         greens(SpectralPoint(0.0, beta), 0.1, 0.7)

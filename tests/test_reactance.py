@@ -191,6 +191,26 @@ def test_a_missed_check_takes_the_full_builds_bits(monkeypatch):
         assert np.array_equal(getattr(columns, name), getattr(full, name)), name
 
 
+def test_a_failed_node_takes_the_full_build_and_fails_each_point_alone(monkeypatch):
+    # a window 1e-6 wide at beta = 5e5 is narrow, but every node is refused
+    # as wider than 2^20 orders: the full build fails each point with its
+    # own message
+    builder, calls = scattering._interaction_matrices, []
+
+    def counted(alpha0, beta, pins, policy):
+        calls.append(len(beta))
+        return builder(alpha0, beta, pins, policy)
+
+    monkeypatch.setattr(scattering, "_interaction_matrices", counted)
+    betas = np.linspace(5e5, 5e5 + 1e-6, 40)
+    records = scan(PinStack.triplet(1.0, 0.252), betas, theta_i=0.3)
+    assert calls == [scattering._NODES + 2, 40]
+    assert [r.beta for r in records] == betas.tolist()
+    for rec in records:
+        assert rec.error == (f"ValueError: no window at alpha0={rec.alpha0}, "
+                             f"beta={rec.beta}: wider than 2^20 orders")
+
+
 def test_scan30_window_is_one_builder_call_over_all_its_points(monkeypatch):
     # 3.3-3.9 is 0.6 wide, against a light-line gap of 0.57 from its centre
     builder, calls = scattering._interaction_matrices, []

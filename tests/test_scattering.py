@@ -278,12 +278,11 @@ class TestSolveCoefficients:
             assert abs(total) <= 1e-10
 
     def test_singular_system_on_coalescing_gratings(self):
-        # with equal truncation windows the two matrix rows genuinely
-        # coincide as the separation vanishes
-        policy = TruncationPolicy(n_self=200, n_far=200)
+        # both offsets sit on the column x = 0, whose window is always
+        # N_FAR: the two matrix rows genuinely coincide as the separation
+        # vanishes
         with pytest.raises(SingularSystem):
-            solve_coefficients(PinStack.pair(1e-10),
-                               IncidentWave.from_angle(0.3, 3.0), policy)
+            solve_coefficients(PinStack.pair(1e-10), IncidentWave.from_angle(0.3, 3.0))
 
 
 class TestPlaneWaveAmplitudes:
@@ -294,6 +293,18 @@ class TestPlaneWaveAmplitudes:
         assert all(abs(v) == 0.0 for v in r.values())
         assert t[0] == inc.amplitude
         assert all(abs(t[n]) == 0.0 for n in t if n != 0)
+
+    def test_a_grazing_order_is_refused(self):
+        # at beta = 2 pi + 1e-12 orders -1 and 1 propagate with
+        # chi = 3.5e-6 < 1e-6 beta; at the default guard no double beta
+        # grazes (chi^2 >= ulp(beta) beta)
+        inc = IncidentWave.from_alpha0(0.0, TWO_PI + 1e-12)
+        coeffs = np.zeros(3, dtype=complex)
+        with pytest.raises(DomainError, match="^order -1 grazes its light line$"):
+            plane_wave_amplitudes(coeffs, PinStack.triplet(1.0), inc,
+                                  TruncationPolicy(lightline_tol=1e-6))
+        r, _ = plane_wave_amplitudes(coeffs, PinStack.triplet(1.0), inc)
+        assert sorted(r) == [-1, 0, 1]
 
     def test_energy_identity(self):
         rng = np.random.default_rng(103)
@@ -313,6 +324,27 @@ class TestPlaneWaveAmplitudes:
         for fractions in (rec.R_orders, rec.T_orders):
             for value in fractions.values():
                 assert value >= 0.0
+
+
+def _outcome(evaluate):
+    """T's bits, or the class and message of what evaluating it raises."""
+    try:
+        return np.float64(evaluate()).tobytes()
+    except Exception as exc:  # noqa: BLE001 - compared by class and message
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("beta, incidence", [
+    (3.0, {"theta_i": 0.3}), (3.0, {"alpha0": -1.2}), (1.0, {"alpha0": 2.0}),
+    (3.0, {"theta_i": math.pi / 2}), (TWO_PI, {"theta_i": 0.0}), (-1.0, {"theta_i": 0.3}),
+], ids=["angle", "alpha0", "evanescent", "grazing angle", "light line", "negative beta"])
+def test_transmittance_is_scatters_at_its_wave(beta, incidence):
+    # the one-point scan: scatter's T bits, or what building and solving its
+    # wave raises
+    stack = PinStack.triplet(1.0, 0.252)
+    make = IncidentWave.from_angle if "theta_i" in incidence else IncidentWave.from_alpha0
+    expected = _outcome(lambda: scatter(stack, make(*incidence.values(), beta)).T)
+    assert _outcome(lambda: transmittance(stack, beta, **incidence)) == expected
 
 
 def test_reciprocity_up_down():

@@ -12,6 +12,7 @@ from pinstacks import modes, scattering
 from pinstacks.cli import TABLE1_ANGLES_DEG
 from pinstacks.errors import (
     DomainError,
+    LightLineProximity,
     ModesDidNotMerge,
     NoUnityReflectance,
     NoUnityTransmittance,
@@ -120,6 +121,12 @@ class TestFindBetaG:
         with pytest.raises(NoUnityReflectance):
             find_beta_g(0.0, beta_bracket=(6.4, 12.0))
 
+    def test_a_grid_point_on_a_light_line_raises_its_error(self):
+        # at alpha0 = 2.1 the bracket's end 2 pi - 2.1 puts order -1 on its
+        # light line: the grid's builder call refuses it
+        with pytest.raises(LightLineProximity, match="beta=4.18318531"):
+            find_beta_g(alpha0=2.1, beta_bracket=(3.5, 2.0 * math.pi - 2.1))
+
     def test_root_does_not_depend_on_the_grid(self):
         # each root is refined to the nearest float, whatever its bracket
         for deg in (0.0, 30.0, 45.0, 60.0):
@@ -171,6 +178,12 @@ class TestFindEtaStar:
             with pytest.raises(ValueError, match="eta_guess must be positive"):
                 find_eta_star(3.599363, guess, theta_i=THETA_30)
         assert calls == []
+
+    def test_a_beta_g_on_a_light_line_raises_its_error(self):
+        # order -1 on its light line at beta_g: order 0 alone propagates,
+        # and the builder call for Re G(0, 0) refuses the point
+        with pytest.raises(LightLineProximity, match="beta=4.18318531"):
+            find_eta_star(2.0 * math.pi - 2.1, 1.0, alpha0=2.1)
 
     def test_roots_with_two_propagating_orders_are_refused(self):
         # at beta = 5 and 30 degrees order -1 propagates too: the pair
@@ -439,8 +452,8 @@ def test_find_xi_edit_makes_few_kernel_calls(inputs_60, monkeypatch):
 
 
 def test_polishing_a_polished_pole_returns_it():
-    # a seed already on the zero cannot halve its rounding-level residual;
-    # the secant still converges there and is accepted
+    # from a seed already on the zero the secant converges there and is
+    # accepted: convergence and reach alone decide
     for deg in (9.0, 30.0, 60.0):
         res, = steer([math.radians(deg)], with_modes=False)
         alpha0_at = steering._alpha0_rule(res.theta_i, None)
