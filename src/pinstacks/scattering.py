@@ -179,13 +179,17 @@ class PinStack:
         return cls(pins=((0.0, eta), (xi, 0.0), (0.0, -eta)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpectrumRecord:
     """One spectral point of a scattering scan.
 
     R_orders / T_orders are flux-normalized energies per propagating order,
     R / T their sums, and energy_residual = |R + T - 1|.  For points where
     evaluation failed the totals are NaN and error reads "Class: message".
+    Slotted, not frozen: a scan builds thousands of records, and a frozen
+    __init__ sets each field through object.__setattr__, about five times
+    the cost of a slotted one.  No code assigns to a record, and its dict
+    fields made a frozen one unhashable anyway.
     """
 
     alpha0: float
@@ -448,7 +452,7 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     waves that passed, and no failure stops the rest.
     """
     errors = list(errors)
-    index = [i for i, e in enumerate(errors) if e is None]
+    index = np.flatnonzero([e is None for e in errors])
     sub = tuple(a[index] for a in waves)
     n = len(pins)
     if hermitian is not None:
@@ -456,13 +460,13 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     else:
         matrices, failed = _interaction_matrices(sub[0], sub[1], pins, policy)
         hermitian = _hermitian(matrices)
-    built = [k for k, e in enumerate(failed) if e is None]
-    for i, e in zip(index, failed):
+    built = np.flatnonzero([e is None for e in failed])
+    for i, e in zip(index.tolist(), failed):
         errors[i] = e
-    keep = [index[k] for k in built]
+    keep = index[built]
     coeffs, orders, r, t, lo, hi, failed = _reactance(hermitian[built], pins,
                                                       tuple(a[keep] for a in waves), policy)
-    for i, e in zip(keep, failed):
+    for i, e in zip(keep.tolist(), failed):
         errors[i] = e
     r_orders, t_orders = np.zeros((2, len(errors), len(orders)))
     r_orders[keep], t_orders[keep] = r, t
@@ -702,11 +706,13 @@ def spectrum_scan(
     |Delta T| > refine_jump are bisected until the jump falls below the
     threshold or the beta step reaches 1e-12, up to 200,000 points: in
     rounds, one scan per round, the last round keeping its lowest midpoints.
-    Raises ValueError, before any evaluation, unless hi > lo, resolution
-    >= 2 and, with refine, refine_jump > 0.
+    Raises ValueError, before any evaluation, unless lo and hi are finite
+    with hi > lo, resolution >= 2 and, with refine, refine_jump > 0.
     """
     opts = {"theta_i": theta_i, "alpha0": alpha0, "policy": policy}
     lo, hi = beta_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):   # linspace makes NaN and inf of them
+        raise ValueError(f"beta_range must be finite, got ({lo}, {hi})")
     if not (hi > lo):
         raise ValueError("beta_range must satisfy hi > lo")
     if not resolution >= 2:   # one point would drop beta_max

@@ -663,8 +663,7 @@ def q_factor(
     peak at half height above the window baseline.  Raises Unresolved when
     fewer than 20 scan points fall inside the half-width interval.
     """
-    if feature not in ("peak", "notch"):
-        raise ValueError(f"feature must be 'peak' or 'notch', got {feature!r}")
+    _check_feature(feature)
     pts = [(r.beta, r.T) for r in spectrum if r.error is None and not math.isnan(r.T)]
     if len(pts) < 5:
         raise Unresolved("spectrum has fewer than 5 valid points")
@@ -697,6 +696,12 @@ def q_factor(
     center = float(beta[i0])
     return ResonancePeak(beta_center=center, fwhm=fwhm, q=center / fwhm,
                          kind=kind, is_notch=(feature == "notch"))
+
+
+def _check_feature(feature: str) -> None:
+    """Raise ValueError unless feature is "peak" or "notch"."""
+    if feature not in ("peak", "notch"):
+        raise ValueError(f"feature must be 'peak' or 'notch', got {feature!r}")
 
 
 def _half_level(t: np.ndarray, feature: str) -> tuple[int, float, np.ndarray]:
@@ -734,10 +739,11 @@ def feature_scan(
     scan (EDIT notches reach Q ~ 1e9..1e10).  Each window is a scan read as
     columns (scattering._scan_columns); returns the last window's scan
     records.  A point of a window that fails to evaluate raises Unresolved.
-    A halfwidth that is not a positive finite number, or fewer than 80
-    points (which can never hold 40 inside half the window), raises
-    ValueError before any scan.
+    A feature other than "peak" or "notch", a halfwidth that is not a
+    positive finite number, or fewer than 80 points (which can never hold
+    40 inside half the window), raises ValueError before any scan.
     """
+    _check_feature(feature)
     if not 0.0 < halfwidth < math.inf:   # NaN included; 0 rescans one point
         raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
     if not points >= 80:

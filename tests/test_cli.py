@@ -235,6 +235,15 @@ class TestSpectrum:
         assert code == 2
         assert "--eta" in err
 
+    def test_an_infinite_beta_bound_exits_2_with_no_row(self, capsys):
+        # linspace over (3.3, inf) used to write NaN and inf rows, exit 0
+        code = main(["spectrum", "--stack", "triplet", "--eta", "1.0", "--xi", "0.252",
+                     "--beta-min", "3.3", "--beta-max", "inf", "--resolution", "5",
+                     "--theta", "30", "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "beta_range must be finite" in captured.err
+
     @pytest.mark.parametrize("options", [["--resolution", "1"],
                                          ["--refine", "--refine-jump", "0"]])
     def test_refuses_a_bad_scan_option_before_any_evaluation(self, capsys, monkeypatch,

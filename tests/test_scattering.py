@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from pinstacks import scattering
 from pinstacks.scattering import (
     IncidentWave,
     PinStack,
+    SpectrumRecord,
     fabry_perot_model,
     plane_wave_amplitudes,
     scan,
@@ -153,6 +155,49 @@ class TestSingularSystem:
             expected = np.linalg.solve(np.eye(2) + 1j * _gram(stack, waves[k]), np.negative(u))
             np.testing.assert_allclose(columns.coeffs[k], expected, rtol=1e-14)
             assert columns.energy_residual[k] <= 1e-15
+
+
+def test_each_failure_stage_fails_only_its_own_wave_in_one_batch(monkeypatch):
+    # one wave refused before the builder, one the builder fails, one with a
+    # singular H, and waves that solve between them; the builder makes each
+    # matrix alone, so the solved waves' bits can only come from the pass
+    builder = scattering._interaction_matrices
+    unbuilt = DomainError("no matrix at this wave")
+
+    def staged(alpha0, beta, pins, policy):
+        parts = [builder(alpha0[k:k + 1], beta[k:k + 1], pins, policy) for k in range(len(beta))]
+        matrices = np.concatenate([m for m, _ in parts])
+        errors = [e for _, (e,) in parts]
+        for k, b in enumerate(beta.tolist()):
+            if b == 3.3:
+                matrices[k], errors[k] = np.nan, unbuilt
+            elif b == 3.5:
+                matrices[k] = 0.0
+        return matrices, errors
+
+    monkeypatch.setattr(scattering, "_interaction_matrices", staged)
+    stack = PinStack.pair(1.0)
+    pins = scattering._pins(stack)
+    waves = scattering._wave_arrays([IncidentWave.from_angle(0.3, beta)
+                                     for beta in (3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7)])
+    refused = DomainError("refused before the builder")
+    errors = [None, refused] + [None] * 6
+    columns = scattering._scatter_all(pins, waves, errors, DEFAULT_POLICY)
+    assert columns.errors[1] is refused and columns.errors[3] is unbuilt
+    assert isinstance(columns.errors[5], SingularSystem)
+    failed = [1, 3, 5]
+    solved = [0, 2, 4, 6, 7]
+    assert all(columns.errors[k] is None for k in solved)
+    for values in (columns.R, columns.T, columns.energy_residual):
+        assert np.isnan(values[failed]).all() and not np.isnan(values[solved]).any()
+    assert (columns.coeffs[failed] == 0.0).all()
+    alone = scattering._scatter_all(pins, tuple(a[solved] for a in waves), [None] * 5,
+                                    DEFAULT_POLICY)
+    assert all(e is None for e in alone.errors)
+    assert np.array_equal(columns.coeffs[solved], alone.coeffs)
+    assert np.array_equal(columns.T[solved], alone.T)
+    assert np.array_equal(columns.T_orders[solved], alone.T_orders)
+    assert np.array_equal(columns.R_orders[solved], alone.R_orders)
 
 
 def _conditioned(rng: np.random.Generator, n: int, kappa: float) -> np.ndarray:
@@ -395,6 +440,28 @@ def test_scan_records_scatter_at_each_beta_in_order():
         assert rec == scatter(stack, IncidentWave.from_alpha0(2.1, rec.beta))
 
 
+def test_spectrum_record_fields_defaults_and_equality():
+    # records are slotted rather than frozen; their fields, defaults and
+    # equality are the dataclass's all the same
+    fields = dataclasses.fields(SpectrumRecord)
+    assert [f.name for f in fields] == ["alpha0", "beta", "R_orders", "T_orders", "R", "T",
+                                        "energy_residual", "error"]
+    first, second = SpectrumRecord(0.5, 3.0), SpectrumRecord(0.5, 3.0)
+    assert first.R_orders == first.T_orders == {}
+    assert len({id(first.R_orders), id(first.T_orders), id(second.R_orders),
+                id(second.T_orders)}) == 4
+    assert all(math.isnan(x) for x in (first.R, first.T, first.energy_residual))
+    assert first.error is None
+    assert not hasattr(first, "__dict__")
+    (record,) = scan(SCAN30, [3.6], theta_i=THETA_30)
+    rebuilt = SpectrumRecord(alpha0=record.alpha0, beta=record.beta,
+                             R_orders=dict(record.R_orders), T_orders=dict(record.T_orders),
+                             R=record.R, T=record.T, energy_residual=record.energy_residual,
+                             error=record.error)
+    assert record == rebuilt
+    assert repr(record) == repr(rebuilt)
+
+
 def _bisect_point_by_point(stack, beta_range, resolution, refine_jump, **opts):
     """spectrum_scan's refinement as a depth-first work list, one scan per midpoint."""
     betas = np.linspace(*beta_range, resolution)
@@ -544,14 +611,18 @@ class TestSpectrumScan:
         {"refine": True, "refine_jump": 0.0},
         {"refine": True, "refine_jump": -0.1},
         {"refine": True, "refine_jump": float("nan")},
+        {"beta_range": (3.0, math.inf)},
+        {"beta_range": (-math.inf, 3.1)},
     ])
     def test_refuses_bad_options_before_any_evaluation(self, monkeypatch, options):
-        # one point would drop beta_max, no point returns nothing, and a jump
-        # that is not positive bisects every interval up to the point cap
+        # one point would drop beta_max, no point returns nothing, a jump
+        # that is not positive bisects every interval up to the point cap,
+        # and an infinite bound makes NaN and inf points
         calls = []
         monkeypatch.setattr(scattering, "scan", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValueError):
-            spectrum_scan(PinStack.single(), (3.0, 3.1), alpha0=0.5, **options)
+            spectrum_scan(PinStack.single(), **{"beta_range": (3.0, 3.1), "alpha0": 0.5,
+                                                **options})
         assert calls == []
 
     def test_requires_exactly_one_incidence(self):

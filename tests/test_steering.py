@@ -565,6 +565,17 @@ def test_feature_scan_refuses_a_bad_halfwidth_before_any_scan(halfwidth, monkeyp
     assert len(windows) == 1
 
 
+def test_feature_scan_refuses_an_unknown_feature_before_any_scan(monkeypatch):
+    # anything but "notch" used to zoom as a peak, while q_factor refused it
+    windows = _spied_windows(monkeypatch)
+    with pytest.raises(ValueError, match="feature must be 'peak' or 'notch', got 'dip'"):
+        feature_scan(PinStack.triplet(1.0, 0.252), 3.6, 1e-3, "dip", theta_i=0.3)
+    assert windows == []
+    with pytest.raises(_Scanned):
+        feature_scan(PinStack.triplet(1.0, 0.252), 3.6, 1e-3, "notch", theta_i=0.3)
+    assert len(windows) == 1
+
+
 @pytest.mark.parametrize("points", [1, 2, 3, 79])
 def test_feature_scan_refuses_too_few_points_before_any_scan(points, monkeypatch):
     # success needs 40 points inside the half-width and at most half the
