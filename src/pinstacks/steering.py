@@ -29,8 +29,9 @@ are roots of real lattice-sum conditions: one batched grid brackets each
 sign change, and Brent's method (_brent_steps, a port of scipy's brentq)
 refines it to the nearest float on the single-point function, whose values
 equal the batched ones exactly (the grid's values serve the bracket's two
-ends).  With one propagating order those roots give R = 1 and T_pair = 1
-to rounding, so a root is accepted when order 0 alone propagates there
+ends, and in steer stage 2 reads Re G(0, 0) at beta_g off stage 1's root).
+With one propagating order those roots give R = 1 and T_pair = 1 to
+rounding, so a root is accepted when order 0 alone propagates there
 (_one_order), with no scattering solve.  Every other grid (the window
 search's, each of feature_scan's windows) is likewise evaluated in one
 batched call.
@@ -81,7 +82,7 @@ _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 # can return.
 _POLE_REACH = 0.06
 _MAX_ZOOM = 60    # feature_scan's window rescans before it gives up
-_MIRROR_GRID = 241   # find_beta_g's bracketing grid
+_MIRROR_GRID = 31    # find_beta_g's bracketing grid (see find_beta_g)
 _PAIR_GRID = 41      # find_eta_star's, per spread
 _ONE_PIN = ((0.0, 0.0),)
 
@@ -162,44 +163,58 @@ def find_beta_g(
     so r_0 = i s A with s = 1 / (4 beta^2 chi_0).  With one propagating
     order Im G(0, 0) = s exactly (every other order's term is real), hence
     1 - R = (Re G)^2 / |G|^2: the mirror condition is the root of Re G(0, 0).
-    A grid of Re G(0, 0) over the bracket (one builder call) locates its sign
-    changes; each, in grid order, is refined to the nearest float
-    (_nearest_root), where 1 - R vanishes to rounding, and the first at which
-    order 0 alone propagates is returned (_one_order; with more orders the
-    others carry energy and R < 1).  Raises NoUnityReflectance when there is
-    none (wrong bracket, or more than one propagating order).
+    A grid of Re G(0, 0) over the bracket (one builder call, coarse points)
+    locates its sign changes; each, in grid order, is refined to the nearest
+    float (_nearest_root), where 1 - R vanishes to rounding, and the first at
+    which order 0 alone propagates is returned (_one_order; with more orders
+    the others carry energy and R < 1).  The grid only brackets: the float
+    returned does not depend on it.  The default 31 points suffice on every
+    default_bracket, where Re G(0, 0) is monotone with one root (checked on
+    4,001 points for theta in [-89, 89.5] degrees and |alpha0| <= 2.7); a
+    grid misses two roots between neighbouring points, so a caller with a
+    wide custom bracket should pass a larger coarse.  Raises ValueError for
+    coarse < 2 before any evaluation, and NoUnityReflectance when there is
+    no root (wrong bracket, or more than one propagating order).
     """
     if beta_bracket is None:
         beta_bracket = default_bracket(theta_i, alpha0)
-    return _run(_mirror_search(_alpha0_rule(theta_i, alpha0), beta_bracket, policy, coarse))
+    return _run(_mirror_search(_alpha0_rule(theta_i, alpha0), beta_bracket, policy, coarse))[0]
 
 
 def _mirror_search(alpha0_at, beta_bracket, policy, coarse=_MIRROR_GRID):
-    """find_beta_g's search, as lockstep steps (see _lockstep)."""
+    """find_beta_g's search, as lockstep steps (see _lockstep).
+
+    Returns beta_g and Re G(0, 0) there, which stage 2 reads (_pair_search).
+    """
+    if coarse < 2:
+        raise ValueError(f"coarse must be at least 2, got {coarse}")
     lo, hi = beta_bracket
 
-    def re_g(betas: list[float]):
-        """Re G(0, 0) at each beta, from one builder call."""
-        entries, errors = yield from _built([alpha0_at(b) for b in betas], betas,
-                                            _ONE_PIN, policy)
-        for error in filter(None, errors):   # the first failure in grid order
-            raise error
-        return entries[:, 0, 0].real
-
     def re_g_at(beta: float):
-        return (yield from re_g([beta]))[0]
+        return (yield from _re_self_terms([alpha0_at(beta)], [beta], policy))[0]
 
     grid = np.linspace(lo, hi, coarse).tolist()
-    values = yield from re_g(grid)
+    values = yield from _re_self_terms([alpha0_at(b) for b in grid], grid, policy)
     for i in _sign_changes(values):
-        beta = yield from _nearest_root(re_g_at, grid[i], grid[i + 1],
-                                        values[i], values[i + 1])
+        beta, re_g = yield from _nearest_root(re_g_at, grid[i], grid[i + 1],
+                                              values[i], values[i + 1])
         if _one_order(SpectralPoint(alpha0_at(beta), beta)):
-            return beta
+            return beta, re_g
     raise NoUnityReflectance(
         f"no root of Re G(0, 0) in bracket ({lo:g}, {hi:g}) gives unit "
         f"reflectance; wrong bracket or multiple propagating orders"
     )
+
+
+def _re_self_terms(alpha0s: list[float], betas: list[float], policy):
+    """Re G(0, 0) at each point, from one single-pin builder request (a search step).
+
+    Raises the first failure in point order.
+    """
+    entries, errors = yield from _built(alpha0s, betas, _ONE_PIN, policy)
+    for error in filter(None, errors):
+        raise error
+    return entries[:, 0, 0].real
 
 
 def slab_guess(beta_g: float, alpha0_g: float, m: int = 1) -> float:
@@ -247,17 +262,18 @@ def find_eta_star(
     return _run(_pair_search(beta_g, a0, eta_guess, policy))
 
 
-def _pair_search(beta_g, a0, eta_guess, policy):
-    """find_eta_star's search at alpha0 = a0, as lockstep steps (see _lockstep)."""
+def _pair_search(beta_g, a0, eta_guess, policy, re_m11=None):
+    """find_eta_star's search at alpha0 = a0, as lockstep steps (see _lockstep).
+
+    re_m11 is Re G(0, 0) at (a0, beta_g) when the caller holds it (stage 1's
+    value at its root); else it is one builder request.
+    """
     if not _one_order(SpectralPoint(a0, beta_g)):
         raise NoUnityTransmittance(
             f"more than order 0 propagates at beta_g = {beta_g:.9g}, alpha0 = {a0:.9g}: "
             f"no separation gives unit transmittance")
-    # Re G(0, 0) from the single-pin builder, so it joins stage 1's requests
-    entries, (error,) = yield from _built([a0], [beta_g], _ONE_PIN, policy)
-    if error is not None:
-        raise error
-    re_m11 = entries[0, 0, 0].real
+    if re_m11 is None:
+        (re_m11,) = yield from _re_self_terms([a0], [beta_g], policy)
     chi0 = math.sqrt(beta_g * beta_g - a0 * a0)
 
     def condition(etas):
@@ -276,8 +292,9 @@ def _pair_search(beta_g, a0, eta_guess, policy):
         changes = _sign_changes(values)
         if changes:
             i = changes[0]
-            return (yield from _nearest_root(condition_at, grid[i], grid[i + 1],
-                                             values[i], values[i + 1]))
+            eta, _ = yield from _nearest_root(condition_at, grid[i], grid[i + 1],
+                                              values[i], values[i + 1])
+            return eta
     raise NoUnityTransmittance(
         f"no root of the pair condition at beta_g = {beta_g:.9g} with eta within "
         f"20% of the guess {eta_guess:.6g} gives unit transmittance"
@@ -445,7 +462,7 @@ def _brent_steps(f, a: float, b: float, xtol: float):
 
 
 def _nearest_root(f, a: float, b: float, fa: float, fb: float):
-    """The float nearest the root of f in [a, b], where f changes sign.
+    """The float nearest the root of f in [a, b], where f changes sign, and f there.
 
     f(x) is a search step, and so is this (see _lockstep).  fa and fb are
     f(a) and f(b) from the bracketing grid; f is never evaluated at a or b,
@@ -469,9 +486,9 @@ def _nearest_root(f, a: float, b: float, fa: float, fb: float):
         y = math.nextafter(x, toward)
         fy = yield from g(y)
         if (fy > 0) != (fx > 0) or fy == 0.0:
-            return y if abs(fy) < abs(fx) else x
+            return (y, fy) if abs(fy) < abs(fx) else (x, fx)
         x, fx = y, fy
-    return x
+    return x, fx
 
 
 def resonance_beta(
@@ -493,7 +510,8 @@ def resonance_beta(
     the factor's modulus on a coarse grid over the window (edges included)
     and polishes the zero from the deepest grid point.  Raises Unresolved
     when that polish is rejected (see _pole_search; the reach is a tenth of
-    the window width), as when the window holds no resonance.
+    the window width), as when the window holds no resonance, and
+    ValueError, before any evaluation, for an unknown kind or coarse < 2.
     """
     alpha0_at = _alpha0_rule(theta_i, alpha0)
     return _run(_window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse)).real
@@ -507,6 +525,8 @@ def _window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse=241):
     """
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
+    if coarse < 2:
+        raise ValueError(f"coarse must be at least 2, got {coarse}")
     geometry = StackGeometry(eta=eta, xi=xi)
     lo, hi = beta_window
     betas = np.linspace(lo, hi, coarse).tolist()
@@ -739,11 +759,13 @@ def feature_scan(
     scan (EDIT notches reach Q ~ 1e9..1e10).  Each window is a scan read as
     columns (scattering._scan_columns); returns the last window's scan
     records.  A point of a window that fails to evaluate raises Unresolved.
-    A feature other than "peak" or "notch", a halfwidth that is not a
-    positive finite number, or fewer than 80 points (which can never hold
-    40 inside half the window), raises ValueError before any scan.
+    A feature other than "peak" or "notch", a center or halfwidth that is
+    not a positive finite number, or fewer than 80 points (which can never
+    hold 40 inside half the window), raises ValueError before any scan.
     """
     _check_feature(feature)
+    if not 0.0 < center < math.inf:   # NaN included; beta <= 0 has no incident wave
+        raise ValueError(f"center must be positive and finite, got {center}")
     if not 0.0 < halfwidth < math.inf:   # NaN included; 0 rescans one point
         raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
     if not points >= 80:
@@ -837,11 +859,12 @@ def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool
     EDIT tuning polished, which xi does not move (_dark_q).
     """
     alpha0_at = _alpha0_rule(res.theta_i, None)
-    res.beta_g = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i), policy)
+    res.beta_g, re_m11 = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i),
+                                                   policy)
     res.alpha0_g = alpha0_at(res.beta_g)
     chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
     guess = slab_guess(res.beta_g, res.alpha0_g, m)
-    res.eta_star = yield from _pair_search(res.beta_g, res.alpha0_g, guess, policy)
+    res.eta_star = yield from _pair_search(res.beta_g, res.alpha0_g, guess, policy, re_m11)
     res.m_eff = res.eta_star * chi0 / math.pi
     if with_modes:
         for kind in ("odd", "even"):

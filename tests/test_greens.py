@@ -340,8 +340,11 @@ def test_imaginary_self_term_is_the_zero_order_alone(alpha0, beta, d):
 
 
 def test_real_self_term_changes_sign_once_on_the_mirror_grid():
-    # find_beta_g's default grid brackets exactly one root of Re G(0, 0)
-    cases = [(math.radians(deg), None) for deg in range(61)] + [(None, 2.1)]
+    # on every default bracket Re G(0, 0) has exactly one root, seen on a
+    # grid 8x finer than find_beta_g's default 31 points, so that grid
+    # brackets it
+    cases = ([(math.radians(deg), None) for deg in range(-89, 90)]
+             + [(None, alpha0) for alpha0 in (-2.69, -2.1, -1.0, -0.3, 0.3, 1.0, 2.1, 2.69)])
     for theta, alpha0 in cases:
         betas = np.linspace(*default_bracket(theta, alpha0), 241)
         alpha0s = betas * math.sin(theta) if alpha0 is None else np.full_like(betas, alpha0)

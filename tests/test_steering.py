@@ -128,10 +128,25 @@ class TestFindBetaG:
             find_beta_g(alpha0=2.1, beta_bracket=(3.5, 2.0 * math.pi - 2.1))
 
     def test_root_does_not_depend_on_the_grid(self):
-        # each root is refined to the nearest float, whatever its bracket
-        for deg in (0.0, 30.0, 45.0, 60.0):
-            roots = {find_beta_g(math.radians(deg), coarse=n) for n in (41, 121, 241, 481)}
-            assert len(roots) == 1, f"{deg} deg: {roots}"
+        # each root is refined to the nearest float, whatever its bracket,
+        # so the default 31-point grid returns the 241-point grid's float
+        cases = [{"theta_i": math.radians(deg)} for deg in (0.0, 30.0, 45.0, 60.0, -40.0)]
+        for inc in cases + [{"alpha0": 2.1}, {"alpha0": -0.7}]:
+            roots = {find_beta_g(**inc, coarse=n) for n in (31, 41, 121, 241, 481)}
+            assert len(roots) == 1, f"{inc}: {roots}"
+
+    @pytest.mark.parametrize("coarse", [1, 0, -5])
+    def test_a_grid_of_fewer_than_two_points_is_refused(self, coarse, monkeypatch):
+        # one point brackets nothing: 0 and 1 used to raise NoUnityReflectance,
+        # or from resonance_beta's argmin of an empty grid
+        calls = _counted_kernel(monkeypatch)
+        with pytest.raises(ValueError, match=f"coarse must be at least 2, got {coarse}"):
+            find_beta_g(THETA_30, coarse=coarse)
+        with pytest.raises(ValueError, match=f"coarse must be at least 2, got {coarse}"):
+            resonance_beta("odd", 1.0, 0.0, (3.5, 3.7), alpha0=2.1, coarse=coarse)
+        assert calls == []
+        # two points are a grid: the bracket's ends
+        assert find_beta_g(THETA_30, coarse=2) == find_beta_g(THETA_30)
 
 
 class TestSlabGuess:
@@ -222,6 +237,41 @@ def test_nearest_root_never_evaluates_the_bracket_ends(monkeypatch):
     assert len(brackets) == 2
     for a, b, evaluated in brackets:
         assert evaluated and a not in evaluated and b not in evaluated
+
+
+def test_steer_stage_roots_are_the_lone_functions_floats(table1_alone):
+    # steer hands stage 2 the Re G(0, 0) that stage 1 computed at its root;
+    # find_eta_star run alone builds it, and must land on the same float
+    for deg, res in zip(TABLE1_ANGLES_DEG, table1_alone):
+        theta = math.radians(deg)
+        beta_g = find_beta_g(theta)
+        assert res.beta_g == beta_g, f"{deg} deg"
+        assert res.eta_star == find_eta_star(beta_g, slab_guess(beta_g, res.alpha0_g),
+                                             theta_i=theta), f"{deg} deg"
+
+
+def test_table1_builds_each_mirror_point_once(monkeypatch):
+    # the 15 mirror grids are one builder call of 15 x _MIRROR_GRID rows,
+    # and each later call holds at most one refinement point per angle.  No
+    # point is built twice: stage 2 reads Re G(0, 0) at beta_g off stage 1's
+    # root (at 241 grid points each angle's beta_g was built twice, and the
+    # pass built 3,706 points)
+    rows, sizes, builder = [], [], steering._interaction_matrices
+
+    def spy(alpha0, beta, pins, policy):
+        assert pins == steering._ONE_PIN
+        sizes.append(len(beta))
+        rows.extend(zip(alpha0.tolist(), beta.tolist()))
+        return builder(alpha0, beta, pins, policy)
+
+    monkeypatch.setattr(steering, "_interaction_matrices", spy)
+    results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
+    assert all(res.error is None for res in results)
+    n = len(TABLE1_ANGLES_DEG)
+    assert sizes[0] == n * steering._MIRROR_GRID and max(sizes[1:]) <= n
+    assert len(rows) <= n * (steering._MIRROR_GRID + 8)
+    assert len(set(rows)) == len(rows)
+    assert all((res.alpha0_g, res.beta_g) in rows for res in results)
 
 
 def test_mirror_and_pair_conditions_hold_to_rounding():
@@ -552,6 +602,19 @@ def _spied_windows(monkeypatch) -> list:
     return windows
 
 
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf, 0.0, -3.6])
+def test_feature_scan_refuses_a_bad_center_before_any_scan(center, monkeypatch):
+    # NaN and inf used to scan a whole window of refused points, 0 and -3.6
+    # to raise a misleading Unresolved
+    windows = _spied_windows(monkeypatch)
+    with pytest.raises(ValueError, match="center must be positive and finite"):
+        feature_scan(PinStack.triplet(1.0, 0.0), center, 0.01, "peak", alpha0=2.1)
+    assert windows == []
+    with pytest.raises(_Scanned):
+        feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak", alpha0=2.1)
+    assert len(windows) == 1
+
+
 @pytest.mark.parametrize("halfwidth", [0.0, -0.01, math.nan, math.inf])
 def test_feature_scan_refuses_a_bad_halfwidth_before_any_scan(halfwidth, monkeypatch):
     # a zero halfwidth would rescan one point at every zoom step, then give up
@@ -846,14 +909,15 @@ def test_two_propagating_orders_are_refused_before_the_pair_grid(monkeypatch):
 
 def test_table1_makes_few_kernel_calls(monkeypatch):
     # each lockstep round makes one kernel call per kind of pending step; one
-    # angle at a time, the 15 angles made 486 one-point calls, and with one
-    # request per starting value of a pole polish, 32.  No root is
+    # angle at a time, the 15 angles made 486 one-point calls, with one
+    # request per starting value of a pole polish 32, and with stage 2
+    # asking the builder again for stage 1's Re G(0, 0) 30.  No root is
     # confirmed by a scattering solve: the one-order rule needs none
     calls = _counted_kernel(monkeypatch)
     solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 30
+    assert 0 < len(calls) <= 29
     assert solves == []
     # the spy sits on the one scattering path: a scatter and a scan reach it
     scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
