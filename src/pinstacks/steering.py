@@ -41,8 +41,10 @@ generator that yields each kernel evaluation it needs (a _Request: the
 builder or the lattice sums, and its inputs as flat columns) and is sent its
 value.  _lockstep advances many of them together, one kernel call per kind
 of request and round on their columns joined, so a lone request is a join
-of one; steer runs each angle's whole chain (_angle_search, from beta_g to
-the Q factors) that way, and each public function runs its one search alone
+of one.  A search may also yield a _Fork of sub-searches that do not depend
+on each other, which then run side by side.  steer runs each angle's whole
+chain (_angle_search, from beta_g to the Q factors) that way, forking where
+stages are independent, and each public function runs its one search alone
 through the same driver (_run).
 """
 
@@ -83,7 +85,7 @@ _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 _POLE_REACH = 0.06
 _MAX_ZOOM = 60    # feature_scan's window rescans before it gives up
 _MIRROR_GRID = 31    # find_beta_g's bracketing grid (see find_beta_g)
-_PAIR_GRID = 41      # find_eta_star's, per spread
+_PAIR_GRID = 41      # find_eta_star's, per spread (see find_eta_star)
 _ONE_PIN = ((0.0, 0.0),)
 
 
@@ -168,7 +170,11 @@ def find_beta_g(
     float (_nearest_root), where 1 - R vanishes to rounding, and the first at
     which order 0 alone propagates is returned (_one_order; with more orders
     the others carry energy and R < 1).  The grid only brackets: the float
-    returned does not depend on it.  The default 31 points suffice on every
+    returned depends on it only where rounding makes the condition change
+    sign more than once among the floats next to the root (see
+    _nearest_root), and the default grid returns the 241-point grid's float
+    at every 0.5 degree of theta in [-89, 89.5] and every 0.1 of alpha0 in
+    [-2.7, 2.7].  The default 31 points suffice on every
     default_bracket, where Re G(0, 0) is monotone with one root (checked on
     4,001 points for theta in [-89, 89.5] degrees and |alpha0| <= 2.7); a
     grid misses two roots between neighbouring points, so a caller with a
@@ -255,6 +261,18 @@ def find_eta_star(
     expected within 10% of the optimum (the slab model lands within ~2.5%);
     a guess that is not positive raises ValueError (G(0, -eta) = G(0, eta),
     so it would only find the mirror image of a root).
+
+    The grid only brackets: on 4,001 points each spread of the slab guess
+    holds exactly one sign change (theta in [-89, 89.5] degrees in 0.5-degree
+    steps, m = 1-4), so every grid brackets the same root.  The float refined
+    from it still follows the bracket where rounding makes the difference
+    change sign more than once next to the root: at -30.5 degrees it reads
+    -2.7e-18, +1.3e-19, -6.5e-21 and +2.5e-18 on the four floats from
+    0.9958492392136643 up (24.5 degrees is alike), and the root is either
+    middle float, by Brent's path.  Hence _PAIR_GRID is 41: given 0.85 to
+    1.19 times the slab guess, every grid of 2 to 40 points moves 26 to 44
+    of the 70 roots at those two angles by 1 ulp (and none at 22 others,
+    m = 1).
     """
     if not eta_guess > 0:
         raise ValueError(f"eta_guess must be positive, got {eta_guess}")
@@ -327,27 +345,63 @@ class _Request:
     columns: tuple
 
 
+@dataclass(frozen=True)
+class _Fork:
+    """Sub-searches a search waits for, all at once (see _lockstep); at least one."""
+
+    searches: tuple
+
+
 def _lockstep(searches: list) -> list:
     """Run searches together: each one's return value, or the exception it raised.
 
     A search is a generator that yields a _Request for every evaluation it
-    needs and is sent the answer, or thrown the exception its call raised.  Each
-    round answers every pending request, each key's requests by _answers.
-    The kernel's values depend only on their own inputs (see greens), so a
-    search gets the same floats whatever runs beside it, and a request that
-    raises fails its own search alone.
+    needs and is sent the answer, or thrown the exception its call raised.  It
+    may instead yield a _Fork of searches that do not depend on each other:
+    they start at once and run beside every other search, their requests
+    joining the same rounds, and the forking search is sent the list of their
+    outcomes (each a return value or an exception, as here) when the last one
+    ends.  Each round answers every pending request, each key's requests by
+    _answers.  The kernel's values depend only on their own inputs (see
+    greens), so a search gets the same floats whatever runs beside it, and a
+    request that raises fails its own search alone.
     """
     outcomes: list = [None] * len(searches)
+    tasks = list(searches)
+    # where each task's outcome goes: a list, its index there, the forking task
+    homes: list = [(outcomes, i, None) for i in range(len(searches))]
+    unfinished: dict[int, int] = {}     # each forking task's sub-searches still running
     pending: dict[int, _Request] = {}
 
     def resume(i: int, answer=None) -> None:
         try:
-            pending[i] = (searches[i].throw(answer) if isinstance(answer, Exception)
-                          else searches[i].send(answer))
+            step = (tasks[i].throw(answer) if isinstance(answer, Exception)
+                    else tasks[i].send(answer))
         except StopIteration as stop:
-            outcomes[i] = stop.value
+            outcome = stop.value
         except Exception as exc:  # noqa: BLE001 - a failed search fails alone
-            outcomes[i] = exc
+            outcome = exc
+        else:
+            if isinstance(step, _Fork):
+                fork(i, step.searches)
+            else:
+                pending[i] = step
+            return
+        results, k, parent = homes[i]
+        results[k] = outcome
+        if parent is not None:
+            unfinished[parent] -= 1
+            if not unfinished[parent]:
+                del unfinished[parent]
+                resume(parent, results)
+
+    def fork(i: int, children: tuple) -> None:
+        results = [None] * len(children)
+        unfinished[i] = len(children)
+        for k, child in enumerate(children):
+            tasks.append(child)
+            homes.append((results, k, i))
+            resume(len(tasks) - 1)
 
     for i in range(len(searches)):
         resume(i)
@@ -379,12 +433,16 @@ def _answers(requests: list[_Request]) -> list:
     return [tuple(out[lo:hi] for out in outputs) for lo, hi in zip([0] + ends, ends)]
 
 
-def _run(search):
-    """The return value of one search run alone, or the exception it raised."""
-    (outcome,) = _lockstep([search])
+def _value(outcome):
+    """A search's return value from its outcome (see _lockstep), or raise its exception."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _run(search):
+    """The return value of one search run alone, or the exception it raised."""
+    return _value(_lockstep([search])[0])
 
 
 def _built(alpha0, beta, pins: tuple, policy: TruncationPolicy):
@@ -467,10 +525,13 @@ def _nearest_root(f, a: float, b: float, fa: float, fb: float):
     f(x) is a search step, and so is this (see _lockstep).  fa and fb are
     f(a) and f(b) from the bracketing grid; f is never evaluated at a or b,
     nor twice anywhere.  _brent_steps narrows the bracket to a few ulp;
-    stepping float by float from its answer to the sign change then returns
-    whichever of the two straddling floats has the smaller |f|, so the
-    result does not depend on where Brent's method stopped, and hence on
-    neither the bracket nor the grid.
+    stepping float by float from its answer to the nearest sign change then
+    returns whichever of the two straddling floats has the smaller |f|.
+    Where the rounded f changes sign once near the root, the result is thus
+    the same wherever Brent's method stopped, whatever the bracket and grid;
+    where it changes sign more than once among a few floats (stage 2's at
+    some angles; see find_eta_star), the sign change reached, and so the
+    float returned, follows Brent's path.
     """
     known = {a: fa, b: fb}
 
@@ -620,9 +681,11 @@ def find_xi_edit(
 
     Raises ValueError, before any evaluation, unless the bracket's ends are
     finite and ascending; Unresolved, naming the parity and where the seed
-    is, when a polish is rejected; and ModesDidNotMerge (reporting the
-    closest approach over the tracked poles) when the gap never changes
-    sign over the bracket.
+    is, when a polish is rejected; and ModesDidNotMerge when the gap never
+    changes sign over the bracket, reporting the closest approach over the
+    tracked poles, or, where that approach is a gap of exactly 0 (at m = 3
+    and 80 degrees every tracked pole's real part is beta_odd's float), that
+    the merge is below double-precision resolution.
     """
     lo, hi = xi_bracket
     if not -math.inf < lo < hi < math.inf:   # NaN included
@@ -665,6 +728,12 @@ def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30)):
             )
         return float(xi_edit), float(beta_odd)
     closest, at = min((abs(pole.real - beta_odd), xi) for xi, pole in track.items())
+    if closest == 0.0:   # the gap vanishes without changing sign
+        zeros = sum(pole.real == beta_odd for pole in track.values())
+        raise ModesDidNotMerge(
+            f"beta_even - beta_odd is 0 in double precision at {zeros} of the {len(track)} "
+            f"shifts tracked over xi in ({lo:g}, {hi:g}): the merge is below resolution"
+        )
     raise ModesDidNotMerge(
         f"no sign change of beta_even - beta_odd over xi in ({lo:g}, {hi:g}); "
         f"closest approach {closest:.3e} at xi = {at:.6g}"
@@ -832,8 +901,9 @@ def steer(
 
     Each angle's whole chain, its Q factors included, is one search
     (_angle_search) that fills its result, and all angles' run in lockstep
-    (_lockstep): each round evaluates every angle's pending step in one
-    kernel call per kind, with the same floats as one angle alone.  An
+    (_lockstep), with each angle's independent stages side by side: each
+    round evaluates every pending step in one kernel call per kind, with the
+    same floats and errors as one angle's stages run one by one.  An
     exception a search raises becomes its angle's error, "Class: message".
     A mode order m < 1 raises ValueError before any evaluation.
     """
@@ -850,13 +920,17 @@ def steer(
 
 def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool,
                   with_q: bool, policy: TruncationPolicy):
-    """steer's search at one angle, filling every field of res as each lands.
+    """steer's search at one angle, filling every field of res.
 
-    beta_g, eta_star and, with_modes, the unshifted pair's poles polished
-    from beta_g; with_edit, xi_edit at the slab separation, or at normal
-    incidence the note that EDIT is unsupported there; with_q, q_pair off the
-    even pole polished from beta_edit, and q_notch off the odd (dark) pole
-    EDIT tuning polished, which xi does not move (_dark_q).
+    beta_g first; then, side by side (a _Fork, see _lockstep), eta_star with,
+    with_modes, the unshifted pair's poles polished from beta_g (_pair_poles),
+    and with_edit, xi_edit at the slab separation with, with_q, its Q factors
+    (_edit_q), since EDIT tuning needs beta_g and the slab separation alone.
+    At normal incidence EDIT does not run and the error notes that it is
+    unsupported there.  The fields are filled in stage order (eta_star, the
+    odd pole, the even pole, xi_edit, the even pole at beta_edit, q_notch),
+    and the first stage that failed raises its exception with every later
+    field left unset, as when the stages ran one after another.
     """
     alpha0_at = _alpha0_rule(res.theta_i, None)
     res.beta_g, re_m11 = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i),
@@ -864,26 +938,58 @@ def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool
     res.alpha0_g = alpha0_at(res.beta_g)
     chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
     guess = slab_guess(res.beta_g, res.alpha0_g, m)
-    res.eta_star = yield from _pair_search(res.beta_g, res.alpha0_g, guess, policy, re_m11)
+    edit = with_edit and res.theta_i != 0.0
+    branches = [_pair_poles(res.beta_g, res.alpha0_g, alpha0_at, guess, re_m11, with_modes,
+                            policy)]
+    if edit:
+        branches.append(_edit_q(alpha0_at, res.beta_g, guess, with_q, policy))
+    outcomes = yield _Fork(tuple(branches))
+    res.eta_star, poles = _value(outcomes[0])
     res.m_eff = res.eta_star * chi0 / math.pi
-    if with_modes:
-        for kind in ("odd", "even"):
-            pole = yield from _resolved_pole(kind, res.beta_g, alpha0_at, res.eta_star, 0.0,
-                                             policy, _POLE_REACH, f"beta_g = {res.beta_g:.9g}")
-            setattr(res, f"beta_{kind}", pole.real)
+    for kind, pole in zip(("odd", "even"), poles):
+        setattr(res, f"beta_{kind}", _value(pole).real)
     if not with_edit:
         return
-    if res.theta_i == 0.0:
+    if not edit:
         res.error = "EDIT unsupported at normal incidence"
         return
     res.eta_edit = guess
-    res.xi_edit, res.beta_edit = yield from _edit_search(alpha0_at, res.beta_g, guess, policy)
-    if not with_q:
-        return
-    even = yield from _resolved_pole("even", res.beta_edit, alpha0_at, res.eta_edit, res.xi_edit,
-                                     policy, _POLE_REACH, f"beta_edit = {res.beta_edit:.9g}")
-    res.q_notch = yield from _dark_q(res.beta_edit, alpha0_at, res.eta_edit, policy)
-    res.q_pair = even.real / (2.0 * abs(even.imag))
+    res.xi_edit, res.beta_edit, q_stage = _value(outcomes[1])
+    if with_q:
+        even = _value(q_stage[0])
+        res.q_notch = _value(q_stage[1])
+        res.q_pair = even.real / (2.0 * abs(even.imag))
+
+
+def _pair_poles(beta_g, a0, alpha0_at, guess, re_m11, with_modes, policy):
+    """eta_star and the outcomes of the unshifted pair's polishes, as lockstep steps.
+
+    The odd and even poles at eta_star are polished from beta_g side by side
+    (a _Fork) with_modes; else the outcomes are [].
+    """
+    eta_star = yield from _pair_search(beta_g, a0, guess, policy, re_m11)
+    poles = []
+    if with_modes:
+        poles = yield _Fork(tuple(
+            _resolved_pole(kind, beta_g, alpha0_at, eta_star, 0.0, policy, _POLE_REACH,
+                           f"beta_g = {beta_g:.9g}") for kind in ("odd", "even")))
+    return eta_star, poles
+
+
+def _edit_q(alpha0_at, beta_g, eta, with_q, policy):
+    """xi_edit, beta_edit and the outcomes of the Q stage's two searches, as lockstep steps.
+
+    With_q, the even pole polished from beta_edit and q_notch (_dark_q) run
+    side by side (a _Fork); else the outcomes are [].
+    """
+    xi_edit, beta_edit = yield from _edit_search(alpha0_at, beta_g, eta, policy)
+    q_stage = []
+    if with_q:
+        q_stage = yield _Fork((
+            _resolved_pole("even", beta_edit, alpha0_at, eta, xi_edit, policy, _POLE_REACH,
+                           f"beta_edit = {beta_edit:.9g}"),
+            _dark_q(beta_edit, alpha0_at, eta, policy)))
+    return xi_edit, beta_edit, q_stage
 
 
 def _dark_q(beta, alpha0_at, eta, policy):

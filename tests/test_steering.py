@@ -288,6 +288,48 @@ def test_mirror_and_pair_conditions_hold_to_rounding():
         assert abs(1.0 - t) <= 2e-11, inc
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pair_condition_changes_sign_once_over_each_spread(m):
+    # stage 2's grid only brackets: on 4,001 points each spread of the slab
+    # guess holds one root, so every grid of it brackets that root (checked
+    # at every 0.5 degree of [-89, 89.5]; sampled here)
+    for deg in (-87.5, -60.0, -30.5, -9.0, 0.0, 12.0, 24.5, 45.0, 71.0, 89.5):
+        theta = math.radians(deg)
+        beta_g = find_beta_g(theta)
+        alpha0 = beta_g * math.sin(theta)
+        (re_m11,) = steering._run(steering._re_self_terms([alpha0], [beta_g], DEFAULT_POLICY))
+        chi0 = math.sqrt(beta_g * beta_g - alpha0 * alpha0)
+        guess = slab_guess(beta_g, alpha0, m)
+        for spread in (0.1, 0.2):
+            etas = np.linspace((1.0 - spread) * guess, (1.0 + spread) * guess, 4001)
+            values, _ = steering._run(steering._summed(alpha0, beta_g, 0.0, etas,
+                                                       DEFAULT_POLICY))
+            condition = values.real - re_m11 * np.cos(chi0 * etas)
+            assert len(steering._sign_changes(condition)) == 1, f"{deg} deg, m = {m}, {spread}"
+
+
+def test_the_grid_moves_a_pair_root_by_one_ulp_at_most(monkeypatch):
+    # every grid brackets the one root (above), refined to a float where the
+    # condition changes sign; at -30.5 and 24.5 degrees rounding makes it
+    # change sign three times among four neighbouring floats, so there the
+    # float follows Brent's path from the bracket, and every grid below 41
+    # points moves some guesses' roots by 1 ulp (why _PAIR_GRID is 41)
+    cases = []
+    for deg in [*TABLE1_ANGLES_DEG, -30.5, 24.5]:
+        theta = math.radians(deg)
+        beta_g = find_beta_g(theta)
+        cases.append((deg, beta_g, slab_guess(beta_g, beta_g * math.sin(theta)), theta))
+    default = [find_eta_star(beta_g, guess, theta_i=theta) for _, beta_g, guess, theta in cases]
+    for n in (5, 11, 21, 31):
+        monkeypatch.setattr(steering, "_PAIR_GRID", n)
+        for (deg, beta_g, guess, theta), eta in zip(cases, default):
+            got = find_eta_star(beta_g, guess, theta_i=theta)
+            if deg in TABLE1_ANGLES_DEG:
+                assert got == eta, f"{deg} deg, {n} points"
+            else:
+                assert abs(got - eta) <= math.ulp(eta), f"{deg} deg, {n} points"
+
+
 class TestResonanceBeta:
     def test_odd_resonance_is_shift_invariant(self):
         window = (3.55, 3.65)
@@ -333,6 +375,22 @@ def test_find_xi_edit_reports_no_merge():
     # a bracket entirely above the crossing: the gap keeps one sign
     with pytest.raises(ModesDidNotMerge, match="closest approach"):
         find_xi_edit(THETA_30, 3.599363, 1.0, xi_bracket=(0.27, 0.30))
+
+
+def test_find_xi_edit_reports_a_merge_below_resolution():
+    # at m = 3 and 80 deg every tracked even pole's real part is beta_odd's
+    # float: the gap is 0 without changing sign, so "no sign change" with a
+    # closest approach of 0 would contradict itself
+    message = ("beta_even - beta_odd is 0 in double precision at 16 of the 16 shifts "
+               "tracked over xi in (0.15, 0.3): the merge is below resolution")
+    theta = math.radians(80.0)
+    beta_g = find_beta_g(theta)
+    with pytest.raises(ModesDidNotMerge) as raised:
+        find_xi_edit(theta, beta_g, slab_guess(beta_g, beta_g * math.sin(theta), m=3))
+    assert str(raised.value) == message
+    res, = steer([theta], m=3, with_edit=True)
+    assert res.error == f"ModesDidNotMerge: {message}"
+    assert res.beta_edit is None
 
 
 def test_find_xi_edit_refuses_a_bracket_that_is_not_finite_and_ascending(monkeypatch):
@@ -883,6 +941,162 @@ def test_a_failing_request_in_a_group_fails_alone(monkeypatch):
         assert all(map(_same_bits, together[k], alone[k]))
 
 
+def test_a_fork_joins_the_rounds_of_every_other_search(monkeypatch):
+    # a fork's searches start at once and their requests join every other
+    # pending request of their key; the forking search is sent each one's
+    # outcome in order, an exception included, when the last one ends
+    betas = [3.6 - 1e-3j, 3.65 - 2e-3j]
+
+    def step(beta):
+        return steering._summed(0.5 * beta, beta, *_EVEN_OFFSETS, DEFAULT_POLICY)
+
+    def refused():
+        raise ValueError("refused")
+        yield
+
+    def nested():
+        (values,) = yield steering._Fork((step(betas[0]),))
+        return values
+
+    def forking():
+        return (yield steering._Fork((step(betas[0]), refused(), nested())))
+
+    alone = [steering._lockstep([step(beta)])[0] for beta in betas]
+    calls = _counted_kernel(monkeypatch)
+    (first, failed, deeper), other = steering._lockstep([forking(), step(betas[1])])
+    assert len(calls) == 1
+    assert type(failed) is ValueError and str(failed) == "refused"
+    for values, expected in ((first, alone[0]), (deeper, alone[0]), (other, alone[1])):
+        assert all(map(_same_bits, values, expected))
+
+
+def _stages_one_by_one(res, m, with_modes, with_edit, with_q, policy):
+    """steer's search at one angle with every stage waiting for the one before.
+
+    The reference for _angle_search, whose independent stages run side by
+    side: both must fill the same fields and raise the same error.
+    """
+    alpha0_at = scattering._alpha0_rule(res.theta_i, None)
+    res.beta_g, re_m11 = yield from steering._mirror_search(
+        alpha0_at, default_bracket(res.theta_i), policy)
+    res.alpha0_g = alpha0_at(res.beta_g)
+    chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
+    guess = slab_guess(res.beta_g, res.alpha0_g, m)
+    res.eta_star = yield from steering._pair_search(res.beta_g, res.alpha0_g, guess, policy,
+                                                    re_m11)
+    res.m_eff = res.eta_star * chi0 / math.pi
+    if with_modes:
+        for kind in ("odd", "even"):
+            pole = yield from steering._resolved_pole(
+                kind, res.beta_g, alpha0_at, res.eta_star, 0.0, policy, steering._POLE_REACH,
+                f"beta_g = {res.beta_g:.9g}")
+            setattr(res, f"beta_{kind}", pole.real)
+    if not with_edit:
+        return
+    if res.theta_i == 0.0:
+        res.error = "EDIT unsupported at normal incidence"
+        return
+    res.eta_edit = guess
+    res.xi_edit, res.beta_edit = yield from steering._edit_search(alpha0_at, res.beta_g, guess,
+                                                                  policy)
+    if not with_q:
+        return
+    even = yield from steering._resolved_pole(
+        "even", res.beta_edit, alpha0_at, res.eta_edit, res.xi_edit, policy,
+        steering._POLE_REACH, f"beta_edit = {res.beta_edit:.9g}")
+    res.q_notch = yield from steering._dark_q(res.beta_edit, alpha0_at, res.eta_edit, policy)
+    res.q_pair = even.real / (2.0 * abs(even.imag))
+
+
+def _steer_one_by_one(thetas, m=1, with_modes=True, with_edit=False, with_q=False):
+    """steer, each angle's stages run one by one (_stages_one_by_one)."""
+    with_edit = with_edit or with_q
+    results = [steering.SteeringResult(theta_i=theta) for theta in thetas]
+    searches = [_stages_one_by_one(res, m, with_modes, with_edit, with_q, DEFAULT_POLICY)
+                for res in results]
+    for res, outcome in zip(results, steering._lockstep(searches)):
+        if isinstance(outcome, Exception):
+            res.error = f"{type(outcome).__name__}: {outcome}"
+    return results
+
+
+def test_forked_stages_equal_the_stages_one_by_one():
+    # every field, None and error, at m = 3 from 60 to 89 deg, where EDIT fails
+    # from 70 deg, and at the Table-1 angles with and without the pair
+    thetas = [math.radians(d) for d in range(60, 90)]
+    assert steer(thetas, m=3, with_q=True) == _steer_one_by_one(thetas, m=3, with_q=True)
+    thetas = [math.radians(d) for d in TABLE1_ANGLES_DEG]
+    for options in ({}, {"with_edit": True, "with_modes": False}):
+        assert steer(thetas, **options) == _steer_one_by_one(thetas, **options)
+
+
+_STAGES = ("beta_g", "eta_star", "beta_odd", "beta_even", "eta_edit", "xi_edit", "q_notch",
+           "q_pair")
+
+
+def _failing(monkeypatch, name, fails):
+    """Make steering's search name fail wherever fails(*its arguments) holds.
+
+    _pole_search then returns None, a rejected polish that _resolved_pole
+    raises as Unresolved; any other search raises ArithmeticError.
+    """
+    search = getattr(steering, name)
+
+    def spy(*args):
+        if fails(*args):
+            if name == "_pole_search":
+                return None
+            raise ArithmeticError(f"injected failure in {name}")
+        return (yield from search(*args))
+
+    monkeypatch.setattr(steering, name, spy)
+
+
+@pytest.fixture(scope="module")
+def q_30_60():
+    """steer with_q at 30 and 60 degrees, untouched."""
+    return steer([THETA_30, math.radians(60.0)], with_q=True)
+
+
+@pytest.mark.parametrize("failures, unset, error", [
+    ([("_pole_search", lambda ref, kind, beta0, rule, eta, xi, *_: kind == "odd"
+       and eta == ref.eta_star)],
+     "beta_odd", "Unresolved: no zero of the odd factor within reach of beta_g = "),
+    ([("_pole_search", lambda ref, kind, beta0, rule, eta, xi, *_: kind == "even"
+       and eta == ref.eta_star)],
+     "beta_even", "Unresolved: no zero of the even factor within reach of beta_g = "),
+    ([("_pair_search", lambda ref, beta_g, *_: beta_g == ref.beta_g)],
+     "eta_star", "ArithmeticError: injected failure in _pair_search"),
+    ([("_pair_search", lambda ref, beta_g, *_: beta_g == ref.beta_g),
+      ("_pole_search", lambda ref, kind, beta0, rule, eta, xi, *_: eta == ref.eta_edit)],
+     "eta_star", "ArithmeticError: injected failure in _pair_search"),
+    ([("_pole_search", lambda ref, kind, beta0, rule, eta, xi, *_: kind == "odd"
+       and eta == ref.eta_edit)],
+     "xi_edit", "Unresolved: no zero of the odd factor within reach of beta_g = "),
+    ([("_pole_search", lambda ref, kind, beta0, rule, eta, xi, *_: kind == "even"
+       and beta0 == ref.beta_edit)],
+     "q_notch", "Unresolved: no zero of the even factor within reach of beta_edit = "),
+    ([("_dark_q", lambda ref, beta, *_: beta == ref.beta_edit)],
+     "q_notch", "ArithmeticError: injected failure in _dark_q"),
+], ids=["odd pole", "even pole", "stage 2 while EDIT succeeds", "stage 2 and EDIT",
+        "EDIT while stage 2 succeeds", "Q even pole", "Q dark pole"])
+def test_a_failed_stage_leaves_the_fields_of_the_stages_one_by_one(
+        failures, unset, error, q_30_60, monkeypatch):
+    # one side-by-side stage fails at 30 deg: the fields before it in stage
+    # order are set, the rest None, the error is the first failed stage's,
+    # and 60 deg is untouched
+    for name, fails in failures:
+        _failing(monkeypatch, name, lambda *args, fails=fails: fails(q_30_60[0], *args))
+    thetas = [THETA_30, math.radians(60.0)]
+    bad, good = steer(thetas, with_q=True)
+    assert [bad, good] == _steer_one_by_one(thetas, with_q=True)
+    assert good == q_30_60[1]
+    assert bad.error.startswith(error)
+    k = _STAGES.index(unset)
+    assert all(getattr(bad, name) is not None for name in _STAGES[:k])
+    assert all(getattr(bad, name) is None for name in _STAGES[k:])
+
+
 def _counted_kernel(monkeypatch) -> list:
     """The argument tuples of every _lattice_sums call, from whichever module."""
     calls, kernel = [], steering._lattice_sums
@@ -910,14 +1124,16 @@ def test_two_propagating_orders_are_refused_before_the_pair_grid(monkeypatch):
 def test_table1_makes_few_kernel_calls(monkeypatch):
     # each lockstep round makes one kernel call per kind of pending step; one
     # angle at a time, the 15 angles made 486 one-point calls, with one
-    # request per starting value of a pole polish 32, and with stage 2
-    # asking the builder again for stage 1's Re G(0, 0) 30.  No root is
-    # confirmed by a scattering solve: the one-order rule needs none
+    # request per starting value of a pole polish 32, with stage 2 asking
+    # the builder again for stage 1's Re G(0, 0) 30, and with the odd pole
+    # polished before the even one 29, and with the two side by side 22.
+    # No root is confirmed by a scattering solve: the one-order rule needs
+    # none
     calls = _counted_kernel(monkeypatch)
     solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 29
+    assert 0 < len(calls) <= 22
     assert solves == []
     # the spy sits on the one scattering path: a scatter and a scan reach it
     scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
@@ -952,11 +1168,23 @@ def test_q_lockstep_equals_one_angle_at_a_time():
 def test_edit_makes_few_kernel_calls(oblique_edit):
     # each round's continued secants share their calls; run angle by angle,
     # the 14 EDIT searches made 5,333, in lockstep with the even pole
-    # continued at every step of a 1e-3 grid 629, and on a coarse scan of
-    # that grid with window searches beside it 229
+    # continued at every step of a 1e-3 grid 629, on a coarse scan of that
+    # grid with window searches beside it 229, and after stage 2 and the
+    # unshifted pair, not beside them, 97; beside them 84
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 97
+    assert 0 < len(calls) <= 84
+
+
+def test_q_makes_few_kernel_calls(monkeypatch):
+    # the Q stage's even pole and dark-pole slope run side by side, and beside
+    # stage 2 and the unshifted pair: 100 calls, 112 when each stage waited
+    # for the one before
+    calls = _counted_kernel(monkeypatch)
+    results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG], with_q=True)
+    assert results[0].error == "EDIT unsupported at normal incidence"
+    assert all(res.error is None and res.q_pair is not None for res in results[1:])
+    assert 0 < len(calls) <= 100
 
 
 def test_edit_merges_the_window_search_poles(oblique_edit):
