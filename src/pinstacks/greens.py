@@ -309,6 +309,16 @@ def _point_errors(alpha0, beta) -> list[Exception | None]:
     return errors
 
 
+def _passing(errors: list) -> np.ndarray:
+    """The indices of errors' None entries, ascending.
+
+    Where every entry is None (a clean batch) no entry is visited in Python.
+    """
+    if errors.count(None) == len(errors):
+        return np.arange(len(errors))
+    return np.flatnonzero([e is None for e in errors])
+
+
 def _exp1(z: np.ndarray) -> np.ndarray:
     """The exponential integral E_1(z) of every element, real or complex, Re z > 0.
 
@@ -678,7 +688,7 @@ def _interaction_matrices(alpha0, beta, pins, policy: TruncationPolicy
     (LightLineProximity, NonFiniteValue).
     """
     errors = _point_errors(alpha0, beta)
-    ok = [i for i, error in enumerate(errors) if error is None]
+    ok = _passing(errors)
     alpha0 = np.asarray(alpha0, dtype=float)[ok, None]
     beta = np.asarray(beta, dtype=float)[ok, None]
     pins = np.asarray(pins, dtype=float).reshape(-1, 2)

@@ -75,6 +75,7 @@ from .greens import (
     SpectralPoint,
     TruncationPolicy,
     _interaction_matrices,
+    _passing,
     _point_errors,
 )
 
@@ -356,9 +357,16 @@ def _reactance(hermitian: np.ndarray, pins: np.ndarray, waves: tuple[np.ndarray,
             t[rows, first:last] = np.where(down[:, None], down_e, up_e)
             scale = -amplitude[rows] / norm[kept, -own[0]]
             coeffs[rows] = scale[:, None] * np.einsum("bip,bp->bi", x, y[:, :, 0])
-            for i, e in zip(w.tolist(), failed):
-                errors[i] = e
+            _note(errors, w, failed)
     return coeffs, orders, r, t, lo, hi, errors
+
+
+def _note(errors: list, index: np.ndarray, failed: list) -> None:
+    """Set errors[index[k]] to each failed[k] that is not None; an all-None failed is not walked."""
+    if failed.count(None) < len(failed):
+        for i, e in zip(index.tolist(), failed):
+            if e is not None:
+                errors[i] = e
 
 
 def solve_coefficients(
@@ -452,22 +460,20 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     waves that passed, and no failure stops the rest.
     """
     errors = list(errors)
-    index = np.flatnonzero([e is None for e in errors])
+    index = _passing(errors)
     sub = tuple(a[index] for a in waves)
     n = len(pins)
     if hermitian is not None:
-        hermitian, failed = hermitian[index], [None] * len(index)
+        hermitian, build_errors = hermitian[index], [None] * len(index)
     else:
-        matrices, failed = _interaction_matrices(sub[0], sub[1], pins, policy)
+        matrices, build_errors = _interaction_matrices(sub[0], sub[1], pins, policy)
         hermitian = _hermitian(matrices)
-    built = np.flatnonzero([e is None for e in failed])
-    for i, e in zip(index.tolist(), failed):
-        errors[i] = e
+    built = _passing(build_errors)
+    _note(errors, index, build_errors)
     keep = index[built]
-    coeffs, orders, r, t, lo, hi, failed = _reactance(hermitian[built], pins,
-                                                      tuple(a[keep] for a in waves), policy)
-    for i, e in zip(keep.tolist(), failed):
-        errors[i] = e
+    coeffs, orders, r, t, lo, hi, solve_errors = _reactance(
+        hermitian[built], pins, tuple(a[keep] for a in waves), policy)
+    _note(errors, keep, solve_errors)
     r_orders, t_orders = np.zeros((2, len(errors), len(orders)))
     r_orders[keep], t_orders[keep] = r, t
     runs = np.zeros((2, len(errors)), dtype=int)
@@ -477,7 +483,8 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     big_r, big_t = np.zeros((2, len(errors)))
     for k in range(len(orders)):   # order by order, as sum() adds up a record's dict
         big_r, big_t = big_r + r_orders[:, k], big_t + t_orders[:, k]
-    failed = np.array([e is not None for e in errors], dtype=bool)
+    failed = np.ones(len(errors), dtype=bool)
+    failed[_passing(errors)] = False
     big_r[failed] = big_t[failed] = np.nan
     return _Columns(alpha0=waves[0], beta=waves[1], R=big_r, T=big_t,
                     energy_residual=np.abs(big_r + big_t - 1.0), orders=orders,

@@ -40,8 +40,8 @@ Every search (stages 1-3, the window search and the pole polish) is a
 generator that yields each kernel evaluation it needs (a _Request: the
 builder or the lattice sums, and its inputs as flat columns) and is sent its
 value.  _lockstep advances many of them together, one kernel call per kind
-of request and round on their columns joined, so a lone request is a join
-of one.  A search may also yield a _Fork of sub-searches that do not depend
+of request and round on their columns joined (a lone request's call gets
+its own columns).  A search may also yield a _Fork of sub-searches that do not depend
 on each other, which then run side by side.  steer runs each angle's whole
 chain (_angle_search, from beta_g to the Q factors) that way, forking where
 stages are independent, and each public function runs its one search alone
@@ -419,15 +419,21 @@ def _lockstep(searches: list) -> list:
 def _answers(requests: list[_Request]) -> list:
     """Each request's rows of every output of one call on all their columns joined.
 
-    When that call raises, each request is answered as a group of one, so a
-    request that fails gets the exception its own call raises.
+    A lone request is not joined: its call gets its own columns, and its
+    answer is the call's outputs.  When a joined call raises, each request
+    is answered as a group of one, so a request that fails gets the
+    exception its own call raises.
     """
+    if len(requests) == 1:
+        (request,) = requests
+        try:
+            return [request.call(*request.columns)]
+        except Exception as exc:  # noqa: BLE001 - a failed request fails alone
+            return [exc]
     try:
         outputs = requests[0].call(*map(np.concatenate,
                                         zip(*(request.columns for request in requests))))
-    except Exception as exc:  # noqa: BLE001 - answered one by one
-        if len(requests) == 1:
-            return [exc]
+    except Exception:  # noqa: BLE001 - answered one by one
         return [answer for request in requests for answer in _answers([request])]
     ends = np.cumsum([len(request.columns[0]) for request in requests]).tolist()
     return [tuple(out[lo:hi] for out in outputs) for lo, hi in zip([0] + ends, ends)]
@@ -615,6 +621,8 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
     secant with no slope) or moves Re beta or |Im beta| past max_shift from
     the seed's real part; the caller decides what a rejection means.
     Convergence bounds the residual: |f| ~ |dz| |f'| <= 1e-14 |z| |f'|.
+    The converged iterate itself is returned unevaluated: no caller reads its
+    value, and the bound above holds without it.
     alpha0_at is the incidence's _alpha0_rule.
     """
     geometry = StackGeometry(eta=eta, xi=xi)
@@ -638,8 +646,10 @@ def _pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
         dz = -f1 * (z1 - z0) / denom
         z0, f0 = z1, f1
         z1 = z1 + dz
+        if abs(dz) <= 1e-14 * abs(z1):
+            break
         f1 = yield from f(z1)
-        if abs(dz) <= 1e-14 * abs(z1) or f1 == 0:
+        if f1 == 0:
             break
     else:
         return None
@@ -851,8 +861,8 @@ def feature_scan(
             )
         window = np.linspace(center - halfwidth, center + halfwidth, points)
         columns = _scan_columns(stack, window, theta_i, alpha0, policy)
-        bad = next((i for i, e in enumerate(columns.errors) if e is not None), None)
-        if bad is not None:
+        if columns.errors.count(None) < len(columns.errors):
+            bad = next(i for i, e in enumerate(columns.errors) if e is not None)
             error = columns.errors[bad]
             raise Unresolved(f"{feature} scan failed at beta = "
                              f"{window[bad]:.9g}: {type(error).__name__}: {error}")

@@ -440,6 +440,57 @@ def test_scan_records_scatter_at_each_beta_in_order():
         assert rec == scatter(stack, IncidentWave.from_alpha0(2.1, rec.beta))
 
 
+# a pair 1e-7 apart at theta_i = 0.3 or alpha0 = 0.1: its H is singular
+# (condition 4e14) at beta = 0.5 and solves at 1, 3 and 3.5;
+# 4.849932308946276 is on order -1's light line at the angle (2 pi / (1 + sin 0.3)
+# rounds 1 ulp below, which _reactance fails as singular instead), and
+# 2 pi - 0.1 on it at the Bloch parameter
+@pytest.mark.parametrize("incidence, betas, failures", [
+    ({"theta_i": 0.3}, [3.0, math.nan, 0.5, -1.0, 4.849932308946276, 1.0, 3.5],
+     ["ValueError", "SingularSystem", "ValueError", "LightLineProximity"]),
+    ({"alpha0": 0.1}, [3.0, math.nan, 0.5, -1.0, TWO_PI - 0.1, 0.05, 1.0, 3.5],
+     ["DomainError", "SingularSystem", "DomainError", "LightLineProximity", "DomainError"]),
+], ids=["theta_i", "alpha0"])
+def test_every_failure_in_a_scan_is_its_scatter_outcome(incidence, betas, failures):
+    # failures from each stage in one scan (refused before the builder at a
+    # fixed Bloch parameter or by its validation at a fixed angle, the
+    # builder's light-line guard, _reactance's condition test) beside points
+    # that solve: each record is the one-point scatter's, or its exception
+    stack = PinStack.pair(1e-7)
+    make = IncidentWave.from_angle if "theta_i" in incidence else IncidentWave.from_alpha0
+    records = scan(stack, betas, **incidence)
+    raised = []
+    for beta, record in zip(betas, records):
+        try:
+            expected = scatter(stack, make(*incidence.values(), beta))
+        except Exception as exc:  # noqa: BLE001 - compared by class and message
+            raised.append(type(exc).__name__)
+            assert record.error == f"{type(exc).__name__}: {exc}"
+            assert math.isnan(record.T) and math.isnan(record.R)
+            assert record.R_orders == record.T_orders == {}
+        else:
+            assert record == expected
+    assert raised == failures
+    # the columns under the records are NaN exactly where a wave failed
+    columns = scattering._scan_columns(stack, np.array(betas), incidence.get("theta_i"),
+                                       incidence.get("alpha0"), DEFAULT_POLICY)
+    failed = [error is not None for error in columns.errors]
+    for values in (columns.R, columns.T, columns.energy_residual):
+        assert np.isnan(values).tolist() == failed
+
+
+def test_a_clean_window_has_only_none_errors():
+    # a kernel-built window and an interpolated one (scattering._interpolated)
+    for stack, betas, theta in (
+            (SCAN30, np.linspace(3.3, 3.9, 401), THETA_30),
+            (PinStack.triplet(2.1319459999781842, 0.24777142666253502),
+             np.linspace(2.947171960007326 - 1e-7, 2.947171960007326 + 1e-7, 1001),
+             math.radians(60.0))):
+        columns = scattering._scan_columns(stack, betas, theta, None, DEFAULT_POLICY)
+        assert columns.errors == [None] * len(betas)
+        assert np.isfinite(columns.T).all() and np.isfinite(columns.R).all()
+
+
 def test_spectrum_record_fields_defaults_and_equality():
     # records are slotted rather than frozen; their fields, defaults and
     # equality are the dataclass's all the same

@@ -551,12 +551,13 @@ def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
 def test_find_xi_edit_makes_few_kernel_calls(inputs_60, monkeypatch):
     # the odd pole, the even pole at each 0.01 step up to the merge and at
     # each of Brent's probes, every secant asking for its two starting
-    # values in one request.  Continued at every step of a 1e-3 grid, the
-    # search made 436 calls; on a coarse scan of that grid with window
-    # searches beside it, 87 (7 of them builder calls)
+    # values in one request and none for the iterate it returns.  Continued
+    # at every step of a 1e-3 grid, the search made 436 calls; on a coarse
+    # scan of that grid with window searches beside it, 87 (7 of them
+    # builder calls); evaluating each polish's converged iterate, 60
     calls = _counted_kernel(monkeypatch)
     find_xi_edit(*inputs_60)
-    assert 0 < len(calls) <= 60
+    assert 0 < len(calls) <= 45
 
 
 def test_polishing_a_polished_pole_returns_it():
@@ -571,6 +572,88 @@ def test_polishing_a_polished_pole_returns_it():
             again = steering._run(steering._pole_search(kind, pole, alpha0_at, res.eta_star,
                                                         0.0, DEFAULT_POLICY, 0.06))
             assert again is not None and abs(again - pole) <= 1e-13 * abs(pole)
+
+
+def _evaluating_pole_search(kind, beta0, alpha0_at, eta, xi, policy, max_shift):
+    """_pole_search's secant as it was when it evaluated the iterate it returns.
+
+    The reference for _pole_search, which stops before that evaluation:
+    both must return the same float, from the same number of steps.
+    """
+    xs, ys = modes._factor_offsets(kind, modes.StackGeometry(eta=eta, xi=xi))
+
+    def f(beta):
+        values, _ = yield from steering._summed(alpha0_at(beta), beta, xs, ys, policy)
+        return modes._factor_from(kind, values)
+
+    seed = complex(beta0)
+    z0, z1 = seed, seed + 1e-7
+    starts, _ = yield from steering._summed(np.array([[alpha0_at(z0)], [alpha0_at(z1)]]),
+                                            np.array([[z0], [z1]]), xs, ys, policy)
+    f0, f1 = (modes._factor_from(kind, values) for values in starts)
+    for _ in range(60):
+        denom = f1 - f0
+        if denom == 0:
+            return None
+        dz = -f1 * (z1 - z0) / denom
+        z0, f0 = z1, f1
+        z1 = z1 + dz
+        f1 = yield from f(z1)
+        if abs(dz) <= 1e-14 * abs(z1) or f1 == 0:
+            break
+    else:
+        return None
+    if not (abs(z1.real - seed.real) <= max_shift and abs(z1.imag) <= max_shift and z1.real > 0):
+        return None
+    return complex(z1)
+
+
+@pytest.fixture(scope="module")
+def table1_polishes():
+    """The arguments of every polish steer with_edit makes at the Table-1 angles, m = 1-3."""
+    polishes, search = [], steering._pole_search
+
+    def spy(*args):
+        polishes.append(args)
+        return (yield from search(*args))
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(steering, "_pole_search", spy)
+        for m in (1, 2, 3):
+            steer([math.radians(d) for d in TABLE1_ANGLES_DEG], m=m, with_edit=True)
+    return polishes
+
+
+def test_the_polish_returns_the_evaluating_secants_float(table1_polishes):
+    # both parities from beta_g at eta*, the odd one from beta_g at the slab
+    # eta too, and the even one from every seed the xi continuation makes
+    seeds = {(kind, type(beta0)) for kind, beta0, *_ in table1_polishes}
+    assert seeds == {("odd", float), ("even", float), ("even", complex)}
+    poles = steering._lockstep([steering._pole_search(*args) for args in table1_polishes])
+    expected = steering._lockstep([_evaluating_pole_search(*args) for args in table1_polishes])
+    assert list(map(repr, poles)) == list(map(repr, expected))
+    assert all(isinstance(pole, complex) for pole in poles)
+
+
+def test_a_converged_polish_never_asks_for_the_iterate_it_returns(inputs_60, monkeypatch):
+    # the secant stops on |dz| before evaluating its last iterate, where
+    # the evaluating copy spends one more kernel call on it, a nonzero value
+    theta, beta_g, eta = inputs_60
+    alpha0_at = steering._alpha0_rule(theta, None)
+    calls = _counted_kernel(monkeypatch)
+    for kind in ("odd", "even"):
+        args = (kind, beta_g, alpha0_at, eta, 0.0, DEFAULT_POLICY, steering._POLE_REACH)
+        del calls[:]
+        pole = steering._run(steering._pole_search(*args))
+        asked = [beta for call in calls for beta in np.ravel(call[1]).tolist()]
+        assert pole not in asked
+        evaluating = len(calls)
+        del calls[:]
+        assert steering._run(_evaluating_pole_search(*args)) == pole
+        assert len(calls) == evaluating + 1 and set(np.ravel(calls[-1][1]).tolist()) == {pole}
+        xs, ys = modes._factor_offsets(kind, modes.StackGeometry(eta=eta, xi=0.0))
+        values, _ = steering._lattice_sums(alpha0_at(pole), pole, xs, ys, DEFAULT_POLICY)
+        assert modes._factor_from(kind, values) != 0
 
 
 class TestQFactor:
@@ -898,7 +981,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def test_a_lone_sums_request_gets_exactly_the_kernel_value():
-    # a lone request is a join of one: one kernel call on its flat columns
+    # a lone request is not joined: one kernel call on its own flat columns
     beta = 3.6 - 1e-3j
     alpha0 = beta * 0.5
     (values, near), = steering._lockstep([steering._summed(alpha0, beta, *_EVEN_OFFSETS,
@@ -1126,14 +1209,14 @@ def test_table1_makes_few_kernel_calls(monkeypatch):
     # angle at a time, the 15 angles made 486 one-point calls, with one
     # request per starting value of a pole polish 32, with stage 2 asking
     # the builder again for stage 1's Re G(0, 0) 30, and with the odd pole
-    # polished before the even one 29, and with the two side by side 22.
-    # No root is confirmed by a scattering solve: the one-order rule needs
-    # none
+    # polished before the even one 29, with the two side by side 22, and
+    # with neither polish evaluating its converged iterate 21.  No root is
+    # confirmed by a scattering solve: the one-order rule needs none
     calls = _counted_kernel(monkeypatch)
     solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 22
+    assert 0 < len(calls) <= 21
     assert solves == []
     # the spy sits on the one scattering path: a scatter and a scan reach it
     scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
@@ -1170,21 +1253,23 @@ def test_edit_makes_few_kernel_calls(oblique_edit):
     # the 14 EDIT searches made 5,333, in lockstep with the even pole
     # continued at every step of a 1e-3 grid 629, on a coarse scan of that
     # grid with window searches beside it 229, and after stage 2 and the
-    # unshifted pair, not beside them, 97; beside them 84
+    # unshifted pair, not beside them, 97; beside them 84; with no polish
+    # evaluating its converged iterate 69
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 84
+    assert 0 < len(calls) <= 69
 
 
 def test_q_makes_few_kernel_calls(monkeypatch):
     # the Q stage's even pole and dark-pole slope run side by side, and beside
-    # stage 2 and the unshifted pair: 100 calls, 112 when each stage waited
-    # for the one before
+    # stage 2 and the unshifted pair: 84 calls, 100 when each polish
+    # evaluated its converged iterate, 112 when also each stage waited for
+    # the one before
     calls = _counted_kernel(monkeypatch)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG], with_q=True)
     assert results[0].error == "EDIT unsupported at normal incidence"
     assert all(res.error is None and res.q_pair is not None for res in results[1:])
-    assert 0 < len(calls) <= 100
+    assert 0 < len(calls) <= 84
 
 
 def test_edit_merges_the_window_search_poles(oblique_edit):
