@@ -15,11 +15,10 @@ line are in degrees.  Single-point diagnostics print JSON; scans print CSV
 (``--format json`` switches to a JSON row list).  With ``--out`` the result
 goes to that file and the exact parsed parameters are echoed alongside it as
 ``<out>.config.json``; ``--config`` re-runs such an echo, reproducing the
-output (an option the echo lacks takes its default; a value that no command
-line gives, such as a string for an int or a stack not among the choices, or
-two options that exclude each other, such as steer's --theta and --table1,
-is refused with exit 2 before any evaluation).  Outputs are
-deterministic; the timestamp header is suppressed by ``--no-timestamp``.
+output.  An echo replays exactly as its argv would parse: what argparse
+refuses there, and a JSON value of another type than its option's (such as
+"401" for an int), is refused with exit 2 before any evaluation.  Outputs
+are deterministic; the timestamp header is suppressed by ``--no-timestamp``.
 JSON outputs are byte for byte ``json.dumps(payload, indent=2)``.
 
 Exit codes: 0 success, 2 numeric-domain error or invalid parameter (light
@@ -427,80 +426,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replayed(value, action: argparse.Action):
-    """value as its option parses it; ValueError if no command line gives it."""
+def _words(value, action: argparse.Action) -> list[str]:
+    """The words that give action's option value; ValueError if none do.
+
+    The JSON type is checked here, since 401 and "401" give the same word.
+    """
+    option = action.option_strings[0]
     if value is None and action.default is None and not action.required:
-        return None
+        return []
     if action.nargs == 0:                       # a flag
-        if isinstance(value, bool):
-            return value
-        raise ValueError
+        if not isinstance(value, bool):
+            raise ValueError
+        return [option] if value else []
     items = value if action.nargs == "+" else [value]
     if not isinstance(items, list) or not items:
         raise ValueError
     kind = action.type or str
-    parsed = []
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, (int, float) if kind is float else kind):
-            raise ValueError
-        parsed.append(kind(item))
-        if action.choices is not None and parsed[-1] not in action.choices:
-            raise ValueError
-    return parsed if action.nargs == "+" else parsed[0]
+    if any(isinstance(item, bool) or not isinstance(item, (int, float) if kind is float else kind)
+           for item in items):
+        raise ValueError
+    # positional digits, which float() reads back exactly: argparse takes -1e-05
+    # and -inf for options, but not -0.00001 or " -inf" (float() strips the space)
+    words = [np.format_float_positional(item, trim="-").replace("-inf", " -inf")
+             if kind is float else str(item) for item in map(kind, items)]
+    return [f"{option}={words[0]}"] if len(words) == 1 else [option, *words]
 
 
-def _namespace_from_config(path: str,
-                           parser: argparse.ArgumentParser) -> argparse.Namespace:
-    with open(path) as f:
-        saved = json.load(f)
+def _argv_from_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The command line a config echo gives: its subcommand and its options' words."""
     try:
-        subcommand = saved["subcommand"]
-        params = saved["args"]
-    except (KeyError, TypeError):
-        parser.error(f"{path} is not a config echo")
-    if not isinstance(params, dict):
-        parser.error(f"{path} is not a config echo")
+        with open(path) as f:
+            saved = json.load(f)
+    except (OSError, ValueError) as exc:        # JSONDecodeError included
+        parser.error(f"cannot read the config echo {path}: {exc}")
     subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
-    if subcommand not in subparsers:
+    if not isinstance(saved, dict) or not isinstance(saved.get("args"), dict):
+        parser.error(f"{path} is not a config echo")
+    subcommand, params = saved.get("subcommand"), saved["args"]
+    if not isinstance(subcommand, str) or subcommand not in subparsers:
         parser.error(f"unknown subcommand {subcommand!r} in {path}")
     # an echo written with --n-far replays where it gave the now fixed window
     if "n_far" in params:
         n_far = params.pop("n_far")
         if type(n_far) is not int or n_far != N_FAR:
             parser.error(f"n_far is fixed at {N_FAR}; {path} gives {n_far!r}")
-    # an echo written before an option existed replays with its default
-    sub = subparsers[subcommand]
-    options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+    options = {a.dest: a for a in subparsers[subcommand]._actions
+               if a.default is not argparse.SUPPRESS}
+    argv = [subcommand]
     for key, value in params.items():
         if key not in options:
             parser.error(f"unknown option {key!r} for {subcommand} in {path}")
         try:
-            params[key] = _replayed(value, options[key])
+            argv += _words(value, options[key])
         except (ValueError, OverflowError):      # float(10**400) overflows
             parser.error(f"invalid value {value!r} for {key!r} in {path}")
-    for dest, action in options.items():
-        if action.required and dest not in params:
-            parser.error(f"{path} gives no {'/'.join(action.option_strings)}")
-    values = {dest: sub.get_default(dest) for dest in options} | params
-    # a group's option counts as given where it differs from its default, as
-    # argparse counts it on a command line
-    for group in sub._mutually_exclusive_groups:
-        given = [a.option_strings[0] for a in group._group_actions
-                 if values[a.dest] != sub.get_default(a.dest)]
-        if len(given) > 1:
-            parser.error(f"{path} gives {' and '.join(given)}, which exclude each other")
-        if group.required and not given:
-            names = " or ".join(a.option_strings[0] for a in group._group_actions)
-            parser.error(f"{path} gives none of {names}")
-    return argparse.Namespace(config=None, subcommand=subcommand,
-                              func=sub.get_default("func"), **values)
+    return argv
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        args = _namespace_from_config(args.config, parser)
+        args = parser.parse_args(_argv_from_config(args.config, parser))
     elif args.subcommand is None:
         parser.error("a subcommand is required unless --config is given")
     try:

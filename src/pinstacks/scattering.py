@@ -30,10 +30,10 @@ construction, so every solved point conserves energy to rounding however
 close it sits to a high-Q pole.  R_n and T_n are read off S's incoming
 column and the reactions come from the same factors.  Near a pole of K (an
 entry past 100), H is shifted by c W W^H, c = +-1, which keeps S unitary and
-K bounded.  The solve refuses one case, SingularSystem where
+K bounded.  The solve refuses a wave as SingularSystem where
 kappa_2(H) > 1e14 (no reactance matrix exists, as where two gratings
-coalesce); an ill-conditioned M with a well-conditioned H, such as at the
-centre of a dark notch, solves.
+coalesce) or where the shifted H is exactly singular; an ill-conditioned M
+with a well-conditioned H, such as at the centre of a dark notch, solves.
 
 The batching contract is one stack, many waves, as columns.  A scan builds
 its waves' columns from beta in one step (IncidentWave's checks and
@@ -284,7 +284,9 @@ def _reactance(hermitian: np.ndarray, pins: np.ndarray, waves: tuple[np.ndarray,
     covering the computed inverse's rounding), and np.linalg.cond's SVD
     runs only on the waves kappa_1 cannot clear.  A pass with an exactly
     singular H cannot be factorised: then each of its waves takes the SVD,
-    and the ones that pass solve again.  Waves with the same propagating
+    and the ones that pass solve again; nor one with an exactly singular
+    H_c: then each of its shifted waves solves alone, and the singular one
+    fails as SingularSystem.  Waves with the same propagating
     orders go together, in passes whose temporaries hold at most _CHUNK
     terms, so a wave's results do not depend on its batch.  Returns the
     reactions (waves, pins), the orders (_union_orders), the (waves,
@@ -341,8 +343,20 @@ def _reactance(hermitian: np.ndarray, pins: np.ndarray, waves: tuple[np.ndarray,
                                       >= np.abs(1.0 - kappa).min(axis=1), 1.0, -1.0)
                 v = vectors[big]
                 gram = np.einsum("bip,bjp->bij", v, np.conj(v))
-                x[big] = np.linalg.solve(h[big] + shift[big, None, None] * gram, v)
+                shifted, live = h[big] + shift[big, None, None] * gram, slice(None)
+                try:
+                    x[big] = np.linalg.solve(shifted, v)
+                except np.linalg.LinAlgError:   # an exactly singular member fails its own wave
+                    live, alive = np.ones(len(k), dtype=bool), np.flatnonzero(kept)
+                    for j, b in enumerate(big.tolist()):
+                        try:
+                            x[b] = np.linalg.solve(shifted[j], v[j])
+                        except np.linalg.LinAlgError:
+                            live[b] = kept[alive[b]] = False
+                            failed[alive[b]] = SingularSystem("shifted Hermitian part of the "
+                                                              "pin interaction matrix: singular")
                 k[big] = _hermitian(np.einsum("bjp,bjq->bpq", np.conj(v), x[big]))
+                k, x, shift = k[live], x[live], shift[live]
             # the incoming channel: order 0, travelling down from above, up from below
             down = side[w][kept] < 0.0
             incoming = np.zeros((len(k), width, 1))
@@ -378,7 +392,7 @@ def solve_coefficients(
 
     Solved in reactance form (see the module docstring).  Raises
     SingularSystem when the condition number of the pin matrix's Hermitian
-    part exceeds 1e14.
+    part exceeds 1e14, or its shifted form is exactly singular.
     """
     columns = _scatter_all(_pins(stack), _wave_arrays([inc]), [None], policy)
     (error,) = columns.errors
@@ -543,15 +557,9 @@ def _alpha0_rule(theta_i: float | None,
         raise ValueError("specify exactly one of theta_i, alpha0")
     if theta_i is None:
         return lambda beta: alpha0
-    sin_theta = math.sin(theta_i)
+    # NaN at +-inf, where math.sin raises, so that _angle_error refuses both
+    sin_theta = math.sin(theta_i) if not math.isinf(theta_i) else math.nan
     return lambda beta: beta * sin_theta
-
-
-def _bloch(betas: np.ndarray, theta_i: float | None, alpha0: float | None) -> np.ndarray:
-    """alpha0 at each of the float array betas, for an incidence checked by _alpha0_rule."""
-    if theta_i is not None:
-        return betas * math.sin(theta_i)
-    return np.full(len(betas), alpha0, dtype=float)
 
 
 def _chebyshev(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -605,7 +613,8 @@ def _interpolated(pins: np.ndarray, betas: np.ndarray, theta_i: float | None,
         return None
     lo, hi = float(betas.min()), float(betas.max())
     centre = 0.5 * (lo + hi)
-    (bloch,) = _bloch(np.array([centre]), theta_i, alpha0)
+    alpha0_at = _alpha0_rule(theta_i, alpha0)
+    bloch = alpha0_at(centre)
     with np.errstate(all="ignore"):
         # the orders n nearest to alpha_n = +-c, and their neighbours
         near = np.round((np.array([centre, -centre]) - bloch) / TWO_PI)[:, None] + [-1, 0, 1]
@@ -614,8 +623,8 @@ def _interpolated(pins: np.ndarray, betas: np.ndarray, theta_i: float | None,
         return None
     nodes, weights, checks = _chebyshev(lo, hi)
     points = np.concatenate((nodes, checks))
-    matrices, errors = _interaction_matrices(_bloch(points, theta_i, alpha0), points, pins,
-                                             policy)
+    matrices, errors = _interaction_matrices(np.full(len(points), alpha0_at(points), dtype=float),
+                                             points, pins, policy)
     if any(e is not None for e in errors):
         return None
     parts = _hermitian(matrices)
@@ -639,9 +648,9 @@ def _scan_columns(stack: PinStack, betas: np.ndarray, theta_i: float | None,
     narrow window takes every H from _interpolated; else, or where that
     gives None, the builder makes every point's M.
     """
-    _alpha0_rule(theta_i, alpha0)     # exactly one incidence
+    alpha0_at = _alpha0_rule(theta_i, alpha0)     # exactly one incidence
     with np.errstate(all="ignore"):
-        a0 = _bloch(betas, theta_i, alpha0)
+        a0 = np.full(len(betas), alpha0_at(betas), dtype=float)
         if theta_i is not None:
             refused = np.full(len(betas), _angle_error(theta_i) is not None)
         else:

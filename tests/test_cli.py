@@ -382,6 +382,47 @@ class TestConfigEcho:
         assert code == 0
         assert out_file.read_bytes() == snapshot
 
+    @pytest.mark.parametrize("argv", [
+        ["greens", "--beta", "2.7", "--alpha0=-1e-05", "--x=-1e-05"],
+        ["matrix", "--beta", "3.61747", "--eta", "1.0", "--theta=-1e-05", "--xi=-1e-05"],
+        ["dispersion-grid", "--alpha0-min=-1e-05", "--alpha0-max", "1.75", "--alpha0-steps",
+         "9", "--beta-min", "3.55", "--beta-max", "3.65", "--beta-steps", "9", "--eta", "1.0",
+         "--crossing"],
+        ["spectrum", "--theta=-1e-05", "--per-order", "--eta", "1.0", "--xi", "0.252",
+         "--beta-min", "3.3", "--beta-max", "9.0", "--resolution", "41"],
+        ["steer", "--theta", "-0.00001", "30", "--no-modes"],
+        ["steer", "--theta=-inf"],
+        ["steer", "--theta", "30", " -inf", "--no-modes"],
+    ], ids=["greens", "matrix", "dispersion-grid", "spectrum", "steer", "steer -inf",
+            "steer list with -inf"])
+    def test_every_subcommand_replays_its_echo_byte_for_byte(self, tmp_path, capsys, argv):
+        # argparse reads -1e-05 and -inf as options: the echo's words must not
+        out_file = tmp_path / "out"
+        echo_file = Path(str(out_file) + ".config.json")
+        code, _ = _run(capsys, [*argv, "--no-timestamp", "--out", str(out_file)])
+        assert code == 0
+        snapshot, echo = out_file.read_bytes(), echo_file.read_bytes()
+        out_file.unlink()
+        code, _ = _run(capsys, ["--config", str(echo_file)])
+        assert code == 0
+        assert out_file.read_bytes() == snapshot
+        assert echo_file.read_bytes() == echo
+        assert b"crossing" in snapshot or argv[0] != "dispersion-grid"
+
+    @pytest.mark.parametrize("text", [None, "{not json", '{"subcommand": ["steer"], "args": {}}'],
+                             ids=["missing", "not JSON", "list for subcommand"])
+    def test_refuses_a_malformed_config_file_before_any_evaluation(self, tmp_path, capsys,
+                                                                   monkeypatch, text):
+        # each died with a traceback and exit 1
+        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
+        bad = tmp_path / "bad.config.json"
+        if text is not None:
+            bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad)])
+        assert exc.value.code == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_rejects_non_echo_json(self, tmp_path, capsys):
         bogus = tmp_path / "notes.json"
         bogus.write_text(json.dumps({"hello": 1}))
@@ -416,7 +457,7 @@ class TestConfigEcho:
         ("func", "cmd_spectrum", "unknown option 'func'"),
         ("config", None, "unknown option 'config'"),
         ("per_orders", True, "unknown option 'per_orders'"),
-        ("beta_min", None, "gives no --beta-min"),
+        ("beta_min", None, "the following arguments are required: --beta-min"),
     ], ids=["func", "config", "unknown", "required"])
     def test_refuses_an_echo_it_cannot_replay_before_any_evaluation(
             self, tmp_path, capsys, monkeypatch, key, value, message):
@@ -434,16 +475,20 @@ class TestConfigEcho:
         assert message in capsys.readouterr().err
         assert windows == []
 
-    @pytest.mark.parametrize("key, value", [
-        ("resolution", "abc"), ("resolution", 2.5), ("resolution", True),
-        ("stack", "quad"), ("format", "table"), ("per_order", "yes"),
-        ("beta_min", None), ("eta", [1.0]),
+    @pytest.mark.parametrize("key, value, message", [
+        ("resolution", "abc", None), ("resolution", 2.5, None), ("resolution", True, None),
+        ("stack", "quad", "argument --stack: invalid choice: 'quad'"),
+        ("format", "table", "argument --format: invalid choice: 'table'"),
+        ("per_order", "yes", None), ("beta_min", None, None), ("eta", [1.0], None),
+        ("beta_max", 10**400, None),
     ], ids=["str for int", "float for int", "bool for int", "stack choice",
-            "format choice", "str for flag", "null for required", "list for float"])
+            "format choice", "str for flag", "null for required", "list for float",
+            "int past the floats"])
     def test_refuses_a_value_no_command_line_gives_before_any_evaluation(
-            self, tmp_path, capsys, monkeypatch, key, value):
+            self, tmp_path, capsys, monkeypatch, key, value, message):
         # "resolution": "abc" died with a TypeError traceback after parsing,
-        # and "stack": "quad" with --eta set ran a triplet scan
+        # and "stack": "quad" with --eta set ran a triplet scan; float(10**400)
+        # overflows, where float() of its 401 digits would give inf
         _, _, echo = self._echo(tmp_path, capsys)
         echo["args"].update({"eta": 1.0, key: value})
         bad = tmp_path / "bad.config.json"
@@ -452,15 +497,16 @@ class TestConfigEcho:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(bad)])
         assert exc.value.code == 2
-        assert f"invalid value {value!r} for {key!r}" in capsys.readouterr().err
+        assert (message or f"invalid value {value!r} for {key!r}") in capsys.readouterr().err
         assert windows == []
 
     @pytest.mark.parametrize("subcommand, args, message", [
-        ("steer", {"theta": [30.0], "table1": True}, "gives --theta and --table1"),
+        ("steer", {"theta": [30.0], "table1": True},
+         "argument --table1: not allowed with argument --theta"),
         ("spectrum", {"stack": "single", "alpha0": 0.5, "theta": 30.0, "beta_min": 3.0,
-                      "beta_max": 3.1}, "gives --alpha0 and --theta"),
+                      "beta_max": 3.1}, "argument --theta: not allowed with argument --alpha0"),
         ("spectrum", {"stack": "single", "beta_min": 3.0, "beta_max": 3.1},
-         "gives none of --alpha0 or --theta"),
+         "one of the arguments --alpha0 --theta is required"),
     ], ids=["steer theta and table1", "spectrum alpha0 and theta", "spectrum no incidence"])
     def test_refuses_an_echo_a_group_of_options_refuses_before_any_evaluation(
             self, tmp_path, capsys, monkeypatch, subcommand, args, message):

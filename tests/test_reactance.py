@@ -51,7 +51,7 @@ def _window(halfwidth: float, points: int) -> np.ndarray:
 def _kernel_parts(stack: PinStack, betas: np.ndarray, theta_i: float | None = None,
                   alpha0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The builder's M and H = (M + M^H) / 2 at every beta."""
-    bloch = scattering._bloch(betas, theta_i, alpha0)
+    bloch = np.full(len(betas), scattering._alpha0_rule(theta_i, alpha0)(betas), dtype=float)
     matrices, errors = scattering._interaction_matrices(bloch, betas, scattering._pins(stack),
                                                         DEFAULT_POLICY)
     assert errors == [None] * len(betas)
@@ -115,7 +115,8 @@ def test_transmittance_is_the_lu_solves_where_m_is_well_conditioned(name):
     matrices, _ = _kernel_parts(stack, betas, theta_i, alpha0)
     well = np.linalg.cond(matrices) <= 1e8
     assert well.sum() > 200
-    lu = _lu_transmittance(matrices, stack, betas, scattering._bloch(betas, theta_i, alpha0))
+    bloch = np.full(len(betas), scattering._alpha0_rule(theta_i, alpha0)(betas), dtype=float)
+    lu = _lu_transmittance(matrices, stack, betas, bloch)
     t = np.array([r.T for r in records])[ok]
     assert np.max(np.abs(t - lu)[well]) <= 1e-12
 

@@ -491,6 +491,27 @@ def test_a_clean_window_has_only_none_errors():
         assert np.isfinite(columns.T).all() and np.isfinite(columns.R).all()
 
 
+def test_a_singular_shifted_system_fails_only_its_own_wave():
+    # 2 ulp above order -1's light line at the angle, H passes the condition
+    # test but K has an entry past _K_LIMIT, and H + c W W^H is exactly
+    # singular: numpy's LinAlgError ended the whole scan.  The two points
+    # above it are shifted in the same solve, and solve
+    stack, light = PinStack.pair(1e-7), 4.8499323089462765
+    betas = [3.0, light, light + 1e-14, light + 1e-9]
+    records = scan(stack, betas, theta_i=0.3)
+    for k in (0, 2, 3):
+        assert records[k].error is None
+        assert records[k] == scan(stack, [betas[k]], theta_i=0.3)[0]
+    assert records[0].T == pytest.approx(0.22756648699695045, rel=1e-14)   # any SIMD level
+    assert records[1].error.startswith("SingularSystem: ")
+    columns = scattering._scan_columns(stack, np.array(betas), 0.3, None, DEFAULT_POLICY)
+    assert isinstance(columns.errors[1], SingularSystem)
+    assert (columns.coeffs[1] == 0.0).all()
+    assert (columns.R_orders[1] == 0.0).all() and (columns.T_orders[1] == 0.0).all()
+    with pytest.raises(SingularSystem):
+        scatter(stack, IncidentWave.from_angle(0.3, light))
+
+
 def test_spectrum_record_fields_defaults_and_equality():
     # records are slotted rather than frozen; their fields, defaults and
     # equality are the dataclass's all the same

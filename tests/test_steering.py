@@ -91,6 +91,24 @@ def test_steer_records_an_angle_past_grazing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 2.0])
+def test_an_angle_outside_the_open_interval_gets_one_domain_error(theta, monkeypatch):
+    # at +-inf math.sin raised a bare "math domain error" ValueError, which
+    # scan raised instead of recording
+    calls = _counted_kernel(monkeypatch)
+    message = f"theta_i must be in (-pi/2, pi/2), got {theta}"
+    record, = scan(PinStack.single(), [3.0], theta_i=theta)
+    assert record.error == f"DomainError: {message}"
+    for search in (lambda: transmittance(PinStack.single(), 3.0, theta_i=theta),
+                   lambda: find_beta_g(theta)):
+        with pytest.raises(DomainError) as exc:
+            search()
+        assert str(exc.value) == message
+    res, = steer([theta])
+    assert res.error == f"DomainError: {message}"
+    assert all(args[0].size == 0 for args in calls)     # no point evaluated
+
+
 def test_steer_refuses_a_mode_order_below_one_before_any_evaluation(monkeypatch):
     # every angle's slab guess would refuse it, after its mirror search
     calls = _counted_kernel(monkeypatch)
