@@ -12,7 +12,12 @@ modes       3x3 mode matrix, closed-form eigensystem, dispersion residuals
 scattering  plane-wave scattering on finite stacks, spectra, energy balance
 steering    reflectance / separation / shift optimization pipeline, Q factors
 cli         command-line interface (``pinstacks`` entry point)
+
+``errors`` and ``greens`` load with the package; a name from ``modes``,
+``scattering`` or ``steering`` imports its module on first use.
 """
+
+import importlib
 
 from .errors import (
     DegenerateFormula,
@@ -35,50 +40,37 @@ from .greens import (
     order_quantities,
     propagating_orders,
 )
-from .modes import (
-    CoincidenceReport,
-    DispersionResidual,
-    EigenSystem,
-    ModeMatrix,
-    StackGeometry,
-    assemble,
-    coincidence_conditions,
-    determinant,
-    dispersion_grid,
-    dispersion_residual,
-    eigensystem,
-    even_family_vector,
-    lightline_matrix,
-    locate_crossing,
-    project,
-    scan_even_family,
-)
-from .scattering import (
-    IncidentWave,
-    PinStack,
-    SpectrumRecord,
-    fabry_perot_model,
-    plane_wave_amplitudes,
-    scan,
-    scatter,
-    single_grating_reflectance,
-    solve_coefficients,
-    spectrum_scan,
-    transmittance,
-)
-from .steering import (
-    ResonancePeak,
-    SteeringResult,
-    default_bracket,
-    feature_scan,
-    find_beta_g,
-    find_eta_star,
-    find_xi_edit,
-    q_factor,
-    resonance_beta,
-    slab_guess,
-    steer,
-)
+
+# The other exported names, by the module that exports them: __getattr__
+# (PEP 562) imports it on a name's first access.  greens stays eager: every
+# module needs it, and its binding keeps pinstacks.greens the function.
+_LAZY = {name: module for module, names in {
+    "modes": ("CoincidenceReport", "DispersionResidual", "EigenSystem", "ModeMatrix",
+              "StackGeometry", "assemble", "coincidence_conditions", "determinant",
+              "dispersion_grid", "dispersion_residual", "eigensystem",
+              "even_family_vector", "lightline_matrix", "locate_crossing", "project",
+              "scan_even_family"),
+    "scattering": ("IncidentWave", "PinStack", "SpectrumRecord", "fabry_perot_model",
+                   "plane_wave_amplitudes", "scan", "scatter", "single_grating_reflectance",
+                   "solve_coefficients", "spectrum_scan", "transmittance"),
+    "steering": ("ResonancePeak", "SteeringResult", "default_bracket", "feature_scan",
+                 "find_beta_g", "find_eta_star", "find_xi_edit", "q_factor",
+                 "resonance_beta", "slab_guess", "steer"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    """The exported name from its submodule, imported now and kept in the namespace."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -36,21 +36,18 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, SearchError
 from .greens import _MAX_EXTENT, DEFAULT_POLICY, N_FAR, SpectralPoint, TruncationPolicy, greens
-from .modes import (
-    StackGeometry,
-    assemble,
-    dispersion_grid,
-    dispersion_residual,
-    eigensystem,
-    locate_crossing,
-)
-from .scattering import PinStack, _alpha0_rule, scan, spectrum_scan
-from .steering import steer
+
+# Building the parser needs greens and errors alone: each cmd_* imports the
+# rest of what it runs, so that a run loads modes, scattering and steering
+# only where its subcommand calls them.
+if TYPE_CHECKING:
+    from .scattering import PinStack
 
 TABLE1_ANGLES_DEG = [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0,
                      24.0, 27.0, 30.0, 33.0, 36.0, 45.0, 60.0]
@@ -192,6 +189,8 @@ def _add_shared(p: argparse.ArgumentParser, *, incidence: bool = True,
 
 
 def cmd_greens(args: argparse.Namespace) -> int:
+    from .scattering import _alpha0_rule
+
     policy = _policy(args)
     alpha0 = _alpha0_rule(_theta_i(args), args.alpha0)(args.beta)
     point = SpectralPoint(alpha0, args.beta)
@@ -217,6 +216,9 @@ def cmd_greens(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    from .modes import StackGeometry, assemble, dispersion_residual, eigensystem
+    from .scattering import _alpha0_rule
+
     policy = _policy(args)
     alpha0 = _alpha0_rule(_theta_i(args), args.alpha0)(args.beta)
     geometry = StackGeometry(eta=args.eta, xi=args.xi)
@@ -251,6 +253,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_dispersion_grid(args: argparse.Namespace) -> int:
+    from .modes import StackGeometry, dispersion_grid, locate_crossing
+
     policy = _policy(args)
     geometry = StackGeometry(eta=args.eta, xi=args.xi)
     alpha0_values = np.linspace(args.alpha0_min, args.alpha0_max,
@@ -267,6 +271,8 @@ def cmd_dispersion_grid(args: argparse.Namespace) -> int:
 
 
 def _build_stack(args: argparse.Namespace) -> PinStack:
+    from .scattering import PinStack
+
     if args.stack == "single":
         return PinStack.single()
     if args.stack == "empty":
@@ -292,6 +298,8 @@ def _spectrum_rows(records: list, per_order: bool = False) -> tuple[list[dict], 
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .scattering import spectrum_scan
+
     policy = _policy(args)
     stack = _build_stack(args)
     records = spectrum_scan(
@@ -305,6 +313,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_steer(args: argparse.Namespace) -> int:
+    from .scattering import PinStack, scan
+    from .steering import steer
+
     policy = _policy(args)
     if args.table1:
         degrees = TABLE1_ANGLES_DEG

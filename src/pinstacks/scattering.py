@@ -131,6 +131,9 @@ class IncidentWave:
     def from_angle(cls, theta_i: float, beta: float,
                    amplitude: complex = 1.0 + 0.0j,
                    direction: str = "down") -> "IncidentWave":
+        error = _angle_error(theta_i)      # before math.sin, which raises at +-inf
+        if error is not None:
+            raise error
         return cls(theta_i=theta_i, beta=beta,
                    alpha0=beta * math.sin(theta_i), chi0=beta * math.cos(theta_i),
                    amplitude=amplitude, direction=direction)
@@ -479,6 +482,8 @@ def _scatter_all(pins: np.ndarray, waves: tuple[np.ndarray, ...],
     n = len(pins)
     if hermitian is not None:
         hermitian, build_errors = hermitian[index], [None] * len(index)
+    elif not len(index):          # every wave refused: no builder, so no kernel call
+        hermitian, build_errors = np.zeros((0, n, n), dtype=complex), []
     else:
         matrices, build_errors = _interaction_matrices(sub[0], sub[1], pins, policy)
         hermitian = _hermitian(matrices)

@@ -414,7 +414,7 @@ class TestConfigEcho:
     def test_refuses_a_malformed_config_file_before_any_evaluation(self, tmp_path, capsys,
                                                                    monkeypatch, text):
         # each died with a traceback and exit 1
-        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
+        monkeypatch.setattr(steering, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
         bad = tmp_path / "bad.config.json"
         if text is not None:
             bad.write_text(text)
@@ -513,7 +513,7 @@ class TestConfigEcho:
         # a steer echo with "theta": [30.0] and "table1": true ran the 15
         # Table-1 angles (exit 0), where the command line refuses
         # --theta 30 --table1
-        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
+        monkeypatch.setattr(steering, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
         windows = _counted_scans(monkeypatch)
         bad = tmp_path / "bad.config.json"
         bad.write_text(json.dumps({"subcommand": subcommand, "args": args}))
@@ -533,7 +533,7 @@ class TestConfigEcho:
     def test_refuses_a_theta_list_no_command_line_gives(self, tmp_path, capsys,
                                                         monkeypatch, theta):
         # steer's --theta takes one or more floats (nargs="+")
-        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
+        monkeypatch.setattr(steering, "steer", lambda *args, **kwargs: pytest.fail("steer ran"))
         bad = tmp_path / "steer.config.json"
         bad.write_text(json.dumps({"subcommand": "steer", "args": {"theta": theta}}))
         with pytest.raises(SystemExit) as exc:
@@ -749,7 +749,7 @@ class TestSteer:
         # the notch scans need the Q factors: without --with-q the directory
         # would stay empty
         calls = []
-        monkeypatch.setattr(cli, "steer", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(steering, "steer", lambda *args, **kwargs: calls.append(args))
         code = main(["steer", "--theta", "30", "--no-timestamp",
                      "--results-dir", str(tmp_path / "rd")])
         captured = capsys.readouterr()

@@ -3,11 +3,13 @@
 The package imports numpy alone.  _brent_steps, run alone on a plain
 function, is checked against scipy's brentq, whose C routine it ports,
 float for float; _exp1 against mpmath.
-Subprocess tests check that no run of the chain imports scipy.
+Subprocess tests check that no run of the chain imports scipy, and that
+each command imports only the pinstacks modules it runs.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import subprocess
@@ -119,19 +121,23 @@ def test_exp1_matches_mpmath(kind):
     assert np.max(np.abs(values - ref) / np.abs(ref)) <= 1e-13
 
 
+_CLI = "from pinstacks.cli import main\nassert main({}) == 0"
 _RUNS = {
     "import": "import pinstacks",
-    "steer": (
-        "from pinstacks.cli import main\n"
-        "assert main(['steer', '--theta', '60', '--with-q', '--format', 'json',"
-        " '--no-timestamp']) == 0"
-    ),
-    "spectrum": (
-        "from pinstacks.cli import main\n"
-        "assert main(['spectrum', '--stack', 'triplet', '--eta', '1.0', '--xi', '0.252',"
-        " '--beta-min', '3.3', '--beta-max', '3.9', '--resolution', '41',"
-        " '--theta', '30', '--format', 'json', '--no-timestamp']) == 0"
-    ),
+    "import cli": "import pinstacks.cli",
+    "steer": _CLI.format("['steer', '--theta', '60', '--with-q', '--format', 'json',"
+                         " '--no-timestamp']"),
+    "spectrum": _CLI.format("['spectrum', '--stack', 'triplet', '--eta', '1.0', '--xi', '0.252',"
+                            " '--beta-min', '3.3', '--beta-max', '3.9', '--resolution', '41',"
+                            " '--theta', '30', '--format', 'json', '--no-timestamp']"),
+    "greens command": _CLI.format("['greens', '--beta', '2.7', '--alpha0', '1.2', '--x', '0.3',"
+                                  " '--y', '0.4', '--no-timestamp']"),
+    "matrix": _CLI.format("['matrix', '--beta', '3.61747', '--theta', '30', '--eta', '1.0',"
+                          " '--xi', '0.252', '--no-timestamp']"),
+    "dispersion-grid": _CLI.format("['dispersion-grid', '--alpha0-min', '1.58', '--alpha0-max',"
+                                   " '1.75', '--alpha0-steps', '3', '--beta-min', '3.57',"
+                                   " '--beta-max', '3.63', '--beta-steps', '3', '--eta', '1.0',"
+                                   " '--no-timestamp']"),
     # y = 0.05 d on the column takes the damped branch of the closed-form tail
     "greens": (
         "import importlib\n"
@@ -144,15 +150,37 @@ _RUNS = {
     ),
 }
 
+# the pinstacks modules a run leaves unloaded: a command imports what it runs
+_UNLOADED = {
+    "import": {"modes", "scattering", "steering"},
+    "import cli": {"modes", "scattering", "steering"},
+    "spectrum": {"modes", "steering"},
+    "greens command": {"modes", "steering"},
+    "matrix": {"steering"},
+    "dispersion-grid": {"steering"},
+}
 
-@pytest.mark.parametrize("run", sorted(_RUNS))
-def test_no_run_imports_scipy(run):
+
+def _loaded(run: str, package: str) -> list[str]:
+    """The modules of package, itself included, that run loads in a fresh process."""
     script = _RUNS[run] + (
         "\nimport sys\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + '.')))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_no_run_imports_scipy(run):
+    assert _loaded(run, "scipy") == []
+
+
+@pytest.mark.parametrize("run", sorted(_UNLOADED))
+def test_a_run_imports_only_the_modules_it_runs(run):
+    loaded = _loaded(run, "pinstacks")
+    assert "pinstacks.greens" in loaded
+    assert not {f"pinstacks.{name}" for name in _UNLOADED[run]} & set(loaded), loaded

@@ -68,6 +68,13 @@ class TestIncidentWave:
         with pytest.raises(DomainError):
             IncidentWave.from_angle(-math.pi / 2, 2.0)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_angle_is_a_domain_error(self, theta):
+        # at +-inf math.sin raised a bare "math domain error" ValueError first
+        with pytest.raises(DomainError) as exc:
+            IncidentWave.from_angle(theta, 3.0)
+        assert str(exc.value) == f"theta_i must be in (-pi/2, pi/2), got {theta}"
+
     def test_negative_bloch_parameter_is_a_negative_angle(self):
         w = IncidentWave.from_alpha0(-1.8, 3.6)
         assert w.theta_i == pytest.approx(-math.radians(30.0), rel=1e-12)
