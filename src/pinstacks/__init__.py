@@ -127,6 +127,7 @@ __all__ = [
     "scatter",
     "single_grating_reflectance",
     "slab_guess",
+    "solve_coefficients",
     "spectrum_scan",
     "steer",
     "transmittance",

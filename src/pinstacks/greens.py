@@ -174,17 +174,24 @@ class TruncationPolicy:
         the closed-form tail needs it, 16 |beta| and Hurwitz arguments of
         at least 10).  Scalars give an int; arrays broadcast together give
         an integer array.  ValueError for an n_terms past 2^20, the widest
-        window the kernel sums, and as _min_window raises.
+        window the kernel sums, and as _min_window raises.  The windows are
+        integers held in floats until the end, x = 0 is tested once and the
+        damping rule is skipped where every offset is on the column.
         """
-        least = _min_window(alpha0, beta, x)          # raises on NaN input
-        if n_terms is not None and not (np.asarray(n_terms) <= _MAX_EXTENT).all():
-            raise ValueError(f"n_terms must be at most 2^20, got {n_terms}")
+        on_column = np.equal(x, 0.0)
+        least = _min_window(alpha0, beta, on_column)   # raises on NaN input
         if n_terms is None:
-            # + 1e-300 leaves any |y| > 1e-284 as it is; y = 0 gets the cap, not 40 / 0
-            damped = np.ceil((_DAMPING_CUTOFF / (abs(y) + 1e-300) + abs(alpha0)) * (1.0 / TWO_PI))
-            n_terms = np.where(x == 0.0, N_FAR, damped.clip(N_FAR, self.n_self))
+            n_terms = N_FAR
+            if not on_column.all():
+                # + 1e-300 leaves any |y| > 1e-284 as it is; y = 0 gets the cap, not 40 / 0
+                damped = np.ceil((_DAMPING_CUTOFF / (np.abs(y) + 1e-300) + np.abs(alpha0))
+                                 * (1.0 / TWO_PI))
+                n_terms = np.where(on_column, N_FAR,
+                                   np.minimum(np.maximum(damped, N_FAR), self.n_self))
+        elif not (np.asarray(n_terms) <= _MAX_EXTENT).all():
+            raise ValueError(f"n_terms must be at most 2^20, got {n_terms}")
         window = np.maximum(n_terms, least)
-        return int(window) if np.ndim(window) == 0 else window.astype(int)
+        return int(window) if window.ndim == 0 else window.astype(int)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -258,16 +265,18 @@ _EM_START = 10.0         # least Hurwitz argument q at x = 0
 _DAMPING_CUTOFF = 40.0   # exp(-40) is below the rounding of any G
 
 
-def _window_extent(alpha0, beta, x):
-    """|alpha_n| / 2 pi of the first order the kernel may leave out (float)."""
-    on_column = x == 0.0
-    reach = abs(beta) * (_GUARD_REACH + (_TAIL_REACH - _GUARD_REACH) * on_column)
-    reach = np.maximum(reach, on_column * (TWO_PI * _EM_START))
-    return (reach + abs(alpha0)) / TWO_PI
+def _window_extent(abs_alpha0, abs_beta, on_column):
+    """|alpha_n| / 2 pi of the first order the kernel may leave out (float).
+
+    From |alpha0|, |beta| and whether the offset is on the column x = 0.
+    """
+    reach = np.where(on_column, np.maximum(abs_beta * _TAIL_REACH, TWO_PI * _EM_START),
+                     abs_beta * _GUARD_REACH)
+    return (reach + abs_alpha0) / TWO_PI
 
 
-def _min_window(alpha0, beta, x):
-    """Smallest window N the kernel sums: the rule under every window.
+def _min_window(alpha0, beta, on_column):
+    """Smallest window N the kernel sums, as integral floats: the rule under every window.
 
     Past it every order is evanescent with |alpha_n| >= 4 |beta|, so the
     light-line guard sees every order near its light line.  At x = 0 the
@@ -275,17 +284,21 @@ def _min_window(alpha0, beta, x):
     term, (beta / alpha_n)^8 below the kept ones, is at rounding level
     (1e-14 relative at beta = 25 with eight propagating orders), and zeta
     arguments q >= 10, where five Euler-Maclaurin corrections are exact to
-    rounding.  Scalars or arrays broadcast together.  Input that gives no
-    window raises: OverflowError for infinity (as int() does), ValueError
-    for NaN and for a finite window past 2^20 orders, the widest the kernel
-    sums.
+    rounding.  Takes alpha0, beta and whether x = 0, scalars or arrays
+    broadcast together.  Input that gives no window raises, naming the
+    first point that gives none: OverflowError for infinity (as int()
+    does), ValueError for NaN and for a finite window past 2^20 orders,
+    the widest the kernel sums.
     """
-    extent = _window_extent(alpha0, beta, x)
-    if not (extent < _MAX_EXTENT).all():          # NaN compares False
+    extent = _window_extent(np.abs(alpha0), np.abs(beta), on_column)
+    fine = extent < _MAX_EXTENT                     # NaN compares False
+    if not fine.all():
+        first = np.unravel_index(np.argmin(fine), np.shape(fine))
+        alpha0, beta = (np.broadcast_to(a, np.shape(fine))[first] for a in (alpha0, beta))
         wide = ": wider than 2^20 orders" if np.isfinite(extent).all() else ""
         raise (OverflowError if np.isinf(extent).any() else ValueError)(
             f"no window at alpha0={alpha0}, beta={beta}{wide}")
-    return np.maximum(np.ceil(extent).astype(int) - 1, 1)
+    return np.maximum(np.ceil(extent) - 1.0, 1.0)
 
 
 def _point_errors(alpha0, beta) -> list[Exception | None]:
@@ -298,12 +311,12 @@ def _point_errors(alpha0, beta) -> list[Exception | None]:
     """
     alpha0 = np.asarray(alpha0, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    fine = (beta > 0.0) & (_window_extent(alpha0, beta, 0.0) < _MAX_EXTENT)
+    fine = (beta > 0.0) & (_window_extent(np.abs(alpha0), np.abs(beta), True) < _MAX_EXTENT)
     errors: list[Exception | None] = [None] * len(beta)
     for i in np.nonzero(~fine)[0].tolist():
         try:
             SpectralPoint(alpha0[i], beta[i])
-            _min_window(alpha0[i], beta[i], 0.0)
+            _min_window(alpha0[i], beta[i], True)
         except (ValueError, OverflowError) as exc:
             errors[i] = exc
     return errors
@@ -562,10 +575,9 @@ def _row_groups(keys: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, in
     Returns an order of the rows that makes each group a run (None when the
     rows are already in one) and each run's (start, stop, row content).
     """
-    if not keys.size:
-        return None, []
-    if (keys == keys[0]).all():
-        return None, [(0, len(keys), keys[0].tolist())]
+    first = keys[:1]
+    if (keys == first).all():         # no rows, or one group
+        return None, [(0, len(keys), first[0].tolist())] if len(keys) else []
     order = np.lexsort(keys.T)
     keys = keys[order]
     starts = (np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1).tolist()
@@ -597,60 +609,87 @@ def _lattice_sums(alpha0, beta, x, y, policy: TruncationPolicy,
 
     Points the same along the last axis (alpha0 and beta of shape (..., 1),
     or scalars) are rows whose offsets are the columns along it; otherwise
-    each pair is a row with one column (flat columns, greens).  Rows with
-    the same windows are summed together: each row's order quantities
-    (_orders) once per window, then only what the offsets change, per kind
-    of column (_offset_sums), in passes whose every (points, orders) and
-    (points, columns, orders) temporary holds at most _CHUNK terms.  At
-    real points the columns off the pin that come as x-mirrored pairs in a
-    row group (_mirror_pairs) share one set of exponentials: each pair is
-    summed lead first in one block, and counts as one column of a pass.
+    each pair is a row with one column (flat columns, greens and the
+    steering searches' joined requests).  An input that already has its
+    layout's shape and dtype, as the flat columns of a lockstep round do, is
+    read in place (never written), not copied; the others are broadcast
+    into new arrays.  Rows with the same windows are summed together: each
+    row's order quantities (_orders) once per window, then only what the
+    offsets change, per kind of column (_offset_sums), in passes whose
+    every (points, orders) and (points, columns, orders) temporary holds at
+    most _CHUNK terms.  At real points the columns off the pin that come as
+    x-mirrored pairs in a row group (_mirror_pairs) share one set of
+    exponentials: each pair is summed lead first in one block, and counts
+    as one column of a pass.
     """
-    windows = policy.window(alpha0, beta, x, y, n_terms)
-    shape = np.broadcast(alpha0, beta, x, y, windows).shape
-    dtype = np.result_type(alpha0, beta, 1.0)
-    lightline_tol = None if dtype.kind == "c" else policy.lightline_tol
-    cols = shape[-1] if shape and all(
-        np.ndim(a) == 0 or np.shape(a)[-1] == 1 for a in (alpha0, beta)) else 1
-    alpha0, beta = (_flat(a, shape[:-1] + (1,) if cols != 1 else shape, dtype)
-                    for a in (alpha0, beta))
-    x, y, windows = (_flat(a, shape, t).reshape(len(alpha0), cols)
-                     for a, t in ((x, float), (y, float), (windows, int)))
+    alpha0, beta, x, y = inputs = (np.asarray(alpha0), np.asarray(beta), np.asarray(x),
+                                   np.asarray(y))
+    shape = _broadcast_shape({a.shape for a in inputs} | {np.shape(n_terms)})
+    dtype = np.dtype(complex) if "c" in (alpha0.dtype.kind, beta.dtype.kind) else np.dtype(float)
+    grid = bool(shape) and alpha0.shape[-1:] in ((), (1,)) and beta.shape[-1:] in ((), (1,))
+    cols = shape[-1] if grid else 1
+    rows = math.prod(shape[:-1] if grid else shape)
+    points = shape[:-1] + (1,) if grid else shape
+    alpha0, beta = (_laid_out(a, points, (rows,), dtype) for a in (alpha0, beta))
+    x, y = (_laid_out(a, shape, (rows, cols), np.dtype(float)) for a in (x, y))
+    if n_terms is not None and np.ndim(n_terms) != 0:
+        n_terms = _laid_out(np.asarray(n_terms), shape, (rows, cols), np.dtype(int))
+    windows = policy.window(alpha0[:, None], beta[:, None], x, y, n_terms)
+    values, near = _summed_rows(alpha0, beta, x, y, windows,
+                                None if dtype.kind == "c" else policy.lightline_tol)
+    return values.reshape(shape), near.reshape(shape)
+
+
+@np.errstate(all="ignore")   # a refused point may divide by chi_n = 0
+def _summed_rows(alpha0, beta, x, y, windows, lightline_tol):
+    """_lattice_sums' values and mask on its layout: points (rows,), offsets and windows (rows, cols)."""
     order, groups = _row_groups(windows)
     if order is not None:          # the groups' rows made runs
         alpha0, beta, x, y = alpha0[order], beta[order], x[order], y[order]
     at_pin = (x == 0.0) & (y == 0.0)
     values = np.empty(x.shape, dtype=complex)
     near = np.empty(x.shape, dtype=bool)
-    with np.errstate(all="ignore"):   # a refused point may divide by chi_n = 0
-        for lo, hi, keys in groups:
-            by_window: dict[int, dict[int, list[int]]] = {}
-            for col, (n_terms, pin) in enumerate(zip(keys, at_pin[lo:hi].all(axis=0).tolist())):
-                kind = _PIN if pin else _OFF
-                by_window.setdefault(n_terms, {}).setdefault(kind, []).append(col)
-            for n_terms, by_kind in by_window.items():
-                width = 2 * n_terms + 1
-                col_step = max(1, _CHUNK // width)
-                if lightline_tol is not None and len(by_kind.get(_OFF, ())) > 1:
-                    _mirror_pairs(by_kind, x[lo:hi], y[lo:hi])
-                widest = max(len(cols) // _COLUMNS_PER_TERMS[kind]
-                             for kind, cols in by_kind.items())
-                step = max(1, _CHUNK // (width * min(col_step, widest)))
-                in_window = _columns(sorted(col for cols in by_kind.values() for col in cols))
-                for start in range(lo, hi, step):
-                    rows = slice(start, min(start + step, hi))
-                    points = alpha0[rows]
-                    orders = _orders(points, beta[rows], n_terms, lightline_tol)
-                    near[rows, in_window] = orders.near[:, None]
-                    for kind, cols in by_kind.items():
-                        per_block = col_step * _COLUMNS_PER_TERMS[kind]    # pairs whole
-                        for first in range(0, len(cols), per_block):
-                            block = rows, _columns(cols[first:first + per_block])
-                            values[block] = _offset_sums(kind, points, orders,
-                                                         x[block], y[block], n_terms)
+    for lo, hi, keys in groups:
+        by_window: dict[int, dict[int, list[int]]] = {}
+        for col, (n_terms, pin) in enumerate(zip(keys, at_pin[lo:hi].all(axis=0).tolist())):
+            by_window.setdefault(n_terms, {}).setdefault(_PIN if pin else _OFF, []).append(col)
+        for n_terms, by_kind in by_window.items():
+            width = 2 * n_terms + 1
+            col_step = max(1, _CHUNK // width)
+            if lightline_tol is not None and len(by_kind.get(_OFF, ())) > 1:
+                _mirror_pairs(by_kind, x[lo:hi], y[lo:hi])
+            widest = max(len(cols) // _COLUMNS_PER_TERMS[kind] for kind, cols in by_kind.items())
+            step = max(1, _CHUNK // (width * min(col_step, widest)))
+            in_window = _columns(sorted(col for cols in by_kind.values() for col in cols))
+            for start in range(lo, hi, step):
+                rows = slice(start, min(start + step, hi))
+                points = alpha0[rows]
+                orders = _orders(points, beta[rows], n_terms, lightline_tol)
+                near[rows, in_window] = orders.near[:, None]
+                for kind, cols in by_kind.items():
+                    per_block = col_step * _COLUMNS_PER_TERMS[kind]    # pairs whole
+                    for first in range(0, len(cols), per_block):
+                        block = rows, _columns(cols[first:first + per_block])
+                        values[block] = _offset_sums(kind, points, orders,
+                                                     x[block], y[block], n_terms)
     if order is not None:
         values[order], near[order] = values.copy(), near.copy()
-    return values.reshape(shape), near.reshape(shape)
+    return values, near
+
+
+def _broadcast_shape(shapes: set[tuple]) -> tuple:
+    """The shape arrays of these shapes broadcast to; numpy is asked only for two or more."""
+    shapes = shapes - {()}
+    if len(shapes) > 1:
+        return np.broadcast_shapes(*shapes)
+    return shapes.pop() if shapes else ()
+
+
+def _laid_out(a: np.ndarray, shape: tuple, layout: tuple, dtype: np.dtype) -> np.ndarray:
+    """a broadcast to shape and reshaped to layout, as dtype: a view of a where a fits already."""
+    if a.shape != shape or a.dtype != dtype:
+        return _flat(a, shape, dtype).reshape(layout)
+    return a.reshape(layout)
 
 
 def _flat(a, shape: tuple[int, ...], dtype) -> np.ndarray:

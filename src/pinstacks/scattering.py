@@ -62,6 +62,7 @@ interpolated one.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -709,6 +710,18 @@ def scan(
     return _records(_scan_columns(stack, betas, theta_i, alpha0, policy))
 
 
+def _check_integer(name: str, count) -> None:
+    """Raise ValueError, naming the argument, unless count is an integer.
+
+    An integer is what operator.index takes: int and numpy integers, not
+    floats, even integral ones (np.linspace and range refuse those too).
+    """
+    try:
+        operator.index(count)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+
+
 def spectrum_scan(
     stack: PinStack,
     beta_range: tuple[float, float],
@@ -728,7 +741,8 @@ def spectrum_scan(
     threshold or the beta step reaches 1e-12, up to 200,000 points: in
     rounds, one scan per round, the last round keeping its lowest midpoints.
     Raises ValueError, before any evaluation, unless lo and hi are finite
-    with hi > lo, resolution >= 2 and, with refine, refine_jump > 0.
+    with hi > lo, resolution is an integer >= 2 and, with refine,
+    refine_jump > 0.
     """
     opts = {"theta_i": theta_i, "alpha0": alpha0, "policy": policy}
     lo, hi = beta_range
@@ -736,6 +750,7 @@ def spectrum_scan(
         raise ValueError(f"beta_range must be finite, got ({lo}, {hi})")
     if not (hi > lo):
         raise ValueError("beta_range must satisfy hi > lo")
+    _check_integer("resolution", resolution)
     if not resolution >= 2:   # one point would drop beta_max
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if refine and not refine_jump > 0:   # NaN included; 0 bisects to the point cap

@@ -38,11 +38,13 @@ batched call.
 
 Every search (stages 1-3, the window search and the pole polish) is a
 generator that yields each kernel evaluation it needs (a _Request: the
-builder or the lattice sums, and its inputs as flat columns) and is sent its
-value.  _lockstep advances many of them together, one kernel call per kind
-of request and round on their columns joined (a lone request's call gets
-its own columns).  A search may also yield a _Fork of sub-searches that do not depend
-on each other, which then run side by side.  steer runs each angle's whole
+builder or the lattice sums, its inputs as columns that are scalars or flat
+arrays, taken as the search holds them wherever they need no broadcast) and
+is sent its value.  _lockstep advances many of them together, one kernel
+call per kind of request and round on their columns joined as flat columns,
+with a few numpy calls per column (none for a lone request's flat arrays).  A search
+may also yield a _Fork of sub-searches that do not depend on each other,
+which then run side by side.  steer runs each angle's whole
 chain (_angle_search, from beta_g to the Q factors) that way, forking where
 stages are independent, and each public function runs its one search alone
 through the same driver (_run).
@@ -51,8 +53,8 @@ through the same driver (_run).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,6 +70,7 @@ from .greens import (
     SpectralPoint,
     TruncationPolicy,
     TWO_PI,
+    _broadcast_shape,
     _flat,
     _interaction_matrices,
     _lattice_sums,
@@ -75,8 +78,8 @@ from .greens import (
     propagating_orders,
 )
 from .modes import StackGeometry, _factor_from, _factor_moduli, _factor_offsets, _triplet_pins
-from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, _angle_error, _records,
-                         _scan_columns)
+from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, _angle_error, _check_integer,
+                         _records, _scan_columns)
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
 # How far a pole polished from a nearby seed (beta_g, beta_edit, or a pole
@@ -179,7 +182,8 @@ def find_beta_g(
     4,001 points for theta in [-89, 89.5] degrees and |alpha0| <= 2.7); a
     grid misses two roots between neighbouring points, so a caller with a
     wide custom bracket should pass a larger coarse.  Raises ValueError for
-    coarse < 2 before any evaluation, and NoUnityReflectance when there is
+    a coarse that is not an integer or is below 2, before any evaluation,
+    and NoUnityReflectance when there is
     no root (wrong bracket, or more than one propagating order).
     """
     if beta_bracket is None:
@@ -192,6 +196,7 @@ def _mirror_search(alpha0_at, beta_bracket, policy, coarse=_MIRROR_GRID):
 
     Returns beta_g and Re G(0, 0) there, which stage 2 reads (_pair_search).
     """
+    _check_integer("coarse", coarse)
     if coarse < 2:
         raise ValueError(f"coarse must be at least 2, got {coarse}")
     lo, hi = beta_bracket
@@ -336,13 +341,17 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return np.nonzero(positive[:-1] != positive[1:])[0].tolist()
 
 
-@dataclass(frozen=True)
 class _Request:
-    """An evaluation a search waits for: call(*columns), columns flat and of one length."""
+    """An evaluation a search waits for: call(*columns, *args), keyed by (call, args, dtypes).
 
-    key: tuple
-    call: Callable[..., tuple]
-    columns: tuple
+    Each column is a scalar or a flat array of size rows, of its dtype in
+    dtypes, and the call returns two outputs with a row for each row.
+    """
+
+    __slots__ = ("key", "columns", "size")
+
+    def __init__(self, key: tuple, columns: list, size: int) -> None:
+        self.key, self.columns, self.size = key, columns, size
 
 
 @dataclass(frozen=True)
@@ -361,10 +370,12 @@ def _lockstep(searches: list) -> list:
     they start at once and run beside every other search, their requests
     joining the same rounds, and the forking search is sent the list of their
     outcomes (each a return value or an exception, as here) when the last one
-    ends.  Each round answers every pending request, each key's requests by
-    _answers.  The kernel's values depend only on their own inputs (see
-    greens), so a search gets the same floats whatever runs beside it, and a
-    request that raises fails its own search alone.
+    ends.  Each round answers every pending request, each key's requests
+    (one call, its arguments and its columns' dtypes) by _answers: one call
+    on their columns joined.  The kernel's values depend only on their own
+    inputs, whatever the layout (see greens), so a search gets the same
+    floats whatever runs beside it, and a request that raises fails its own
+    search alone.
     """
     outcomes: list = [None] * len(searches)
     tasks = list(searches)
@@ -417,26 +428,47 @@ def _lockstep(searches: list) -> list:
 
 
 def _answers(requests: list[_Request]) -> list:
-    """Each request's rows of every output of one call on all their columns joined.
+    """Each request's rows of both outputs of one call on all their columns joined.
 
-    A lone request is not joined: its call gets its own columns, and its
-    answer is the call's outputs.  When a joined call raises, each request
-    is answered as a group of one, so a request that fails gets the
-    exception its own call raises.
+    The call gets flat columns (_joined), and each request's answer is its
+    slice of each output.  When the call raises, a lone request gets the
+    exception and joined ones are answered as groups of one, so a request
+    that fails gets the exception its own call raises.
     """
-    if len(requests) == 1:
-        (request,) = requests
-        try:
-            return [request.call(*request.columns)]
-        except Exception as exc:  # noqa: BLE001 - a failed request fails alone
-            return [exc]
+    call, args, dtypes = requests[0].key
+    sizes = [request.size for request in requests]
+    columns = [_joined(parts, sizes, dtype)
+               for dtype, parts in zip(dtypes, zip(*[request.columns for request in requests]))]
     try:
-        outputs = requests[0].call(*map(np.concatenate,
-                                        zip(*(request.columns for request in requests))))
-    except Exception:  # noqa: BLE001 - answered one by one
+        first, second = call(*columns, *args)
+    except Exception as exc:  # noqa: BLE001 - a failed request fails alone
+        if len(requests) == 1:
+            return [exc]
         return [answer for request in requests for answer in _answers([request])]
-    ends = np.cumsum([len(request.columns[0]) for request in requests]).tolist()
-    return [tuple(out[lo:hi] for out in outputs) for lo, hi in zip([0] + ends, ends)]
+    ends = list(accumulate(sizes))
+    return [(first[lo:hi], second[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
+def _joined(parts: tuple, sizes: list[int], dtype: np.dtype) -> np.ndarray:
+    """One flat column from the requests' parts of it, each a flat array or a scalar.
+
+    Flat arrays are concatenated (a lone one is used as it is), scalars make
+    one array repeated over each one's rows, and a mix fills one array a
+    request at a time: a few numpy calls per column, not per request.
+    """
+    flat = [isinstance(part, np.ndarray) and part.ndim == 1 for part in parts]
+    if all(flat):
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if not any(flat):
+        if len(parts) == 1:
+            return np.full(sizes[0], parts[0], dtype=dtype)
+        return np.array(parts, dtype=dtype).repeat(sizes)
+    column = np.empty(sum(sizes), dtype=dtype)
+    lo = 0
+    for part, size in zip(parts, sizes):
+        column[lo:lo + size] = part
+        lo += size
+    return column
 
 
 def _value(outcome):
@@ -452,21 +484,46 @@ def _run(search):
 
 
 def _built(alpha0, beta, pins: tuple, policy: TruncationPolicy):
-    """_interaction_matrices(alpha0, beta, pins, policy), as a search step."""
-    return (yield _Request(("build", pins, policy),
-                           lambda a, b: _interaction_matrices(a, b, pins, policy),
-                           (np.asarray(alpha0, dtype=float), np.asarray(beta, dtype=float))))
+    """_interaction_matrices(alpha0, beta, pins, policy), as a search step.
+
+    alpha0 and beta are sequences of real points, the request's two columns
+    as flat float arrays.
+    """
+    alpha0 = np.asarray(alpha0, dtype=float)
+    return (yield _Request((_interaction_matrices, (pins, policy), (_FLOAT, _FLOAT)),
+                           [alpha0, np.asarray(beta, dtype=float)], len(alpha0)))
 
 
 def _summed(alpha0, beta, x, y, policy: TruncationPolicy):
-    """_lattice_sums(alpha0, beta, x, y, policy), as a search step."""
-    shape = np.broadcast(alpha0, beta, x, y).shape
-    dtype = np.result_type(alpha0, beta, 1.0)     # real sums are guarded, complex not
-    values, near = yield _Request(("sums", dtype, policy),
-                                  lambda a, b, xs, ys: _lattice_sums(a, b, xs, ys, policy),
-                                  (_flat(alpha0, shape, dtype), _flat(beta, shape, dtype),
-                                   _flat(x, shape, float), _flat(y, shape, float)))
-    return values.reshape(shape), near.reshape(shape)
+    """_lattice_sums(alpha0, beta, x, y, policy), as a search step.
+
+    The answer, values and light-line mask, takes the inputs' broadcast
+    shape.  alpha0 and beta are complex when either is complex, else real
+    (real sums are guarded, complex ones not).  The request keeps each input
+    that is a scalar or already a flat array of the whole shape, as a
+    polish's point and its offsets are, as it is: no copy, and a round
+    joins them.  Any other input is broadcast to the shape and flattened.
+    """
+    inputs = [a if isinstance(a, _INPUT) else np.asarray(a) for a in (alpha0, beta, x, y)]
+    shapes = {getattr(a, "shape", ()) for a in inputs}
+    shape = _broadcast_shape(shapes)
+    dtypes = _COMPLEX_SUMS if _is_complex(inputs[0]) or _is_complex(inputs[1]) else _REAL_SUMS
+    if len(shape) > 1 or shapes - {(), shape}:     # some input needs a broadcast
+        inputs = [_flat(a, shape, t) for a, t in zip(inputs, dtypes)]
+    values, near = yield _Request((_lattice_sums, (policy,), dtypes), inputs, math.prod(shape))
+    if values.shape != shape:
+        values, near = values.reshape(shape), near.reshape(shape)
+    return values, near
+
+
+_INPUT = (float, complex, np.ndarray)     # kept as they are; others become arrays
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+_REAL_SUMS, _COMPLEX_SUMS = (_FLOAT,) * 4, (_COMPLEX, _COMPLEX, _FLOAT, _FLOAT)
+
+
+def _is_complex(a) -> bool:
+    """Whether a, a scalar or an array, is complex."""
+    return isinstance(a, complex) or getattr(a, "dtype", _FLOAT).kind == "c"
 
 
 def _brent_steps(f, a: float, b: float, xtol: float):
@@ -578,7 +635,8 @@ def resonance_beta(
     and polishes the zero from the deepest grid point.  Raises Unresolved
     when that polish is rejected (see _pole_search; the reach is a tenth of
     the window width), as when the window holds no resonance, and
-    ValueError, before any evaluation, for an unknown kind or coarse < 2.
+    ValueError, before any evaluation, for an unknown kind or a coarse that
+    is not an integer of at least 2.
     """
     alpha0_at = _alpha0_rule(theta_i, alpha0)
     return _run(_window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse)).real
@@ -592,6 +650,7 @@ def _window_search(kind, eta, xi, beta_window, alpha0_at, policy, coarse=241):
     """
     if kind not in ("odd", "even"):
         raise ValueError(f"kind must be 'odd' or 'even', got {kind!r}")
+    _check_integer("coarse", coarse)
     if coarse < 2:
         raise ValueError(f"coarse must be at least 2, got {coarse}")
     geometry = StackGeometry(eta=eta, xi=xi)
@@ -839,14 +898,16 @@ def feature_scan(
     columns (scattering._scan_columns); returns the last window's scan
     records.  A point of a window that fails to evaluate raises Unresolved.
     A feature other than "peak" or "notch", a center or halfwidth that is
-    not a positive finite number, or fewer than 80 points (which can never
-    hold 40 inside half the window), raises ValueError before any scan.
+    not a positive finite number, or points that is not an integer or is
+    below 80 (which can never hold 40 inside half the window), raises
+    ValueError before any scan.
     """
     _check_feature(feature)
     if not 0.0 < center < math.inf:   # NaN included; beta <= 0 has no incident wave
         raise ValueError(f"center must be positive and finite, got {center}")
     if not 0.0 < halfwidth < math.inf:   # NaN included; 0 rescans one point
         raise ValueError(f"halfwidth must be positive and finite, got {halfwidth}")
+    _check_integer("points", points)
     if not points >= 80:
         raise ValueError(f"points must be at least 80, got {points}")
     center0 = center
@@ -915,8 +976,10 @@ def steer(
     round evaluates every pending step in one kernel call per kind, with the
     same floats and errors as one angle's stages run one by one.  An
     exception a search raises becomes its angle's error, "Class: message".
-    A mode order m < 1 raises ValueError before any evaluation.
+    A mode order m that is not an integer, or is below 1, raises ValueError
+    before any evaluation.
     """
+    _check_integer("mode order m", m)   # a fractional m would fail stage 2 at every angle
     if m < 1:   # every angle's slab guess would refuse it
         raise ValueError(f"mode order m must be >= 1, got {m}")
     with_edit = with_edit or with_q

@@ -118,6 +118,51 @@ def test_steer_refuses_a_mode_order_below_one_before_any_evaluation(monkeypatch)
     assert calls == []
 
 
+def test_steer_refuses_a_fractional_mode_order_before_any_evaluation(monkeypatch):
+    # m = 1.5 used to run stage 1 and then fail stage 2 at every angle
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="mode order m must be an integer, got 1.5"):
+        steer([THETA_30], m=1.5)
+    assert calls == []
+    assert steer([THETA_30], m=np.int64(1)) == steer([THETA_30])
+
+
+@pytest.mark.parametrize("resolution", [3.0, 2.5])
+def test_spectrum_scan_refuses_a_fractional_resolution_before_any_evaluation(resolution,
+                                                                           monkeypatch):
+    # both passed the >= 2 check and died in np.linspace with a bare TypeError
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match=f"resolution must be an integer, got {resolution}"):
+        spectrum_scan(PinStack.single(), (3.5, 3.7), theta_i=THETA_30, resolution=resolution)
+    assert calls == []
+    records = spectrum_scan(PinStack.single(), (3.5, 3.7), theta_i=THETA_30,
+                            resolution=np.int64(3))
+    assert len(records) == 3
+
+
+def test_feature_scan_refuses_a_fractional_point_count_before_any_evaluation(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="points must be an integer, got 200.0"):
+        feature_scan(PinStack.triplet(1.0, 0.0), 3.646, 0.01, "peak", alpha0=2.1,
+                     points=200.0)
+    assert calls == []
+
+
+def test_find_beta_g_refuses_a_fractional_grid_before_any_evaluation(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="coarse must be an integer, got 2.0"):
+        find_beta_g(THETA_30, coarse=2.0)
+    assert calls == []
+    assert find_beta_g(THETA_30, coarse=np.int64(31)) == find_beta_g(THETA_30)
+
+
+def test_resonance_beta_refuses_a_fractional_grid_before_any_evaluation(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="coarse must be an integer, got 10.5"):
+        resonance_beta("odd", 1.0, 0.0, (3.5, 3.7), alpha0=2.1, coarse=10.5)
+    assert calls == []
+
+
 def test_mirror_point_at_negative_bloch_parameter():
     assert find_beta_g(alpha0=-2.1) == pytest.approx(find_beta_g(alpha0=2.1), rel=1e-14)
 
@@ -1021,6 +1066,41 @@ def test_a_lone_build_request_gets_exactly_the_builder_value():
     assert _same_bits(matrices, expected)
     assert list(map(repr, errors)) == list(map(repr, expected_errors))
     assert errors[2] is not None and errors.count(None) == 3
+
+
+def test_one_round_joins_every_request_shape_with_the_bits_of_each_alone(monkeypatch):
+    # the shapes the searches ask for: a polish step's scalar complex point
+    # against its offsets, _pole_search's (2, 1) starting grid, stage 2's
+    # scalar real point with a 0-d or a vector y, and builds of 1 and 31
+    # points; real and complex sums pending in the same round
+    beta = 3.6 - 1e-3j
+    starts = np.array([[beta], [beta + 1e-7]])
+    etas = np.linspace(0.9, 1.1, 41)
+    betas = np.linspace(3.5, 3.7, 31)
+    columns = [*_EVEN_OFFSETS, starts, etas, betas]
+    kept = [c.copy() for c in columns]
+
+    def searches():
+        return [steering._summed(0.5 * beta, beta, *_EVEN_OFFSETS, DEFAULT_POLICY),
+                steering._summed(0.5 * starts, starts, *_EVEN_OFFSETS, DEFAULT_POLICY),
+                steering._summed(1.8, 3.6, 0.0, np.asarray(0.95), DEFAULT_POLICY),
+                steering._summed(1.8, 3.6, 0.0, etas, DEFAULT_POLICY),
+                steering._built([1.8], [3.6], steering._ONE_PIN, DEFAULT_POLICY),
+                steering._built(0.5 * betas, betas, steering._ONE_PIN, DEFAULT_POLICY)]
+
+    alone = [steering._lockstep([search])[0] for search in searches()]
+    calls = _counted_kernel(monkeypatch)
+    together = steering._lockstep(searches())
+    assert len(calls) == 3          # complex sums, real sums and the builder, one call each
+    for (values, second), (expected, expected_second) in zip(together, alone):
+        assert _same_bits(values, expected)
+        if isinstance(second, list):    # the builder's per-point errors
+            assert second == expected_second == [None] * len(second)
+        else:
+            assert _same_bits(second, expected_second)
+    shapes = [values.shape for values, _ in together]
+    assert shapes == [(4,), (2, 4), (), (41,), (1, 1, 1), (31, 1, 1)]
+    assert all(_same_bits(c, k) for c, k in zip(columns, kept))
 
 
 def test_a_failing_request_in_a_group_fails_alone(monkeypatch):
