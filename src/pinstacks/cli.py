@@ -21,6 +21,12 @@ refuses there, and a JSON value of another type than its option's (such as
 are deterministic; the timestamp header is suppressed by ``--no-timestamp``.
 JSON outputs are byte for byte ``json.dumps(payload, indent=2)``.
 
+A run builds only the parser it reads: the top-level one plus, where the
+command line opens with a subcommand's name, that subcommand's alone;
+``--help``, ``--config`` and any other command line build all five.  The
+subcommands' metavar is fixed, so usage lines and errors read the same
+either way, and all parsers of one build share one terminal-width lookup.
+
 Exit codes: 0 success, 2 numeric-domain error or invalid parameter (light
 lines, invalid geometry, any ValueError), 3 search failure (optimization or
 refinement did not converge).
@@ -30,9 +36,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -255,6 +263,13 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 def cmd_dispersion_grid(args: argparse.Namespace) -> int:
     from .modes import StackGeometry, dispersion_grid, locate_crossing
 
+    for axis in ("alpha0", "beta"):
+        lo, hi, steps = (getattr(args, f"{axis}_{end}") for end in ("min", "max", "steps"))
+        if steps < 1:
+            raise ValueError(f"--{axis}-steps must be at least 1, got {steps}")
+        if steps == 1 and lo != hi:
+            raise ValueError(f"--{axis}-steps 1 takes one {axis}: --{axis}-min {lo!r} "
+                             f"and --{axis}-max {hi!r} differ")
     policy = _policy(args)
     geometry = StackGeometry(eta=args.eta, xi=args.xi)
     alpha0_values = np.linspace(args.alpha0_min, args.alpha0_max,
@@ -354,18 +369,7 @@ def cmd_steer(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pinstacks",
-        description="Flexural plate waves on stacks of pinned gratings: "
-                    "Green's function, trapped modes, scattering spectra, "
-                    "and EDIT resonance steering.",
-    )
-    parser.add_argument("--config",
-                        help="re-run from a config echo written by --out")
-    sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("greens", help="evaluate the Green's function at one point")
+def _greens_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.0)
@@ -373,17 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the truncation window for this evaluation "
                         "(at most 2^20)")
     _add_shared(p, formats=("json",))
-    p.set_defaults(func=cmd_greens)
 
-    p = sub.add_parser("matrix", help="triplet mode matrix and eigensystem")
+
+def _matrix_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--xi", type=float, default=0.0)
     _add_shared(p, formats=("json",))
-    p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("dispersion-grid",
-                       help="dispersion residuals over an (alpha0, beta) box")
+
+def _dispersion_grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha0-min", type=float, required=True)
     p.add_argument("--alpha0-max", type=float, required=True)
     p.add_argument("--alpha0-steps", type=int, default=41)
@@ -395,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crossing", action="store_true",
                    help="append the even/odd crossing estimate as a trailer")
     _add_shared(p, incidence=False)
-    p.set_defaults(func=cmd_dispersion_grid)
 
-    p = sub.add_parser("spectrum", help="transmittance scan of a pin stack")
+
+def _spectrum_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stack", choices=["single", "pair", "triplet", "empty"],
                    default="triplet")
     p.add_argument("--eta", type=float, help="grating separation (pair, triplet)")
@@ -412,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-order", action="store_true",
                    help="emit per-order R_n / T_n columns")
     _add_shared(p)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("steer", help="resonance-steering pipeline over angles")
+
+def _steer_options(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--theta", type=float, nargs="+",
                    help="angles of incidence in degrees")
@@ -432,8 +435,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write each angle's 1001-point notch scan (needs --with-q) "
                         "into this directory where its points are distinct")
     _add_shared(p, incidence=False, formats=("csv", "json", "table"))
-    p.set_defaults(func=cmd_steer)
 
+
+# name -> (help, the adder of its options, its command), in usage order
+_SUBCOMMANDS = {
+    "greens": ("evaluate the Green's function at one point", _greens_options, cmd_greens),
+    "matrix": ("triplet mode matrix and eigensystem", _matrix_options, cmd_matrix),
+    "dispersion-grid": ("dispersion residuals over an (alpha0, beta) box",
+                        _dispersion_grid_options, cmd_dispersion_grid),
+    "spectrum": ("transmittance scan of a pin stack", _spectrum_options, cmd_spectrum),
+    "steer": ("resonance-steering pipeline over angles", _steer_options, cmd_steer),
+}
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The pinstacks parser with every subcommand, or with this one alone.
+
+    Every parser of a build formats its help at the width of one terminal
+    lookup, the width argparse's own formatter would look up per argument.
+    The subcommands' metavar is fixed, so that usage lines and errors list
+    all five however many were built.
+    """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="pinstacks",
+        description="Flexural plate waves on stacks of pinned gratings: "
+                    "Green's function, trapped modes, scattering spectra, "
+                    "and EDIT resonance steering.",
+        formatter_class=formatter,
+    )
+    parser.add_argument("--config",
+                        help="re-run from a config echo written by --out")
+    sub = parser.add_subparsers(dest="subcommand",
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    for name, (help_text, add_options, command) in _SUBCOMMANDS.items():
+        if subcommand in (None, name):
+            p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+            add_options(p)
+            p.set_defaults(func=command)
     return parser
 
 
@@ -495,7 +535,15 @@ def _argv_from_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command line argv (sys.argv[1:] if None); the exit code.
+
+    A command line that opens with a subcommand's name is parsed by a parser
+    holding that subcommand alone, which reads it exactly as the full parser
+    does: what follows the name is that subparser's.  Any other command line
+    (--help, --config, an unknown or no subcommand) gets the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     if args.config is not None:
         args = parser.parse_args(_argv_from_config(args.config, parser))

@@ -174,9 +174,10 @@ class TruncationPolicy:
         the closed-form tail needs it, 16 |beta| and Hurwitz arguments of
         at least 10).  Scalars give an int; arrays broadcast together give
         an integer array.  ValueError for an n_terms past 2^20, the widest
-        window the kernel sums, and as _min_window raises.  The windows are
-        integers held in floats until the end, x = 0 is tested once and the
-        damping rule is skipped where every offset is on the column.
+        window the kernel sums, or below 0, and as _min_window raises.  The
+        windows are integers held in floats until the end, x = 0 is tested
+        once and the damping rule is skipped where every offset is on the
+        column.
         """
         on_column = np.equal(x, 0.0)
         least = _min_window(alpha0, beta, on_column)   # raises on NaN input
@@ -190,6 +191,8 @@ class TruncationPolicy:
                                    np.minimum(np.maximum(damped, N_FAR), self.n_self))
         elif not (np.asarray(n_terms) <= _MAX_EXTENT).all():
             raise ValueError(f"n_terms must be at most 2^20, got {n_terms}")
+        elif not (np.asarray(n_terms) >= 0).all():
+            raise ValueError(f"n_terms must not be negative, got {n_terms}")
         window = np.maximum(n_terms, least)
         return int(window) if window.ndim == 0 else window.astype(int)
 

@@ -8,6 +8,8 @@ import importlib
 import io
 import json
 import math
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from pinstacks.scattering import PinStack, scan
 LIGHT_LINE_BETA = "6.283185307179586"   # 2 pi: order n = -1 on its light line
 DATA = Path(__file__).resolve().parent / "data"
 cli = importlib.import_module("pinstacks.cli")
+greens_module = importlib.import_module("pinstacks.greens")
 steering = importlib.import_module("pinstacks.steering")
 scattering = importlib.import_module("pinstacks.scattering")
 
@@ -47,6 +50,18 @@ def _counted_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(scattering, "_scan_columns", counted)
     return windows
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """The argument tuples of every lattice-sum kernel call."""
+    calls, kernel = [], greens_module._lattice_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(greens_module, "_lattice_sums", counted)
+    return calls
 
 
 def _cx(d):
@@ -115,6 +130,16 @@ class TestGreens:
         assert code == 2
         assert captured.out == "" and f"ValueError: {message}" in captured.err
 
+    def test_refuses_a_negative_window_before_any_evaluation(self, capsys, monkeypatch):
+        # it was raised to the kernel's minimum and reported as 10 orders
+        calls = _counted_kernel(monkeypatch)
+        code = main(["greens", "--beta", "3", "--alpha0", "1", "--n", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValueError: n_terms must not be negative, got -3" in captured.err
+        assert calls == []
+
     def test_convergence_estimate_at_huge_beta_compares_with_2_20_orders(self, capsys):
         # the least window at x = 0 passes 2^19 orders: N/2 is raised back
         # to N, and 2N would pass the 2^20 the kernel sums
@@ -158,6 +183,28 @@ class TestDispersionGrid:
             direct.log10_odd, rel=1e-12)
         assert float(rows[0]["log10_even"]) == pytest.approx(
             direct.log10_even, rel=1e-12)
+
+    @pytest.mark.parametrize("axis, steps, message", [
+        ("alpha0", "0", "--alpha0-steps must be at least 1, got 0"),
+        ("beta", "0", "--beta-steps must be at least 1, got 0"),
+        ("alpha0", "-2", "--alpha0-steps must be at least 1, got -2"),
+        ("alpha0", "1", "--alpha0-steps 1 takes one alpha0: --alpha0-min 1.58 "
+                        "and --alpha0-max 1.75 differ"),
+        ("beta", "1", "--beta-steps 1 takes one beta: --beta-min 3.57 "
+                      "and --beta-max 3.63 differ")])
+    def test_refuses_steps_that_miss_its_box_before_any_evaluation(
+            self, capsys, monkeypatch, axis, steps, message):
+        # no steps wrote a header-only table; one step dropped the box's max
+        calls = _counted_kernel(monkeypatch)
+        argv = ["dispersion-grid", "--alpha0-min", "1.58", "--alpha0-max", "1.75",
+                "--alpha0-steps", "3", "--beta-min", "3.57", "--beta-max", "3.63",
+                "--beta-steps", "3", "--eta", "1.0", "--no-timestamp"]
+        argv[argv.index(f"--{axis}-steps") + 1] = steps
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and f"ValueError: {message}" in captured.err
+        assert calls == []
 
     def test_crossing_trailer(self, capsys):
         code, out = _run(capsys, [
@@ -796,6 +843,94 @@ def test_subcommand_required(capsys):
     assert exc.value.code == 2
 
 
+_SUBCOMMANDS = ["greens", "matrix", "dispersion-grid", "spectrum", "steer"]
+_SPECTRUM = ["spectrum", "--stack", "single", "--alpha0", "0.5", "--beta-min", "3.0",
+             "--beta-max", "3.1", "--resolution", "5", "--no-timestamp"]
+_STEER = ["steer", "--theta", "30", "--no-modes", "--no-timestamp"]
+
+
+def _outcome(capsys, argv) -> tuple:
+    """main's exit code, or its SystemExit's, with what it wrote to stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions if a.dest == "subcommand").choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    def test_each_run_reads_its_command_line_as_the_full_parser_does(
+            self, tmp_path, capsys, monkeypatch, columns):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["greens", "--beta", "2.7", "--alpha0", "1.2", "--out", "g.json",
+                     "--no-timestamp"]) == 0
+        echo = "g.json.config.json"
+        corpus = [
+            [], ["-h"], ["--help"], *([name, "--help"] for name in _SUBCOMMANDS),
+            ["bogus"], ["--bogus", *_SPECTRUM], ["spectrum", "--bogus"], [*_SPECTRUM, "--bogus"],
+            ["spectrum", "--alpha0", "0.5", "--beta-max", "3.1"],
+            ["steer", "--theta", "30", "--table1"],
+            ["--config", echo], [f"--config={echo}"], ["--conf", echo],
+            ["--config", "missing.json"], ["--config", "steer"],
+            ["--", "steer", "--theta", "30"],
+            ["greens", "--beta", "2.7", "--alpha0", "1.2", "--no-timestamp"],
+            ["matrix", "--beta", "3.61747", "--theta", "30", "--eta", "1.0",
+             "--no-timestamp"],
+            ["dispersion-grid", "--alpha0-min", "1.6", "--alpha0-max", "1.7",
+             "--alpha0-steps", "2", "--beta-min", "3.6", "--beta-max", "3.6",
+             "--beta-steps", "1", "--eta", "1.0", "--no-timestamp"],
+            _SPECTRUM, _STEER,
+        ]
+        built = cli.build_parser
+
+        def full(subcommand=None):
+            # every subcommand, formatted by argparse's own formatter
+            parser = built()
+            for p in (parser, *_subparsers(parser).values()):
+                p.formatter_class = argparse.HelpFormatter
+            return parser
+
+        for argv in corpus:
+            run = _outcome(capsys, argv)
+            monkeypatch.setattr(cli, "build_parser", full)
+            assert _outcome(capsys, argv) == run, argv
+            monkeypatch.setattr(cli, "build_parser", built)
+        widest = max(map(len, _outcome(capsys, ["--help"])[1].splitlines()))
+        assert (widest <= 78) == (columns == "80")
+
+    @pytest.mark.parametrize("argv", [_SPECTRUM, _STEER])
+    def test_a_run_builds_its_own_subcommand_alone(self, capsys, monkeypatch, argv):
+        built, lookups = [], []
+        init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def counted_size(*args):
+            lookups.append(args)
+            return size(*args)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
+        assert _outcome(capsys, argv)[0] == 0
+        assert built == ["pinstacks", f"pinstacks {argv[0]}"]
+        assert len(lookups) == 1
+        built.clear()
+        lookups.clear()
+        parser = cli.build_parser()
+        assert list(_subparsers(parser)) == _SUBCOMMANDS
+        assert len(built) == 1 + len(_SUBCOMMANDS) and len(lookups) == 1
+        assert list(_subparsers(cli.build_parser(argv[0]))) == [argv[0]]
+
+
 def test_convergence_estimate_never_compares_a_window_with_itself(capsys):
     # at beta = 25 the kernel's minimum window (63 at x = 0) would raise N/2
     # back to N; the estimate then compares with 2N instead
@@ -809,3 +944,26 @@ def test_convergence_estimate_never_compares_a_window_with_itself(capsys):
     _, out = _run(capsys, ["greens", "--beta", "2.7", "--alpha0", "1.2",
                            "--x", "0.37", "--n", "100", "--no-timestamp"])
     assert json.loads(out)["comparison_terms"] == 50
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The pinstacks command lines of README's CLI example block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("\n## Command line\n"):]
+    block = section[section.index("```sh\n") + len("```sh\n"):]
+    block = block[:block.index("```")].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("pinstacks ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = _readme_command_lines()
+    assert [argv[0] for argv in runs] == [*_SUBCOMMANDS, "steer"]
+    for argv in runs:
+        code, out = _run(capsys, argv)
+        assert code == 0, argv
+        if "--out" in argv:
+            assert out == "" and Path(argv[argv.index("--out") + 1]).read_text()
+        else:
+            assert out, argv

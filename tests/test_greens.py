@@ -105,6 +105,17 @@ def test_truncation_policy_validation():
         TruncationPolicy(lightline_tol=0.0)
 
 
+def test_a_negative_window_override_is_refused():
+    # it was raised to the kernel's minimum window as if it were 0
+    with pytest.raises(ValueError, match="n_terms must not be negative, got -3"):
+        greens(SpectralPoint(1.0, 3.0), 0.0, 0.0, n_terms=-3)
+    with pytest.raises(ValueError, match="n_terms must not be negative"):
+        DEFAULT_POLICY.window(1.0, 3.0, np.zeros(2), 0.0, np.array([5, -1]))
+    # 0 and 3 are raised to the kernel's minimum alike
+    assert DEFAULT_POLICY.window(1.0, 3.0, 0.0, 0.0, 0) == 10
+    assert DEFAULT_POLICY.window(1.0, 3.0, 0.0, 0.0, 3) == 10
+
+
 def test_finite_value_off_line():
     value = greens(SpectralPoint(0.0, 2.0), 0.0, 0.5)
     assert np.isfinite(value.real) and np.isfinite(value.imag)
