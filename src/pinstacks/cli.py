@@ -541,8 +541,12 @@ def main(argv: list[str] | None = None) -> int:
     holding that subcommand alone, which reads it exactly as the full parser
     does: what follows the name is that subparser's.  Any other command line
     (--help, --config, an unknown or no subcommand) gets the full parser.
+    One leading -- before a subcommand's name is dropped, since argparse
+    would read it as the subcommand; a -- before anything else is refused.
     """
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--"] and argv[1:2] and argv[1] in _SUBCOMMANDS:
+        argv = argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     if args.config is not None:

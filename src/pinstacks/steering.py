@@ -18,23 +18,28 @@ dispersion factors of the mode matrix (the factors of det M, continued to
 complex beta from the lattice sums at modes._factor_offsets).  steer
 polishes the unshifted triplet's even and odd zeros directly from beta_g,
 and the even one at the EDIT point from beta_edit.  Stage 3 polishes the
-odd zero from beta_g too and continues the even zero in xi, each seed
-extrapolated from the zeros already found; xi_edit is the root, by Brent's
-method, of the gap in their real parts.  The window search (a batched grid
-of the factor's modulus over a beta window, the zero polished from its
-deepest point) serves resonance_beta alone.  steer reads both Q factors,
-Re beta / 2 |Im beta|, off the poles at the EDIT point (_dark_q); q_factor
-and feature_scan measure Q by FWHM on transmission spectra.  Stages 1 and 2
-are roots of real lattice-sum conditions: one batched grid brackets each
-sign change, and Brent's method (_brent_steps, a port of scipy's brentq)
-refines it to the nearest float on the single-point function, whose values
-equal the batched ones exactly (the grid's values serve the bracket's two
-ends, and in steer stage 2 reads Re G(0, 0) at beta_g off stage 1's root).
-With one propagating order those roots give R = 1 and T_pair = 1 to
-rounding, so a root is accepted when order 0 alone propagates there
-(_one_order), with no scattering solve.  Every other grid (the window
-search's, each of feature_scan's windows) is likewise evaluated in one
-batched call.
+odd zero from beta_g too; xi_edit solves f_even(beta_odd + i s, xi) = 0 for
+the two real unknowns (xi, s) by Newton's method, from the even zero
+polished at the bracket's midpoint, one kernel call a step (_merge_newton).
+Where that solve gives up (a merge too ill-conditioned to resolve xi to
+1e-13: from 74 degrees at m = 1, 60 at m = 2 and 44 at m = 3, and at 71, 57
+and 41 degrees), the even zero is continued in xi over a 0.01 scan, each
+seed extrapolated from the zeros already found, and xi_edit is the root, by
+Brent's method, of the gap in the real parts (_edit_scan).  The window
+search (a batched grid of the factor's modulus over a beta window, the zero
+polished from its deepest point) serves resonance_beta alone.  steer reads
+both Q factors, Re beta / 2 |Im beta|, off the poles at the EDIT point
+(_dark_q); q_factor and feature_scan measure Q by FWHM on transmission
+spectra.  Stages 1 and 2 are roots of real lattice-sum conditions: one
+batched grid brackets each sign change, and Brent's method (_brent_steps, a
+port of scipy's brentq) refines it to the nearest float on the single-point
+function, whose values equal the batched ones exactly (the grid's values
+serve the bracket's two ends, and in steer stage 2 reads Re G(0, 0) at
+beta_g off stage 1's root).  With one propagating order those roots give
+R = 1 and T_pair = 1 to rounding, so a root is accepted when order 0 alone
+propagates there (_one_order), with no scattering solve.  Every other grid
+(the window search's, each of feature_scan's windows) is likewise evaluated
+in one batched call.
 
 Every search (stages 1-3, the window search and the pole polish) is a
 generator that yields each kernel evaluation it needs (a _Request: the
@@ -82,6 +87,10 @@ from .scattering import (PinStack, SpectrumRecord, _alpha0_rule, _angle_error, _
                          _records, _scan_columns)
 
 _MERGE_TOL = 1e-7  # |beta_even - beta_odd| at xi_edit
+_NEWTON_H = 1e-7        # _merge_newton's finite-difference step, in xi and in s
+_NEWTON_XTOL = 1e-13    # its xi step at convergence
+_NEWTON_NOISE = 1e-12   # the rounding error of xi past which it gives up
+_NEWTON_STEPS = 6       # and its step cap
 # How far a pole polished from a nearby seed (beta_g, beta_edit, or a pole
 # continued in xi) may move: the farthest a window search over beta_g +- 0.05
 # can return.
@@ -736,25 +745,30 @@ def find_xi_edit(
 
     The odd resonance is shift-invariant (the odd factor involves only M11
     and M13, neither of which depends on xi): its pole is polished from
-    beta_g, and beta_odd is its real part.  xi_edit is the root of the gap
-    Re beta_even(xi) - beta_odd, the even factor's complex zero continued in
-    xi: each seed is linear in xi through the two tracked poles nearest it
-    (the one tracked pole, or the odd pole when none is), polished by
-    _pole_search.  The gap is evaluated over the bracket in steps of about
-    0.01 up to the first step where it changes sign (a step is assumed to
-    hold at most one sign change, as two would cancel unseen), and Brent's
-    method (xtol 1e-9) closes that step.  Returns (xi_edit, beta_edit),
+    beta_g, and beta_odd is its real part.  xi_edit is a root of the gap
+    Re beta_even(xi) - beta_odd, where beta_even is the even factor's
+    complex zero: the Newton root of f_even(beta_odd + i s, xi) = 0 in
+    (xi, s) from the bracket's midpoint, to a step of 1e-13 in xi inside
+    the bracket (_merge_newton).  Where Newton's method gives up, it is the
+    first sign change of a scan of the gap over the bracket in steps of
+    about 0.01 (a step is assumed to hold at most one sign change, as two
+    would cancel unseen), closed by Brent's method (xtol 1e-9), with the
+    even zero continued in xi: each seed is linear in xi through the two
+    tracked poles nearest it (the one tracked pole, or the odd pole when
+    none is), polished by _pole_search.  Returns (xi_edit, beta_edit),
     where beta_edit = beta_odd and |beta_even(xi_edit) - beta_odd| <= 1e-7.
     The search is _edit_search, run alone (steer runs it in lockstep with
     other angles').
 
     Raises ValueError, before any evaluation, unless the bracket's ends are
     finite and ascending; Unresolved, naming the parity and where the seed
-    is, when a polish is rejected; and ModesDidNotMerge when the gap never
-    changes sign over the bracket, reporting the closest approach over the
-    tracked poles, or, where that approach is a gap of exactly 0 (at m = 3
-    and 80 degrees every tracked pole's real part is beta_odd's float), that
-    the merge is below double-precision resolution.
+    is, when a polish of the odd pole or of the scan is rejected (a rejected
+    polish at the midpoint sends the search to the scan); and
+    ModesDidNotMerge when the scan's gap never changes sign over the
+    bracket, reporting the closest approach over the tracked poles, or,
+    where that approach is a gap of exactly 0 (at m = 3 and 80 degrees every
+    tracked pole's real part is beta_odd's float), that the merge is below
+    double-precision resolution.
     """
     lo, hi = xi_bracket
     if not -math.inf < lo < hi < math.inf:   # NaN included
@@ -764,9 +778,75 @@ def find_xi_edit(
 
 
 def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30)):
-    """find_xi_edit's search, as lockstep steps (see _lockstep)."""
+    """find_xi_edit's search, as lockstep steps (see _lockstep).
+
+    The odd pole is polished from beta_g; xi_edit is then _merge_newton's
+    root, else _edit_scan's.
+    """
     odd = yield from _resolved_pole("odd", beta_g, alpha0_at, eta_star, 0.0, policy,
                                     _POLE_REACH, f"beta_g = {beta_g:.9g}")
+    xi_edit = yield from _merge_newton(odd, alpha0_at, eta_star, policy, xi_bracket)
+    if xi_edit is None:
+        xi_edit = yield from _edit_scan(odd, alpha0_at, eta_star, policy, xi_bracket)
+    return xi_edit, odd.real
+
+
+def _merge_newton(odd, alpha0_at, eta, policy, xi_bracket):
+    """The root (xi, s) of f_even(beta_odd + i s, xi) by Newton's method: xi, or None.
+
+    The even pole polished at the bracket's midpoint, seeded from the odd
+    pole, gives the start.  Each step is one request of the even factor's
+    entries at (xi, s) and at the finite-difference points s + h and xi + h,
+    whose differences give the Jacobian.  Returns xi once its step falls
+    below _NEWTON_XTOL.  Returns None (the caller falls back to _edit_scan)
+    where the polish is rejected; where the Jacobian is singular or so
+    ill-conditioned that a rounding error of the factor's terms would move
+    xi by more than _NEWTON_NOISE (an estimate that, at every integer degree
+    up to 68 and m = 1-3, exceeds the xi noise the steps settle to, 5 times
+    in the median); where a step leaves the bracket or s the polish's reach;
+    or where the xi steps stop shrinking within _NEWTON_STEPS.
+    """
+    lo, hi = xi_bracket
+    xi = 0.5 * (lo + hi)
+    even = yield from _pole_search("even", odd, alpha0_at, eta, xi, policy, _POLE_REACH)
+    if even is None:
+        return None
+    beta_odd, s, h = odd.real, even.imag, _NEWTON_H
+    ys = _factor_offsets("even", StackGeometry(eta=eta))[1]     # the same at every xi
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        betas = np.array([[complex(beta_odd, s)], [complex(beta_odd, s + h)],
+                          [complex(beta_odd, s)]])
+        xs = np.array([[xi], [xi], [xi + h]]) * np.array([0.0, 0.0, -1.0, 1.0])
+        values, _ = yield from _summed(alpha0_at(betas), betas, xs, ys, policy)
+        f, f_s, f_xi = (_factor_from("even", row) for row in values)
+        f_s, f_xi = (f_s - f) / h, (f_xi - f) / h
+        # f + f_xi dxi + f_s ds = 0 for real dxi and ds, by Cramer's rule
+        det = (f_xi.conjugate() * f_s).imag
+        m11, m13, m12, m21 = values[0].tolist()
+        terms = abs(m11) * abs(m11 + m13) + 2.0 * abs(m12 * m21)
+        if not math.ulp(1.0) * terms * abs(f_s) < _NEWTON_NOISE * abs(det):
+            return None
+        dxi = -(f.conjugate() * f_s).imag / det
+        xi, s = xi + dxi, s + (f.conjugate() * f_xi).imag / det
+        if not (lo < xi < hi and abs(s) <= _POLE_REACH):
+            return None
+        if abs(dxi) < _NEWTON_XTOL:
+            return xi
+        if not abs(dxi) < last:
+            return None
+        last = abs(dxi)
+    return None
+
+
+def _edit_scan(odd, alpha0_at, eta_star, policy, xi_bracket):
+    """xi_edit on the even pole continued from the odd pole, as lockstep steps.
+
+    find_xi_edit's fallback: the gap Re beta_even(xi) - beta_odd over the
+    bracket in steps of about 0.01, each seed linear in xi through the two
+    tracked poles nearest it (the odd pole when none is), and Brent's
+    method (xtol 1e-9) in the first step where the gap changes sign.
+    """
     beta_odd = odd.real
     track: dict[float, complex] = {}          # the even pole at each xi evaluated
 
@@ -795,7 +875,7 @@ def _edit_search(alpha0_at, beta_g, eta_star, policy, xi_bracket=(0.15, 0.30)):
             raise ModesDidNotMerge(
                 f"Brent's method left |beta_even - beta_odd| = {residual_gap:.3e}"
             )
-        return float(xi_edit), float(beta_odd)
+        return float(xi_edit)
     closest, at = min((abs(pole.real - beta_odd), xi) for xi, pole in track.items())
     if closest == 0.0:   # the gap vanishes without changing sign
         zeros = sum(pole.real == beta_odd for pole in track.values())
@@ -961,8 +1041,8 @@ def steer(
     Stages: beta_g and eta_star always; the unshifted triplet's even/odd
     resonance pair (at eta_star) when with_modes, each pole polished
     directly from beta_g (no window search; Unresolved when rejected); EDIT
-    shift tuning when with_edit (find_xi_edit's root on the continued even
-    pole, no window search either); notch and outer-pair Q factors off the
+    shift tuning when with_edit (find_xi_edit's Newton root, or its root on
+    the continued even pole, no window search either); notch and outer-pair Q factors off the
     poles, with no scan, when with_q (implies with_edit; Unresolved when the
     even pole polished from beta_edit is rejected).  EDIT tuning and its Q
     factors run at the slab separation eta_edit = slab_guess(beta_g,

@@ -906,6 +906,15 @@ class TestParser:
         assert (widest <= 78) == (columns == "80")
 
     @pytest.mark.parametrize("argv", [_SPECTRUM, _STEER])
+    def test_an_end_of_options_marker_before_the_subcommand_is_dropped(self, capsys, argv):
+        # the same bytes as the run without it; a -- before anything but a
+        # subcommand's name is still read as the subcommand, and refused
+        assert _outcome(capsys, ["--", *argv]) == _outcome(capsys, argv)
+        for rest in (["bogus"], ["--config", "x.json"], ["--", *argv]):
+            code, out, err = _outcome(capsys, ["--", *rest])
+            assert (code, out) == (2, "") and "invalid choice: '--'" in err
+
+    @pytest.mark.parametrize("argv", [_SPECTRUM, _STEER])
     def test_a_run_builds_its_own_subcommand_alone(self, capsys, monkeypatch, argv):
         built, lookups = [], []
         init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size

@@ -503,8 +503,9 @@ def _counted(monkeypatch, name, module=steering):
 def _continued_secants(monkeypatch, reject=False):
     """Record (xi, pole) of every continued secant, or reject them all as (xi, None).
 
-    The continuation starts _pole_search from a complex seed (a tracked
-    pole, or the odd pole); the odd pole's polish from beta_g, the window
+    The Newton solve's polish at the bracket's midpoint and the fallback
+    scan's continuation start _pole_search from a complex seed (the odd
+    pole, or a tracked pole); the odd pole's polish from beta_g, the window
     search's and the Q stage's start from a real one.  The spy is a search
     itself.
     """
@@ -524,8 +525,18 @@ def _continued_secants(monkeypatch, reject=False):
     return tracked
 
 
+def _forced_scan(monkeypatch):
+    """Make find_xi_edit's Newton solve give up at once, so the fallback scan runs."""
+    def gives_up(*args):
+        return None
+        yield   # a search that makes no request
+
+    monkeypatch.setattr(steering, "_merge_newton", gives_up)
+
+
 def test_continued_pole_is_resonance_beta_at_every_step(edit_inputs, monkeypatch):
     theta, beta_g, eta = edit_inputs
+    _forced_scan(monkeypatch)
     tracked = _continued_secants(monkeypatch)
     xi_edit, _ = find_xi_edit(theta, beta_g, eta)
     # the scan's steps up to the merge, then Brent's probes, each polished once
@@ -563,8 +574,8 @@ def _xi_edit_by_window_search(theta, beta_g, eta, lo=0.15, hi=0.30, xi_step=1e-3
 
 
 def test_find_xi_edit_equals_the_window_search(edit_inputs):
-    # the root on the continued pole and brentq's on window searches share
-    # xtol 1e-9; beta_edit is the odd pole's real part either way
+    # brentq's root on window searches has xtol 1e-9, the Newton root 1e-13;
+    # beta_edit is the odd pole's real part either way
     xi_edit, beta_edit = find_xi_edit(*edit_inputs)
     xi_ref, beta_ref = _xi_edit_by_window_search(*edit_inputs)
     assert abs(xi_edit - xi_ref) <= 1e-9
@@ -572,13 +583,65 @@ def test_find_xi_edit_equals_the_window_search(edit_inputs):
 
 
 def test_rejected_continuation_raises_unresolved(inputs_60, monkeypatch):
-    # no window search stands in for a continued pole the polish missed
+    # no window search stands in for a continued pole the polish missed: a
+    # rejected polish at the midpoint sends the Newton solve to the scan,
+    # whose first rejected polish raises
     rejected = _continued_secants(monkeypatch, reject=True)
     searches = _counted(monkeypatch, "_window_search")
     with pytest.raises(Unresolved, match="no zero of the even factor within reach of "
                                          "xi = 0.15$"):
         find_xi_edit(*inputs_60)
-    assert rejected == [(0.15, None)] and searches == []
+    assert rejected == [(0.5 * (0.15 + 0.30), None), (0.15, None)] and searches == []
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_newton_merge_equals_the_fallback_scan(m, monkeypatch):
+    # at every integer degree 1-60, in lockstep: the same successes, xi_edit
+    # within the scan's xtol of 1e-9 (measured 2.4e-10) and beta_edit, the
+    # odd pole's real part, to the bit
+    thetas = [math.radians(d) for d in _DEGREES]
+    solved = steer(thetas, m=m, with_edit=True, with_modes=False)
+    _forced_scan(monkeypatch)
+    scanned = steer(thetas, m=m, with_edit=True, with_modes=False)
+    for deg, res, ref in zip(_DEGREES, solved, scanned):
+        assert res.error is None and ref.error is None, f"{deg} deg"
+        assert abs(res.xi_edit - ref.xi_edit) <= 1e-9, f"{deg} deg"
+        assert res.beta_edit == ref.beta_edit, f"{deg} deg"
+
+
+def test_newton_merge_is_the_window_search_pole(edit_inputs, monkeypatch):
+    # the solved even pole beta_odd + i s has the real part of the zero the
+    # independent window search polishes at xi_edit, and no fallback scan ran
+    theta, beta_g, eta = edit_inputs
+    scans = _counted(monkeypatch, "_edit_scan")
+    xi_edit, beta_edit = find_xi_edit(theta, beta_g, eta)
+    assert scans == []
+    monkeypatch.undo()
+    even = resonance_beta("even", eta, xi_edit, (beta_edit - 0.05, beta_edit + 0.05),
+                          theta_i=theta)
+    assert abs(even - beta_edit) <= 1e-12
+
+
+def test_a_stalled_newton_merge_falls_back_to_the_scan(monkeypatch):
+    # at m = 2 and 70 deg a rounding error of the factor moves xi by ~1e-10,
+    # so the solve gives up at its first step, and the scan's root is the
+    # one found before the solve existed
+    theta = math.radians(70.0)
+    beta_g = find_beta_g(theta)
+    scans = _counted(monkeypatch, "_edit_scan")
+    xi_edit, _ = find_xi_edit(theta, beta_g, slab_guess(beta_g, beta_g * math.sin(theta), m=2))
+    assert len(scans) == 1 and xi_edit == 0.24999794908801165
+
+
+@pytest.mark.parametrize("m, failing", [
+    (1, []), (2, [81, 82, 83, 84, 86, 87]), (3, list(range(78, 90)))])
+def test_edit_fails_past_60_degrees_where_the_scan_alone_failed(m, failing):
+    # over 61-89 deg, where the Newton solve mostly falls back to the scan,
+    # with_edit fails at the angles where it failed with the scan alone
+    degrees = range(61, 90)
+    results = steer([math.radians(d) for d in degrees], m=m, with_edit=True, with_modes=False)
+    assert [deg for deg, res in zip(degrees, results) if res.error is not None] == failing
+    assert all(res.error.startswith("ModesDidNotMerge: ") for res in results if res.error)
 
 
 def test_edit60_result_bits_are_pinned(inputs_60):
@@ -596,9 +659,9 @@ def test_edit60_result_bits_are_pinned(inputs_60):
                              theta_i=theta, resolution=2000)
     residual = max(r.energy_residual for r in envelope if r.error is None)
     assert (beta_g, eta, xi_edit, beta_edit, q_notch, q_factor(envelope, "peak").q,
-            residual) == (2.9471596875548824, 2.1319459999781842, 0.24777142666253502,
+            residual) == (2.9471596875548824, 2.1319459999781842, 0.2477714266625437,
                           2.947171960007326, 13316266938.571634, 150857.2485421109,
-                          1.2212453270876722e-15)
+                          1.3322676295501878e-15)
 
 
 def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
@@ -613,15 +676,16 @@ def test_find_xi_edit_runs_few_window_searches(inputs_60, monkeypatch):
 
 
 def test_find_xi_edit_makes_few_kernel_calls(inputs_60, monkeypatch):
-    # the odd pole, the even pole at each 0.01 step up to the merge and at
-    # each of Brent's probes, every secant asking for its two starting
-    # values in one request and none for the iterate it returns.  Continued
-    # at every step of a 1e-3 grid, the search made 436 calls; on a coarse
-    # scan of that grid with window searches beside it, 87 (7 of them
-    # builder calls); evaluating each polish's converged iterate, 60
+    # the odd pole, the even pole at the bracket's midpoint and one call per
+    # Newton step, every secant asking for its two starting values in one
+    # request and none for the iterate it returns.  Continued at every step
+    # of a 1e-3 grid, the search made 436 calls; on a coarse scan of that
+    # grid with window searches beside it, 87 (7 of them builder calls);
+    # evaluating each polish's converged iterate, 60; continued at each 0.01
+    # step up to the merge and at each of Brent's probes, 45
     calls = _counted_kernel(monkeypatch)
     find_xi_edit(*inputs_60)
-    assert 0 < len(calls) <= 45
+    assert 0 < len(calls) <= 11
 
 
 def test_polishing_a_polished_pole_returns_it():
@@ -1353,22 +1417,24 @@ def test_edit_makes_few_kernel_calls(oblique_edit):
     # continued at every step of a 1e-3 grid 629, on a coarse scan of that
     # grid with window searches beside it 229, and after stage 2 and the
     # unshifted pair, not beside them, 97; beside them 84; with no polish
-    # evaluating its converged iterate 69
+    # evaluating its converged iterate 69; with xi_edit a Newton root instead
+    # of a root on the pole continued over a 0.01 scan 30
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 69
+    assert 0 < len(calls) <= 30
 
 
 def test_q_makes_few_kernel_calls(monkeypatch):
     # the Q stage's even pole and dark-pole slope run side by side, and beside
-    # stage 2 and the unshifted pair: 84 calls, 100 when each polish
+    # stage 2 and the unshifted pair: 39 calls, 84 when xi_edit was a root
+    # on the pole continued over a 0.01 scan, 100 when also each polish
     # evaluated its converged iterate, 112 when also each stage waited for
     # the one before
     calls = _counted_kernel(monkeypatch)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG], with_q=True)
     assert results[0].error == "EDIT unsupported at normal incidence"
     assert all(res.error is None and res.q_pair is not None for res in results[1:])
-    assert 0 < len(calls) <= 84
+    assert 0 < len(calls) <= 39
 
 
 def test_edit_merges_the_window_search_poles(oblique_edit):
