@@ -47,12 +47,11 @@ builder or the lattice sums, its inputs as columns that are scalars or flat
 arrays, taken as the search holds them wherever they need no broadcast) and
 is sent its value.  _lockstep advances many of them together, one kernel
 call per kind of request and round on their columns joined as flat columns,
-with a few numpy calls per column (none for a lone request's flat arrays).  A search
-may also yield a _Fork of sub-searches that do not depend on each other,
-which then run side by side.  steer runs each angle's whole
-chain (_angle_search, from beta_g to the Q factors) that way, forking where
-stages are independent, and each public function runs its one search alone
-through the same driver (_run).
+with a few numpy calls per column (none for a lone request's flat arrays).
+steer runs its chain stage by stage over every angle still running
+(_stages), each stage one _lockstep of all those angles' independent
+searches, and each public function runs its one search alone through the
+same driver (_run).
 """
 
 from __future__ import annotations
@@ -363,65 +362,29 @@ class _Request:
         self.key, self.columns, self.size = key, columns, size
 
 
-@dataclass(frozen=True)
-class _Fork:
-    """Sub-searches a search waits for, all at once (see _lockstep); at least one."""
-
-    searches: tuple
-
-
 def _lockstep(searches: list) -> list:
-    """Run searches together: each one's return value, or the exception it raised.
+    """Run independent searches together: each one's return value, or the exception it raised.
 
     A search is a generator that yields a _Request for every evaluation it
-    needs and is sent the answer, or thrown the exception its call raised.  It
-    may instead yield a _Fork of searches that do not depend on each other:
-    they start at once and run beside every other search, their requests
-    joining the same rounds, and the forking search is sent the list of their
-    outcomes (each a return value or an exception, as here) when the last one
-    ends.  Each round answers every pending request, each key's requests
-    (one call, its arguments and its columns' dtypes) by _answers: one call
-    on their columns joined.  The kernel's values depend only on their own
-    inputs, whatever the layout (see greens), so a search gets the same
-    floats whatever runs beside it, and a request that raises fails its own
-    search alone.
+    needs and is sent the answer, or thrown the exception its call raised.
+    Each round answers every pending request, each key's requests (one call,
+    its arguments and its columns' dtypes) by _answers: one call on their
+    columns joined.  The kernel's values depend only on their own inputs,
+    whatever the layout (see greens), so a search gets the same floats
+    whatever runs beside it, and a request that raises fails its own search
+    alone.
     """
     outcomes: list = [None] * len(searches)
-    tasks = list(searches)
-    # where each task's outcome goes: a list, its index there, the forking task
-    homes: list = [(outcomes, i, None) for i in range(len(searches))]
-    unfinished: dict[int, int] = {}     # each forking task's sub-searches still running
     pending: dict[int, _Request] = {}
 
     def resume(i: int, answer=None) -> None:
         try:
-            step = (tasks[i].throw(answer) if isinstance(answer, Exception)
-                    else tasks[i].send(answer))
+            pending[i] = (searches[i].throw(answer) if isinstance(answer, Exception)
+                          else searches[i].send(answer))
         except StopIteration as stop:
-            outcome = stop.value
+            outcomes[i] = stop.value
         except Exception as exc:  # noqa: BLE001 - a failed search fails alone
-            outcome = exc
-        else:
-            if isinstance(step, _Fork):
-                fork(i, step.searches)
-            else:
-                pending[i] = step
-            return
-        results, k, parent = homes[i]
-        results[k] = outcome
-        if parent is not None:
-            unfinished[parent] -= 1
-            if not unfinished[parent]:
-                del unfinished[parent]
-                resume(parent, results)
-
-    def fork(i: int, children: tuple) -> None:
-        results = [None] * len(children)
-        unfinished[i] = len(children)
-        for k, child in enumerate(children):
-            tasks.append(child)
-            homes.append((results, k, i))
-            resume(len(tasks) - 1)
+            outcomes[i] = exc
 
     for i in range(len(searches)):
         resume(i)
@@ -1050,99 +1013,99 @@ def steer(
     recorded per angle and do not stop the sweep; EDIT tuning is skipped at
     normal incidence (the merge needs a lateral shift under an oblique wave).
 
-    Each angle's whole chain, its Q factors included, is one search
-    (_angle_search) that fills its result, and all angles' run in lockstep
-    (_lockstep), with each angle's independent stages side by side: each
-    round evaluates every pending step in one kernel call per kind, with the
-    same floats and errors as one angle's stages run one by one.  An
-    exception a search raises becomes its angle's error, "Class: message".
-    A mode order m that is not an integer, or is below 1, raises ValueError
-    before any evaluation.
+    Each stage runs over every angle still running, as one _lockstep of all
+    their searches (_stages): beta_g, then eta_star, then the unshifted
+    pair's two polishes beside xi_edit, then the even pole at beta_edit
+    beside q_notch (_dark_q).  Each round evaluates every pending step in one
+    kernel call per kind, with the same floats and errors as one angle's
+    stages run one by one.  Each angle's fields are filled in stage order,
+    and the first stage that failed there, as "Class: message", becomes its
+    error, leaving every later field unset and running no later stage
+    there.  A mode order m that is not an integer, or is below 1, raises
+    ValueError before any evaluation.
     """
     _check_integer("mode order m", m)   # a fractional m would fail stage 2 at every angle
     if m < 1:   # every angle's slab guess would refuse it
         raise ValueError(f"mode order m must be >= 1, got {m}")
     with_edit = with_edit or with_q
     results = [SteeringResult(theta_i=theta) for theta in theta_list]
-    searches = [_angle_search(res, m, with_modes, with_edit, with_q, policy) for res in results]
-    for res, outcome in zip(results, _lockstep(searches)):
-        if isinstance(outcome, Exception):
-            res.error = f"{type(outcome).__name__}: {outcome}"
+    rules, guesses = {}, {}     # each angle's alpha0 rule and slab separation
+
+    def start(i, _):
+        res = results[i]
+        rules[i] = _alpha0_rule(res.theta_i, None)
+        return [_mirror_search(rules[i], default_bracket(res.theta_i), policy)]
+
+    def after_mirror(i, outcomes):
+        res = results[i]
+        res.beta_g, re_m11 = _value(outcomes[0])
+        res.alpha0_g = rules[i](res.beta_g)
+        guesses[i] = slab_guess(res.beta_g, res.alpha0_g, m)
+        return [_pair_search(res.beta_g, res.alpha0_g, guesses[i], policy, re_m11)]
+
+    def after_pair(i, outcomes):
+        res = results[i]
+        res.eta_star = _value(outcomes[0])
+        res.m_eff = res.eta_star * math.sqrt(res.beta_g**2 - res.alpha0_g**2) / math.pi
+        searches = [_resolved_pole(kind, res.beta_g, rules[i], res.eta_star, 0.0, policy,
+                                   _POLE_REACH, f"beta_g = {res.beta_g:.9g}")
+                    for kind in ("odd", "even") if with_modes]
+        if with_edit and res.theta_i != 0.0:
+            searches.append(_edit_search(rules[i], res.beta_g, guesses[i], policy))
+        return searches
+
+    def after_edit(i, outcomes):
+        res = results[i]
+        for kind, pole in zip(("odd", "even"), outcomes[:2] if with_modes else ()):
+            setattr(res, f"beta_{kind}", _value(pole).real)
+        if not with_edit:
+            return []
+        if res.theta_i == 0.0:
+            res.error = "EDIT unsupported at normal incidence"
+            return []
+        res.eta_edit = guesses[i]
+        res.xi_edit, res.beta_edit = _value(outcomes[-1])
+        if not with_q:
+            return []
+        return [_resolved_pole("even", res.beta_edit, rules[i], res.eta_edit, res.xi_edit,
+                               policy, _POLE_REACH, f"beta_edit = {res.beta_edit:.9g}"),
+                _dark_q(res.beta_edit, rules[i], res.eta_edit, policy)]
+
+    def after_q(i, outcomes):
+        if outcomes:
+            res = results[i]
+            even = _value(outcomes[0])
+            res.q_notch = _value(outcomes[1])
+            res.q_pair = even.real / (2.0 * abs(even.imag))
+        return []
+
+    _stages(results, (start, after_mirror, after_pair, after_edit, after_q))
     return results
 
 
-def _angle_search(res: SteeringResult, m: int, with_modes: bool, with_edit: bool,
-                  with_q: bool, policy: TruncationPolicy):
-    """steer's search at one angle, filling every field of res.
+def _stages(results: list[SteeringResult], steps) -> None:
+    """Run steer's chain stage by stage over every angle still running.
 
-    beta_g first; then, side by side (a _Fork, see _lockstep), eta_star with,
-    with_modes, the unshifted pair's poles polished from beta_g (_pair_poles),
-    and with_edit, xi_edit at the slab separation with, with_q, its Q factors
-    (_edit_q), since EDIT tuning needs beta_g and the slab separation alone.
-    At normal incidence EDIT does not run and the error notes that it is
-    unsupported there.  The fields are filled in stage order (eta_star, the
-    odd pole, the even pole, xi_edit, the even pole at beta_edit, q_notch),
-    and the first stage that failed raises its exception with every later
-    field left unset, as when the stages ran one after another.
+    step(i, outcomes) fills angle i's fields from the outcomes of its
+    searches in the stage before (none before the first) and returns its
+    searches of the next stage; every angle's run in one _lockstep.  An
+    exception a step raises becomes the angle's error, "Class: message",
+    and an angle with an error runs no later step.
     """
-    alpha0_at = _alpha0_rule(res.theta_i, None)
-    res.beta_g, re_m11 = yield from _mirror_search(alpha0_at, default_bracket(res.theta_i),
-                                                   policy)
-    res.alpha0_g = alpha0_at(res.beta_g)
-    chi0 = math.sqrt(res.beta_g**2 - res.alpha0_g**2)
-    guess = slab_guess(res.beta_g, res.alpha0_g, m)
-    edit = with_edit and res.theta_i != 0.0
-    branches = [_pair_poles(res.beta_g, res.alpha0_g, alpha0_at, guess, re_m11, with_modes,
-                            policy)]
-    if edit:
-        branches.append(_edit_q(alpha0_at, res.beta_g, guess, with_q, policy))
-    outcomes = yield _Fork(tuple(branches))
-    res.eta_star, poles = _value(outcomes[0])
-    res.m_eff = res.eta_star * chi0 / math.pi
-    for kind, pole in zip(("odd", "even"), poles):
-        setattr(res, f"beta_{kind}", _value(pole).real)
-    if not with_edit:
-        return
-    if not edit:
-        res.error = "EDIT unsupported at normal incidence"
-        return
-    res.eta_edit = guess
-    res.xi_edit, res.beta_edit, q_stage = _value(outcomes[1])
-    if with_q:
-        even = _value(q_stage[0])
-        res.q_notch = _value(q_stage[1])
-        res.q_pair = even.real / (2.0 * abs(even.imag))
-
-
-def _pair_poles(beta_g, a0, alpha0_at, guess, re_m11, with_modes, policy):
-    """eta_star and the outcomes of the unshifted pair's polishes, as lockstep steps.
-
-    The odd and even poles at eta_star are polished from beta_g side by side
-    (a _Fork) with_modes; else the outcomes are [].
-    """
-    eta_star = yield from _pair_search(beta_g, a0, guess, policy, re_m11)
-    poles = []
-    if with_modes:
-        poles = yield _Fork(tuple(
-            _resolved_pole(kind, beta_g, alpha0_at, eta_star, 0.0, policy, _POLE_REACH,
-                           f"beta_g = {beta_g:.9g}") for kind in ("odd", "even")))
-    return eta_star, poles
-
-
-def _edit_q(alpha0_at, beta_g, eta, with_q, policy):
-    """xi_edit, beta_edit and the outcomes of the Q stage's two searches, as lockstep steps.
-
-    With_q, the even pole polished from beta_edit and q_notch (_dark_q) run
-    side by side (a _Fork); else the outcomes are [].
-    """
-    xi_edit, beta_edit = yield from _edit_search(alpha0_at, beta_g, eta, policy)
-    q_stage = []
-    if with_q:
-        q_stage = yield _Fork((
-            _resolved_pole("even", beta_edit, alpha0_at, eta, xi_edit, policy, _POLE_REACH,
-                           f"beta_edit = {beta_edit:.9g}"),
-            _dark_q(beta_edit, alpha0_at, eta, policy)))
-    return xi_edit, beta_edit, q_stage
+    outcomes = {i: [] for i in range(len(results))}
+    for step in steps:
+        searches = {}
+        for i, done in outcomes.items():
+            try:
+                batch = step(i, done)
+            except Exception as exc:  # noqa: BLE001 - a failed stage fails its own angle alone
+                results[i].error = f"{type(exc).__name__}: {exc}"
+            else:
+                if results[i].error is None:
+                    searches[i] = batch
+        flat = _lockstep([search for batch in searches.values() for search in batch])
+        ends = list(accumulate(len(batch) for batch in searches.values()))
+        outcomes = {i: flat[lo:hi] for i, lo, hi in zip(searches, [0] + ends, ends)}
 
 
 def _dark_q(beta, alpha0_at, eta, policy):

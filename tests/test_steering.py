@@ -633,6 +633,31 @@ def test_a_stalled_newton_merge_falls_back_to_the_scan(monkeypatch):
     assert len(scans) == 1 and xi_edit == 0.24999794908801165
 
 
+def test_newton_steps_that_stop_shrinking_give_up(monkeypatch):
+    # at m = 2 the xi step grows at the fifth of the solve's six steps at
+    # 57 deg with numpy's AVX2 or AVX-512 loops, and at 60 deg with its
+    # dispatched SIMD features disabled: the solve gives up there and the
+    # scan runs (without that exit it would take all six steps first)
+    summed, steps = steering._summed, []
+
+    def spy(alpha0, beta, *args):
+        if np.shape(beta) == (3, 1):    # a Newton step's three points
+            steps.append(beta)
+        return (yield from summed(alpha0, beta, *args))
+
+    monkeypatch.setattr(steering, "_summed", spy)
+    scans = _counted(monkeypatch, "_edit_scan")
+    gave_up = []
+    for deg in (57.0, 60.0):
+        theta = math.radians(deg)
+        beta_g = find_beta_g(theta)
+        steps.clear()
+        scans.clear()
+        find_xi_edit(theta, beta_g, slab_guess(beta_g, beta_g * math.sin(theta), m=2))
+        gave_up.append((len(steps), len(scans)))
+    assert (5, 1) in gave_up
+
+
 @pytest.mark.parametrize("m, failing", [
     (1, []), (2, [81, 82, 83, 84, 86, 87]), (3, list(range(78, 90)))])
 def test_edit_fails_past_60_degrees_where_the_scan_alone_failed(m, failing):
@@ -1187,40 +1212,12 @@ def test_a_failing_request_in_a_group_fails_alone(monkeypatch):
         assert all(map(_same_bits, together[k], alone[k]))
 
 
-def test_a_fork_joins_the_rounds_of_every_other_search(monkeypatch):
-    # a fork's searches start at once and their requests join every other
-    # pending request of their key; the forking search is sent each one's
-    # outcome in order, an exception included, when the last one ends
-    betas = [3.6 - 1e-3j, 3.65 - 2e-3j]
-
-    def step(beta):
-        return steering._summed(0.5 * beta, beta, *_EVEN_OFFSETS, DEFAULT_POLICY)
-
-    def refused():
-        raise ValueError("refused")
-        yield
-
-    def nested():
-        (values,) = yield steering._Fork((step(betas[0]),))
-        return values
-
-    def forking():
-        return (yield steering._Fork((step(betas[0]), refused(), nested())))
-
-    alone = [steering._lockstep([step(beta)])[0] for beta in betas]
-    calls = _counted_kernel(monkeypatch)
-    (first, failed, deeper), other = steering._lockstep([forking(), step(betas[1])])
-    assert len(calls) == 1
-    assert type(failed) is ValueError and str(failed) == "refused"
-    for values, expected in ((first, alone[0]), (deeper, alone[0]), (other, alone[1])):
-        assert all(map(_same_bits, values, expected))
-
-
 def _stages_one_by_one(res, m, with_modes, with_edit, with_q, policy):
-    """steer's search at one angle with every stage waiting for the one before.
+    """steer's chain at one angle as one search, every stage waiting for the one before.
 
-    The reference for _angle_search, whose independent stages run side by
-    side: both must fill the same fields and raise the same error.
+    The reference for steer, which runs each stage over every angle before
+    the next (steering._stages) and the unshifted pair's polishes beside
+    EDIT: both must fill the same fields and raise the same error.
     """
     alpha0_at = scattering._alpha0_rule(res.theta_i, None)
     res.beta_g, re_m11 = yield from steering._mirror_search(
@@ -1266,11 +1263,18 @@ def _steer_one_by_one(thetas, m=1, with_modes=True, with_edit=False, with_q=Fals
     return results
 
 
-def test_forked_stages_equal_the_stages_one_by_one():
+def test_steer_stages_equal_the_stages_one_by_one():
     # every field, None and error, at m = 3 from 60 to 89 deg, where EDIT fails
-    # from 70 deg, and at the Table-1 angles with and without the pair
+    # from 70 deg; at m = 1 with Q on negative angles, at normal incidence and
+    # at the angles past grazing or not a number, which fail before stage 1;
+    # and at the Table-1 angles with and without the pair
     thetas = [math.radians(d) for d in range(60, 90)]
     assert steer(thetas, m=3, with_q=True) == _steer_one_by_one(thetas, m=3, with_q=True)
+    thetas = [math.radians(d) for d in (-89, -60, -30, -9, 0, 45)] + [math.inf, -math.inf,
+                                                                     math.nan]
+    results = steer(thetas, with_q=True)
+    assert repr(results) == repr(_steer_one_by_one(thetas, with_q=True))
+    assert [res.error is None for res in results] == [True] * 4 + [False, True] + [False] * 3
     thetas = [math.radians(d) for d in TABLE1_ANGLES_DEG]
     for options in ({}, {"with_edit": True, "with_modes": False}):
         assert steer(thetas, **options) == _steer_one_by_one(thetas, **options)
@@ -1328,9 +1332,9 @@ def q_30_60():
         "EDIT while stage 2 succeeds", "Q even pole", "Q dark pole"])
 def test_a_failed_stage_leaves_the_fields_of_the_stages_one_by_one(
         failures, unset, error, q_30_60, monkeypatch):
-    # one side-by-side stage fails at 30 deg: the fields before it in stage
-    # order are set, the rest None, the error is the first failed stage's,
-    # and 60 deg is untouched
+    # one stage fails at 30 deg: the fields before it in stage order are
+    # set, the rest None, the error is the first failed stage's, and 60 deg
+    # is untouched
     for name, fails in failures:
         _failing(monkeypatch, name, lambda *args, fails=fails: fails(q_30_60[0], *args))
     thetas = [THETA_30, math.radians(60.0)]
@@ -1341,6 +1345,23 @@ def test_a_failed_stage_leaves_the_fields_of_the_stages_one_by_one(
     k = _STAGES.index(unset)
     assert all(getattr(bad, name) is not None for name in _STAGES[:k])
     assert all(getattr(bad, name) is None for name in _STAGES[k:])
+
+
+@pytest.mark.parametrize("name, fails, later, at, field", [
+    ("_pair_search", lambda ref, beta_g, *_: beta_g == ref.beta_g, "_edit_search", 1, "beta_g"),
+    ("_pole_search", lambda ref, kind, beta0, rule, eta, xi, *_: kind == "odd"
+     and eta == ref.eta_star, "_dark_q", 0, "beta_edit"),
+    ("_edit_search", lambda ref, rule, beta_g, *_: beta_g == ref.beta_g, "_dark_q", 0,
+     "beta_edit"),
+], ids=["EDIT after stage 2", "Q after the unshifted pair", "Q after EDIT"])
+def test_no_stage_runs_after_a_failed_one(name, fails, later, at, field, q_30_60, monkeypatch):
+    # a stage that fails at 30 deg starts no later stage's search there: the
+    # later search runs at 60 deg alone, from that angle's own input
+    _failing(monkeypatch, name, lambda *args: fails(q_30_60[0], *args))
+    runs = _counted(monkeypatch, later)
+    bad, good = steer([THETA_30, math.radians(60.0)], with_q=True)
+    assert bad.error is not None and good == q_30_60[1]
+    assert [args[at] for args in runs] == [getattr(good, field)]
 
 
 def _counted_kernel(monkeypatch) -> list:
@@ -1372,14 +1393,15 @@ def test_table1_makes_few_kernel_calls(monkeypatch):
     # angle at a time, the 15 angles made 486 one-point calls, with one
     # request per starting value of a pole polish 32, with stage 2 asking
     # the builder again for stage 1's Re G(0, 0) 30, and with the odd pole
-    # polished before the even one 29, with the two side by side 22, and
-    # with neither polish evaluating its converged iterate 21.  No root is
-    # confirmed by a scattering solve: the one-order rule needs none
+    # polished before the even one 29, with the two side by side 22, with
+    # neither polish evaluating its converged iterate 21, and with each stage
+    # run over every angle before the next 19.  No root is confirmed by a
+    # scattering solve: the one-order rule needs none
     calls = _counted_kernel(monkeypatch)
     solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 21
+    assert 0 < len(calls) <= 19
     assert solves == []
     # the spy sits on the one scattering path: a scatter and a scan reach it
     scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
@@ -1418,23 +1440,26 @@ def test_edit_makes_few_kernel_calls(oblique_edit):
     # grid with window searches beside it 229, and after stage 2 and the
     # unshifted pair, not beside them, 97; beside them 84; with no polish
     # evaluating its converged iterate 69; with xi_edit a Newton root instead
-    # of a root on the pole continued over a 0.01 scan 30
+    # of a root on the pole continued over a 0.01 scan 30; with each stage run
+    # over every angle before the next, EDIT beside the unshifted pair's
+    # polishes and not beside stage 2, 28
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 30
+    assert 0 < len(calls) <= 28
 
 
 def test_q_makes_few_kernel_calls(monkeypatch):
-    # the Q stage's even pole and dark-pole slope run side by side, and beside
-    # stage 2 and the unshifted pair: 39 calls, 84 when xi_edit was a root
-    # on the pole continued over a 0.01 scan, 100 when also each polish
-    # evaluated its converged iterate, 112 when also each stage waited for
-    # the one before
+    # the Q stage's even pole and dark-pole slope run side by side, as a
+    # stage over every angle after EDIT: 34 calls; 39 with each angle's EDIT
+    # and Q stages forked beside its stage 2 and unshifted pair, 84 when also
+    # xi_edit was a root on the pole continued over a 0.01 scan, 100 when
+    # also each polish evaluated its converged iterate, 112 when also each
+    # stage waited for the one before
     calls = _counted_kernel(monkeypatch)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG], with_q=True)
     assert results[0].error == "EDIT unsupported at normal incidence"
     assert all(res.error is None and res.q_pair is not None for res in results[1:])
-    assert 0 < len(calls) <= 39
+    assert 0 < len(calls) <= 34
 
 
 def test_edit_merges_the_window_search_poles(oblique_edit):
