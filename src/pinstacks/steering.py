@@ -22,8 +22,11 @@ odd zero from beta_g too; xi_edit solves f_even(beta_odd + i s, xi) = 0 for
 the two real unknowns (xi, s) by Newton's method, from the even zero
 polished at the bracket's midpoint, one kernel call a step (_merge_newton).
 Where that solve gives up (a merge too ill-conditioned to resolve xi to
-1e-13: from 74 degrees at m = 1, 60 at m = 2 and 44 at m = 3, and at 71, 57
-and 41 degrees), the even zero is continued in xi over a 0.01 scan, each
+1e-13: at numpy's AVX2 or AVX-512 level from 74 degrees at m = 1, 60 at
+m = 2 and 44 at m = 3, and at 71, 57 and 41 degrees; with every dispatched
+SIMD feature disabled from 74, 60 and 46 degrees, and at 59 and 41 degrees,
+so the angles and xi_edit's tolerance there depend on the host), the even
+zero is continued in xi over a 0.01 scan, each
 seed extrapolated from the zeros already found, and xi_edit is the root, by
 Brent's method, of the gap in the real parts (_edit_scan).  The window
 search (a batched grid of the factor's modulus over a beta window, the zero
@@ -31,11 +34,15 @@ polished from its deepest point) serves resonance_beta alone.  steer reads
 both Q factors, Re beta / 2 |Im beta|, off the poles at the EDIT point
 (_dark_q); q_factor and feature_scan measure Q by FWHM on transmission
 spectra.  Stages 1 and 2 are roots of real lattice-sum conditions: one
-batched grid brackets each sign change, and Brent's method (_brent_steps, a
-port of scipy's brentq) refines it to the nearest float on the single-point
-function, whose values equal the batched ones exactly (the grid's values
-serve the bracket's two ends, and in steer stage 2 reads Re G(0, 0) at
-beta_g off stage 1's root).  With one propagating order those roots give
+batched grid brackets each sign change, and _stencil_root closes it to the
+nearest float in a few batched rounds: inverse interpolation through the
+grid's values, one round of a 3-point stencil, and one round of the floats
+about its estimate (the kernel's values depend only on their own inputs,
+so a point's value is the same in any round; the grid's values are never
+asked for again, and in steer stage 2 reads Re G(0, 0) at beta_g off stage
+1's root).  Where that interpolation stalls, bracket-preserving safeguards
+take over, after Brent's method (_brent_steps, a port of scipy's brentq
+that _edit_scan still uses).  With one propagating order those roots give
 R = 1 and T_pair = 1 to rounding, so a root is accepted when order 0 alone
 propagates there (_one_order), with no scattering solve.  Every other grid
 (the window search's, each of feature_scan's windows) is likewise evaluated
@@ -96,7 +103,9 @@ _NEWTON_STEPS = 6       # and its step cap
 _POLE_REACH = 0.06
 _MAX_ZOOM = 60    # feature_scan's window rescans before it gives up
 _MIRROR_GRID = 31    # find_beta_g's bracketing grid (see find_beta_g)
-_PAIR_GRID = 41      # find_eta_star's, per spread (see find_eta_star)
+_PAIR_GRID = 21      # find_eta_star's, per spread (see find_eta_star)
+_STENCIL_STEP = 1e-7   # _stencil_root's refine stencil, relative to its centre
+_SETTLE_FLOATS = 5     # and the floats of each of its settling rounds
 _ONE_PIN = ((0.0, 0.0),)
 
 
@@ -178,14 +187,17 @@ def find_beta_g(
     1 - R = (Re G)^2 / |G|^2: the mirror condition is the root of Re G(0, 0).
     A grid of Re G(0, 0) over the bracket (one builder call, coarse points)
     locates its sign changes; each, in grid order, is refined to the nearest
-    float (_nearest_root), where 1 - R vanishes to rounding, and the first at
+    float (_stencil_root), where 1 - R vanishes to rounding, and the first at
     which order 0 alone propagates is returned (_one_order; with more orders
     the others carry energy and R < 1).  The grid only brackets: the float
     returned depends on it only where rounding makes the condition change
     sign more than once among the floats next to the root (see
-    _nearest_root), and the default grid returns the 241-point grid's float
+    _stencil_root), and the default grid returns the 241-point grid's float
     at every 0.5 degree of theta in [-89, 89.5] and every 0.1 of alpha0 in
-    [-2.7, 2.7].  The default 31 points suffice on every
+    [-2.7, 2.7].  The grid also feeds the first estimate: at 31 points the
+    stencil and one settling round close the root at 175 of the 179
+    integer degrees of [-89, 89], at 21 points at 37 of them.  The default
+    31 points suffice on every
     default_bracket, where Re G(0, 0) is monotone with one root (checked on
     4,001 points for theta in [-89, 89.5] degrees and |alpha0| <= 2.7); a
     grid misses two roots between neighbouring points, so a caller with a
@@ -209,16 +221,15 @@ def _mirror_search(alpha0_at, beta_bracket, policy, coarse=_MIRROR_GRID):
         raise ValueError(f"coarse must be at least 2, got {coarse}")
     lo, hi = beta_bracket
 
-    def re_g_at(beta: float):
-        return (yield from _re_self_terms([alpha0_at(beta)], [beta], policy))[0]
+    def re_g(betas: list[float]):
+        return (yield from _re_self_terms([alpha0_at(b) for b in betas], betas, policy))
 
     grid = np.linspace(lo, hi, coarse).tolist()
-    values = yield from _re_self_terms([alpha0_at(b) for b in grid], grid, policy)
+    values = yield from re_g(grid)
     for i in _sign_changes(values):
-        beta, re_g = yield from _nearest_root(re_g_at, grid[i], grid[i + 1],
-                                              values[i], values[i + 1])
+        beta, re_g_root = yield from _stencil_root(re_g, grid, values, i)
         if _one_order(SpectralPoint(alpha0_at(beta), beta)):
-            return beta, re_g
+            return beta, re_g_root
     raise NoUnityReflectance(
         f"no root of Re G(0, 0) in bracket ({lo:g}, {hi:g}) gives unit "
         f"reflectance; wrong bracket or multiple propagating orders"
@@ -269,7 +280,7 @@ def find_eta_star(
     NoUnityTransmittance is raised before any evaluation.  Else that
     difference is sampled over [0.9, 1.1] * eta_guess (one kernel call),
     widening once to [0.8, 1.2], and its first sign change in grid order is
-    refined to the nearest float (_nearest_root), where 1 - T vanishes to
+    refined to the nearest float (_stencil_root), where 1 - T vanishes to
     rounding; NoUnityTransmittance when there is none.  The guess is
     expected within 10% of the optimum (the slab model lands within ~2.5%);
     a guess that is not positive raises ValueError (G(0, -eta) = G(0, eta),
@@ -278,14 +289,15 @@ def find_eta_star(
     The grid only brackets: on 4,001 points each spread of the slab guess
     holds exactly one sign change (theta in [-89, 89.5] degrees in 0.5-degree
     steps, m = 1-4), so every grid brackets the same root.  The float refined
-    from it still follows the bracket where rounding makes the difference
+    from it can still follow the grid where rounding makes the difference
     change sign more than once next to the root: at -30.5 degrees it reads
     -2.7e-18, +1.3e-19, -6.5e-21 and +2.5e-18 on the four floats from
-    0.9958492392136643 up (24.5 degrees is alike), and the root is either
-    middle float, by Brent's path.  Hence _PAIR_GRID is 41: given 0.85 to
-    1.19 times the slab guess, every grid of 2 to 40 points moves 26 to 44
-    of the 70 roots at those two angles by 1 ulp (and none at 22 others,
-    m = 1).
+    0.9958492392136643 up (24.5 degrees is alike), and the root is the first
+    sign change among the floats the close evaluated, whose window the
+    grid's interpolation places.  _PAIR_GRID is 21: it returns the float
+    that Brent's close on 41 points returned at every 0.5 degree of
+    [-89, 89.5] for m = 1-3 but one, 24.5 degrees at m = 1, which it moves
+    by 1 ulp (as 41 points do with this close).
     """
     if not eta_guess > 0:
         raise ValueError(f"eta_guess must be positive, got {eta_guess}")
@@ -313,18 +325,13 @@ def _pair_search(beta_g, a0, eta_guess, policy, re_m11=None):
         values, _ = yield from _summed(a0, beta_g, 0.0, etas, policy)
         return values.real - re_m11 * np.cos(chi0 * etas)
 
-    def condition_at(eta: float):
-        return float((yield from condition(eta)))
-
     for spread in (0.1, 0.2):
         grid = np.linspace((1.0 - spread) * eta_guess, (1.0 + spread) * eta_guess,
                            _PAIR_GRID).tolist()
         values = yield from condition(grid)
         changes = _sign_changes(values)
         if changes:
-            i = changes[0]
-            eta, _ = yield from _nearest_root(condition_at, grid[i], grid[i + 1],
-                                              values[i], values[i + 1])
+            eta, _ = yield from _stencil_root(condition, grid, values, changes[0])
             return eta
     raise NoUnityTransmittance(
         f"no root of the pair condition at beta_g = {beta_g:.9g} with eta within "
@@ -554,37 +561,138 @@ def _brent_steps(f, a: float, b: float, xtol: float):
     raise RuntimeError(f"Brent's method did not converge in 100 iterations (x = {xcur!r})")
 
 
-def _nearest_root(f, a: float, b: float, fa: float, fb: float):
-    """The float nearest the root of f in [a, b], where f changes sign, and f there.
+def _stencil_root(f, grid: list[float], values, i: int):
+    """The float nearest the root of f in [grid[i], grid[i + 1]], where f changes sign, and f there.
 
-    f(x) is a search step, and so is this (see _lockstep).  fa and fb are
-    f(a) and f(b) from the bracketing grid; f is never evaluated at a or b,
-    nor twice anywhere.  _brent_steps narrows the bracket to a few ulp;
-    stepping float by float from its answer to the nearest sign change then
-    returns whichever of the two straddling floats has the smaller |f|.
-    Where the rounded f changes sign once near the root, the result is thus
-    the same wherever Brent's method stopped, whatever the bracket and grid;
-    where it changes sign more than once among a few floats (stage 2's at
-    some angles; see find_eta_star), the sign change reached, and so the
-    float returned, follows Brent's path.
+    f(xs) is a search step returning f at each of the points xs in one
+    request, and so is this (see _lockstep); grid ascends and values is f on
+    it.  Each round is one request of a few points about an estimate x:
+    - the first estimate is inverse interpolation through up to 6 grid
+      values around the sign change, on which f is strictly monotone;
+    - refine: x and x (1 +- _STENCIL_STEP), whose inverse quadratic
+      interpolation gives the next estimate;
+    - settle, once the bracket or that interpolant's reach is no wider than
+      the stencil: the _SETTLE_FLOATS floats about x, now the interpolant's
+      Newton step from the bracket end with the smaller |f|.
+    Each round narrows the bracket to the first sign change among the
+    points known in it.  An end where f is exactly 0 is returned; else two
+    neighbouring floats end the search, and the one with the smaller |f| is
+    returned (the lower on a tie).  Where the rounded f changes sign once
+    near the root, the float returned is thus the same whatever the grid
+    and the path; where it changes sign more than once among a few floats
+    (stage 2's at some angles; see find_eta_star), it is the first sign
+    change among the points evaluated.  On smooth f the stencil and one
+    settling round close the bracket: stage 1 at 175 of the 179 integer
+    degrees of [-89, 89] (173 with numpy's dispatched SIMD features
+    disabled) and stage 2 at 173 to 178 of them for m = 1-3; the others
+    take one more round, where the kernel's rounding puts the estimate a
+    few floats off the root.
+
+    Safeguards keep the bracket as Brent's method and the ITP method do
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020), interpolating while it
+    pays and bisecting where it does not: f is never evaluated at a
+    known point, the grid's included, so never twice; an estimate outside
+    the bracket by more than rounding gives way to the bracket's quarter
+    points; a round that fails to halve the bracket adds its midpoint to the
+    next round, so that the bracket halves at least every second round; and
+    from the third round on, the secant through each end and the known point
+    beyond it adds its own points, since interpolation across a root where
+    f's slope jumps stalls at one end.
     """
-    known = {a: fa, b: fb}
+    known = dict(zip(grid, values.tolist()))
+    lo, hi = grid[i], grid[i + 1]
+    nodes = _monotone_run(grid, values.tolist(), i)
+    halve, rounds = False, 0
+    while True:
+        f_lo, f_hi = known[lo], known[hi]
+        if f_lo == 0.0 or f_hi == 0.0:
+            return (lo, f_lo) if f_lo == 0.0 else (hi, f_hi)
+        if math.nextafter(lo, hi) == hi:
+            return (hi, f_hi) if abs(f_hi) < abs(f_lo) else (lo, f_lo)
+        x, near = _inverse_interpolation(*nodes, 0.0), lo if abs(f_lo) <= abs(f_hi) else hi
+        if near not in nodes[0]:    # the interpolant's Newton step from near
+            x += near - _inverse_interpolation(*nodes, known[near])
+        clamped = min(max(x, lo), hi)    # nan when x is
+        if abs(x - clamped) <= _SETTLE_FLOATS * math.ulp(clamped):
+            points, stencil = _round_points(x, lo, hi, nodes)
+        else:       # nan, or no better than a guess
+            points = stencil = [lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), hi - 0.25 * (hi - lo)]
+        rounds += 1
+        if rounds > 2:
+            for y in _end_secants(known, lo, hi):
+                points = points + _round_points(y, lo, hi, nodes)[0]
+        # every point inside (lo, hi) is new: the bracket is always two
+        # neighbours among the known points
+        points = sorted({p for p in points + [lo + 0.5 * (hi - lo)] * halve if lo < p < hi})
+        known.update(zip(points, (yield from f(points)).tolist()))
+        if stencil is not None:
+            kept = sorted({p for p in stencil if p in known})
+            if len(kept) > 1:
+                nodes = kept, [known[p] for p in kept]
+        width, inside = hi - lo, [lo, *points, hi]
+        j = next(j for j in range(len(inside) - 1)
+                 if (known[inside[j]] > 0) != (known[inside[j + 1]] > 0))
+        lo, hi = inside[j], inside[j + 1]
+        halve = hi - lo > 0.5 * width
 
-    def g(x: float):
-        if x not in known:
-            known[x] = yield from f(x)
-        return known[x]
 
-    x = yield from _brent_steps(g, a, b, 1e-15)
-    fx = yield from g(x)
-    toward = b if (fx > 0) == (fa > 0) else a
-    while fx != 0.0:
-        y = math.nextafter(x, toward)
-        fy = yield from g(y)
-        if (fy > 0) != (fx > 0) or fy == 0.0:
-            return (y, fy) if abs(fy) < abs(fx) else (x, fx)
-        x, fx = y, fy
-    return x, fx
+def _round_points(x: float, lo: float, hi: float, nodes):
+    """_stencil_root's points about an estimate x, moved inside (lo, hi), and its stencil or None.
+
+    None when the round settles: the bracket is no wider than the stencil,
+    or the nodes are a stencil and x lies within their span of them.
+    """
+    x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    step, (first, *_, last) = _STENCIL_STEP * abs(x), nodes[0]
+    if hi - lo <= 2.0 * step or (last - first <= 3.0 * step
+                                 and 2.0 * first - last <= x <= 2.0 * last - first):
+        return _floats_around(x, lo, hi, _SETTLE_FLOATS), None
+    stencil = [x * (1.0 - _STENCIL_STEP), x, x * (1.0 + _STENCIL_STEP)]
+    return stencil, stencil
+
+
+def _end_secants(known: dict, lo: float, hi: float) -> list[float]:
+    """The roots inside (lo, hi) of the secants through each bracket end and the known point beyond it."""
+    ordered = sorted(known)
+    roots = []
+    for end, beyond in ((lo, ordered.index(lo) - 1), (hi, ordered.index(hi) + 1)):
+        if 0 <= beyond < len(ordered) and known[end] != known[ordered[beyond]]:
+            other = ordered[beyond]
+            root = end - known[end] * (end - other) / (known[end] - known[other])
+            if lo < root < hi:
+                roots.append(root)
+    return roots
+
+
+def _monotone_run(xs: list[float], fs: list[float], i: int):
+    """The nodes (xs, fs) of up to 3 points each side of the sign change at i, f strictly monotone."""
+    sign = math.copysign(1.0, fs[i + 1] - fs[i])
+    lo, hi = i, i + 1
+    while lo > max(0, i - 2) and sign * (fs[lo] - fs[lo - 1]) > 0:
+        lo -= 1
+    while hi < min(len(xs) - 1, i + 3) and sign * (fs[hi + 1] - fs[hi]) > 0:
+        hi += 1
+    return xs[lo:hi + 1], fs[lo:hi + 1]
+
+
+def _inverse_interpolation(xs: list[float], fs: list[float], y: float) -> float:
+    """x at f = y on the polynomial x(f) through the nodes (Neville); nan where two fs are equal."""
+    p = list(xs)
+    try:
+        for k in range(1, len(xs)):
+            for j in range(len(xs) - k):
+                p[j] = ((y - fs[j + k]) * p[j] - (y - fs[j]) * p[j + 1]) / (fs[j] - fs[j + k])
+    except ZeroDivisionError:
+        return math.nan
+    return p[0]
+
+
+def _floats_around(x: float, lo: float, hi: float, count: int) -> list[float]:
+    """The floats strictly inside (lo, hi) from count // 2 below x to count // 2 above it."""
+    points = [x]
+    for _ in range(count // 2):
+        points = [math.nextafter(points[0], lo), *points, math.nextafter(points[-1], hi)]
+    return [p for p in points if lo < p < hi]
 
 
 def resonance_beta(

@@ -1,8 +1,13 @@
-"""The package's own numerics: Brent's root finder and the exponential integral.
+"""The package's own numerics: its two root closers and the exponential integral.
 
 The package imports numpy alone.  _brent_steps, run alone on a plain
 function, is checked against scipy's brentq, whose C routine it ports,
-float for float; _exp1 against mpmath.
+float for float.  _stencil_root, which closes stages 1 and 2 from their
+grids, is run alone on the same functions from grids of 2, 5 and 31
+points: it returns the straddling float with the smaller |f|, never
+evaluates a point twice or a grid point at all, and takes no more rounds
+than the Brent close it replaced, but for one case where Brent hit the
+root float exactly.  _exp1 is checked against mpmath.
 Subprocess tests check that no run of the chain imports scipy, and that
 each command imports only the pinstacks modules it runs.
 """
@@ -10,6 +15,8 @@ each command imports only the pinstacks modules it runs.
 from __future__ import annotations
 
 import ast
+import functools
+import json
 import math
 import os
 import subprocess
@@ -21,9 +28,10 @@ import pytest
 
 import pinstacks
 from pinstacks.greens import _exp1
-from pinstacks.steering import _brent_steps, _run, resonance_beta
+from pinstacks.steering import _brent_steps, _run, _sign_changes, _stencil_root, resonance_beta
 
 SRC = str(Path(pinstacks.__file__).resolve().parent.parent)
+DATA = Path(__file__).resolve().parent / "data"
 
 # Bracketed functions with a root at c: smooth, steep, flat, stiff and
 # discontinuous, so that every branch of the method (secant, inverse
@@ -99,6 +107,88 @@ def test_brent_root_is_brentq_on_the_edit60_gap(xtol):
     b = float(np.linspace(0.15, 0.30, 151)[98])
     a = b - 0.15 / 150
     assert _brent_root(gap, a, b, xtol) == brentq(gap, a, b, xtol=xtol)
+
+
+def _stencil_close(f, grid: list[float]):
+    """_stencil_root run alone on the plain function f from the grid's first sign change.
+
+    Returns its root, f there, the bracket and the points of each round (one
+    request each).
+    """
+    values = np.array([f(x) for x in grid])
+    i = _sign_changes(values)[0]
+    rounds = []
+
+    def step(xs: list[float]):
+        rounds.append(xs)
+        yield from ()     # a step that requests nothing
+        return np.array([f(x) for x in xs])
+
+    x, fx = _run(_stencil_root(step, grid, values, i))
+    return x, fx, (grid[i], grid[i + 1]), rounds
+
+
+@functools.cache
+def _stencil_closes(family: str, points: int) -> list:
+    """(index, f, grid, _stencil_close's outcome) for each seeded bracket whose grid changes sign.
+
+    150 brackets per family, as for brentq above.
+    """
+    closes = []
+    for index, (c, a, b) in enumerate(_brackets(sorted(FAMILIES).index(family), 150)):
+        f, grid = FAMILIES[family](c), np.linspace(a, b, points).tolist()
+        if _sign_changes(np.array([f(x) for x in grid])):
+            closes.append((index, f, grid, _stencil_close(f, grid)))
+    return closes
+
+
+@pytest.mark.parametrize("points", [2, 5, 31])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stencil_root_returns_the_straddling_float_with_the_smaller_f(family, points):
+    for index, f, _, (x, fx, (a, b), _) in _stencil_closes(family, points):
+        assert a <= x <= b and fx == f(x), index
+        if fx != 0.0:
+            straddling = [y for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+                          if (f(y) > 0) != (fx > 0)]
+            assert straddling and abs(fx) <= min(abs(f(y)) for y in straddling), index
+
+
+@pytest.mark.parametrize("points", [2, 5, 31])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stencil_root_never_evaluates_a_point_twice_or_a_grid_point(family, points):
+    for index, _, _, (_, _, (a, b), rounds) in _stencil_closes(family, points):
+        evaluated = [x for xs in rounds for x in xs]
+        assert len(set(evaluated)) == len(evaluated), index
+        assert all(a < x < b for x in evaluated), index
+
+
+# Rounds of the Brent close that _stencil_root replaced (_brent_steps to 1e-15,
+# then one float a step to the nearest sign change, each point one round) on
+# each case, generated by it; on "flat" it raised after Brent's 100
+# iterations.  In one case of the 3,600 Brent's third point happened to be
+# the root float itself (f = 0 exactly), and the stencil takes a fourth
+# round to close the bracket.
+_BRENT_ROUNDS = json.loads((DATA / "nearest_root_rounds.json").read_text())
+_EXACT_HITS = {("sine", 5, 149): 1}
+
+
+@pytest.mark.parametrize("points", [2, 5, 31])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stencil_root_takes_no_more_rounds_than_the_brent_close(family, points):
+    brent = _BRENT_ROUNDS[f"{family} {points}"]
+    closes = _stencil_closes(family, points)
+    assert [close[0] for close in closes] == [i for i, n in enumerate(brent) if n is not None]
+    for index, _, _, (_, _, _, rounds) in closes:
+        assert len(rounds) <= brent[index] + _EXACT_HITS.get((family, points, index), 0), index
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stencil_root_returns_an_end_where_f_is_zero(sign):
+    # the grid 0, 0.25, ..., 1 holds the root 0.5: rising, the sign change is
+    # (0.5, 0.75) and f is 0 at its lower end; falling, (0.25, 0.5) and 0 at
+    # its upper end
+    x, fx, _, rounds = _stencil_close(lambda x: sign * (x - 0.5), np.linspace(0, 1, 5).tolist())
+    assert (x, fx, rounds) == (0.5, 0.0, [])
 
 
 def _e1_points() -> np.ndarray:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,29 +280,31 @@ class TestFindEtaStar:
 ])
 def test_stage_roots_are_pinned(deg, beta_g, eta_star):
     # the nearest-float roots; reusing the bracket's grid values in
-    # _nearest_root must not move them by a single bit
+    # _stencil_root must not move them by a single bit
     theta = math.radians(deg)
     assert find_beta_g(theta) == beta_g
     assert find_eta_star(beta_g, slab_guess(beta_g, beta_g * math.sin(theta)),
                          theta_i=theta) == eta_star
 
 
-def test_nearest_root_never_evaluates_the_bracket_ends(monkeypatch):
-    # f(a) and f(b) come from the bracketing grid, which already holds them
-    nearest, brackets = steering._nearest_root, []
+def test_stage_roots_never_evaluate_a_grid_point_or_a_point_twice(monkeypatch):
+    # f(a) and f(b) come from the bracketing grid, which already holds them,
+    # and each round asks only for points the closer does not know
+    closer, brackets = steering._stencil_root, []
 
-    def spy(f, a, b, fa, fb):
+    def spy(f, grid, values, i):
         evaluated = []
-        brackets.append((a, b, evaluated))
-        return nearest(lambda x: evaluated.append(x) or f(x), a, b, fa, fb)
+        brackets.append((grid[i], grid[i + 1], evaluated))
+        return closer(lambda xs: evaluated.extend(xs) or f(xs), grid, values, i)
 
-    monkeypatch.setattr(steering, "_nearest_root", spy)
+    monkeypatch.setattr(steering, "_stencil_root", spy)
     beta_g = find_beta_g(THETA_30)
     find_eta_star(beta_g, slab_guess(beta_g, beta_g * math.sin(THETA_30)),
                   theta_i=THETA_30)
     assert len(brackets) == 2
     for a, b, evaluated in brackets:
         assert evaluated and a not in evaluated and b not in evaluated
+        assert len(set(evaluated)) == len(evaluated)
 
 
 def test_steer_stage_roots_are_the_lone_functions_floats(table1_alone):
@@ -316,7 +320,8 @@ def test_steer_stage_roots_are_the_lone_functions_floats(table1_alone):
 
 def test_table1_builds_each_mirror_point_once(monkeypatch):
     # the 15 mirror grids are one builder call of 15 x _MIRROR_GRID rows,
-    # and each later call holds at most one refinement point per angle.  No
+    # and each later call holds at most one of _stencil_root's settling
+    # rounds per angle, of _SETTLE_FLOATS floats.  No
     # point is built twice: stage 2 reads Re G(0, 0) at beta_g off stage 1's
     # root (at 241 grid points each angle's beta_g was built twice, and the
     # pass built 3,706 points)
@@ -332,7 +337,7 @@ def test_table1_builds_each_mirror_point_once(monkeypatch):
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
     n = len(TABLE1_ANGLES_DEG)
-    assert sizes[0] == n * steering._MIRROR_GRID and max(sizes[1:]) <= n
+    assert sizes[0] == n * steering._MIRROR_GRID and max(sizes[1:]) <= steering._SETTLE_FLOATS * n
     assert len(rows) <= n * (steering._MIRROR_GRID + 8)
     assert len(set(rows)) == len(rows)
     assert all((res.alpha0_g, res.beta_g) in rows for res in results)
@@ -376,8 +381,9 @@ def test_the_grid_moves_a_pair_root_by_one_ulp_at_most(monkeypatch):
     # every grid brackets the one root (above), refined to a float where the
     # condition changes sign; at -30.5 and 24.5 degrees rounding makes it
     # change sign three times among four neighbouring floats, so there the
-    # float follows Brent's path from the bracket, and every grid below 41
-    # points moves some guesses' roots by 1 ulp (why _PAIR_GRID is 41)
+    # float is the first sign change among the points the closer evaluated,
+    # and those depend on the grid's interpolation: a grid of another size
+    # may move the root by 1 ulp there, and nowhere else
     cases = []
     for deg in [*TABLE1_ANGLES_DEG, -30.5, 24.5]:
         theta = math.radians(deg)
@@ -392,6 +398,41 @@ def test_the_grid_moves_a_pair_root_by_one_ulp_at_most(monkeypatch):
                 assert got == eta, f"{deg} deg, {n} points"
             else:
                 assert abs(got - eta) <= math.ulp(eta), f"{deg} deg, {n} points"
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_stage_roots_hold_over_the_sweep():
+    # beta_g and eta_star (m = 1-3) at every integer degree of [-89, 89], and
+    # find_beta_g at every 0.1 of alpha0 in [-2.7, 2.7], as Brent's close
+    # (_brent_steps, then stepping float by float) found them; they hold at
+    # any numpy SIMD level
+    pin = json.loads((DATA / "stage_roots.json").read_text())
+    thetas = [math.radians(deg) for deg in pin["theta_deg"]]
+    for m in (1, 2, 3):
+        results = steer(thetas, m=m, with_modes=False)
+        assert [res.error for res in results] == [None] * len(thetas)
+        assert [res.beta_g for res in results] == pin["beta_g"], f"m = {m}"
+        assert [res.eta_star for res in results] == pin["eta_star"][str(m)], f"m = {m}"
+    assert pin["alpha0"] == [k / 10 for k in range(-27, 28)]
+    assert [find_beta_g(alpha0=a) for a in pin["alpha0"]] == pin["beta_g_at_alpha0"]
+
+
+@pytest.mark.parametrize("deg, beta_g, brent_calls", [
+    (0.0, 4.456011789073157, {2: 11, 5: 8, 31: 7, 241: 6}),
+    (30.0, 3.599363462904312, {2: 10, 5: 8, 31: 7, 241: 6}),
+    (60.0, 2.9471596875548824, {2: 10, 5: 7, 31: 7, 241: 6}),
+])
+def test_find_beta_g_closes_every_grid_in_no_more_calls_than_brent(deg, beta_g, brent_calls,
+                                                                  monkeypatch):
+    # brent_calls: the kernel calls of the grid and Brent's close, one point
+    # a round; the stencil's rounds land on the same float from every grid
+    calls = _counted_kernel(monkeypatch)
+    for coarse, most in brent_calls.items():
+        calls.clear()
+        assert find_beta_g(math.radians(deg), coarse=coarse) == beta_g, coarse
+        assert 0 < len(calls) <= most, coarse
 
 
 class TestResonanceBeta:
@@ -1394,14 +1435,16 @@ def test_table1_makes_few_kernel_calls(monkeypatch):
     # request per starting value of a pole polish 32, with stage 2 asking
     # the builder again for stage 1's Re G(0, 0) 30, and with the odd pole
     # polished before the even one 29, with the two side by side 22, with
-    # neither polish evaluating its converged iterate 21, and with each stage
-    # run over every angle before the next 19.  No root is confirmed by a
-    # scattering solve: the one-order rule needs none
+    # neither polish evaluating its converged iterate 21, with each stage
+    # run over every angle before the next 19, and with stages 1 and 2 closed
+    # by _stencil_root's batched rounds instead of Brent's one point a round
+    # 12, at any numpy SIMD level.  No root is confirmed by a scattering
+    # solve: the one-order rule needs none
     calls = _counted_kernel(monkeypatch)
     solves = _counted(monkeypatch, "_scatter_all", scattering)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG])
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 19
+    assert 0 < len(calls) <= 12
     assert solves == []
     # the spy sits on the one scattering path: a scatter and a scan reach it
     scatter(PinStack.single(), IncidentWave.from_angle(THETA_30, 3.6))
@@ -1442,24 +1485,26 @@ def test_edit_makes_few_kernel_calls(oblique_edit):
     # evaluating its converged iterate 69; with xi_edit a Newton root instead
     # of a root on the pole continued over a 0.01 scan 30; with each stage run
     # over every angle before the next, EDIT beside the unshifted pair's
-    # polishes and not beside stage 2, 28
+    # polishes and not beside stage 2, 28; with stages 1 and 2 closed by
+    # _stencil_root, 21
     results, calls = oblique_edit
     assert all(res.error is None for res in results)
-    assert 0 < len(calls) <= 28
+    assert 0 < len(calls) <= 21
 
 
 def test_q_makes_few_kernel_calls(monkeypatch):
     # the Q stage's even pole and dark-pole slope run side by side, as a
-    # stage over every angle after EDIT: 34 calls; 39 with each angle's EDIT
-    # and Q stages forked beside its stage 2 and unshifted pair, 84 when also
-    # xi_edit was a root on the pole continued over a 0.01 scan, 100 when
-    # also each polish evaluated its converged iterate, 112 when also each
-    # stage waited for the one before
+    # stage over every angle after EDIT, with stages 1 and 2 closed by
+    # _stencil_root: 27 calls; 34 with Brent's one point a round there, 39
+    # when also each angle's EDIT and Q stages were forked beside its stage
+    # 2 and unshifted pair, 84 when also xi_edit was a root on the pole
+    # continued over a 0.01 scan, 100 when also each polish evaluated its
+    # converged iterate, 112 when also each stage waited for the one before
     calls = _counted_kernel(monkeypatch)
     results = steer([math.radians(d) for d in TABLE1_ANGLES_DEG], with_q=True)
     assert results[0].error == "EDIT unsupported at normal incidence"
     assert all(res.error is None and res.q_pair is not None for res in results[1:])
-    assert 0 < len(calls) <= 34
+    assert 0 < len(calls) <= 27
 
 
 def test_edit_merges_the_window_search_poles(oblique_edit):
